@@ -29,7 +29,7 @@ from .gibbs import (
     SpectralBackend,
     word_index,
 )
-from .ifs import IfsSystem, _moebius_apply
+from .ifs import IfsSystem, _moebius_apply, _point_value, _to_coords, _value_point
 from .symbolic import FiniteWord, PointRd, RandomTail, SymbolStream, as_point
 
 __all__ = [
@@ -51,14 +51,10 @@ __all__ = [
 def _invert_map(system: IfsSystem, j: int, x: PointRd) -> PointRd:
     """phi_j^{-1}(x) for branch j."""
     m = system.maps[j - 1]
-    if system.dim == 1:
-        p, q, r, s = m.matrix
-        # adjugate matrix; projective scale is irrelevant
-        return as_point((_moebius_apply((s, -q, -r, p), x.coords[0]),), 1)
-    lin = m.linear
-    t = np.asarray(m.translation)
-    z = np.linalg.solve(lin, np.asarray(x.coords) - t)
-    return as_point(tuple(z), 2)
+    p, q, r, s = m.matrix
+    # adjugate matrix; projective scale is irrelevant
+    z = _moebius_apply((s, -q, -r, p), _point_value(x))
+    return _value_point(z.conjugate() if m.reflect else z)
 
 
 def _box_distance(box, coords: np.ndarray) -> float:
@@ -103,40 +99,52 @@ def t_apply(system: IfsSystem, x, depth_hint: int = 1, tol: float = 1e-9) -> Poi
 # symbolic orbits: shift then project through a composition window
 # ---------------------------------------------------------------------------
 
+_WINDOW_CHUNK = 1 << 16  # windows projected per pass; bounds the temporaries
+
+
 def project_windows(symbols: np.ndarray, system: IfsSystem, depth: int) -> np.ndarray:
     """Project every length-``depth`` window of a symbol array to coordinates.
 
-    Returns the points ``phi_{s_n} ... phi_{s_{n+depth-1}}(base)`` for
-    ``n = 0..len(symbols)-depth``, applying maps innermost-first so the
-    contractions damp rounding instead of amplifying it.
+    ``symbols`` is one stream, or a ``(rows, cols)`` block of independent
+    sample paths whose windows slide within each row.  Returns the points
+    ``phi_{s_n} ... phi_{s_{n+depth-1}}(base)`` for ``n = 0..cols-depth``,
+    shape ``(cols - depth + 1,)`` or ``(rows, cols - depth + 1)``, with a
+    trailing coordinate axis for plane systems.  Maps are applied
+    innermost-first so the contractions damp rounding instead of amplifying
+    it; each step gathers the per-symbol coefficients from the system's
+    table, in the system's field (complex in the plane).
     """
-    syms = np.asarray(symbols, dtype=np.int64)
-    if depth < 1 or syms.size < depth:
+    syms = np.asarray(symbols)
+    if depth < 1 or syms.ndim not in (1, 2) or syms.shape[-1] < depth:
         raise ValueError("need at least `depth` symbols")
-    count = syms.size - depth + 1
-    base = np.asarray(system.base_point().coords)
-    if system.dim == 1:
-        X = np.full(count, base[0])
-        mats = [m.matrix for m in system.maps]
+    count = syms.shape[-1] - depth + 1
+    rows = syms.reshape(-1, syms.shape[-1])
+    # a leading dummy entry makes the 1-based symbols direct table indices
+    coeffs = [np.concatenate([c[:1], c]) for c in system._coeffs]
+    flips = system._flips
+    if flips is not None:
+        flips = np.concatenate([flips[:1], flips])
+    base = _point_value(system.base_point())
+    out = np.empty((rows.shape[0], count), dtype=system.dtype)
+    width = max(1, _WINDOW_CHUNK // rows.shape[0])
+    for c0 in range(0, count, width):
+        c1 = min(c0 + width, count)
+        X = out[:, c0:c1]
+        X[...] = base
         for j in range(depth - 1, -1, -1):
-            s = syms[j : j + count]
-            for v in range(1, system.m + 1):
-                mask = s == v
-                if mask.any():
-                    p, q, r, ss = mats[v - 1]
-                    Xv = X[mask]
-                    X[mask] = (p * Xv + q) / (r * Xv + ss)
-        return X
-    X = np.tile(base, (count, 1))
-    lins = [m.linear for m in system.maps]
-    ts = [np.asarray(m.translation) for m in system.maps]
-    for j in range(depth - 1, -1, -1):
-        s = syms[j : j + count]
-        for v in range(1, system.m + 1):
-            mask = s == v
-            if mask.any():
-                X[mask] = X[mask] @ lins[v - 1].T + ts[v - 1]
-    return X
+            s = rows[:, c0 + j : c1 + j]
+            if flips is not None:
+                X[...] = np.where(flips[s], X.conjugate(), X)
+            if len(coeffs) == 2:
+                X *= coeffs[0][s]
+                X += coeffs[1][s]
+            else:
+                num = coeffs[0][s] * X
+                num += coeffs[1][s]
+                den = coeffs[2][s] * X
+                den += coeffs[3][s]
+                np.divide(num, den, out=X)
+    return _to_coords(out.reshape(syms.shape[:-1] + (count,)))
 
 
 def orbit_array(stream: SymbolStream, N: int, system: IfsSystem, tol: float) -> np.ndarray:
@@ -159,9 +167,7 @@ def orbit_symbolic(
 ) -> List[PointRd]:
     """Orbit (pi(sigma^n omega))_{n=0..N} as points; see :func:`orbit_array`."""
     arr = orbit_array(stream, N, system, tol)
-    if system.dim == 1:
-        return [as_point((float(v),), 1) for v in arr]
-    return [as_point((float(a), float(b)), 2) for a, b in arr]
+    return [PointRd(tuple(c)) for c in arr.reshape(arr.shape[0], -1)]
 
 
 # ---------------------------------------------------------------------------

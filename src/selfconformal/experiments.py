@@ -33,7 +33,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .dynamics import correlation, sample_symbol_block
+from .dynamics import correlation, project_windows, sample_symbol_block
 from .gibbs import (
     BernoulliBackend,
     ConformalPowerPotential,
@@ -229,46 +229,6 @@ def _diameter_bound(system: IfsSystem, depth: int) -> float:
     return diam * system.kappa_eff ** max(0, depth - n0)
 
 
-def _orbit_rows(block: np.ndarray, system: IfsSystem, depth: int) -> np.ndarray:
-    """Project every length-``depth`` window of each row of a symbol block.
-
-    Rows are independent sample paths; windows slide within a row. Maps are
-    applied innermost-first so the contractions damp rounding. Returns shape
-    ``(rows, cols - depth + 1)`` for 1-D systems, with a trailing coordinate
-    axis for plane systems.
-    """
-    syms = np.asarray(block)
-    if syms.ndim == 1:
-        syms = syms[None, :]
-    rows, cols = syms.shape
-    if depth < 1 or cols < depth:
-        raise ValueError("need at least `depth` symbols per row")
-    count = cols - depth + 1
-    base = np.asarray(system.base_point().coords)
-    if system.dim == 1:
-        X = np.full((rows, count), base[0])
-        mats = [m.matrix for m in system.maps]
-        for j in range(depth - 1, -1, -1):
-            s = syms[:, j : j + count]
-            for v in range(1, system.m + 1):
-                mask = s == v
-                if mask.any():
-                    p, q, r, ss = mats[v - 1]
-                    Xv = X[mask]
-                    X[mask] = (p * Xv + q) / (r * Xv + ss)
-        return X
-    X = np.tile(base, (rows, count, 1))
-    lins = [m.linear for m in system.maps]
-    ts = [np.asarray(m.translation) for m in system.maps]
-    for j in range(depth - 1, -1, -1):
-        s = syms[:, j : j + count]
-        for v in range(1, system.m + 1):
-            mask = s == v
-            if mask.any():
-                X[mask] = X[mask] @ lins[v - 1].T + ts[v - 1]
-    return X
-
-
 def _point_distances(pos: np.ndarray, center: np.ndarray) -> np.ndarray:
     """Euclidean distances along the step axis for 1-D or planar positions."""
     if pos.ndim == 2:
@@ -400,11 +360,11 @@ def _counting_chunk(spec: _RunSpec, ids: Sequence[int]) -> List[CountingRecord]:
 def _records_for_block(spec, sub, block, ns, radii, ks, cps, cp_idx):
     N = spec.N
     if spec.hit_mode == "symbolic":
-        x0s = _orbit_rows(block[:, : spec.depth], spec.system, spec.depth)[:, 0]
+        x0s = project_windows(block[:, : spec.depth], spec.system, spec.depth)[:, 0]
         hit, flag = _symbolic_self_hits(block, ks, N)
         ball_cum = _symbolic_ball_sums(spec.backend, block, ks, cp_idx)
     else:
-        pos = _orbit_rows(block, spec.system, spec.depth)
+        pos = project_windows(block, spec.system, spec.depth)
         x0s = pos[:, 0]
         if spec.kind == "shrink":
             # targets arrive canonicalized to shape (N, dim)
@@ -910,7 +870,7 @@ def _pairwise_ball_mc(system, backend, event, a, b, kappa, mc_samples, seed):
     center = as_point(center, system.dim)
     depth = system.depth_for_diameter(max(radius, 1e-9) / 1000.0)
     block = sample_symbol_block(backend, seed, range(mc_samples), b + depth)
-    pos = _orbit_rows(block, system, depth)
+    pos = project_windows(block, system, depth)
     c = np.asarray(center.coords)
     dist = _point_distances(pos[:, a : b + 1], c if system.dim > 1 else c[0])
     H = dist <= radius
@@ -1263,7 +1223,7 @@ def _example_constant_radius(threads, N=100_000, samples=200, seed=None,
     mc_ids = range(2_000_000, 2_000_000 + mc_samples)
     depth = system.depth_for_diameter(5.0 / 9.0 / 1000.0)
     mc_block = sample_symbol_block(backend, seed, mc_ids, 30 + depth)
-    mc_pos = _orbit_rows(mc_block, system, depth)
+    mc_pos = project_windows(mc_block, system, depth)
     mc_hit = np.abs(mc_pos[:, 30] - mc_pos[:, 0]) <= 5.0 / 9.0
     est = float(mc_hit.mean())
     sigma = math.sqrt(0.625 * 0.375 / mc_samples)

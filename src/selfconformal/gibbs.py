@@ -28,7 +28,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .ifs import Affine1D, IfsSystem, Moebius1D, Similarity2D, _moebius_apply
+from .ifs import IfsSystem, _moebius_apply, _moebius_compose
 from .symbolic import FiniteWord
 
 __all__ = [
@@ -132,6 +132,16 @@ def _check_level_size(m: int, k: int):
         raise ValueError(f"level table of size {m}^{k} exceeds the cap")
 
 
+def _power_weights(system: IfsSystem, tau: float) -> list:
+    """The branch weights x |-> |phi_j'(x)|^tau of a 1-D system."""
+    gs = []
+    for m in system.maps:
+        p, q, r, s = m.matrix
+        det = abs(p * s - q * r)
+        gs.append(lambda x, det=det, r=r, s=s: (det / (r * x + s) ** 2) ** tau)
+    return gs
+
+
 # ---------------------------------------------------------------------------
 # backends
 # ---------------------------------------------------------------------------
@@ -195,12 +205,11 @@ class DensityBackend:
         self.density = cat["density"]
         self.eigenvalue = cat["eigenvalue"]
         self.tau = cat["tau"]
-        lo, hi = system.attractor_box.lo[0], system.attractor_box.hi[0]
-        self._root = (lo, hi)
-        self._levels = {0: (np.array([lo]), np.array([hi]))}
+        self._root = (system.attractor_box.lo[0], system.attractor_box.hi[0])
+        self._tables = {}
 
     def word_interval(self, word: FiniteWord) -> Tuple[float, float]:
-        mat = self.system.word_map(word)
+        mat, _ = self.system.word_map(word)
         a = _moebius_apply(mat, self._root[0])
         b = _moebius_apply(mat, self._root[1])
         return (a, b) if a <= b else (b, a)
@@ -209,30 +218,17 @@ class DensityBackend:
         a, b = self.word_interval(word)
         return float(self.cdf(b) - self.cdf(a))
 
-    def _level_endpoints(self, k: int):
-        if k not in self._levels:
-            _check_level_size(self.system.m, k)
-            lo_prev, hi_prev = self._level_endpoints(k - 1)
-            blocks_lo, blocks_hi = [], []
-            for m in self.system.maps:
-                mat = m.matrix
-                a = _moebius_apply(mat, lo_prev)
-                b = _moebius_apply(mat, hi_prev)
-                blocks_lo.append(np.minimum(a, b))
-                blocks_hi.append(np.maximum(a, b))
-            self._levels[k] = (np.concatenate(blocks_lo), np.concatenate(blocks_hi))
-        return self._levels[k]
-
     def level_table(self, k: int) -> np.ndarray:
-        lo, hi = self._level_endpoints(k)
-        return self.cdf(hi) - self.cdf(lo)
+        if k not in self._tables:
+            _check_level_size(self.system.m, k)
+            lo, hi, _ = _cell_arrays(self.system, k)
+            self._tables[k] = self.cdf(hi) - self.cdf(lo)
+        return self._tables[k]
 
     def conditional_next(self, word: FiniteWord) -> np.ndarray:
-        mat = self.system.word_map(word)
+        mat, _ = self.system.word_map(word)
         child_masses = []
         for m in self.system.maps:
-            from .ifs import _moebius_compose
-
             cm = _moebius_compose(mat, m.matrix)
             a = _moebius_apply(cm, self._root[0])
             b = _moebius_apply(cm, self._root[1])
@@ -246,21 +242,11 @@ class DensityBackend:
 
     def gibbs_data(self):
         dens = self.density
-        tau = self.tau
-        system = self.system
 
         def h(x):
             return float(dens(x))
 
-        gs = []
-        for m in system.maps:
-            if isinstance(m, (Affine1D, Moebius1D)):
-                p, q, r, s = m.matrix
-                det = abs(p * s - q * r)
-                gs.append(lambda x, det=det, r=r, s=s, tau=tau: (det / (r * x + s) ** 2) ** tau)
-            else:
-                gs.append(lambda x, sc=m.scale, tau=tau: sc ** tau)
-        return self.eigenvalue, h, gs
+        return self.eigenvalue, h, _power_weights(self.system, self.tau)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +272,8 @@ class EigenReport:
 
 
 def _cell_arrays(system: IfsSystem, depth: int):
-    """Endpoint and anchor arrays for all depth-k cells (1-D systems)."""
+    """Endpoint and anchor arrays for all depth-k cells of a 1-D system, in
+    lexicographic word order (first symbol most significant)."""
     lo = np.array([system.attractor_box.lo[0]])
     hi = np.array([system.attractor_box.hi[0]])
     anchor = np.array([system.base_point().x])
@@ -306,8 +293,6 @@ def _cell_arrays(system: IfsSystem, depth: int):
 
 def _avg_weight(m, tau: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact Lebesgue cell average of |phi'|^tau over [a, b] per cell."""
-    if isinstance(m, Similarity2D):
-        return np.full(a.shape, m.scale ** tau)
     p, q, r, s = m.matrix
     det = abs(p * s - q * r)
     if r == 0.0:
@@ -503,15 +488,7 @@ class SpectralBackend:
                 (lambda x, p=p: p) for p in probs
             ]
         tau = pot.tau if isinstance(pot, ConformalPowerPotential) else DENSITY_CATALOG[pot.name]["tau"]
-        gs = []
-        for m in self.system.maps:
-            if isinstance(m, Similarity2D):
-                gs.append(lambda x, sc=m.scale, tau=tau: sc ** tau)
-            else:
-                p, q, r, s = m.matrix
-                det = abs(p * s - q * r)
-                gs.append(lambda x, det=det, r=r, s=s, tau=tau: (det / (r * x + s) ** 2) ** tau)
-        return self.report.eigenvalue, self.h_at, gs
+        return self.report.eigenvalue, self.h_at, _power_weights(self.system, tau)
 
 
 MeasureBackend = Union[BernoulliBackend, DensityBackend, SpectralBackend]
@@ -546,11 +523,10 @@ def verify_gibbs_property(backend: MeasureBackend, depth: int, tail_symbol: int 
     length <= depth.
     """
     system = backend.system
-    R, h, gs = backend.gibbs_data()
-    base = system.apply_word(FiniteWord((tail_symbol,) * 40, system.m), system.base_point()).x \
-        if system.dim == 1 else None
     if system.dim != 1:
         raise ValueError("the verification walk is implemented for 1-D systems")
+    R, h, gs = backend.gibbs_data()
+    base = system.apply_word(FiniteWord((tail_symbol,) * 40, system.m), system.base_point()).x
 
     def gtilde(j, x):
         fx = _moebius_apply(system.maps[j - 1].matrix, x)

@@ -7,10 +7,15 @@ domain.  Supported map families:
 * ``Moebius1D`` -- x |-> (p*x + q)/(r*x + s), pole outside the domain;
 * ``Similarity2D`` -- rotation/reflection + scaling + translation.
 
-Every 1-D map is carried internally as a 2x2 coefficient matrix, so finite
-compositions are again single maps and quantities such as cylinder-interval
-endpoints and sup-derivatives over an interval are evaluated in closed form
-(monotone analysis of (r*x+s)^2), not by sampling.
+Every map is carried as a 2x2 coefficient matrix ``(p, q, r, s)`` over its
+coordinate field plus a ``reflect`` bit: real on the line, complex in the
+plane, where a point (x, y) is z = x + iy and a similarity is
+z |-> a*z + b, or a*conj(z) + b when it reflects (a = scale * e^{i rotation},
+b = translation).  One set of Moebius helpers therefore evaluates, composes
+and differentiates the maps of both dimensions: finite compositions are again
+single maps, and quantities such as cylinder-interval endpoints and
+sup-derivatives over an interval are evaluated in closed form (monotone
+analysis of (r*x+s)^2), not by sampling.
 
 The module also provides cylinder geometry (attractor pieces K_I indexed by
 finite words), empirical contraction constants, open-set-condition checking,
@@ -62,6 +67,9 @@ class Affine1D:
     a: float
     b: float
 
+    dim = 1
+    reflect = False
+
     def __post_init__(self):
         if not 0.0 < abs(self.a) < 1.0:
             raise ValueError(f"affine coefficient must satisfy 0 < |a| < 1, got {self.a}")
@@ -80,6 +88,9 @@ class Moebius1D:
     r: float
     s: float
 
+    dim = 1
+    reflect = False
+
     def __post_init__(self):
         if self.p * self.s - self.q * self.r == 0.0:
             raise ValueError("degenerate Moebius map: p*s - q*r = 0")
@@ -91,12 +102,19 @@ class Moebius1D:
 
 @dataclass(frozen=True)
 class Similarity2D:
-    """Plane similarity: scale * R(rotation) * (reflect?) + translation."""
+    """Plane similarity: scale * R(rotation) * (reflect?) + translation.
+
+    As a complex map this is z |-> a*z + b (a*conj(z) + b when reflecting)
+    with a = scale * e^{i rotation} and b = translation, so ``matrix`` is
+    (a, b, 0, 1).
+    """
 
     scale: float
     rotation: float
     reflect: bool
     translation: tuple
+
+    dim = 2
 
     def __post_init__(self):
         if not 0.0 < self.scale < 1.0:
@@ -106,26 +124,40 @@ class Similarity2D:
             raise ValueError("translation must have 2 components")
 
     @property
-    def linear(self) -> np.ndarray:
-        c, s = math.cos(self.rotation), math.sin(self.rotation)
-        rot = np.array([[c, -s], [s, c]])
-        if self.reflect:
-            rot = rot @ np.array([[1.0, 0.0], [0.0, -1.0]])
-        return self.scale * rot
+    def matrix(self) -> tuple:
+        a = complex(self.scale * math.cos(self.rotation), self.scale * math.sin(self.rotation))
+        return (a, complex(*self.translation), 0.0, 1.0)
 
 
 ConformalMap = Union[Affine1D, Moebius1D, Similarity2D]
 
 
 # -- evaluation helpers ------------------------------------------------------
+#
+# A coefficient matrix is a tuple of scalars or of equally shaped arrays; the
+# pair (a, b) abbreviates the affine matrix (a, b, 0, 1).
 
-def _moebius_apply(mat, x):
+def _moebius_apply(mat, x, reflect=False):
+    if reflect:
+        x = x.conjugate()
+    if len(mat) == 2:
+        a, b = mat
+        return a * x + b
     p, q, r, s = mat
     return (p * x + q) / (r * x + s)
 
 
-def _moebius_compose(m1, m2):
-    """Coefficient matrix of map1 composed after map2 (apply m2 first)."""
+def _moebius_compose(m1, m2, reflect1=False):
+    """Coefficient matrix of map1 composed after map2 (apply m2 first).
+
+    A reflecting map1 conjugates map2's coefficients; the composite reflects
+    when exactly one factor does.
+    """
+    if reflect1:
+        m2 = tuple(c.conjugate() for c in m2)
+    if len(m1) == 2:
+        (a1, b1), (a2, b2) = m1, m2
+        return (a1 * a2, a1 * b2 + b1)
     p1, q1, r1, s1 = m1
     p2, q2, r2, s2 = m2
     return (
@@ -144,68 +176,84 @@ def _moebius_det(mat):
     return p * s - q * r
 
 
-def _moebius_deriv_abs(mat, x):
-    p, q, r, s = mat
-    return abs(_moebius_det(mat)) / (r * x + s) ** 2
+def _moebius_sup_inf_deriv(mat, box: "Box"):
+    """Exact (sup, inf) of |map'| on a box (pole outside it).
 
-
-def _moebius_sup_inf_deriv(mat, lo, hi):
-    """Exact (sup, inf) of |map'| on [lo, hi] (pole outside the interval)."""
+    Maps with r = 0 have constant |map'|; otherwise the box is an interval.
+    """
     p, q, r, s = mat
     d = abs(_moebius_det(mat))
     if r == 0.0:
-        v = d / s ** 2
+        v = d / abs(s) ** 2
         return v, v
+    lo, hi = box.lo[0], box.hi[0]
     va, vb = (r * lo + s) ** 2, (r * hi + s) ** 2
     if (r * lo + s) * (r * hi + s) <= 0:
         raise ValueError("Moebius pole inside evaluation interval")
     return d / min(va, vb), d / max(va, vb)
 
 
+# -- points as field values ----------------------------------------------------
+
+def _point_value(pt: PointRd):
+    """A point as a field value: its coordinate on the line, x + iy in the plane."""
+    return pt.coords[0] if pt.d == 1 else complex(*pt.coords)
+
+
+def _value_point(v) -> PointRd:
+    return PointRd((v.real, v.imag)) if isinstance(v, complex) else PointRd((v,))
+
+
+def _to_coords(z) -> np.ndarray:
+    """Field values as real coordinates: unchanged on the line, with a
+    trailing (x, y) axis in the plane (a view, no copy)."""
+    z = np.asarray(z)
+    if not np.iscomplexobj(z):
+        return z
+    return np.ascontiguousarray(z).view(np.float64).reshape(z.shape + (2,))
+
+
+def _box_corners(box: "Box") -> np.ndarray:
+    """The vertices of a box as field values (2 endpoints or 4 corners)."""
+    lo, hi = box.lo, box.hi
+    if box.d == 1:
+        return np.array([lo[0], hi[0]])
+    return np.array([complex(x, y) for x in (lo[0], hi[0]) for y in (lo[1], hi[1])])
+
+
 def map_apply(m: ConformalMap, x):
     """Apply a map to a point (PointRd / scalar / ndarray of coordinates)."""
-    if isinstance(m, (Affine1D, Moebius1D)):
-        if isinstance(x, PointRd):
-            return PointRd((_moebius_apply(m.matrix, x.coords[0]),))
-        return _moebius_apply(m.matrix, x)
-    # similarity
-    lin = m.linear
-    t = np.asarray(m.translation)
     if isinstance(x, PointRd):
-        v = lin @ np.asarray(x.coords) + t
-        return PointRd(tuple(v))
-    xs = np.asarray(x, dtype=float)
-    return xs @ lin.T + t
+        return _value_point(_moebius_apply(m.matrix, _point_value(x), m.reflect))
+    if m.dim == 1:
+        return _moebius_apply(m.matrix, x)
+    z = np.ascontiguousarray(x, dtype=float).view(np.complex128)[..., 0]
+    return _to_coords(_moebius_apply(m.matrix, z, m.reflect))
 
 
 def map_sup_derivative(m: ConformalMap, box: "Box") -> float:
-    if isinstance(m, Similarity2D):
-        return m.scale
-    sup, _ = _moebius_sup_inf_deriv(m.matrix, box.lo[0], box.hi[0])
-    return sup
+    return _moebius_sup_inf_deriv(m.matrix, box)[0]
 
 
 def map_fixed_point(m: ConformalMap, box: "Box") -> PointRd:
     """The fixed point of a single map (contracting on the box, or solvable)."""
-    if isinstance(m, Affine1D):
-        return PointRd((m.b / (1.0 - m.a),))
-    if isinstance(m, Moebius1D):
-        p, q, r, s = m.matrix
-        # r x^2 + (s - p) x - q = 0
-        if r == 0.0:
-            return PointRd((q / (s - p),))
-        disc = (s - p) ** 2 + 4.0 * r * q
-        if disc < 0:
-            raise ValueError("Moebius map has no real fixed point")
-        roots = [(-(s - p) + sig * math.sqrt(disc)) / (2.0 * r) for sig in (+1.0, -1.0)]
-        inside = [x for x in roots if box.lo[0] - 1e-12 <= x <= box.hi[0] + 1e-12]
-        if not inside:
-            raise ValueError("no fixed point inside the domain")
-        return PointRd((inside[0],))
-    lin = m.linear
-    t = np.asarray(m.translation)
-    v = np.linalg.solve(np.eye(2) - lin, t)
-    return PointRd(tuple(v))
+    p, q, r, s = m.matrix
+    if m.reflect:
+        # z = (p conj(z) + q)/s; substitute the conjugate equation
+        return _value_point(
+            (p * q.conjugate() + q * s.conjugate()) / (abs(s) ** 2 - abs(p) ** 2)
+        )
+    if r == 0.0:
+        return _value_point(q / (s - p))
+    # r x^2 + (s - p) x - q = 0
+    disc = (s - p) ** 2 + 4.0 * r * q
+    if disc < 0:
+        raise ValueError("Moebius map has no real fixed point")
+    roots = [(-(s - p) + sig * math.sqrt(disc)) / (2.0 * r) for sig in (+1.0, -1.0)]
+    inside = [x for x in roots if box.lo[0] - 1e-12 <= x <= box.hi[0] + 1e-12]
+    if not inside:
+        raise ValueError("no fixed point inside the domain")
+    return PointRd((inside[0],))
 
 
 # ---------------------------------------------------------------------------
@@ -249,23 +297,16 @@ class Box:
         return out
 
 
+def _hull(z) -> Box:
+    """Bounding box of a 1-D array of field values."""
+    c = _to_coords(z).reshape(len(z), -1)
+    return Box(tuple(c.min(axis=0)), tuple(c.max(axis=0)))
+
+
 def map_box_image(m: ConformalMap, box: Box) -> Box:
-    """Image of a box: exact interval for monotone 1-D maps, bounding box of
-    the corner images for similarities (exact when rotation is axis-aligned)."""
-    if isinstance(m, (Affine1D, Moebius1D)):
-        a = _moebius_apply(m.matrix, box.lo[0])
-        b = _moebius_apply(m.matrix, box.hi[0])
-        return Box((min(a, b),), (max(a, b),))
-    corners = np.array(
-        [
-            [box.lo[0], box.lo[1]],
-            [box.lo[0], box.hi[1]],
-            [box.hi[0], box.lo[1]],
-            [box.hi[0], box.hi[1]],
-        ]
-    )
-    imgs = map_apply(m, corners)
-    return Box(tuple(imgs.min(axis=0)), tuple(imgs.max(axis=0)))
+    """Image of a box: the bounding box of its vertex images, exact for
+    monotone 1-D maps and for similarities whose rotation is axis-aligned."""
+    return _hull(_moebius_apply(m.matrix, _box_corners(box), m.reflect))
 
 
 # ---------------------------------------------------------------------------
@@ -298,18 +339,29 @@ class IfsSystem:
         if self.dim not in (1, 2):
             raise ValueError("only dimensions 1 and 2 are supported")
         for m in self.maps:
-            if self.dim == 1 and isinstance(m, Similarity2D):
-                raise ValueError("2-D map in a 1-D system")
-            if self.dim == 2 and not isinstance(m, Similarity2D):
-                raise ValueError("1-D map in a 2-D system")
+            if m.dim != self.dim:
+                raise ValueError(f"{m.dim}-D map in a {self.dim}-D system")
         if self.attractor_diameter is None:
             self.attractor_diameter = (0.0, self.attractor_box.diameter())
         self._validate_contraction()
+        # per-map coefficient columns for the batched kernels: (a, b) when
+        # every map is affine, else (p, q, r, s); reflect bits when any map
+        # reflects, else None
+        mats = np.array([m.matrix for m in self.maps], dtype=self.dtype)
+        affine = not mats[:, 2].any() and (mats[:, 3] == 1.0).all()
+        self._coeffs = tuple(mats[:, :2].T.copy() if affine else mats.T.copy())
+        flips = np.array([m.reflect for m in self.maps])
+        self._flips = flips if flips.any() else None
 
     # -- basic structure -------------------------------------------------
     @property
     def m(self) -> int:
         return len(self.maps)
+
+    @property
+    def dtype(self):
+        """The coordinate field: real on the line, complex in the plane."""
+        return np.float64 if self.dim == 1 else np.complex128
 
     def base_point(self) -> PointRd:
         """Fixed point of the first map: the deterministic projection anchor."""
@@ -317,20 +369,17 @@ class IfsSystem:
 
     def _validate_contraction(self):
         """Find/verify the smallest contracting composition power (<= 8)."""
-        if self.dim == 2:
-            self._kappa = max(m.scale for m in self.maps)
-            self._kappa_eff = self._kappa
-            if self.iterate_power != 1:
-                raise ValueError("2-D similarities contract at power 1")
-            return
-        lo, hi = self.domain.lo[0], self.domain.hi[0]
-        sups = [map_sup_derivative(m, self.domain) for m in self.maps]
-        self._kappa = max(sups)
-        mats = [m.matrix for m in self.maps]
-        level = [_MOEBIUS_ID]
+        if self.dim == 2 and self.iterate_power != 1:
+            raise ValueError("2-D similarities contract at power 1")
+        self._kappa = max(map_sup_derivative(m, self.domain) for m in self.maps)
+        level = [(_MOEBIUS_ID, False)]
         for n0 in range(1, 9):
-            level = [_moebius_compose(a, b) for a in mats for b in level]
-            worst = max(_moebius_sup_inf_deriv(mat, lo, hi)[0] for mat in level)
+            level = [
+                (_moebius_compose(m.matrix, mat, m.reflect), m.reflect != flip)
+                for m in self.maps
+                for mat, flip in level
+            ]
+            worst = max(_moebius_sup_inf_deriv(mat, self.domain)[0] for mat, _ in level)
             if worst < 1.0:
                 self.iterate_power = n0
                 self._kappa_eff = worst ** (1.0 / n0)
@@ -369,20 +418,13 @@ class IfsSystem:
         return apply_word(self, I, x)
 
     def word_map(self, I: FiniteWord):
-        """The composed map of a word (1-D: single coefficient matrix)."""
-        if self.dim == 1:
-            mat = _MOEBIUS_ID
-            for sym in I:
-                mat = _moebius_compose(mat, self.maps[sym - 1].matrix)
-            return mat
-        lin = np.eye(2)
-        t = np.zeros(2)
-        for sym in reversed(I.symbols):
+        """The composed map of a word: its coefficient matrix and reflect bit."""
+        mat, flip = _MOEBIUS_ID, False
+        for sym in I:
             m = self.maps[sym - 1]
-            lin2, t2 = m.linear, np.asarray(m.translation)
-            t = lin2 @ t + t2
-            lin = lin2 @ lin
-        return lin, t
+            mat = _moebius_compose(mat, m.matrix, flip)
+            flip = flip != m.reflect
+        return mat, flip
 
     def word_box(self, I: FiniteWord) -> Box:
         """Image of the attractor box under the word's composition."""
@@ -394,7 +436,7 @@ class IfsSystem:
     def cylinder_geometry(self, I: FiniteWord) -> "CylinderGeometry":
         anchor = apply_word(self, I, self.base_point())
         if self.dim == 1:
-            mat = self.word_map(I)
+            mat, _ = self.word_map(I)
             klo = self.attractor_box.lo[0]
             khi = self.attractor_box.hi[0]
             a, b = _moebius_apply(mat, klo), _moebius_apply(mat, khi)
@@ -432,9 +474,11 @@ def apply_word(system: IfsSystem, I: FiniteWord, x) -> PointRd:
     pt = as_point(x, system.dim)
     if not system.domain.contains(pt, slack=1e-9):
         raise ValueError(f"point {pt} outside system domain")
+    z = _point_value(pt)
     for sym in reversed(I.symbols):
-        pt = map_apply(system.maps[sym - 1], pt)
-    return pt
+        m = system.maps[sym - 1]
+        z = _moebius_apply(m.matrix, z, m.reflect)
+    return _value_point(z)
 
 
 def contraction_constants(system: IfsSystem, probe_depth: int) -> dict:
@@ -448,69 +492,38 @@ def contraction_constants(system: IfsSystem, probe_depth: int) -> dict:
     C4: max two-sided defect of |K_{IJ}| vs |K_I| |K_J| / diam(K) over word
         pairs with |I| + |J| <= probe_depth.
 
-    These are lower bounds for the true (existential) constants, valid at the
-    probe depth; they are reported together with the depth and must not be
-    treated as global suprema.
+    Here |K_I| is the distance between the images of the attractor box's
+    extreme corners (its endpoints on the line, its diagonal in the plane),
+    and diam(K) is the same distance before mapping.  These are lower bounds
+    for the true (existential) constants, valid at the probe depth; they are
+    reported together with the depth and must not be treated as global
+    suprema.
     """
     if probe_depth < 1:
         raise ValueError("probe_depth must be >= 1")
-    if system.dim == 2:
-        # Constant-derivative similarities: distortion-free.
-        diam = system.attractor_diameter[1]
-        scales = {(): 1.0}
-        c3 = 0.0
-        per_word = {(): diam}
-        level = [((), 1.0)]
-        for depth in range(1, probe_depth + 1):
-            nxt = []
-            for word, sc in level:
-                for j, mp in enumerate(system.maps, start=1):
-                    sc2 = sc * mp.scale
-                    nxt.append((word + (j,), sc2))
-                    per_word[word + (j,)] = sc2 * diam
-                    c3 = max(c3, sc2 * diam / (diam * system.kappa ** depth))
-            level = nxt
-        c4 = 0.0
-        words = list(per_word.items())
-        for wi, di in words:
-            for wj, dj in words:
-                if not wi or not wj or len(wi) + len(wj) > probe_depth:
-                    continue
-                dij = per_word.get(wi + wj)
-                if dij is None:
-                    continue
-                prod = di * dj / diam
-                c4 = max(c4, dij / prod, prod / dij)
-        return {
-            "kappa": system.kappa,
-            "C1": 1.0,
-            "C2": 1.0,
-            "C3": max(c3, 1e-300),
-            "C4": max(c4, 1.0),
-            "probe_depth": probe_depth,
-        }
-
-    lo, hi = system.attractor_box.lo[0], system.attractor_box.hi[0]
-    diam = hi - lo
+    box = system.attractor_box
+    corners = _box_corners(box)
+    lo, hi = corners[0].item(), corners[-1].item()
+    diam = abs(hi - lo)
     c1 = c2 = c3 = 0.0
     lengths = {(): diam}
     # Build all words up to probe_depth with their composed matrices,
     # composing right-to-left: word (i1,...,in) maps x to phi_{i1}(...phi_{in}(x)).
-    frontier = [((), _MOEBIUS_ID)]
+    frontier = [((), _MOEBIUS_ID, False)]
     all_words = {}
     for depth in range(1, probe_depth + 1):
         nxt = []
-        for word, mat in frontier:
+        for word, mat, flip in frontier:
             for j, mp in enumerate(system.maps, start=1):
                 w2 = word + (j,)
-                mat2 = _moebius_compose(mat, mp.matrix) if word else mp.matrix
-                nxt.append((w2, mat2))
-                all_words[w2] = mat2
+                mat2 = _moebius_compose(mat, mp.matrix, flip) if word else mp.matrix
+                nxt.append((w2, mat2, flip != mp.reflect))
+                all_words[w2] = (mat2, flip != mp.reflect)
         frontier = nxt
-    for w2, mat2 in all_words.items():
+    for w2, (mat2, flip2) in all_words.items():
         depth = len(w2)
-        sup_d, inf_d = _moebius_sup_inf_deriv(mat2, lo, hi)
-        a, b = _moebius_apply(mat2, lo), _moebius_apply(mat2, hi)
+        sup_d, inf_d = _moebius_sup_inf_deriv(mat2, box)
+        a, b = _moebius_apply(mat2, lo, flip2), _moebius_apply(mat2, hi, flip2)
         length = abs(b - a)
         lengths[w2] = length
         c1 = max(c1, sup_d / inf_d)

@@ -15,6 +15,7 @@ the requested measure tolerance.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
@@ -22,7 +23,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .gibbs import BernoulliBackend, DensityBackend, MeasureBackend, SpectralBackend
-from .ifs import Affine1D, IfsSystem, Moebius1D, Similarity2D
+from .ifs import Affine1D, IfsSystem, _box_corners, _moebius_apply, _moebius_compose, _to_coords
 from .symbolic import PointRd, as_point
 
 __all__ = [
@@ -225,81 +226,42 @@ _NODE_CAP = 5_000_000
 
 
 def _initial_state(system: IfsSystem):
-    if system.dim == 1:
-        mats = np.array([[1.0, 0.0, 0.0, 1.0]])
-        return {"mats": mats}
-    lin = np.array([[1.0, 0.0, 0.0, 1.0]])
-    t = np.array([[0.0, 0.0]])
-    return {"lin": lin, "t": t}
+    """The root node as a list of per-node columns: the identity's
+    coefficients in the system's field ((a, b) when every map is affine),
+    then the reflect bits when any map reflects."""
+    one = np.ones(1, dtype=system.dtype)
+    zero = np.zeros(1, dtype=system.dtype)
+    state = [one, zero] if len(system._coeffs) == 2 else [one, zero, zero, one]
+    if system._flips is not None:
+        state.append(np.zeros(1, dtype=bool))
+    return state
 
 
 def _child_state(system: IfsSystem, state, j: int):
-    if system.dim == 1:
-        p, q, r, s = system.maps[j - 1].matrix
-        P, Q, R, S = state["mats"].T
-        return {
-            "mats": np.stack(
-                [P * p + Q * r, P * q + Q * s, R * p + S * r, R * q + S * s], axis=1
-            )
-        }
-    m = system.maps[j - 1]
-    A = m.linear
-    tj = np.asarray(m.translation)
-    lin = state["lin"]
-    t = state["t"]
-    a11, a12, a21, a22 = lin.T
-    b11, b12, b21, b22 = A[0, 0], A[0, 1], A[1, 0], A[1, 1]
-    new_lin = np.stack(
-        [
-            a11 * b11 + a12 * b21,
-            a11 * b12 + a12 * b22,
-            a21 * b11 + a22 * b21,
-            a21 * b12 + a22 * b22,
-        ],
-        axis=1,
-    )
-    new_t = np.stack(
-        [
-            a11 * tj[0] + a12 * tj[1] + t[:, 0],
-            a21 * tj[0] + a22 * tj[1] + t[:, 1],
-        ],
-        axis=1,
-    )
-    return {"lin": new_lin, "t": new_t}
+    mat = tuple(c[j - 1] for c in system._coeffs)
+    k = len(mat)
+    if len(state) == k:
+        return list(_moebius_compose(state, mat))
+    flip = state[k]
+    mat = tuple(np.where(flip, c.conjugate(), c) for c in mat)
+    return [*_moebius_compose(state[:k], mat), flip != system.maps[j - 1].reflect]
 
 
 def _state_boxes(system: IfsSystem, state):
-    box = system.attractor_box
-    if system.dim == 1:
-        P, Q, R, S = state["mats"].T
-        a = (P * box.lo[0] + Q) / (R * box.lo[0] + S)
-        b = (P * box.hi[0] + Q) / (R * box.hi[0] + S)
-        return np.minimum(a, b)[:, None], np.maximum(a, b)[:, None]
-    corners = np.array(
-        [
-            [box.lo[0], box.lo[1]],
-            [box.lo[0], box.hi[1]],
-            [box.hi[0], box.lo[1]],
-            [box.hi[0], box.hi[1]],
-        ]
-    )
-    lin = state["lin"]
-    t = state["t"]
-    xs = np.stack(
-        [lin[:, 0][:, None] * corners[:, 0] + lin[:, 1][:, None] * corners[:, 1] + t[:, 0][:, None]],
-        axis=0,
-    )[0]
-    ys = np.stack(
-        [lin[:, 2][:, None] * corners[:, 0] + lin[:, 3][:, None] * corners[:, 1] + t[:, 1][:, None]],
-        axis=0,
-    )[0]
-    lo = np.stack([xs.min(axis=1), ys.min(axis=1)], axis=1)
-    hi = np.stack([xs.max(axis=1), ys.max(axis=1)], axis=1)
-    return lo, hi
+    """Boxes (lo, hi), shape (nodes, dim), bounding each node's images of the
+    attractor box's vertices."""
+    k = len(system._coeffs)
+    pts = []
+    for z in _box_corners(system.attractor_box):
+        if len(state) > k:
+            z = np.where(state[k], z.conjugate(), z)
+        pts.append(_to_coords(_moebius_apply(state[:k], z)))
+    lo, hi = functools.reduce(np.minimum, pts), functools.reduce(np.maximum, pts)
+    return lo.reshape(len(lo), -1), hi.reshape(len(hi), -1)
 
 
 def _select_state(state, mask):
-    return {k: v[mask] for k, v in state.items()}
+    return [c[mask] for c in state]
 
 
 def _child_masses(backend: MeasureBackend, system: IfsSystem, masses, idx, level, j, child_state):
@@ -358,7 +320,7 @@ def region_measure(
                 new_idx.append(ci[keep])
         if not new_states:
             return _unit_bracket(inside_mass, inside_mass)
-        state = {k: np.concatenate([s[k] for s in new_states]) for k in new_states[0]}
+        state = [np.concatenate(cols) for cols in zip(*new_states)]
         masses = np.concatenate(new_masses)
         idx = np.concatenate(new_idx)
         if masses.size > _NODE_CAP:

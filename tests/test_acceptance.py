@@ -12,9 +12,8 @@ import time
 import numpy as np
 import pytest
 
-from selfconformal.dynamics import sample_symbol_block
+from selfconformal.dynamics import project_windows, sample_symbol_block
 from selfconformal.experiments import (
-    _orbit_rows,
     bc_residual,
     fit_exponential_rate,
     mixing_coeff_cylinders,
@@ -265,7 +264,7 @@ def test_criterion_07_equalized_radius_properties(cantor, capsys):
     tol = 1e-3
     pairs = 1000
     block = sample_symbol_block(backend, 321, range(2 * pairs), 40)
-    xs = _orbit_rows(block, cantor, 40)[:, 0]
+    xs = project_windows(block, cantor, 40)[:, 0]
     rng = np.random.default_rng(321)
     targets = rng.uniform(0.05, 0.95, pairs)
     lip_ok = lip_n = cert_ok = cert_n = 0

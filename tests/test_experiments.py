@@ -44,7 +44,6 @@ from selfconformal.experiments import (
 )
 from selfconformal.experiments import (
     _interval_mass_bound,
-    _orbit_rows,
     _RadialMass,
     _staircase_alpha_window,
 )
@@ -219,7 +218,7 @@ class TestRecordTypes:
 class TestOrbitRows:
     def test_matches_single_stream_projection_interval(self, quartet, density):
         block = sample_symbol_block(density, 11, range(4), 40)
-        batched = _orbit_rows(block, quartet, 12)
+        batched = project_windows(block, quartet, 12)
         for i in range(4):
             single = project_windows(block[i], quartet, 12)
             assert np.allclose(batched[i], single, atol=0.0)
@@ -228,7 +227,7 @@ class TestOrbitRows:
         tri = builtin_system("sierpinski_triangle")
         b = BernoulliBackend(tri, (0.2, 0.5, 0.3))
         block = sample_symbol_block(b, 12, range(3), 30)
-        batched = _orbit_rows(block, tri, 10)
+        batched = project_windows(block, tri, 10)
         for i in range(3):
             single = project_windows(block[i], tri, 10)
             assert np.allclose(batched[i], single, atol=0.0)
@@ -236,7 +235,7 @@ class TestOrbitRows:
     def test_matches_ternary_digit_formula(self, cantor, weighted):
         block = sample_symbol_block(weighted, 13, range(5), 60)
         depth = 40
-        batched = _orbit_rows(block, cantor, depth)
+        batched = project_windows(block, cantor, depth)
         for i in range(5):
             for j in (0, 7, 20):
                 oracle = cantor_digits_position(block[i, j : j + depth])
@@ -487,7 +486,7 @@ class TestRecurrenceModified:
         hits = per_step_hits(recs)
         depth = cantor.depth_for_diameter(1e-12)
         block = sample_symbol_block(weighted, 7, range(S), N + depth)
-        pos = _orbit_rows(block, cantor, depth)
+        pos = project_windows(block, cantor, depth)
         for i in range(S):
             x0 = float(pos[i, 0])
             for n in range(1, N + 1):
@@ -911,7 +910,7 @@ class TestMonteCarloConsistency:
         for i0 in range(0, S, 20_000):
             ids = range(i0, min(i0 + 20_000, S))
             block = sample_symbol_block(weighted, 424242, ids, N + depth)
-            pos = _orbit_rows(block, cantor, depth)
+            pos = project_windows(block, cantor, depth)
             dist = np.abs(pos[:, 1:] - pos[:, [0]])
             hit, _ = _mass_quota_hits(spec, pos[:, 0], dist, radii)
             freq += hit.sum(axis=0)
@@ -932,12 +931,12 @@ class TestMonteCarloConsistency:
         for i0 in range(0, S, 20_000):
             ids = range(i0, min(i0 + 20_000, S))
             block = sample_symbol_block(density, 515151, ids, N + depth)
-            pos = _orbit_rows(block, quartet, depth)
+            pos = project_windows(block, quartet, depth)
             dist = np.abs(pos[:, 1:] - pos[:, [0]])
             freq += (dist <= radii[None, :]).sum(axis=0)
         freq /= S
         qblock = sample_symbol_block(density, 515151, range(1_000_000, 1_000_000 + M), depth)
-        xs = _orbit_rows(qblock, quartet, depth)[:, 0]
+        xs = project_windows(qblock, quartet, depth)[:, 0]
         for n in range(20, 61):
             r = radii[n - 1]
             vals = (np.log1p(np.clip(xs + r, 0, 1)) - np.log1p(np.clip(xs - r, 0, 1))) / LN2

@@ -1,5 +1,6 @@
 """Conformal map families, cylinder geometry, constants, stopping families."""
 
+import itertools
 import json
 import math
 
@@ -53,7 +54,7 @@ def test_moebius_composition_associative():
     x = PointRd((0.37,))
     # compose via word_map matrix vs sequential application
     seq = apply_word(sys_, I, x)
-    mat = sys_.word_map(I)
+    mat, _ = sys_.word_map(I)
     from selfconformal.ifs import _moebius_apply
 
     assert abs(_moebius_apply(mat, 0.37) - seq.x) < 1e-12
@@ -284,3 +285,119 @@ def test_validation_rejects_bad_maps():
         Moebius1D(1.0, 0.0, 0.0, 0.0)  # p*s - q*r = 0... (1*0-0*0)=0
     with pytest.raises(ValueError):
         Similarity2D(1.2, 0.0, False, (0.0, 0.0))
+
+
+# ---------------------------------------------------------------------------
+# rotated and reflecting plane similarities
+# ---------------------------------------------------------------------------
+
+_ROTREF_SPEC = {
+    "dim": 2,
+    "maps": [
+        {"type": "sim2d", "scale": 0.25, "rotation": 0.7, "reflect": True,
+         "translation": [-1.0, -1.0]},
+        {"type": "sim2d", "scale": 0.25, "rotation": -1.1, "reflect": False,
+         "translation": [1.0, -1.0]},
+        {"type": "sim2d", "scale": 0.25, "rotation": 2.0, "reflect": True,
+         "translation": [0.0, 1.0]},
+    ],
+    "domain": [[-3.0, -3.0], [3.0, 3.0]],
+    "attractor_box": [[-2.0, -2.5], [2.5, 2.0]],
+}
+
+
+def _explicit_affine(spec):
+    """(A, t) of x |-> scale * R(rotation) * diag(1, -1)^reflect * x + t."""
+    c, s = math.cos(spec["rotation"]), math.sin(spec["rotation"])
+    A = spec["scale"] * np.array([[c, -s], [s, c]])
+    if spec["reflect"]:
+        A = A @ np.diag([1.0, -1.0])
+    return A, np.asarray(spec["translation"])
+
+
+def _explicit_word(maps, word, x):
+    for sym in reversed(word):
+        A, t = maps[sym - 1]
+        x = A @ x + t
+    return x
+
+
+def test_rotated_reflecting_sim2d_matches_explicit_formula():
+    from selfconformal.dynamics import project_windows, t_apply
+    from selfconformal.ifs import _moebius_apply, map_fixed_point
+
+    sys_ = system_from_json(_ROTREF_SPEC)
+    maps = [_explicit_affine(m) for m in _ROTREF_SPEC["maps"]]
+    rng = np.random.default_rng(5)
+    xs = rng.uniform(-2.0, 2.0, (6, 2))
+    tol = 1e-14
+
+    for m, (A, t) in zip(sys_.maps, maps):
+        expected = xs @ A.T + t
+        assert np.abs(map_apply(m, xs) - expected).max() < tol
+        for x, e in zip(xs, expected):
+            assert np.abs(np.subtract(map_apply(m, PointRd(tuple(x))).coords, e)).max() < tol
+        fp = map_fixed_point(m, sys_.domain).coords
+        assert np.abs(np.subtract(fp, np.linalg.solve(np.eye(2) - A, t))).max() < tol
+
+    base = np.linalg.solve(np.eye(2) - maps[0][0], maps[0][1])
+    for symbols in [(1,), (3, 1), (2, 3, 1, 1), (3, 3, 2, 1, 2)]:
+        I = FiniteWord(symbols, 3)
+        for x in xs:
+            e = _explicit_word(maps, symbols, x)
+            got = apply_word(sys_, I, PointRd(tuple(x))).coords
+            assert np.abs(np.subtract(got, e)).max() < tol
+            mat, flip = sys_.word_map(I)
+            z = _moebius_apply(mat, complex(*x), flip)
+            assert abs(z - complex(*e)) < tol
+        # word_box maps the box's vertices one map at a time
+        lo, hi = np.array(_ROTREF_SPEC["attractor_box"])
+        for sym in reversed(symbols):
+            A, t = maps[sym - 1]
+            corners = np.array([[a, b] for a in (lo[0], hi[0]) for b in (lo[1], hi[1])])
+            img = corners @ A.T + t
+            lo, hi = img.min(axis=0), img.max(axis=0)
+        box = sys_.word_box(I)
+        assert np.abs(np.subtract(box.lo, lo)).max() < tol
+        assert np.abs(np.subtract(box.hi, hi)).max() < tol
+
+    block = rng.integers(1, 4, (3, 14)).astype(np.int8)
+    depth = 6
+    pts = project_windows(block, sys_, depth)
+    assert pts.shape == (3, 14 - depth + 1, 2)
+    for i in range(3):
+        assert np.array_equal(project_windows(block[i], sys_, depth), pts[i])
+        for n in range(14 - depth + 1):
+            e = _explicit_word(maps, tuple(block[i, n : n + depth]), base)
+            assert np.abs(pts[i, n] - e).max() < tol
+
+    # the induced map inverts each branch on its own piece (pieces are disjoint)
+    for j, (A, t) in enumerate(maps, start=1):
+        for x in xs:
+            y = A @ x + t
+            back = t_apply(sys_, PointRd(tuple(y))).coords
+            assert np.abs(np.subtract(back, x)).max() < tol
+
+    consts = contraction_constants(sys_, 3)
+    assert abs(consts["kappa"] - 0.25) < tol
+    assert abs(consts["C1"] - 1.0) < 1e-12 and abs(consts["C2"] - 1.0) < 1e-12
+    assert check_osc(system_from_json({**_ROTREF_SPEC, "osc_witness": _ROTREF_SPEC["attractor_box"]}))["holds"]
+
+
+def test_pruner_nodes_follow_reflecting_words():
+    # each cylinder-tree node's box bounds the composed word's images of the
+    # attractor box's vertices
+    from selfconformal.measure import _child_state, _initial_state, _state_boxes
+
+    sys_ = system_from_json(_ROTREF_SPEC)
+    maps = [_explicit_affine(m) for m in _ROTREF_SPEC["maps"]]
+    (x0, y0), (x1, y1) = _ROTREF_SPEC["attractor_box"]
+    corners = np.array([[a, b] for a in (x0, x1) for b in (y0, y1)])
+    for symbols in itertools.product(range(1, 4), repeat=3):
+        state = _initial_state(sys_)
+        for j in symbols:
+            state = _child_state(sys_, state, j)
+        lo, hi = _state_boxes(sys_, state)
+        img = np.array([_explicit_word(maps, symbols, c) for c in corners])
+        assert np.abs(lo[0] - img.min(axis=0)).max() < 1e-14
+        assert np.abs(hi[0] - img.max(axis=0)).max() < 1e-14
