@@ -189,7 +189,7 @@ class _BernoulliChain:
     """Vectorized i.i.d. symbol chain (rows = concurrent sample streams)."""
 
     def __init__(self, backend: BernoulliBackend, n_rows: int):
-        self.cum = np.cumsum(backend.probs)[None, :].repeat(n_rows, axis=0)
+        self.cum = np.cumsum(backend.probs)[None, :]  # one row, broadcast to all
 
     def step(self, u: np.ndarray) -> np.ndarray:
         return _pick_symbols(self.cum, u)
@@ -378,11 +378,9 @@ def sample_symbol_block(
     n = len(sample_ids)
     out = np.empty((n, length), dtype=np.int8)
     if isinstance(backend, BernoulliBackend):
-        cum = np.cumsum(backend.probs)
+        cum = np.cumsum(backend.probs)[None, :]
         for i, sid in enumerate(sample_ids):
-            u = _stream_generator(master_seed, sid).random(length)
-            idx = (u[:, None] >= cum[None, :]).sum(axis=1)
-            out[i] = np.minimum(idx, len(cum) - 1) + 1
+            out[i] = _pick_symbols(cum, _stream_generator(master_seed, sid).random(length))
         return out
     gens = [_stream_generator(master_seed, sid) for sid in sample_ids]
     chain = _make_chain(backend, n)

@@ -52,9 +52,12 @@ from .measure import (
     PowerLogRadius,
     PowerRadius,
     RadiusFunction,
+    _closed_form_cdf,
     _is_middle_third_cantor,
+    _radial_mass,
+    # the benchmark's span hook reads these two through this module
     ball_measure,
-    cantor_cdf_bracket,
+    cantor_cdf_bracket,  # noqa: F401
     hyperplane_decay_probe,
     t_n_radius,
 )
@@ -248,52 +251,6 @@ def _interval_mass_bound(probs: Sequence[float], delta: float) -> float:
     return 2.0 * pmax ** k + 4.0 * pmax ** 60
 
 
-class _RadialMass:
-    """Vectorized exact radial mass r -> mu(B(x, r)) for supported backends.
-
-    Supported: weighted ternary Cantor measures (digit-walk CDF brackets) and
-    closed-form density backends (exact CDF differences). These are the
-    measure oracles the counting engines need at orbit scale; tree-pruning
-    backends are orders of magnitude too slow per step and are rejected with
-    a clear error by the callers.
-    """
-
-    def __init__(self, backend: MeasureBackend):
-        self.backend = backend
-        self.kind = None
-        system = backend.system
-        if isinstance(backend, DensityBackend):
-            self.kind = "density"
-            self.lo, self.hi = system.attractor_box.lo[0], system.attractor_box.hi[0]
-            self.cdf = backend.cdf
-        elif isinstance(backend, BernoulliBackend) and _is_middle_third_cantor(system):
-            self.kind = "cantor"
-            self.probs = backend.probs
-
-    def masses(self, x: np.ndarray, radii: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Lower/upper arrays for mu(B(x_i, r_i)); exact up to residual mass."""
-        radii = np.asarray(radii, dtype=float)
-        x = np.broadcast_to(np.asarray(x, dtype=float), radii.shape)
-        if self.kind == "density":
-            a = np.clip(x - radii, self.lo, self.hi)
-            b = np.clip(x + radii, self.lo, self.hi)
-            v = self.cdf(b) - self.cdf(a)
-            v = np.maximum(v, 0.0)
-            return v, v
-        if self.kind == "cantor":
-            flo, fhi = cantor_cdf_bracket(
-                self.probs, np.concatenate([(x - radii).ravel(), (x + radii).ravel()])
-            )
-            half = flo.size // 2
-            lo = np.maximum(flo[half:] - fhi[:half], 0.0)
-            hi = np.maximum(fhi[half:] - flo[:half], 0.0)
-            return lo.reshape(radii.shape), hi.reshape(radii.shape)
-        raise CertificationError(
-            "no vectorized radial-mass oracle for this backend; use a Bernoulli "
-            "ternary-Cantor or closed-form density backend"
-        )
-
-
 # ---------------------------------------------------------------------------
 # counting engine
 # ---------------------------------------------------------------------------
@@ -367,12 +324,10 @@ def _records_for_block(spec, sub, block, ns, radii, ks, cps, cp_idx):
         pos = project_windows(block, spec.system, spec.depth)
         x0s = pos[:, 0]
         if spec.kind == "shrink":
-            # targets arrive canonicalized to shape (N, dim)
-            center = spec.targets[:, 0] if spec.system.dim == 1 else spec.targets
-            dist = _point_distances(pos[:, 1:], center)
+            center = spec.targets  # per-step centers in window coordinates
         else:
             center = x0s[:, None] if pos.ndim == 2 else x0s[:, None, :]
-            dist = _point_distances(pos[:, 1:], center)
+        dist = _point_distances(pos[:, 1:], center)
         if spec.hit_mode == "distance":
             band = np.maximum(radii / spec.flag_divisor, 2.0 * spec.prec)
             hit = dist <= radii
@@ -451,34 +406,13 @@ def _symbolic_ball_sums(backend, block, ks, cp_idx):
 
 
 def _own_ball_sums(spec, x0s, radii, cp_idx):
-    """Cumulative own-ball measures sum_{n<=N} mu(B(x0, psi(n))) at checkpoints."""
-    oracle = _RadialMass(spec.backend)
-    if oracle.kind is None:
-        return _own_ball_sums_slow(spec, x0s, radii, cp_idx)
+    """Cumulative own-ball measures sum_{n<=N} mu(B(x0, psi(n))) at checkpoints
+    (bracket midpoints), one oracle call per sample over the distinct radii."""
     uniq, inverse = np.unique(radii, return_inverse=True)
-    S = x0s.shape[0]
-    out = np.empty((S, cp_idx.size))
-    for i in range(S):
-        lo, hi = oracle.masses(float(x0s[i]), uniq)
-        mids = (0.5 * (lo + hi))[inverse]
-        out[i] = np.cumsum(mids)[cp_idx]
-    return out
-
-
-def _own_ball_sums_slow(spec, x0s, radii, cp_idx):
-    """Bracket-midpoint fallback through the cylinder pruner (small runs only)."""
-    uniq = np.unique(radii)
-    if x0s.shape[0] * uniq.size > 20000:
-        raise CertificationError(
-            "own-ball sums need a closed-form radial mass at this scale; "
-            "use a Bernoulli ternary-Cantor or density backend"
-        )
     out = np.empty((x0s.shape[0], cp_idx.size))
-    for i in range(x0s.shape[0]):
-        cache = {float(r): ball_measure(spec.backend, float(x0s[i]), float(r), spec.ball_budget).midpoint
-                 for r in uniq}
-        mids = np.array([cache[float(r)] for r in radii])
-        out[i] = np.cumsum(mids)[cp_idx]
+    for i, x0 in enumerate(x0s):
+        lo, hi = _radial_mass(spec.backend, x0, uniq, spec.ball_budget)
+        out[i] = np.cumsum((0.5 * (lo + hi))[inverse])[cp_idx]
     return out
 
 
@@ -490,41 +424,36 @@ def _mass_quota_hits(spec, x0s, dist, radii):
     to the distance lying below the measure-equalized radius, since the
     radial mass is monotone and continuous). Decisions within the position
     uncertainty of the projected orbit are flagged and counted by the
-    midpoint rule.
+    midpoint rule. The run has checked that the oracle has a closed form.
     """
-    oracle = _RadialMass(spec.backend)
-    if oracle.kind is None:
-        raise CertificationError(
-            "measure-equalized recurrence needs a closed-form radial mass; "
-            "use a Bernoulli ternary-Cantor or density backend"
-        )
     S, N = dist.shape
     quota = np.broadcast_to(radii, dist.shape)
     slack = 2.0 * spec.prec
     x = np.repeat(np.asarray(x0s, dtype=float), N)
     d = dist.reshape(-1)
     q = quota.reshape(-1)
-    if oracle.kind == "density":
-        in_lo, in_hi = oracle.masses(x, np.maximum(d - slack, 0.0))
-        out_lo, out_hi = oracle.masses(x, d + slack)
+    backend, budget = spec.backend, spec.ball_budget
+    if isinstance(backend, DensityBackend):
+        in_lo, in_hi = _radial_mass(backend, x, np.maximum(d - slack, 0.0), budget)
+        out_lo, out_hi = _radial_mass(backend, x, d + slack, budget)
         definite_hit = out_hi < q
         definite_miss = in_lo >= q
         flag = ~(definite_hit | definite_miss)
-        mid_lo, mid_hi = oracle.masses(x, d)
+        mid_lo, mid_hi = _radial_mass(backend, x, d, budget)
         hit = np.where(flag, 0.5 * (mid_lo + mid_hi) < q, definite_hit)
         return hit.reshape(S, N), flag.reshape(S, N)
     # ternary Cantor: one exact walk at the observed distance, then a
     # certified modulus bound selects the rare candidates near the boundary
-    mid_lo, mid_hi = oracle.masses(x, d)
+    mid_lo, mid_hi = _radial_mass(backend, x, d, budget)
     mid = 0.5 * (mid_lo + mid_hi)
-    guard = _interval_mass_bound(oracle.probs, 2.0 * slack) + (mid_hi - mid_lo)
+    guard = _interval_mass_bound(backend.probs, 2.0 * slack) + (mid_hi - mid_lo)
     cand = np.abs(mid - q) <= guard
     hit = mid < q
     flag = np.zeros(d.shape, dtype=bool)
     if cand.any():
         xc, dc, qc = x[cand], d[cand], q[cand]
-        in_lo, _ = oracle.masses(xc, np.maximum(dc - slack, 0.0))
-        _, out_hi = oracle.masses(xc, dc + slack)
+        in_lo, _ = _radial_mass(backend, xc, np.maximum(dc - slack, 0.0), budget)
+        _, out_hi = _radial_mass(backend, xc, dc + slack, budget)
         definite_hit = out_hi < qc
         definite_miss = in_lo >= qc
         sub_flag = ~(definite_hit | definite_miss)
@@ -542,30 +471,16 @@ def _shared_psi_sums(kind, backend, targets, psi, N, cps, ball_budget):
     cp_idx = _checkpoint_index(cps)
     if kind in ("pure", "modified"):
         return np.cumsum(radii)[cp_idx]
-    # shrinking targets: sum of target-ball measures
-    centers = targets  # canonical (N, dim)
-    constant = bool(np.all(centers == centers[0]))
-    oracle = _RadialMass(backend)
-    if constant and centers.shape[1] == 1 and oracle.kind is not None:
-        uniq, inverse = np.unique(radii, return_inverse=True)
-        lo, hi = oracle.masses(float(centers[0, 0]), uniq)
-        mids = (0.5 * (lo + hi))[inverse]
-        return np.cumsum(mids)[cp_idx]
-    mids = np.empty(N)
-    cache = {}
-    wide = 0
-    for i in range(N):
-        key = (tuple(centers[i]), float(radii[i]))
-        if key not in cache:
-            br = ball_measure(backend, key[0] if len(key[0]) > 1 else key[0][0],
-                              key[1], ball_budget)
-            if br.width > 0.1 * max(br.midpoint, 1e-300):
-                wide += 1
-            cache[key] = br.midpoint
-        mids[i] = cache[key]
+    # shrinking targets: sum of target-ball measures over the distinct balls
+    balls, inverse = np.unique(np.column_stack([targets.reshape(N, -1), radii]),
+                               axis=0, return_inverse=True)
+    centers = balls[:, :-1].reshape((-1,) + targets.shape[1:])
+    lo, hi = _radial_mass(backend, centers, balls[:, -1], ball_budget)
+    mids = 0.5 * (lo + hi)
+    wide = int(np.count_nonzero(hi - lo > 0.1 * np.maximum(mids, 1e-300)))
     if wide:
         logger.warning("%d target balls had wide measure brackets; midpoints used", wide)
-    return np.cumsum(mids)[cp_idx]
+    return np.cumsum(mids[inverse.reshape(-1)])[cp_idx]
 
 
 def _resolve_checkpoints(N, checkpoints):
@@ -580,6 +495,39 @@ def _resolve_checkpoints(N, checkpoints):
 
 
 _FLOAT_RESOLVABLE = 1e-13
+_PRUNER_BALL_CAP = 20_000  # own-ball evaluations per run without a closed form
+
+
+def _check_oracle_serves(kind, backend, radii, n_samples, ball_budget):
+    """Refuse, before any sampling, a run the radial-mass oracle cannot serve.
+
+    Without a closed-form CDF the oracle is the cylinder pruner. Measure-
+    equalized runs compare masses at every step and cannot use it. The other
+    runs can, to the table depth of a spectral backend; a pure run pays one
+    pruner call per sample and distinct radius, capped per run whatever the
+    chunking or worker count.
+    """
+    if _closed_form_cdf(backend) is not None:
+        return
+    if kind == "modified":
+        raise CertificationError(
+            "measure-equalized recurrence needs a closed-form radial mass; "
+            "use a Bernoulli ternary-Cantor or density backend"
+        )
+    if isinstance(backend, SpectralBackend) and ball_budget > backend.max_depth:
+        raise ValueError(
+            f"ball budget {ball_budget} is beyond the spectral table depth "
+            f"{backend.max_depth}; set depth_budgets.ball to at most {backend.max_depth}"
+        )
+    if kind == "pure":
+        n_radii = np.unique(radii).size
+        if n_samples * n_radii > _PRUNER_BALL_CAP:
+            raise CertificationError(
+                f"own-ball sums through the cylinder pruner need {n_samples} samples x "
+                f"{n_radii} distinct radii = {n_samples * n_radii} ball evaluations, "
+                f"above the cap of {_PRUNER_BALL_CAP} per run; use fewer samples or "
+                "radii, or a Bernoulli ternary-Cantor or density backend"
+            )
 
 
 def _symbolic_eligible(kind, system, backend, radii) -> bool:
@@ -593,7 +541,8 @@ def _symbolic_eligible(kind, system, backend, radii) -> bool:
 
 
 def _canonical_targets(targets, N, dim):
-    """Normalize a target spec (point, PointRd, or per-step array) to (N, dim)."""
+    """Normalize a target spec (point, PointRd, or per-step array) to per-step
+    centers in window coordinates: shape (N,) on the line, (N, dim) in the plane."""
     if isinstance(targets, PointRd):
         targets = targets.coords
     t = np.asarray(targets, dtype=float)
@@ -601,13 +550,14 @@ def _canonical_targets(targets, N, dim):
         t = t.reshape(1)
     if t.ndim == 1:
         if t.size == dim:
-            return np.broadcast_to(t.reshape(1, dim), (N, dim)).copy()
-        if dim == 1 and t.size == N:
-            return t.reshape(N, 1)
-        raise ValueError("a single target must have one coordinate per dimension")
-    if t.shape != (N, dim):
+            t = np.broadcast_to(t.reshape(1, dim), (N, dim))
+        elif dim == 1 and t.size == N:
+            t = t.reshape(N, 1)
+        else:
+            raise ValueError("a single target must have one coordinate per dimension")
+    elif t.shape != (N, dim):
         raise ValueError(f"per-step targets must have shape ({N}, {dim})")
-    return t
+    return (t[:, 0] if dim == 1 else t).copy()
 
 
 def _run_counting(
@@ -668,6 +618,7 @@ def _run_counting(
         band = min(max(min_radius / flag_divisor, 1e-12 * scale), scale)
         depth = system.depth_for_diameter(band)
         prec = _diameter_bound(system, depth)
+    _check_oracle_serves(kind, backend, radii, len(ids), ball_budget)
     if kind == "shrink":
         if targets is None:
             raise ValueError("shrinking-target runs need targets")
@@ -704,8 +655,11 @@ def shrinking_target_run(
     """Count orbit visits to the shrinking balls ``B(y_n, psi(n))``.
 
     ``targets`` is a single point (constant target) or an ``(N, d)`` array of
-    per-step centers. ``psi_sum`` of each checkpoint accumulates the exact
-    target-ball measures (bracket midpoints); hits within the boundary
+    per-step centers. ``psi_sum`` of each checkpoint accumulates the
+    target-ball measures (bracket midpoints of the radial-mass oracle, one
+    oracle call over the distinct balls; without a closed-form CDF each is a
+    pruner bracket to depth ``ball_budget``, which a spectral backend must
+    cover, else ``ValueError`` before sampling); hits within the boundary
     uncertainty band ``psi(n)/flag_divisor`` are decided by the midpoint rule
     and counted in ``flagged``. ``sample_ids`` replaces the default id range
     ``0..samples-1`` (each id's symbol stream is fixed by ``seed`` alone, so
@@ -735,10 +689,15 @@ def recurrence_pure_run(
     """Count self-returns ``T^n x`` into ``B(x, psi(n))`` around the start point.
 
     ``ball_sum`` accumulates the sample's own-ball measures
-    ``mu(B(x, psi(n)))``; ``psi_sum`` accumulates the raw radii. When the
-    radii fall below coordinate resolution (deep Cantor-scale ladders), the
-    hit test switches to the exact symbolic criterion on the ternary Cantor
-    set (``hit_test="auto"``). ``sample_ids`` replaces the default id range.
+    ``mu(B(x, psi(n)))`` (bracket midpoints of the radial-mass oracle);
+    ``psi_sum`` accumulates the raw radii. Without a closed-form CDF the
+    oracle is the cylinder pruner at depth ``ball_budget``: before any
+    sampling, the run raises ``ValueError`` when a spectral table is shallower
+    than that, and ``CertificationError`` when samples x distinct radii
+    exceeds 20 000. When the radii fall below coordinate resolution
+    (deep Cantor-scale ladders), the hit test switches to the exact symbolic
+    criterion on the ternary Cantor set (``hit_test="auto"``). ``sample_ids``
+    replaces the default id range.
     """
     return _run_counting(system, backend, "pure", psi, N, samples, seed,
                          checkpoints=checkpoints, flag_divisor=flag_divisor,
@@ -766,7 +725,9 @@ def recurrence_modified_run(
     ``psi(n) >= 1``), so ``psi_sum`` is the exact expected count
     ``sum psi(n)``. Hits are decided by comparing the radial mass through the
     orbit point against the quota; undecidable steps within the certified
-    position uncertainty are flagged and counted by the midpoint rule.
+    position uncertainty are flagged and counted by the midpoint rule. The
+    comparison needs a closed-form CDF (density or weighted ternary-Cantor
+    backends); other backends raise ``CertificationError`` before sampling.
     ``sample_ids`` replaces the default id range.
     """
     return _run_counting(system, backend, "modified", psi, N, samples, seed,

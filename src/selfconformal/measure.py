@@ -3,10 +3,15 @@
 All quantities are returned as two-sided brackets: a cylinder-tree pruner
 classifies cylinder hulls as certainly inside / certainly outside / straddling
 an open region, accumulates certain mass, and bounds the truth by the
-straddling mass at the depth budget.  Backends with a closed-form distribution
-function (interval densities, middle-third weighted Cantor measures) take
-exact-CDF fast paths with near-zero bracket width; those fast paths are
-cross-checked against the pruner in the test-suite.
+straddling mass at the depth budget.
+
+Every ball mass ``mu(B(x, r))`` comes from one radial-mass oracle,
+``_radial_mass``: for backends with a closed-form distribution function
+(interval densities, weighted middle-third Cantor measures) it takes the
+difference of two bracketed CDF values, vectorized over any number of balls,
+with near-zero bracket width; for every other backend and for planar systems
+it runs the pruner once per ball.  The closed forms are cross-checked against
+the pruner in the test-suite.
 
 ``t_n_radius`` inverts r |-> mu(B(x, r)) by bisection and terminates only when
 the measure bracket at the returned radius certifies the target value within
@@ -23,7 +28,8 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .gibbs import BernoulliBackend, DensityBackend, MeasureBackend, SpectralBackend
-from .ifs import Affine1D, IfsSystem, _box_corners, _moebius_apply, _moebius_compose, _to_coords
+from .ifs import (Affine1D, IfsSystem, _box_corners, _moebius_apply, _moebius_compose,
+                  _point_value, _to_coords)
 from .symbolic import PointRd, as_point
 
 __all__ = [
@@ -264,11 +270,10 @@ def _select_state(state, mask):
     return [c[mask] for c in state]
 
 
-def _child_masses(backend: MeasureBackend, system: IfsSystem, masses, idx, level, j, child_state):
+def _child_masses(backend: MeasureBackend, masses, idx, level, j, lo, hi):
     if isinstance(backend, BernoulliBackend):
         return masses * backend.probs[j - 1]
     if isinstance(backend, DensityBackend):
-        lo, hi = _state_boxes(system, child_state)
         return backend.cdf(hi[:, 0]) - backend.cdf(lo[:, 0])
     if isinstance(backend, SpectralBackend):
         table = backend.level_table(level)
@@ -293,7 +298,8 @@ def region_measure(
     if depth_budget < 1:
         raise ValueError("depth_budget must be >= 1")
     if isinstance(backend, SpectralBackend) and depth_budget > backend.max_depth:
-        raise ValueError("depth_budget beyond the spectral table depth")
+        raise ValueError(f"depth_budget {depth_budget} is beyond the spectral "
+                         f"table depth {backend.max_depth}")
     state = _initial_state(system)
     masses = np.array([1.0])
     idx = np.array([0], dtype=np.int64)
@@ -309,8 +315,8 @@ def region_measure(
         for j in range(1, system.m + 1):
             cs = _child_state(system, state, j)
             ci = idx * system.m + (j - 1)
-            cm = _child_masses(backend, system, masses, ci, level, j, cs)
             lo, hi = _state_boxes(system, cs)
+            cm = _child_masses(backend, masses, ci, level, j, lo, hi)
             cls = region.classify(lo, hi)
             inside_mass += float(cm[cls == INSIDE].sum())
             keep = cls == STRADDLE
@@ -334,7 +340,7 @@ def region_measure(
 
 
 # ---------------------------------------------------------------------------
-# exact CDF fast paths
+# the radial-mass oracle
 # ---------------------------------------------------------------------------
 
 _CDF_WALK_LEVELS = 60
@@ -392,19 +398,49 @@ def cantor_cdf_bracket(probs: Sequence[float], y) -> Tuple[np.ndarray, np.ndarra
     return acc, acc + w
 
 
-def _exact_ball_fast_path(backend: MeasureBackend, x: PointRd, r: float):
-    """Closed-form mu(B(x, r)) where available; None when not applicable."""
-    system = backend.system
+def _closed_form_cdf(backend: MeasureBackend):
+    """The bracket ``y -> (F_lo(y), F_hi(y))`` of ``F(y) = mu((-inf, y])``, or
+    None when the backend has no closed form.
+
+    A density backend evaluates its catalog CDF clipped to the attractor
+    interval (exact up to rounding); a Bernoulli measure on the middle-third
+    Cantor set takes the digit walk of ``cantor_cdf_bracket``.
+    """
     if isinstance(backend, DensityBackend):
-        lo, hi = system.attractor_box.lo[0], system.attractor_box.hi[0]
-        a = min(max(x.x - r, lo), hi)
-        b = min(max(x.x + r, lo), hi)
-        v = float(backend.cdf(b) - backend.cdf(a))
-        return MeasureBracket(v, v)
-    if isinstance(backend, BernoulliBackend) and _is_middle_third_cantor(system):
-        flo, fhi = cantor_cdf_bracket(backend.probs, np.array([x.x - r, x.x + r]))
-        return MeasureBracket(max(0.0, float(flo[1] - fhi[0])), float(fhi[1] - flo[0]))
+        lo, hi = backend.system.attractor_box.lo[0], backend.system.attractor_box.hi[0]
+        return lambda y: (backend.cdf(np.clip(y, lo, hi)),) * 2
+    if isinstance(backend, BernoulliBackend) and _is_middle_third_cantor(backend.system):
+        return lambda y: cantor_cdf_bracket(backend.probs, y)
     return None
+
+
+def _radial_mass(backend: MeasureBackend, centers, radii, depth_budget: int):
+    """Lower and upper arrays for ``mu(B(x_i, r_i))``: the one radial-mass oracle.
+
+    ``radii`` holds positive radii; ``centers`` broadcasts to their shape on
+    the line, and to their shape plus a trailing (x, y) axis in the plane
+    (the coordinates ``project_windows`` returns).  With a closed-form CDF
+    bracket ``F`` every ball costs one vectorized call:
+    ``[F_lo(x+r) - F_hi(x-r), F_hi(x+r) - F_lo(x-r)]``, clipped at 0.  Otherwise
+    ``region_measure`` brackets each ball to ``depth_budget`` levels, once
+    per entry, so callers pass each distinct ball once.
+    """
+    radii = np.asarray(radii, dtype=float)
+    dim = backend.system.dim
+    shape = radii.shape if dim == 1 else radii.shape + (dim,)
+    centers = np.broadcast_to(np.asarray(centers, dtype=float), shape)
+    cdf = _closed_form_cdf(backend)
+    if cdf is not None:
+        flo, fhi = cdf(np.concatenate([(centers - radii).ravel(), (centers + radii).ravel()]))
+        half = radii.size
+        lo = np.maximum(flo[half:] - fhi[:half], 0.0)
+        hi = np.maximum(fhi[half:] - flo[:half], 0.0)
+    else:
+        lo, hi = np.empty(radii.size), np.empty(radii.size)
+        for i, (c, r) in enumerate(zip(centers.reshape(radii.size, dim), radii.ravel())):
+            br = region_measure(backend, BallRegion(PointRd(tuple(c)), float(r)), depth_budget)
+            lo[i], hi[i] = br.lower, br.upper
+    return lo.reshape(radii.shape), hi.reshape(radii.shape)
 
 
 def ball_measure(
@@ -414,16 +450,16 @@ def ball_measure(
     depth_budget: int = 40,
     method: str = "auto",
 ) -> MeasureBracket:
-    """Bracket mu(B(x, r)) (open ball); exact CDF fast paths when available."""
+    """Bracket mu(B(x, r)) (open ball): the radial-mass oracle in ``"auto"``,
+    the cylinder pruner alone in ``"prune"``."""
     if r <= 0:
         raise ValueError("radius must be positive")
     x = as_point(x, backend.system.dim)
     if method not in ("auto", "prune"):
         raise ValueError("method must be 'auto' or 'prune'")
     if method == "auto":
-        fast = _exact_ball_fast_path(backend, x, r)
-        if fast is not None:
-            return fast
+        lo, hi = _radial_mass(backend, _to_coords(_point_value(x)), np.array([r]), depth_budget)
+        return MeasureBracket(float(lo[0]), float(hi[0]))
     return region_measure(backend, BallRegion(x, r), depth_budget)
 
 
@@ -435,21 +471,22 @@ def annulus_measure(
     depth_budget: int = 40,
     method: str = "auto",
 ) -> MeasureBracket:
-    """Bracket mu{y : r - rho < |y - x| < r + rho}."""
+    """Bracket mu{y : r - rho < |y - x| < r + rho}.
+
+    In ``"auto"``, a backend with a closed-form CDF takes the difference of
+    two oracle balls; otherwise the pruner classifies the annulus itself.
+    """
     if r <= 0 or rho <= 0:
         raise ValueError("r and rho must be positive")
     x = as_point(x, backend.system.dim)
-    if method == "auto":
-        outer = _exact_ball_fast_path(backend, x, r + rho)
-        if outer is not None:
-            if rho >= r:
-                return outer
-            inner = _exact_ball_fast_path(backend, x, r - rho)
-            # annulus = open outer ball minus closed inner ball; atomless
-            # measures make the closed/open distinction null
-            return MeasureBracket(
-                max(0.0, outer.lower - inner.upper), max(0.0, outer.upper - inner.lower)
-            )
+    if method == "auto" and _closed_form_cdf(backend) is not None:
+        radii = [r + rho] if rho >= r else [r + rho, r - rho]
+        lo, hi = _radial_mass(backend, _to_coords(_point_value(x)), np.array(radii), depth_budget)
+        if rho >= r:
+            return MeasureBracket(float(lo[0]), float(hi[0]))
+        # annulus = open outer ball minus closed inner ball; atomless
+        # measures make the closed/open distinction null
+        return MeasureBracket(max(0.0, float(lo[0] - hi[1])), max(0.0, float(hi[0] - lo[1])))
     return region_measure(backend, AnnulusRegion(x, r, rho), depth_budget)
 
 
@@ -531,16 +568,11 @@ def density_ratio_series(
     x = as_point(x, backend.system.dim)
     ns = np.arange(1, N + 1)
     radii = psi.values(ns)
-    values = np.empty(N)
-    flagged = np.zeros(N, dtype=bool)
-    cache = {}
-    for i, r in enumerate(radii):
-        if r not in cache:
-            cache[r] = ball_measure(backend, x, float(r), depth_budget)
-        br = cache[r]
-        values[i] = br.midpoint / r ** tau
-        flagged[i] = br.width > 0.1 * max(br.midpoint, 1e-300)
-    return {"n": ns, "values": values, "flagged": flagged}
+    uniq, inverse = np.unique(radii, return_inverse=True)
+    lo, hi = _radial_mass(backend, _to_coords(_point_value(x)), uniq, depth_budget)
+    mid = 0.5 * (lo + hi)
+    flagged = hi - lo > 0.1 * np.maximum(mid, 1e-300)
+    return {"n": ns, "values": mid[inverse] / radii ** tau, "flagged": flagged[inverse]}
 
 
 def hyperplane_decay_probe(

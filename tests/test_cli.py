@@ -5,8 +5,10 @@ import subprocess
 import sys
 
 import jsonschema
+import numpy as np
 import pytest
 
+from selfconformal import experiments
 from selfconformal.cli import (
     ARTIFACTS,
     EXIT_CERTIFICATION,
@@ -21,7 +23,10 @@ from selfconformal.cli import (
     shipped_example_path,
     validate_config,
 )
-from selfconformal.experiments import NAMED_EXAMPLES
+from selfconformal.experiments import NAMED_EXAMPLES, recurrence_pure_run
+from selfconformal.gibbs import BernoulliBackend
+from selfconformal.ifs import builtin_system
+from selfconformal.measure import ConstantRadius, ball_measure
 
 
 def small_config(**experiment):
@@ -171,6 +176,24 @@ class TestRunArtifacts:
                            targets=[[0.0] if i % 2 else [1.0] for i in range(100)])
         assert run(write_config(tmp_path, cfg), str(tmp_path / "out")) == EXIT_OK
 
+    def test_planar_pure_recurrence_sums_ball_midpoints(self, tmp_path):
+        weights = [1 / 3, 1 / 3, 1 / 3]
+        cfg = small_config(psi={"type": "constant", "c": 0.3}, N=50, samples=2, seed=1,
+                           depth_budgets={"ball": 8})
+        cfg["system"] = {"builtin": "sierpinski_triangle"}
+        cfg["potential"] = {"type": "bernoulli", "p": weights}
+        out = tmp_path / "out"
+        assert run(write_config(tmp_path, cfg), str(out)) == EXIT_OK
+        rows = (out / "results.csv").read_text().splitlines()[1:]
+        ball_sums = {int(r.split(",")[0]): float(r.split(",")[4]) for r in rows}
+        gasket = builtin_system("sierpinski_triangle")
+        backend = BernoulliBackend(gasket, weights)
+        records = recurrence_pure_run(gasket, backend, ConstantRadius(0.3), 50, 2, 1,
+                                      ball_budget=8)
+        for rec in records:
+            mid = ball_measure(backend, rec.x0, 0.3, 8).midpoint
+            assert ball_sums[rec.sample_id] == np.cumsum(np.full(50, mid))[-1]
+
 
 class TestExitCodes:
     def test_malformed_json_exit_2_no_partial_outputs(self, tmp_path, capsys):
@@ -226,6 +249,23 @@ class TestExitCodes:
         assert (out / "error.json").is_file()
         assert not (out / "results.csv").exists()
         assert json.loads(capsys.readouterr().err)["error"]["kind"] == "certification"
+
+
+    def test_spectral_ball_budget_beyond_table_exit_2_before_sampling(
+            self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled before refusing the run")
+
+        monkeypatch.setattr(experiments, "sample_symbol_block", refuse)
+        cfg = small_config(psi={"type": "constant", "c": 0.05}, N=200, samples=3)
+        cfg["system"] = {"builtin": "moebius_interval_quartet"}
+        cfg["potential"] = {"type": "spectral",
+                            "base": {"type": "conformal_power", "s": 1.0}, "depth": 6}
+        out = tmp_path / "out"
+        assert run(write_config(tmp_path, cfg), str(out)) == EXIT_CONFIG
+        assert not out.exists()
+        message = json.loads(capsys.readouterr().err)["error"]["message"]
+        assert "45" in message and "depth 6" in message and "depth_budgets.ball" in message
 
 
 class TestShippedExamples:

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from selfconformal import experiments
 from selfconformal.dynamics import correlation, project_windows, sample_symbol_block
 from selfconformal.experiments import (
     Checkpoint,
@@ -44,7 +45,6 @@ from selfconformal.experiments import (
 )
 from selfconformal.experiments import (
     _interval_mass_bound,
-    _RadialMass,
     _staircase_alpha_window,
 )
 from selfconformal.gibbs import (
@@ -58,12 +58,15 @@ from selfconformal.gibbs import (
 )
 from selfconformal.ifs import builtin_system
 from selfconformal.measure import (
+    BallRegion,
     CertificationError,
     ConstantRadius,
     PowerLogRadius,
     PowerRadius,
+    _radial_mass,
     ball_measure,
     cantor_cdf_bracket,
+    region_measure,
 )
 from selfconformal.symbolic import FiniteWord, PointRd
 
@@ -244,33 +247,66 @@ class TestOrbitRows:
 
 class TestRadialMassOracle:
     def test_cantor_masses_inside_pruner_brackets(self, cantor, weighted):
-        oracle = _RadialMass(weighted)
         rng = np.random.default_rng(2)
         xs = rng.uniform(-0.2, 1.2, 25)
         rs = 10.0 ** rng.uniform(-6, 0, 25)
-        lo, hi = oracle.masses(xs, rs)
+        lo, hi = _radial_mass(weighted, xs, rs, 40)
         for x, r, a, b in zip(xs, rs, lo, hi):
-            br = ball_measure(weighted, float(x), float(r), 40)
+            br = ball_measure(weighted, float(x), float(r), 40, method="prune")
             assert a <= br.upper + 1e-12
             assert b >= br.lower - 1e-12
             assert b - a < 1e-12
 
     def test_density_masses_match_direct_cdf(self, density):
-        oracle = _RadialMass(density)
         rng = np.random.default_rng(3)
         xs = rng.uniform(0, 1, 30)
         rs = 10.0 ** rng.uniform(-5, -0.3, 30)
-        lo, hi = oracle.masses(xs, rs)
+        lo, hi = _radial_mass(density, xs, rs, 40)
         direct = (np.log1p(np.clip(xs + rs, 0, 1)) - np.log1p(np.clip(xs - rs, 0, 1))) / LN2
         assert np.allclose(lo, direct, atol=1e-14)
         assert np.allclose(hi, direct, atol=1e-14)
 
-    def test_unsupported_backend_rejected(self, cantor, weighted):
+    def test_spectral_masses_are_pruner_brackets(self, cantor):
         rep = eigen_solve(cantor, BernoulliPotential((0.3, 0.7)), depth=6)
         sb = SpectralBackend(cantor, rep, BernoulliPotential((0.3, 0.7)))
-        oracle = _RadialMass(sb)
-        with pytest.raises(CertificationError):
-            oracle.masses(np.array([0.5]), np.array([0.1]))
+        xs, rs = np.array([0.1, 0.5, 0.9]), np.array([0.05, 0.2, 0.01])
+        lo, hi = _radial_mass(sb, xs, rs, 6)
+        for x, r, a, b in zip(xs, rs, lo, hi):
+            br = region_measure(sb, BallRegion(PointRd((x,)), r), 6)
+            assert (a, b) == (br.lower, br.upper)
+
+
+class TestOracleServesRun:
+    """A run checks, before it samples, that the radial-mass oracle can serve it."""
+
+    @pytest.fixture
+    def no_sampling(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled before refusing the run")
+
+        monkeypatch.setattr(experiments, "sample_symbol_block", refuse)
+
+    @pytest.fixture(scope="class")
+    def spectral(self, cantor):
+        rep = eigen_solve(cantor, BernoulliPotential((0.3, 0.7)), depth=6)
+        return SpectralBackend(cantor, rep, BernoulliPotential((0.3, 0.7)))
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_pruner_cap_counts_the_whole_run(self, no_sampling, threads):
+        pair = builtin_system("moebius_interval_pair")
+        backend = BernoulliBackend(pair, (0.5, 0.5))
+        with pytest.raises(CertificationError, match=r"24000 ball evaluations.* 20000"):
+            recurrence_pure_run(pair, backend, PowerRadius(0.5, 0.5), 600, 40, 1,
+                                ball_budget=8, threads=threads)
+
+    def test_spectral_ball_budget_beyond_table_depth(self, cantor, spectral, no_sampling):
+        with pytest.raises(ValueError, match=r"45 .* depth 6.* depth_budgets\.ball"):
+            recurrence_pure_run(cantor, spectral, ConstantRadius(0.05), 100, 2, 1,
+                                ball_budget=45)
+
+    def test_spectral_measure_equalized_run(self, cantor, spectral, no_sampling):
+        with pytest.raises(CertificationError, match="closed-form radial mass"):
+            recurrence_modified_run(cantor, spectral, PowerRadius(1.0, 0.5), 100, 2, 1)
 
 
 class TestIntervalMassBound:
