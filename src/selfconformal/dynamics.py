@@ -11,7 +11,10 @@ Sampling is counter-based: the stream for sample ``i`` is generated by a
 Philox generator keyed on ``(master_seed, i)``, and every symbol consumes
 exactly one uniform.  The sequential per-stream sampler and the vectorized
 batch sampler therefore produce bit-identical symbols, which makes
-experiments reproducible independently of worker scheduling.
+experiments reproducible independently of worker scheduling.  Both read the
+next-symbol law from the backend's chain (``backend.chain(n_rows)``, defined
+with the backends in :mod:`selfconformal.gibbs`): each step picks a symbol per
+row from the chain's cumulative rows, then advances the chain.
 """
 
 from __future__ import annotations
@@ -22,13 +25,7 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from .gibbs import (
-    BernoulliBackend,
-    DensityBackend,
-    MeasureBackend,
-    SpectralBackend,
-    word_index,
-)
+from .gibbs import BernoulliBackend, MeasureBackend, SpectralBackend, word_index
 from .ifs import IfsSystem, _moebius_apply, _point_value, _to_coords, _value_point
 from .symbolic import FiniteWord, PointRd, RandomTail, SymbolStream, as_point
 
@@ -185,139 +182,11 @@ def _pick_symbols(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(idx, cum_rows.shape[1] - 1) + 1
 
 
-class _BernoulliChain:
-    """Vectorized i.i.d. symbol chain (rows = concurrent sample streams)."""
-
-    def __init__(self, backend: BernoulliBackend, n_rows: int):
-        self.cum = np.cumsum(backend.probs)[None, :]  # one row, broadcast to all
-
-    def step(self, u: np.ndarray) -> np.ndarray:
-        return _pick_symbols(self.cum, u)
-
-
-# Below this conditional cell mass, CDF differences cancel in float64; the
-# conditional law is then within O(cell length) of the child-length ratio,
-# which has a cancellation-free projective formula.
-_DENSITY_LINEAR_CUTOVER = 1e-8
-
-
-class _DensityChain:
-    """Vectorized conditional chain for closed-form interval densities.
-
-    Each row carries the running word's composition matrix (rescaled every
-    step, which is projectively harmless).  Child masses are exact CDF
-    differences while the running cell is wide enough for float subtraction;
-    once the cell mass falls below ``1e-8`` the chain switches to the
-    length-ratio limit ``|det phi_j| / |denom_j| / density-weight``, whose
-    terms stay O(1) for arbitrarily long chains.
-    """
-
-    def __init__(self, backend: DensityBackend, n_rows: int):
-        from .ifs import _moebius_det
-
-        self.cdf = backend.cdf
-        box = backend.system.attractor_box
-        self.root = (box.lo[0], box.hi[0])
-        self.child_mats = np.array([m.matrix for m in backend.system.maps])
-        self.child_dets = np.array(
-            [abs(_moebius_det(m.matrix)) for m in backend.system.maps]
-        )
-        self.mats = np.tile(np.array([1.0, 0.0, 0.0, 1.0]), (n_rows, 1))
-
-    def step(self, u: np.ndarray) -> np.ndarray:
-        P, Q, R, S = self.mats.T
-        n_rows = self.mats.shape[0]
-        a0, b0 = self.root
-        p, q, r, s = (c[:, None] for c in self.child_mats.T)
-        cp = P[None, :] * p + Q[None, :] * r
-        cq = P[None, :] * q + Q[None, :] * s
-        cr = R[None, :] * p + S[None, :] * r
-        cs = R[None, :] * q + S[None, :] * s
-        d1 = cr * a0 + cs
-        d2 = cr * b0 + cs
-        e1 = (cp * a0 + cq) / d1
-        e2 = (cp * b0 + cq) / d2
-        lo = np.minimum(e1, e2)
-        hi = np.maximum(e1, e2)
-        diffs = np.maximum(self.cdf(hi) - self.cdf(lo), 0.0)
-        # child length ratio: |det(M phi_j)| (b0-a0) / |d1 d2| with the
-        # row-common factors |det M| and (b0-a0) dropped, weighted by the
-        # local density value
-        linear = self.child_dets[:, None] / np.abs(d1 * d2) * self._density_at(lo)
-        rows = np.where(
-            diffs.sum(axis=0, keepdims=True) < _DENSITY_LINEAR_CUTOVER, linear, diffs
-        )
-        cum = np.cumsum(rows, axis=0)
-        cum /= cum[-1:, :]
-        symbols = _pick_symbols(cum.T, u)
-        sel = symbols - 1
-        cols = np.arange(n_rows)
-        self.mats = np.stack(
-            [cp[sel, cols], cq[sel, cols], cr[sel, cols], cs[sel, cols]], axis=1
-        )
-        self.mats /= np.abs(self.mats).max(axis=1, keepdims=True)
-        return symbols
-
-    def _density_at(self, x: np.ndarray) -> np.ndarray:
-        # numerical derivative of the CDF at the cell; the cells in the linear
-        # regime are far smaller than the 1e-7 stencil, so this is the local
-        # density value, accurate to ~1e-7 relative
-        h = 1e-7
-        lo = np.clip(x - h, self.root[0], self.root[1])
-        hi = np.clip(x + h, self.root[0], self.root[1])
-        return (self.cdf(hi) - self.cdf(lo)) / (hi - lo)
-
-
-class _SpectralChain:
-    """Vectorized chain on a cylinder-mass table with a sliding context.
-
-    Within the table depth the conditional is the exact table ratio; beyond
-    it, the next-symbol law depends on the last ``depth - 1`` symbols through
-    the deepest conditional table.
-    """
-
-    def __init__(self, backend: SpectralBackend, n_rows: int):
-        self.m = backend.system.m
-        self.depth = backend.max_depth
-        self.tables = [backend.level_table(k) for k in range(self.depth + 1)]
-        deep = self.tables[self.depth].reshape(-1, self.m)
-        self.cond = deep / deep.sum(axis=1, keepdims=True)
-        self.ctx_mod = self.m ** max(self.depth - 1, 1)
-        self.t = 0
-        self.idx = np.zeros(n_rows, dtype=np.int64)
-
-    def step(self, u: np.ndarray) -> np.ndarray:
-        if self.t < self.depth:
-            child = self.tables[self.t + 1]
-            parent = self.tables[self.t]
-            rows = child[self.idx[:, None] * self.m + np.arange(self.m)]
-            rows = rows / parent[self.idx][:, None]
-        else:
-            rows = self.cond[self.idx]
-        cum = np.cumsum(rows, axis=1)
-        cum /= cum[:, -1:]
-        symbols = _pick_symbols(cum, u)
-        if self.t < self.depth:
-            self.idx = self.idx * self.m + (symbols - 1)
-            self.t += 1
-            if self.t == self.depth:
-                self.idx = self.idx % self.ctx_mod
-        else:
-            if self.depth > 1:
-                self.idx = (self.idx % (self.ctx_mod // self.m)) * self.m + (
-                    symbols - 1
-                )
-        return symbols
-
-
-def _make_chain(backend: MeasureBackend, n_rows: int):
-    if isinstance(backend, BernoulliBackend):
-        return _BernoulliChain(backend, n_rows)
-    if isinstance(backend, DensityBackend):
-        return _DensityChain(backend, n_rows)
-    if isinstance(backend, SpectralBackend):
-        return _SpectralChain(backend, n_rows)
-    raise TypeError(f"no sampling chain for backend {type(backend).__name__}")
+def _draw(chain, u: np.ndarray) -> np.ndarray:
+    """One sampling step: pick each row's next symbol, then advance the chain."""
+    symbols = _pick_symbols(chain.cum_rows(), u)
+    chain.advance(symbols)
+    return symbols
 
 
 @dataclass
@@ -337,7 +206,7 @@ class MuSampler:
             sample_id = self.counter
             self.counter += 1
         gen = _stream_generator(self.master_seed, sample_id)
-        chain = _make_chain(self.backend, 1)
+        chain = self.backend.chain(1)
         state = {"drawn": 0}
 
         def draw(need: int, so_far: Sequence[int]) -> Sequence[int]:
@@ -346,7 +215,7 @@ class MuSampler:
             u = gen.random(need)
             out = np.empty(need, dtype=np.int64)
             for i in range(need):
-                out[i] = chain.step(u[i : i + 1])[0]
+                out[i] = _draw(chain, u[i : i + 1])[0]
             state["drawn"] += need
             return out.tolist()
 
@@ -378,18 +247,19 @@ def sample_symbol_block(
     n = len(sample_ids)
     out = np.empty((n, length), dtype=np.int8)
     if isinstance(backend, BernoulliBackend):
-        cum = np.cumsum(backend.probs)[None, :]
+        # i.i.d. symbols: one broadcast row serves a whole stream at once
+        cum = backend.chain(1).cum_rows()
         for i, sid in enumerate(sample_ids):
             out[i] = _pick_symbols(cum, _stream_generator(master_seed, sid).random(length))
         return out
     gens = [_stream_generator(master_seed, sid) for sid in sample_ids]
-    chain = _make_chain(backend, n)
+    chain = backend.chain(n)
     done = 0
     while done < length:
         take = min(chunk, length - done)
         U = np.stack([g.random(take) for g in gens])
         for t in range(take):
-            out[:, done + t] = chain.step(U[:, t])
+            out[:, done + t] = _draw(chain, U[:, t])
         done += take
     return out
 
@@ -432,12 +302,13 @@ def _pair_intersection(backend: MeasureBackend, I: FiniteWord, J: FiniteWord, n:
     if isinstance(backend, SpectralBackend) and L > backend.max_depth:
         if m**free > _SPECTRAL_GAP_CAP:
             raise ValueError("correlation horizon too deep for the spectral table")
-        total = 0.0
-        for gap in itertools.product(range(1, m + 1), repeat=free):
-            total += backend.cylinder_measure(
-                FiniteWord(I.symbols + gap + J.symbols, m)
-            )
-        return total
+        gaps = np.array(list(itertools.product(range(1, m + 1), repeat=free)), dtype=np.int64)
+        words = np.hstack([
+            np.broadcast_to(I.symbols, (m**free, len(I))),
+            gaps.reshape(m**free, free),
+            np.broadcast_to(J.symbols, (m**free, len(J))),
+        ])
+        return float(backend._masses(words).sum())
     table = backend.level_table(L)
     base = word_index(I) * m ** (L - len(I)) + word_index(J)
     idxs = base + np.arange(m**free, dtype=np.int64) * m ** len(J)

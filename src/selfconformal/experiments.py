@@ -29,7 +29,7 @@ import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,7 +48,6 @@ from .ifs import IfsSystem, builtin_system
 from .measure import (
     CertificationError,
     ConstantRadius,
-    MeasureBracket,
     PowerLogRadius,
     PowerRadius,
     RadiusFunction,
@@ -59,7 +58,6 @@ from .measure import (
     ball_measure,
     cantor_cdf_bracket,  # noqa: F401
     hyperplane_decay_probe,
-    t_n_radius,
 )
 from .symbolic import FiniteWord, PointRd, as_point
 

@@ -1,7 +1,7 @@
 """Gibbs measures for conformal systems via Ruelle transfer operators.
 
 Three measure backends share one interface (cylinder masses by word, level
-tables, next-symbol conditionals):
+tables, next-symbol laws):
 
 * ``BernoulliBackend``   -- exact product measures;
 * ``DensityBackend``     -- measures with a closed-form distribution function
@@ -15,6 +15,13 @@ on depth-k cells with exact Lebesgue cell averages of the weight, so for
 tau = 1 in one dimension the cell-length vector is an exact fixed point of the
 adjoint and the leading eigenvalue is 1 to machine precision.
 
+Each backend's next-symbol law is written once, as the vectorized chain that
+``backend.chain(n_rows)`` returns: ``cum_rows()`` gives each row's cumulative
+conditional distribution of the next symbol and ``advance(symbols)`` appends
+one symbol per row.  The samplers in :mod:`selfconformal.dynamics`,
+:func:`conditional_next` and the spectral cylinder masses past the table depth
+all read the law through it.
+
 ``mixing_coeff_cylinders`` measures the uniform dependence coefficient between
 a leading block and the remaining symbols at a fixed table depth; product
 measures give exactly zero for every positive separation.
@@ -23,12 +30,12 @@ measures give exactly zero for every positive separation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .ifs import IfsSystem, _moebius_apply, _moebius_compose
+from .ifs import IfsSystem, _MOEBIUS_ID, _moebius_apply, _moebius_compose, _moebius_det
 from .symbolic import FiniteWord
 
 __all__ = [
@@ -172,8 +179,8 @@ class BernoulliBackend:
             self._tables[k] = (prev[:, None] * self.probs[None, :]).ravel()
         return self._tables[k]
 
-    def conditional_next(self, word: FiniteWord) -> np.ndarray:
-        return self.probs.copy()
+    def chain(self, n_rows: int) -> _BernoulliChain:
+        return _BernoulliChain(self, n_rows)
 
     def gibbs_data(self):
         probs = self.probs
@@ -225,20 +232,8 @@ class DensityBackend:
             self._tables[k] = self.cdf(hi) - self.cdf(lo)
         return self._tables[k]
 
-    def conditional_next(self, word: FiniteWord) -> np.ndarray:
-        mat, _ = self.system.word_map(word)
-        child_masses = []
-        for m in self.system.maps:
-            cm = _moebius_compose(mat, m.matrix)
-            a = _moebius_apply(cm, self._root[0])
-            b = _moebius_apply(cm, self._root[1])
-            a, b = (a, b) if a <= b else (b, a)
-            child_masses.append(self.cdf(b) - self.cdf(a))
-        child = np.asarray(child_masses)
-        total = child.sum()
-        if total <= 0:
-            raise ValueError("zero-mass word")
-        return child / total
+    def chain(self, n_rows: int) -> _DensityChain:
+        return _DensityChain(self, n_rows)
 
     def gibbs_data(self):
         dens = self.density
@@ -437,42 +432,36 @@ class SpectralBackend:
             self._tables[k] = deep.reshape(mm ** k, -1).sum(axis=1)
         return self._tables[k]
 
-    def _conditional_table(self) -> np.ndarray:
-        if not hasattr(self, "_cond"):
-            mm = self.system.m
-            deep = self.level_table(self.max_depth)
-            ctx = self.level_table(self.max_depth - 1)
-            self._cond = deep.reshape(-1, mm) / ctx[:, None]
-        return self._cond
+    def _law_tables(self):
+        """Level tables 0..depth and the deepest next-symbol conditionals."""
+        if not hasattr(self, "_law"):
+            tables = [self.level_table(k) for k in range(self.max_depth + 1)]
+            deep = tables[-1].reshape(-1, self.system.m)
+            self._law = (tables, deep / deep.sum(axis=1, keepdims=True))
+        return self._law
+
+    def chain(self, n_rows: int) -> _SpectralChain:
+        return _SpectralChain(self, n_rows)
 
     def cylinder_measure(self, word: FiniteWord) -> float:
-        k = len(word)
-        if k <= self.max_depth:
-            return float(self.level_table(k)[word_index(word)])
-        head = FiniteWord(word.symbols[: self.max_depth], word.m)
-        mass = self.cylinder_measure(head)
-        cond = self._conditional_table()
-        mm = self.system.m
-        ctx_mod = mm ** (self.max_depth - 1)
-        ctx = word_index(head) % ctx_mod
-        for s in word.symbols[self.max_depth :]:
-            mass *= cond[ctx, s - 1]
-            ctx = (ctx % (ctx_mod // mm)) * mm + (s - 1) if ctx_mod > 1 else 0
-        return float(mass)
+        if len(word) <= self.max_depth:
+            return float(self.level_table(len(word))[word_index(word)])
+        return float(self._masses(np.array([word.symbols]))[0])
 
-    def conditional_next(self, word: FiniteWord) -> np.ndarray:
-        k = len(word)
-        mm = self.system.m
-        if k < self.max_depth:
-            child = self.level_table(k + 1)
-            parent = self.level_table(k)
-            i = word_index(word)
-            return child[i * mm : (i + 1) * mm] / parent[i]
-        cond = self._conditional_table()
-        ctx = 0
-        for s in word.symbols[-(self.max_depth - 1) :] if self.max_depth > 1 else ():
-            ctx = ctx * mm + (s - 1)
-        return cond[ctx].copy()
+    def _masses(self, words: np.ndarray) -> np.ndarray:
+        """Masses of equal-length words longer than the table, one word per row."""
+        n, k = words.shape
+        depth, tail = self.max_depth, k - self.max_depth
+        # past the table depth the law reads only the last depth - 1 symbols,
+        # so a chain row fed the depth symbols before a tail symbol holds that
+        # symbol's conditional: one chain serves every tail symbol at once
+        chain = self.chain(n * tail)
+        for j in range(depth):
+            chain.advance(words[:, j : j + tail].ravel())
+        probs = np.diff(chain.cum_rows(), prepend=0.0, axis=1)
+        picked = probs[np.arange(n * tail), words[:, depth:].ravel() - 1].reshape(n, tail)
+        heads = (words[:, :depth] - 1) @ self.system.m ** np.arange(depth - 1, -1, -1)
+        return self.level_table(depth)[heads] * picked.prod(axis=1)
 
     def h_at(self, x: float) -> float:
         """Piecewise-constant density value at a point (cell lookup)."""
@@ -489,6 +478,116 @@ class SpectralBackend:
             ]
         tau = pot.tau if isinstance(pot, ConformalPowerPotential) else DENSITY_CATALOG[pot.name]["tau"]
         return self.report.eigenvalue, self.h_at, _power_weights(self.system, tau)
+
+
+# ---------------------------------------------------------------------------
+# next-symbol laws: one vectorized chain per backend (rows = concurrent words)
+# ---------------------------------------------------------------------------
+
+def _normalized_cumsum(rows: np.ndarray) -> np.ndarray:
+    cum = np.cumsum(rows, axis=1)
+    cum /= cum[:, -1:]
+    return cum
+
+
+class _BernoulliChain:
+    """i.i.d. symbols: every row is the cumulative weight vector."""
+
+    def __init__(self, backend: BernoulliBackend, n_rows: int):
+        cum = np.cumsum(backend.probs)
+        self._cum = np.broadcast_to(cum, (n_rows, len(cum)))
+
+    def cum_rows(self) -> np.ndarray:
+        return self._cum
+
+    def advance(self, symbols: np.ndarray) -> None:
+        pass
+
+
+# Below this conditional cell mass, CDF differences cancel in float64; the
+# conditional law is then within O(cell length) of the child-length ratio,
+# which has a cancellation-free projective formula.
+_DENSITY_LINEAR_CUTOVER = 1e-8
+
+
+class _DensityChain:
+    """Conditional chain for closed-form interval densities.
+
+    Each row carries the running word's composition matrix (rescaled every
+    step, which is projectively harmless).  Child masses are exact CDF
+    differences while the running cell is wide enough for float subtraction;
+    once the cell mass falls below ``1e-8`` the chain switches to the
+    length-ratio limit ``|det phi_j| / |denom_j| / density-weight``, whose
+    terms stay O(1) for arbitrarily long chains.
+    """
+
+    def __init__(self, backend: DensityBackend, n_rows: int):
+        maps = backend.system.maps
+        self.cdf = backend.cdf
+        self.density = backend.density
+        self.root = backend._root
+        self.child_mats = np.array([m.matrix for m in maps]).T  # (4, m)
+        self.child_dets = np.array([abs(_moebius_det(m.matrix)) for m in maps])
+        self.mats = np.repeat(np.array(_MOEBIUS_ID)[:, None], n_rows, axis=1)
+
+    def cum_rows(self) -> np.ndarray:
+        a0, b0 = self.root
+        # every row's running map composed with every branch: (m, rows) arrays
+        kids = _moebius_compose(self.mats[:, None, :], self.child_mats[:, :, None])
+        cr, cs = kids[2], kids[3]
+        e1 = _moebius_apply(kids, a0)
+        e2 = _moebius_apply(kids, b0)
+        lo = np.minimum(e1, e2)
+        hi = np.maximum(e1, e2)
+        diffs = np.maximum(self.cdf(hi) - self.cdf(lo), 0.0)
+        # child length ratio: |det(M phi_j)| (b0-a0) / |d1 d2| with the
+        # row-common factors |det M| and (b0-a0) dropped, weighted by the
+        # local density value
+        linear = (
+            self.child_dets[:, None] / np.abs((cr * a0 + cs) * (cr * b0 + cs))
+            * self.density(lo)
+        )
+        rows = np.where(
+            diffs.sum(axis=0, keepdims=True) < _DENSITY_LINEAR_CUTOVER, linear, diffs
+        )
+        return _normalized_cumsum(rows.T)
+
+    def advance(self, symbols: np.ndarray) -> None:
+        self.mats = np.array(_moebius_compose(self.mats, self.child_mats[:, symbols - 1]))
+        self.mats /= np.abs(self.mats).max(axis=0)
+
+
+class _SpectralChain:
+    """Chain on a cylinder-mass table with a sliding context.
+
+    Within the table depth the conditional is the exact table ratio; beyond
+    it, the next-symbol law depends on the last ``depth - 1`` symbols through
+    the deepest conditional table.
+    """
+
+    def __init__(self, backend: SpectralBackend, n_rows: int):
+        self.m = backend.system.m
+        self.depth = backend.max_depth
+        self.tables, self.cond = backend._law_tables()
+        self.ctx_mod = self.m ** (self.depth - 1)
+        self.t = 0
+        self.idx = np.zeros(n_rows, dtype=np.int64)
+
+    def cum_rows(self) -> np.ndarray:
+        if self.t < self.depth:
+            child = self.tables[self.t + 1]
+            parent = self.tables[self.t]
+            rows = child[self.idx[:, None] * self.m + np.arange(self.m)]
+            rows = rows / parent[self.idx][:, None]
+        else:
+            rows = self.cond[self.idx]
+        return _normalized_cumsum(rows)
+
+    def advance(self, symbols: np.ndarray) -> None:
+        self.idx = self.idx * self.m + (symbols - 1)
+        self.t += 1
+        if self.t >= self.depth:
+            self.idx %= self.ctx_mod
 
 
 MeasureBackend = Union[BernoulliBackend, DensityBackend, SpectralBackend]
@@ -509,8 +608,14 @@ def cylinder_measure(backend: MeasureBackend, word: FiniteWord) -> float:
 
 
 def conditional_next(backend: MeasureBackend, word: FiniteWord) -> np.ndarray:
-    """Next-symbol conditional distribution given a prefix word."""
-    return backend.conditional_next(word)
+    """Next-symbol conditional distribution given a prefix word.
+
+    Reads the backend's sampling chain after it has advanced through ``word``.
+    """
+    chain = backend.chain(1)
+    for s in word:
+        chain.advance(np.array([s]))
+    return np.diff(chain.cum_rows()[0], prepend=0.0)
 
 
 def verify_gibbs_property(backend: MeasureBackend, depth: int, tail_symbol: int = 1) -> dict:

@@ -24,10 +24,9 @@ adaptive stopping families, and a JSON round-trip for system specifications.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -479,6 +479,8 @@ def annulus_measure(
     if r <= 0 or rho <= 0:
         raise ValueError("r and rho must be positive")
     x = as_point(x, backend.system.dim)
+    if method not in ("auto", "prune"):
+        raise ValueError("method must be 'auto' or 'prune'")
     if method == "auto" and _closed_form_cdf(backend) is not None:
         radii = [r + rho] if rho >= r else [r + rho, r - rho]
         lo, hi = _radial_mass(backend, _to_coords(_point_value(x)), np.array(radii), depth_budget)

@@ -14,8 +14,8 @@ only when a word is projected to coordinates through the coding map.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Callable, Sequence, Union
 
 
 __all__ = [

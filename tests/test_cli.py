@@ -267,6 +267,19 @@ class TestExitCodes:
         message = json.loads(capsys.readouterr().err)["error"]["message"]
         assert "45" in message and "depth 6" in message and "depth_budgets.ball" in message
 
+    def test_spectral_depth_1_pure_recurrence_runs(self, tmp_path):
+        # seed 1 gives sample ids 3 and 4 a first symbol other than 1, so the
+        # sampler must leave the one-row depth-1 context table correctly
+        cfg = small_config(psi={"type": "constant", "c": 0.05}, N=200, samples=5,
+                           seed=1, depth_budgets={"ball": 1})
+        cfg["system"] = {"builtin": "moebius_interval_quartet"}
+        cfg["potential"] = {"type": "spectral",
+                            "base": {"type": "conformal_power", "s": 1.0}, "depth": 1}
+        out = tmp_path / "out"
+        assert run(write_config(tmp_path, cfg), str(out)) == EXIT_OK
+        lines = (out / "results.csv").read_text().splitlines()
+        assert len(lines) == 1 + 5
+
 
 class TestShippedExamples:
     def test_basename_fallback_resolves_shipped_config(self, tmp_path):

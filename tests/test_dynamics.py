@@ -29,6 +29,7 @@ from selfconformal.dynamics import (
 from selfconformal.gibbs import (
     BernoulliBackend,
     BernoulliPotential,
+    ConformalPowerPotential,
     DensityBackend,
     SpectralBackend,
     eigen_solve,
@@ -73,6 +74,14 @@ def cantor_spectral(cantor):
     pot = BernoulliPotential((0.3, 0.7))
     report = eigen_solve(cantor, pot, depth=6)
     return SpectralBackend(cantor, report, pot)
+
+
+@pytest.fixture(scope="module")
+def quartet_spectral_depth1(quartet):
+    # the shallowest table the schema allows: past the first symbol the
+    # context is empty and every row reads the one depth-1 conditional
+    pot = ConformalPowerPotential(1.0)
+    return SpectralBackend(quartet, eigen_solve(quartet, pot, depth=1), pot)
 
 
 # ---------------------------------------------------------------------------
@@ -208,14 +217,18 @@ class TestSampling:
         b = MuSampler(quartet_density, master_seed=13).stream(sample_id=0)
         assert first == b.read(25)
 
-    @pytest.mark.parametrize("backend_name", ["bernoulli", "density", "spectral"])
+    @pytest.mark.parametrize(
+        "backend_name", ["bernoulli", "density", "spectral", "spectral_depth1"]
+    )
     def test_block_matches_streams(
-        self, backend_name, cantor_weighted, quartet_density, cantor_spectral
+        self, backend_name, cantor_weighted, quartet_density, cantor_spectral,
+        quartet_spectral_depth1,
     ):
         backend = {
             "bernoulli": cantor_weighted,
             "density": quartet_density,
             "spectral": cantor_spectral,
+            "spectral_depth1": quartet_spectral_depth1,
         }[backend_name]
         block = sample_symbol_block(backend, 42, [0, 1, 5], 60)
         for row, sid in zip(block, [0, 1, 5]):
@@ -356,6 +369,20 @@ class TestCorrelation:
         far = correlation(cantor, cantor_spectral, w, w, 9)  # 9 + 1 > depth 6
         exact = correlation(cantor, cantor_weighted, w, w, 9)
         assert far == pytest.approx(exact, abs=1e-12)
+
+    def test_spectral_gap_words_match_cylinder_loop(self, quartet):
+        # past the table the gap words are summed in one batch; the loop over
+        # cylinder_measure is the reference (gaps of 0 to 3 free symbols)
+        pot = ConformalPowerPotential(1.0)
+        sb = SpectralBackend(quartet, eigen_solve(quartet, pot, depth=4), pot)
+        I, J = FiniteWord((1, 2, 3), 4), FiniteWord((4, 1, 2), 4)
+        mu = sb.cylinder_measure(I) * sb.cylinder_measure(J)
+        for n in range(3, 7):
+            loop = sum(
+                sb.cylinder_measure(FiniteWord(I.symbols + gap + J.symbols, 4))
+                for gap in itertools.product(range(1, 5), repeat=n - 3)
+            )
+            assert correlation(quartet, sb, I, J, n) + mu == pytest.approx(loop, rel=1e-12)
 
     def test_invariance_under_preimage(self, quartet_density):
         # summing mu([iJ]) over first symbols recovers mu([J])

@@ -1,6 +1,7 @@
 """Transfer-operator eigendata and measure backends."""
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -99,6 +100,34 @@ def test_density_conditional_next(density_backend):
             density_backend, w
         )
         assert abs(cond[j - 1] - direct) < 1e-12
+
+
+def test_density_conditional_next_deep_word_exact(quartet, density_backend):
+    """At depth 30 CDF differences cancel; the law must still be exact.
+
+    The quartet's coefficients are dyadic, so the children phi_w o phi_j([0,1])
+    have exact rational endpoints [a_j, b_j], and mu of each is
+    log1p((b_j - a_j) / (1 + a_j)) / log 2.
+    """
+    w = (2, 3) * 15
+
+    def compose(m1, m2):
+        p1, q1, r1, s1 = m1
+        p2, q2, r2, s2 = m2
+        return (p1 * p2 + q1 * r2, p1 * q2 + q1 * s2, r1 * p2 + s1 * r2, r1 * q2 + s1 * s2)
+
+    exact = [tuple(Fraction(c) for c in m.matrix) for m in quartet.maps]
+    mat = (Fraction(1), Fraction(0), Fraction(0), Fraction(1))
+    for s in w:
+        mat = compose(mat, exact[s - 1])
+    weights = []
+    for child in exact:
+        p, q, r, s = compose(mat, child)
+        a, b = sorted((q / s, (p + q) / (r + s)))
+        weights.append(math.log1p(float((b - a) / (1 + a))))
+    ref = np.asarray(weights) / sum(weights)
+    cond = conditional_next(density_backend, word(w, 4))
+    assert np.max(np.abs(cond - ref)) < 1e-12
 
 
 def test_density_shift_invariance(density_backend):
@@ -218,7 +247,7 @@ def test_spectral_marginalization_consistency(spectral_quartet, density_backend)
 
 def test_spectral_conditional_below_depth(spectral_quartet):
     w = word((2, 3), 4)
-    cond = spectral_quartet.conditional_next(w)
+    cond = conditional_next(spectral_quartet, w)
     assert abs(cond.sum() - 1.0) < 1e-12
     assert np.all(cond > 0)
 
@@ -232,6 +261,21 @@ def test_spectral_extension_beyond_depth_bernoulli(cantor):
     assert abs(sb.cylinder_measure(w) - exact) < 1e-9
     with pytest.raises(ValueError):
         sb.level_table(7)
+
+
+def test_spectral_extension_matches_sliding_context_loop(quartet):
+    """Past the table the law is T_d[ctx.s] / T_{d-1}[ctx], ctx = last d-1 symbols."""
+    pot = ConformalPowerPotential(1.0)
+    sb = SpectralBackend(quartet, eigen_solve(quartet, pot, depth=3), pot)
+    deep, ctx_table = sb.level_table(3), sb.level_table(2)
+    w = (2, 4, 1, 3, 3, 2, 1, 4, 4)
+    mass = deep[word_index(word(w[:3], 4))]
+    for i in range(3, len(w)):
+        ctx = word_index(word(w[i - 2 : i], 4))
+        cond = deep[ctx * 4 : ctx * 4 + 4] / ctx_table[ctx]
+        assert np.max(np.abs(conditional_next(sb, word(w[:i], 4)) - cond)) < 1e-15
+        mass *= cond[w[i] - 1]
+    assert abs(sb.cylinder_measure(word(w, 4)) / mass - 1.0) < 1e-13
 
 
 # ---------------------------------------------------------------------------

@@ -432,6 +432,10 @@ class TestAnnulus:
         with pytest.raises(ValueError):
             annulus_measure(cantor_uniform, 0.5, 0.1, 0.0)
 
+    def test_unknown_method_rejected(self, cantor_uniform):
+        with pytest.raises(ValueError, match="method must be 'auto' or 'prune'"):
+            annulus_measure(cantor_uniform, 0.7, 0.4, 0.03, method="bogus")
+
 
 # ---------------------------------------------------------------------------
 # inverse radius
