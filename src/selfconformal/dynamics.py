@@ -308,7 +308,7 @@ def _pair_intersection(backend: MeasureBackend, I: FiniteWord, J: FiniteWord, n:
             gaps.reshape(m**free, free),
             np.broadcast_to(J.symbols, (m**free, len(J))),
         ])
-        return float(backend._masses(words).sum())
+        return float(backend.cylinder_masses(words).sum())
     table = backend.level_table(L)
     base = word_index(I) * m ** (L - len(I)) + word_index(J)
     idxs = base + np.arange(m**free, dtype=np.int64) * m ** len(J)

@@ -16,9 +16,10 @@ tau = 1 in one dimension the cell-length vector is an exact fixed point of the
 adjoint and the leading eigenvalue is 1 to machine precision.
 
 Each backend's next-symbol law is written once, as the vectorized chain that
-``backend.chain(n_rows)`` returns: ``cum_rows()`` gives each row's cumulative
-conditional distribution of the next symbol and ``advance(symbols)`` appends
-one symbol per row.  The samplers in :mod:`selfconformal.dynamics`,
+``backend.chain(n_rows)`` returns: ``rows()`` gives each row's next-symbol
+weights (proportional to the conditional law), ``cum_rows()`` their cumulative
+sums, which the samplers pick from, and ``advance(symbols)`` appends one
+symbol per row.  The samplers in :mod:`selfconformal.dynamics`,
 :func:`conditional_next` and the spectral cylinder masses past the table depth
 all read the law through it.
 
@@ -446,10 +447,13 @@ class SpectralBackend:
     def cylinder_measure(self, word: FiniteWord) -> float:
         if len(word) <= self.max_depth:
             return float(self.level_table(len(word))[word_index(word)])
-        return float(self._masses(np.array([word.symbols]))[0])
+        return float(self.cylinder_masses(np.array([word.symbols]))[0])
 
-    def _masses(self, words: np.ndarray) -> np.ndarray:
-        """Masses of equal-length words longer than the table, one word per row."""
+    def cylinder_masses(self, words: np.ndarray) -> np.ndarray:
+        """Masses of equal-length words longer than the table.
+
+        ``words`` holds one word per row, as symbols ``1..m``.
+        """
         n, k = words.shape
         depth, tail = self.max_depth, k - self.max_depth
         # past the table depth the law reads only the last depth - 1 symbols,
@@ -458,8 +462,9 @@ class SpectralBackend:
         chain = self.chain(n * tail)
         for j in range(depth):
             chain.advance(words[:, j : j + tail].ravel())
-        probs = np.diff(chain.cum_rows(), prepend=0.0, axis=1)
-        picked = probs[np.arange(n * tail), words[:, depth:].ravel() - 1].reshape(n, tail)
+        rows = chain.rows()
+        picked = rows[np.arange(n * tail), words[:, depth:].ravel() - 1] / rows.sum(axis=1)
+        picked = picked.reshape(n, tail)
         heads = (words[:, :depth] - 1) @ self.system.m ** np.arange(depth - 1, -1, -1)
         return self.level_table(depth)[heads] * picked.prod(axis=1)
 
@@ -494,8 +499,12 @@ class _BernoulliChain:
     """i.i.d. symbols: every row is the cumulative weight vector."""
 
     def __init__(self, backend: BernoulliBackend, n_rows: int):
-        cum = np.cumsum(backend.probs)
-        self._cum = np.broadcast_to(cum, (n_rows, len(cum)))
+        shape = (n_rows, len(backend.probs))
+        self._rows = np.broadcast_to(backend.probs, shape)
+        self._cum = np.broadcast_to(np.cumsum(backend.probs), shape)
+
+    def rows(self) -> np.ndarray:
+        return self._rows
 
     def cum_rows(self) -> np.ndarray:
         return self._cum
@@ -530,7 +539,7 @@ class _DensityChain:
         self.child_dets = np.array([abs(_moebius_det(m.matrix)) for m in maps])
         self.mats = np.repeat(np.array(_MOEBIUS_ID)[:, None], n_rows, axis=1)
 
-    def cum_rows(self) -> np.ndarray:
+    def rows(self) -> np.ndarray:
         a0, b0 = self.root
         # every row's running map composed with every branch: (m, rows) arrays
         kids = _moebius_compose(self.mats[:, None, :], self.child_mats[:, :, None])
@@ -550,7 +559,10 @@ class _DensityChain:
         rows = np.where(
             diffs.sum(axis=0, keepdims=True) < _DENSITY_LINEAR_CUTOVER, linear, diffs
         )
-        return _normalized_cumsum(rows.T)
+        return rows.T
+
+    def cum_rows(self) -> np.ndarray:
+        return _normalized_cumsum(self.rows())
 
     def advance(self, symbols: np.ndarray) -> None:
         self.mats = np.array(_moebius_compose(self.mats, self.child_mats[:, symbols - 1]))
@@ -573,15 +585,16 @@ class _SpectralChain:
         self.t = 0
         self.idx = np.zeros(n_rows, dtype=np.int64)
 
-    def cum_rows(self) -> np.ndarray:
+    def rows(self) -> np.ndarray:
         if self.t < self.depth:
             child = self.tables[self.t + 1]
             parent = self.tables[self.t]
             rows = child[self.idx[:, None] * self.m + np.arange(self.m)]
-            rows = rows / parent[self.idx][:, None]
-        else:
-            rows = self.cond[self.idx]
-        return _normalized_cumsum(rows)
+            return rows / parent[self.idx][:, None]
+        return self.cond[self.idx]
+
+    def cum_rows(self) -> np.ndarray:
+        return _normalized_cumsum(self.rows())
 
     def advance(self, symbols: np.ndarray) -> None:
         self.idx = self.idx * self.m + (symbols - 1)
@@ -615,7 +628,8 @@ def conditional_next(backend: MeasureBackend, word: FiniteWord) -> np.ndarray:
     chain = backend.chain(1)
     for s in word:
         chain.advance(np.array([s]))
-    return np.diff(chain.cum_rows()[0], prepend=0.0)
+    row = chain.rows()[0]
+    return row / row.sum()
 
 
 def verify_gibbs_property(backend: MeasureBackend, depth: int, tail_symbol: int = 1) -> dict:

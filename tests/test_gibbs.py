@@ -278,6 +278,24 @@ def test_spectral_extension_matches_sliding_context_loop(quartet):
     assert abs(sb.cylinder_measure(word(w, 4)) / mass - 1.0) < 1e-13
 
 
+def test_skewed_weights_keep_relative_precision(cantor):
+    """A tiny conditional keeps its relative precision, in the law and in deep masses."""
+    probs = (1 - 1e-9, 1e-9)
+    got = conditional_next(BernoulliBackend(cantor, probs), word((2, 1, 2), 2))
+    assert np.max(np.abs(got / np.array(probs) - 1.0)) < 1e-15
+    pot = BernoulliPotential(probs)
+    sb = SpectralBackend(cantor, eigen_solve(cantor, pot, depth=4), pot)
+    deep, ctx_table = sb.level_table(4), sb.level_table(3)
+    w = (1, 2, 1, 1, 2, 2, 1, 2, 1, 1, 1, 2, 1, 2)
+    mass = deep[word_index(word(w[:4], 2))]
+    for i in range(4, len(w)):
+        ctx = word_index(word(w[i - 3 : i], 2))
+        cond = deep[ctx * 2 : ctx * 2 + 2] / ctx_table[ctx]
+        assert np.max(np.abs(conditional_next(sb, word(w[:i], 2)) / cond - 1.0)) < 1e-15
+        mass *= cond[w[i] - 1]
+    assert abs(sb.cylinder_measure(word(w, 2)) / mass - 1.0) < 2e-15
+
+
 # ---------------------------------------------------------------------------
 # Gibbs property
 # ---------------------------------------------------------------------------
