@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from .gibbs import BernoulliBackend, MeasureBackend, SpectralBackend, word_index
+from .gibbs import BernoulliBackend, MeasureBackend, SpectralBackend, _over_alphabet, word_index
 from .ifs import IfsSystem, _moebius_apply, _point_value, _to_coords, _value_point
 from .symbolic import FiniteWord, PointRd, RandomTail, SymbolStream, as_point
 
@@ -278,8 +278,9 @@ def _as_union(spec: IndicatorSpec, m: int) -> List[FiniteWord]:
     if not words:
         raise ValueError("indicator needs at least one cylinder")
     for w in words:
-        if not isinstance(w, FiniteWord) or w.m != m:
-            raise ValueError("indicator members must be words over the system alphabet")
+        if not isinstance(w, FiniteWord):
+            raise ValueError("indicator members must be finite words")
+        _over_alphabet(w, m)
     for a, b in itertools.combinations(words, 2):
         k = min(len(a), len(b))
         if a.symbols[:k] == b.symbols[:k]:

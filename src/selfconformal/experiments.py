@@ -284,6 +284,27 @@ def _sub_chunks(ids: Sequence[int], size: int):
         yield ids[i : i + size]
 
 
+def _sub_chunk_size(spec: _RunSpec) -> int:
+    """Sample rows drawn and reduced together (a few million cells per array)."""
+    cells = 2.0e7 if spec.hit_mode == "symbolic" else 3.0e6
+    return max(1, int(cells // max(spec.N, 1)))
+
+
+def _worker_blocks(spec: _RunSpec, ids: Sequence[int], threads: int) -> List[list]:
+    """Split the ids into at most one block per worker: every block repeats
+    each sequential chain step.
+
+    A symbolic run reduces its ball sums with one matrix product per
+    sub-chunk, and the product's bits depend on its row count, so its blocks
+    are made of the serial run's whole sub-chunks.
+    """
+    size = math.ceil(len(ids) / max(threads, 1))
+    if spec.hit_mode == "symbolic":
+        sub = _sub_chunk_size(spec)
+        size = math.ceil(size / sub) * sub
+    return list(_sub_chunks(ids, size))
+
+
 def _counting_chunk(spec: _RunSpec, ids: Sequence[int]) -> List[CountingRecord]:
     """Compute records for the given sample ids (deterministic per id)."""
     out: List[CountingRecord] = []
@@ -301,12 +322,10 @@ def _counting_chunk(spec: _RunSpec, ids: Sequence[int]) -> List[CountingRecord]:
         ks = np.rint(-np.log(radii) / _LN3).astype(np.int64)
         kmax = int(ks.max())
         length = N + max(kmax, spec.depth)
-        sub_size = max(1, int(2.0e7 // max(N, 1)))
     else:
         ks = None
         length = N + spec.depth
-        sub_size = max(1, int(3.0e6 // max(N, 1)))
-    for sub in _sub_chunks(ids, sub_size):
+    for sub in _sub_chunks(ids, _sub_chunk_size(spec)):
         block = sample_symbol_block(spec.backend, spec.seed, sub, length)
         out.extend(_records_for_block(spec, sub, block, ns, radii, ks, cps, cp_idx))
     return out
@@ -624,10 +643,10 @@ def _run_counting(
     psi_sums = _shared_psi_sums(kind, backend, targets, psi, N, cps, ball_budget)
     spec = _RunSpec(system, backend, kind, psi, N, int(seed), cps, depth, prec,
                     mode, flag_divisor, targets, psi_sums, ball_budget)
-    if threads <= 1 or len(ids) <= 1:
+    blocks = _worker_blocks(spec, ids, threads)
+    if len(blocks) == 1:
         records = _counting_chunk(spec, ids)
     else:
-        blocks = list(_sub_chunks(ids, max(1, math.ceil(len(ids) / (threads * 4)))))
         with ProcessPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(_counting_chunk, itertools.repeat(spec), blocks))
         records = [r for part in parts for r in part]

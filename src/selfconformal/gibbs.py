@@ -13,7 +13,10 @@ tables, next-symbol laws):
 ``eigen_solve`` discretizes the operator L f = sum_j |phi_j'|^tau (f o phi_j)
 on depth-k cells with exact Lebesgue cell averages of the weight, so for
 tau = 1 in one dimension the cell-length vector is an exact fixed point of the
-adjoint and the leading eigenvalue is 1 to machine precision.
+adjoint and the leading eigenvalue is 1 to machine precision.  Cells are in
+lexicographic word order, so the m cells that share a parent word are one
+contiguous block and branch j maps them all into cell j.parent: the operator
+is a broadcast over (parent, last symbol) blocks, with no index gather.
 
 Each backend's next-symbol law is written once, as the vectorized chain that
 ``backend.chain(n_rows)`` returns: ``rows()`` gives each row's next-symbol
@@ -135,6 +138,18 @@ def word_index(word: FiniteWord) -> int:
     return idx
 
 
+def _over_alphabet(word, m: int) -> FiniteWord:
+    """``word`` as a word over the alphabet ``1..m``: a bare symbol tuple is
+    read over it, and a word over another alphabet is refused."""
+    if not isinstance(word, FiniteWord):
+        return FiniteWord(tuple(word), m)
+    if word.m != m:
+        raise ValueError(
+            f"word over the alphabet 1..{word.m}; the system alphabet is 1..{m}"
+        )
+    return word
+
+
 def _check_level_size(m: int, k: int):
     if m ** k > _LEVEL_TABLE_CAP:
         raise ValueError(f"level table of size {m}^{k} exceeds the cap")
@@ -169,7 +184,7 @@ class BernoulliBackend:
 
     def cylinder_measure(self, word: FiniteWord) -> float:
         out = 1.0
-        for s in word:
+        for s in _over_alphabet(word, self.system.m):
             out *= self.probs[s - 1]
         return float(out)
 
@@ -223,7 +238,7 @@ class DensityBackend:
         return (a, b) if a <= b else (b, a)
 
     def cylinder_measure(self, word: FiniteWord) -> float:
-        a, b = self.word_interval(word)
+        a, b = self.word_interval(_over_alphabet(word, self.system.m))
         return float(self.cdf(b) - self.cdf(a))
 
     def level_table(self, k: int) -> np.ndarray:
@@ -345,20 +360,34 @@ def eigen_solve(
     else:
         raise TypeError(f"unsupported potential {potential!r}")
 
+    # cell p * m + l (prefix p, last symbol l) maps under branch j into the
+    # cell j * n_prefix + p, so both operators work on (n_prefix, m) blocks
     n_prefix = n_cells // mm
-    prefix_idx = np.arange(n_cells) // mm
+    g3 = g_bar.reshape(mm, n_prefix, mm)
+    scratch = np.empty(n_cells)  # the operators' products, then the loop's differences
+    prod = scratch.reshape(n_prefix, mm)
 
     def forward(f):
-        out = np.zeros(n_cells)
+        f3 = f.reshape(mm, n_prefix, 1)
+        out = np.zeros((n_prefix, mm))
         for j in range(mm):
-            out += g_bar[j] * f[j * n_prefix + prefix_idx]
-        return out
+            out += np.multiply(g3[j], f3[j], out=prod)
+        return out.reshape(n_cells)
 
     def adjoint(w):
-        out = np.empty(n_cells)
+        w2 = w.reshape(n_prefix, mm)
+        out = np.empty((mm, n_prefix))
         for j in range(mm):
-            out[j * n_prefix : (j + 1) * n_prefix] = (g_bar[j] * w).reshape(n_prefix, mm).sum(axis=1)
-        return out
+            np.multiply(g3[j], w2, out=prod)
+            if mm < 8:
+                # numpy's row sum adds fewer than 8 terms left to right; the
+                # same column additions skip its slow short-axis reduction
+                np.add(prod[:, 0], prod[:, 1], out=out[j])
+                for c in range(2, mm):
+                    out[j] += prod[:, c]
+            else:  # 8 or more terms numpy adds pairwise
+                prod.sum(axis=1, out=out[j])
+        return out.reshape(n_cells)
 
     h = np.ones(n_cells)
     nu = lengths / lengths.sum()
@@ -368,12 +397,14 @@ def eigen_solve(
     for it in range(1, max_iter + 1):
         iterations = it
         h_new = forward(h)
-        lam_h = np.max(np.abs(h_new))
-        h_new = h_new / lam_h
+        h_new /= np.abs(h_new, out=scratch).max()
         nu_new = adjoint(nu)
         lam_nu = nu_new.sum()
-        nu_new = nu_new / lam_nu
-        delta = max(np.max(np.abs(h_new - h)), np.max(np.abs(nu_new - nu)))
+        nu_new /= lam_nu
+        delta = max(
+            np.abs(np.subtract(h_new, h, out=scratch), out=scratch).max(),
+            np.abs(np.subtract(nu_new, nu, out=scratch), out=scratch).max(),
+        )
         h, nu = h_new, nu_new
         lam = lam_nu
         if delta < tol:
@@ -434,17 +465,20 @@ class SpectralBackend:
         return self._tables[k]
 
     def _law_tables(self):
-        """Level tables 0..depth and the deepest next-symbol conditionals."""
+        """Level tables 0..depth, the deepest next-symbol conditionals and
+        their normalized cumulative rows."""
         if not hasattr(self, "_law"):
             tables = [self.level_table(k) for k in range(self.max_depth + 1)]
             deep = tables[-1].reshape(-1, self.system.m)
-            self._law = (tables, deep / deep.sum(axis=1, keepdims=True))
+            cond = deep / deep.sum(axis=1, keepdims=True)
+            self._law = (tables, cond, _normalized_cumsum(cond))
         return self._law
 
     def chain(self, n_rows: int) -> _SpectralChain:
         return _SpectralChain(self, n_rows)
 
     def cylinder_measure(self, word: FiniteWord) -> float:
+        word = _over_alphabet(word, self.system.m)
         if len(word) <= self.max_depth:
             return float(self.level_table(len(word))[word_index(word)])
         return float(self.cylinder_masses(np.array([word.symbols]))[0])
@@ -580,7 +614,7 @@ class _SpectralChain:
     def __init__(self, backend: SpectralBackend, n_rows: int):
         self.m = backend.system.m
         self.depth = backend.max_depth
-        self.tables, self.cond = backend._law_tables()
+        self.tables, self.cond, self.cum_cond = backend._law_tables()
         self.ctx_mod = self.m ** (self.depth - 1)
         self.t = 0
         self.idx = np.zeros(n_rows, dtype=np.int64)
@@ -594,7 +628,9 @@ class _SpectralChain:
         return self.cond[self.idx]
 
     def cum_rows(self) -> np.ndarray:
-        return _normalized_cumsum(self.rows())
+        if self.t < self.depth:
+            return _normalized_cumsum(self.rows())
+        return self.cum_cond[self.idx]  # the row-wise cumsum, gathered
 
     def advance(self, symbols: np.ndarray) -> None:
         self.idx = self.idx * self.m + (symbols - 1)
@@ -613,11 +649,10 @@ MeasureBackend = Union[BernoulliBackend, DensityBackend, SpectralBackend]
 def cylinder_measure(backend: MeasureBackend, word: FiniteWord) -> float:
     """Mass of the cylinder of a finite word under the backend's measure.
 
-    ``word`` may be a :class:`FiniteWord` or a bare symbol tuple.
+    ``word`` may be a :class:`FiniteWord` over the system's alphabet or a bare
+    symbol tuple.
     """
-    if not isinstance(word, FiniteWord):
-        word = FiniteWord(tuple(word), backend.system.m)
-    return backend.cylinder_measure(word)
+    return backend.cylinder_measure(_over_alphabet(word, backend.system.m))
 
 
 def conditional_next(backend: MeasureBackend, word: FiniteWord) -> np.ndarray:
@@ -626,7 +661,7 @@ def conditional_next(backend: MeasureBackend, word: FiniteWord) -> np.ndarray:
     Reads the backend's sampling chain after it has advanced through ``word``.
     """
     chain = backend.chain(1)
-    for s in word:
+    for s in _over_alphabet(word, backend.system.m):
         chain.advance(np.array([s]))
     row = chain.rows()[0]
     return row / row.sum()

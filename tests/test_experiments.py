@@ -50,6 +50,7 @@ from selfconformal.experiments import (
 from selfconformal.gibbs import (
     BernoulliBackend,
     BernoulliPotential,
+    ConformalPowerPotential,
     DensityBackend,
     SpectralBackend,
     cylinder_measure,
@@ -499,6 +500,40 @@ class TestRecurrencePure:
         t2 = recurrence_pure_run(cantor, uniform, ConstantRadius(5 / 9), 1500, 6, 7101,
                                  threads=2)
         assert t2 == a
+
+    @pytest.mark.parametrize("chain", ["density", "spectral"])
+    def test_sequential_chains_split_and_thread_identity(self, quartet, density, chain):
+        # the sequential chains step all rows of a block together, so a block's
+        # split must not change any row; 7 ids over 3 workers give uneven blocks
+        if chain == "density":
+            backend, budget = density, 45
+        else:
+            rep = eigen_solve(quartet, ConformalPowerPotential(1.0), 4)
+            backend, budget = SpectralBackend(quartet, rep, ConformalPowerPotential(1.0)), 4
+
+        def run(samples=7, **kw):
+            return recurrence_pure_run(quartet, backend, ConstantRadius(0.05), 400, samples,
+                                       7102, ball_budget=budget, **kw)
+
+        a = run()
+        assert run() == a
+        assert run(0, sample_ids=[0, 1, 2]) + run(0, sample_ids=[3, 4, 5, 6]) == a
+        for threads in (2, 3):
+            assert run(threads=threads) == a
+
+    def test_symbolic_worker_blocks_keep_serial_sub_chunks(self):
+        # symbolic ball sums are one matrix product per sub-chunk, whose bits
+        # depend on its row count (a full run that shows it needs ~0.5 GB)
+        spec = experiments._RunSpec(None, None, "pure", None, 2_000_000, 0, (1,), 1, 0.0,
+                                    "symbolic", 1000.0)
+        sub = experiments._sub_chunk_size(spec)
+        assert sub == 10
+        ids = list(range(25))
+        serial = list(experiments._sub_chunks(ids, sub))
+        for threads in (1, 2, 3, 4):
+            blocks = experiments._worker_blocks(spec, ids, threads)
+            assert len(blocks) <= threads
+            assert [s for b in blocks for s in experiments._sub_chunks(b, sub)] == serial
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from selfconformal.gibbs import (
+    DENSITY_CATALOG,
     BernoulliBackend,
     BernoulliPotential,
     ClosedFormDensityPotential,
@@ -22,8 +23,9 @@ from selfconformal.gibbs import (
     verify_gibbs_property,
     word_index,
     _avg_weight,
+    _cell_arrays,
 )
-from selfconformal.ifs import builtin_system
+from selfconformal.ifs import Affine1D, Box, IfsSystem, builtin_system
 from selfconformal.symbolic import word
 
 LOG2 = math.log(2.0)
@@ -228,6 +230,76 @@ def test_eigen_solve_pair_system_power_two():
     assert np.max(np.abs(rep.mu_table - exact)) < 1e-4
 
 
+def _gathered_power_iteration(system, potential, depth, tol=1e-13, max_iter=500):
+    """``eigen_solve``'s power iteration with the operators written plainly:
+    forward gathers each branch's parent cell, adjoint sums reshaped rows."""
+    mm, n = system.m, system.m ** depth
+    lo, hi, _ = _cell_arrays(system, depth)
+    if isinstance(potential, BernoulliPotential):
+        g = np.repeat(np.asarray(potential.probs)[:, None], n, axis=1)
+    else:
+        tau = (potential.tau if isinstance(potential, ConformalPowerPotential)
+               else DENSITY_CATALOG[potential.name]["tau"])
+        g = np.stack([_avg_weight(m, tau, lo, hi) for m in system.maps])
+    n_prefix, parent = n // mm, np.arange(n) // mm
+
+    def forward(f):
+        out = np.zeros(n)
+        for j in range(mm):
+            out += g[j] * f[j * n_prefix + parent]
+        return out
+
+    def adjoint(w):
+        return np.concatenate([(g[j] * w).reshape(n_prefix, mm).sum(axis=1) for j in range(mm)])
+
+    h, nu = np.ones(n), (hi - lo) / (hi - lo).sum()
+    for it in range(1, max_iter + 1):
+        h_new = forward(h)
+        h_new = h_new / np.max(np.abs(h_new))
+        nu_new = adjoint(nu)
+        nu_new = nu_new / nu_new.sum()
+        delta = max(np.max(np.abs(h_new - h)), np.max(np.abs(nu_new - nu)))
+        h, nu = h_new, nu_new
+        if delta < tol:
+            break
+    lam = float((forward(h) @ nu) / float(h @ nu))
+    nu = nu / nu.sum()
+    h = h / float(h @ nu)
+    mu = h * nu
+    return {
+        "eigenvalue": lam,
+        "h_values": h,
+        "nu_weights": nu,
+        "mu_table": mu / mu.sum(),
+        "residual": float(np.max(np.abs(forward(h) - lam * h))),
+        "adjoint_residual": float(np.max(np.abs(adjoint(nu) - lam * nu))),
+        "iterations": it,
+    }
+
+
+def _nine_map_system():
+    maps = [Affine1D(0.1, 0.11 * k) for k in range(9)]
+    unit = Box((0.0,), (1.0,))
+    return IfsSystem(maps=maps, dim=1, domain=unit, attractor_box=unit)
+
+
+@pytest.mark.parametrize("system, potential, depth", [
+    pytest.param("quartet", ConformalPowerPotential(1.0), 6, id="quartet-tau1"),
+    pytest.param("quartet", ConformalPowerPotential(0.7), 5, id="quartet-tau0.7"),
+    pytest.param("cantor", BernoulliPotential((0.3, 0.7)), 8, id="cantor-bernoulli"),
+    pytest.param("quartet", ClosedFormDensityPotential("reciprocal_log2"), 5,
+                 id="quartet-reciprocal_log2"),
+    # nine branches: numpy adds the adjoint's rows pairwise
+    pytest.param("nine", BernoulliPotential((0.1,) * 8 + (0.2,)), 3, id="nine-bernoulli"),
+])
+def test_eigen_solve_bit_identical_to_gathered_operators(quartet, cantor, system, potential, depth):
+    system = {"quartet": quartet, "cantor": cantor, "nine": _nine_map_system()}[system]
+    rep = eigen_solve(system, potential, depth)
+    ref = _gathered_power_iteration(system, potential, depth)
+    for name, value in ref.items():
+        assert np.array_equal(getattr(rep, name), value), name
+
+
 # ---------------------------------------------------------------------------
 # spectral backend
 # ---------------------------------------------------------------------------
@@ -294,6 +366,24 @@ def test_skewed_weights_keep_relative_precision(cantor):
         assert np.max(np.abs(conditional_next(sb, word(w[:i], 2)) / cond - 1.0)) < 1e-15
         mass *= cond[w[i] - 1]
     assert abs(sb.cylinder_measure(word(w, 2)) / mass - 1.0) < 2e-15
+
+
+@pytest.mark.parametrize("kind", ["bernoulli", "density", "spectral"])
+def test_words_over_another_alphabet_rejected(quartet, density_backend, spectral_quartet, kind):
+    backend = {
+        "bernoulli": BernoulliBackend(quartet, (0.1, 0.2, 0.3, 0.4)),
+        "density": density_backend,
+        "spectral": spectral_quartet,
+    }[kind]
+    short, deep = word((1, 2), 2), word((1, 2) * 6, 2)  # deep: past the spectral table
+    for call in (cylinder_measure, conditional_next):
+        with pytest.raises(ValueError, match="alphabet"):
+            call(backend, short)
+    for w in (short, deep):
+        with pytest.raises(ValueError, match="alphabet"):
+            backend.cylinder_measure(w)
+    # words over the system alphabet, and bare symbol tuples, still serve
+    assert cylinder_measure(backend, (1, 2)) == backend.cylinder_measure(word((1, 2), 4))
 
 
 # ---------------------------------------------------------------------------
