@@ -380,8 +380,9 @@ def eigen_solve(
         for j in range(mm):
             np.multiply(g3[j], w2, out=prod)
             if mm < 8:
-                # numpy's row sum adds fewer than 8 terms left to right; the
-                # same column additions skip its slow short-axis reduction
+                # numpy's row sum adds fewer than 8 terms left to right, so
+                # these column additions give its bits (pinned by a test in
+                # test_gibbs) at about half its cost for short rows
                 np.add(prod[:, 0], prod[:, 1], out=out[j])
                 for c in range(2, mm):
                     out[j] += prod[:, c]
@@ -465,13 +466,11 @@ class SpectralBackend:
         return self._tables[k]
 
     def _law_tables(self):
-        """Level tables 0..depth, the deepest next-symbol conditionals and
-        their normalized cumulative rows."""
+        """Level tables 0..depth and the deepest next-symbol conditionals."""
         if not hasattr(self, "_law"):
             tables = [self.level_table(k) for k in range(self.max_depth + 1)]
             deep = tables[-1].reshape(-1, self.system.m)
-            cond = deep / deep.sum(axis=1, keepdims=True)
-            self._law = (tables, cond, _normalized_cumsum(cond))
+            self._law = (tables, deep / deep.sum(axis=1, keepdims=True))
         return self._law
 
     def chain(self, n_rows: int) -> _SpectralChain:
@@ -614,7 +613,7 @@ class _SpectralChain:
     def __init__(self, backend: SpectralBackend, n_rows: int):
         self.m = backend.system.m
         self.depth = backend.max_depth
-        self.tables, self.cond, self.cum_cond = backend._law_tables()
+        self.tables, self.cond = backend._law_tables()
         self.ctx_mod = self.m ** (self.depth - 1)
         self.t = 0
         self.idx = np.zeros(n_rows, dtype=np.int64)
@@ -628,9 +627,7 @@ class _SpectralChain:
         return self.cond[self.idx]
 
     def cum_rows(self) -> np.ndarray:
-        if self.t < self.depth:
-            return _normalized_cumsum(self.rows())
-        return self.cum_cond[self.idx]  # the row-wise cumsum, gathered
+        return _normalized_cumsum(self.rows())
 
     def advance(self, symbols: np.ndarray) -> None:
         self.idx = self.idx * self.m + (symbols - 1)
@@ -652,7 +649,7 @@ def cylinder_measure(backend: MeasureBackend, word: FiniteWord) -> float:
     ``word`` may be a :class:`FiniteWord` over the system's alphabet or a bare
     symbol tuple.
     """
-    return backend.cylinder_measure(_over_alphabet(word, backend.system.m))
+    return backend.cylinder_measure(word)
 
 
 def conditional_next(backend: MeasureBackend, word: FiniteWord) -> np.ndarray:
