@@ -65,8 +65,6 @@ EXIT_CERTIFICATION = 3
 
 _EXPERIMENT_DEFAULTS = {
     "epsilon": 0.1,
-    "hit_test": "auto",
-    "flag_divisor": 1000.0,
     "flag_budget": 0.01,
     "depth_budgets": {"ball": 45},
 }
@@ -176,14 +174,6 @@ def resolve_config(config: dict, seed: Optional[int] = None,
     return out
 
 
-def _flagged_fraction(records) -> float:
-    if not records:
-        return 0.0
-    finals = [r.final for r in records]
-    hits = sum(c.count for c in finals)
-    return sum(c.flagged for c in finals) / max(hits, 1)
-
-
 def _execute_resolved(resolved: dict):
     """Run the experiment; return ``(records, summary_dict, epsilon)``."""
     exp = resolved["experiment"]
@@ -194,8 +184,8 @@ def _execute_resolved(resolved: dict):
                     "tail_points", "tail_split", "eigen_depth", "mixing_depth"):
             if key in overrides:
                 overrides[key] = int(overrides[key])
-        report = run_named_example(exp["name"], threads=threads,
-                                  seed=exp["seed"], **overrides)
+        report = run_named_example(exp["name"], overrides, seed=exp["seed"],
+                                   threads=threads)
         records = report.pop("records")
         report.pop("elapsed_seconds", None)
         report["summary"] = report.get("summary") or summarize_records(records)
@@ -213,11 +203,10 @@ def _execute_resolved(resolved: dict):
     if exp["kind"] == "shrinking_target":
         records = shrinking_target_run(
             system, backend, exp["targets"], psi, exp["N"], exp["samples"],
-            exp["seed"], flag_divisor=exp["flag_divisor"], **common)
+            exp["seed"], **common)
     elif exp["kind"] == "recurrence_pure":
         records = recurrence_pure_run(
-            system, backend, psi, exp["N"], exp["samples"], exp["seed"],
-            flag_divisor=exp["flag_divisor"], hit_test=exp["hit_test"], **common)
+            system, backend, psi, exp["N"], exp["samples"], exp["seed"], **common)
     else:
         records = recurrence_modified_run(
             system, backend, psi, exp["N"], exp["samples"], exp["seed"], **common)
@@ -268,7 +257,7 @@ def run(config_path: str, out_dir: str, seed: Optional[int] = None,
         out.mkdir(parents=True, exist_ok=True)
         return _emit_error(EXIT_CERTIFICATION, "certification", str(exc), out)
 
-    flagged = _flagged_fraction(records)
+    flagged = summary["summary"].get("flagged_fraction", 0.0)
     budget = resolved["experiment"].get(
         "flag_budget", _EXPERIMENT_DEFAULTS["flag_budget"])
     summary["flagged_fraction"] = flagged

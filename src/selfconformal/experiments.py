@@ -24,12 +24,13 @@ count, and reruns are byte-identical.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -253,29 +254,32 @@ def _interval_mass_bound(probs: Sequence[float], delta: float) -> float:
 # counting engine
 # ---------------------------------------------------------------------------
 
+# the distance test flags decisions within psi(n)/_FLAG_DIVISOR of the boundary
+_FLAG_DIVISOR = 1000.0
+
 
 @dataclass(frozen=True)
 class _RunSpec:
-    """Everything a worker needs to compute records for a block of samples."""
+    """A counting run's resolved plan: everything a worker needs to compute
+    records for a block of samples."""
 
-    system: IfsSystem
     backend: MeasureBackend
     kind: str  # "shrink" | "pure" | "modified"
-    psi: RadiusFunction
-    N: int
     seed: int
-    checkpoints: Tuple[int, ...]
-    depth: int
-    prec: float
+    radii: np.ndarray  # psi(1..N): step radii, or measure quotas
+    cp_idx: np.ndarray  # step index of each checkpoint (N - 1)
     hit_mode: str  # "distance" | "symbolic" | "mass"
-    flag_divisor: float
-    targets: Optional[np.ndarray] = None  # shrink only: (d,) or (N, d)
-    psi_sums: Optional[np.ndarray] = None  # per-checkpoint deterministic normalizer
-    ball_budget: int = 45
+    depth: int  # projection depth of the orbit windows
+    prec: float  # certified position precision at that depth
+    length: int  # symbols drawn per sample
+    psi_sums: np.ndarray  # per-checkpoint deterministic normalizer
+    ball_budget: int
+    ks: Optional[np.ndarray] = None  # symbolic only: psi(n) = 3^-ks[n-1]
+    targets: Optional[np.ndarray] = None  # shrink only: (N,) or (N, d)
 
-
-def _checkpoint_index(cps: Sequence[int]) -> np.ndarray:
-    return np.asarray(cps, dtype=np.int64) - 1
+    @property
+    def N(self) -> int:
+        return self.radii.size
 
 
 def _sub_chunks(ids: Sequence[int], size: int):
@@ -287,7 +291,7 @@ def _sub_chunks(ids: Sequence[int], size: int):
 def _sub_chunk_size(spec: _RunSpec) -> int:
     """Sample rows drawn and reduced together (a few million cells per array)."""
     cells = 2.0e7 if spec.hit_mode == "symbolic" else 3.0e6
-    return max(1, int(cells // max(spec.N, 1)))
+    return max(1, int(cells // spec.N))
 
 
 def _worker_blocks(spec: _RunSpec, ids: Sequence[int], threads: int) -> List[list]:
@@ -308,37 +312,20 @@ def _worker_blocks(spec: _RunSpec, ids: Sequence[int], threads: int) -> List[lis
 def _counting_chunk(spec: _RunSpec, ids: Sequence[int]) -> List[CountingRecord]:
     """Compute records for the given sample ids (deterministic per id)."""
     out: List[CountingRecord] = []
-    N = spec.N
-    if N == 0 or not ids:
-        for sid in ids:
-            out.append(CountingRecord(sid, (Checkpoint(0, 0, 0.0, None, 0),), as_point(
-                spec.system.base_point(), spec.system.dim)))
-        return out
-    ns = np.arange(1, N + 1)
-    radii = spec.psi.values(ns)
-    cps = np.asarray(spec.checkpoints, dtype=np.int64)
-    cp_idx = _checkpoint_index(cps)
-    if spec.hit_mode == "symbolic":
-        ks = np.rint(-np.log(radii) / _LN3).astype(np.int64)
-        kmax = int(ks.max())
-        length = N + max(kmax, spec.depth)
-    else:
-        ks = None
-        length = N + spec.depth
     for sub in _sub_chunks(ids, _sub_chunk_size(spec)):
-        block = sample_symbol_block(spec.backend, spec.seed, sub, length)
-        out.extend(_records_for_block(spec, sub, block, ns, radii, ks, cps, cp_idx))
+        block = sample_symbol_block(spec.backend, spec.seed, sub, spec.length)
+        out.extend(_records_for_block(spec, sub, block))
     return out
 
 
-def _records_for_block(spec, sub, block, ns, radii, ks, cps, cp_idx):
-    N = spec.N
+def _records_for_block(spec: _RunSpec, sub, block) -> List[CountingRecord]:
+    system, radii, cp_idx = spec.backend.system, spec.radii, spec.cp_idx
     if spec.hit_mode == "symbolic":
-        x0s = project_windows(block[:, : spec.depth], spec.system, spec.depth)[:, 0]
-        hit, flag = _symbolic_self_hits(block, ks, N)
-        ball_cum = _symbolic_ball_sums(spec.backend, block, ks, cp_idx)
+        x0s = project_windows(block[:, : spec.depth], system, spec.depth)[:, 0]
+        hit, flag = _symbolic_self_hits(block, spec.ks, spec.N)
+        ball_cum = _symbolic_ball_sums(spec.backend, block, spec.ks, cp_idx)
     else:
-        pos = project_windows(block, spec.system, spec.depth)
+        pos = project_windows(block, system, spec.depth)
         x0s = pos[:, 0]
         if spec.kind == "shrink":
             center = spec.targets  # per-step centers in window coordinates
@@ -346,28 +333,28 @@ def _records_for_block(spec, sub, block, ns, radii, ks, cps, cp_idx):
             center = x0s[:, None] if pos.ndim == 2 else x0s[:, None, :]
         dist = _point_distances(pos[:, 1:], center)
         if spec.hit_mode == "distance":
-            band = np.maximum(radii / spec.flag_divisor, 2.0 * spec.prec)
+            band = np.maximum(radii / _FLAG_DIVISOR, 2.0 * spec.prec)
             hit = dist <= radii
             flag = np.abs(dist - radii) <= band
         else:  # mass comparison against the per-step measure quota
             hit, flag = _mass_quota_hits(spec, x0s, dist, radii)
         ball_cum = None
         if spec.kind == "pure":
-            ball_cum = _own_ball_sums(spec, x0s, radii, cp_idx)
+            ball_cum = _own_ball_sums(spec, x0s)
     counts = np.cumsum(hit, axis=1, dtype=np.int64)[:, cp_idx]
     flags = np.cumsum(flag, axis=1, dtype=np.int64)[:, cp_idx]
     recs = []
     for i, sid in enumerate(sub):
         x0 = as_point(
             float(x0s[i]) if np.ndim(x0s[i]) == 0 else tuple(np.atleast_1d(x0s[i])),
-            spec.system.dim,
+            system.dim,
         )
         rows = []
-        for c, cpn in enumerate(cps):
+        for c, last in enumerate(cp_idx):
             ball = None if ball_cum is None else float(ball_cum[i, c])
             rows.append(
                 Checkpoint(
-                    int(cpn),
+                    int(last) + 1,
                     int(counts[i, c]),
                     float(spec.psi_sums[c]),
                     ball,
@@ -422,10 +409,11 @@ def _symbolic_ball_sums(backend, block, ks, cp_idx):
     return prefix @ counts.T  # (samples, checkpoints)
 
 
-def _own_ball_sums(spec, x0s, radii, cp_idx):
+def _own_ball_sums(spec, x0s):
     """Cumulative own-ball measures sum_{n<=N} mu(B(x0, psi(n))) at checkpoints
     (bracket midpoints), one oracle call per sample over the distinct radii."""
-    uniq, inverse = np.unique(radii, return_inverse=True)
+    uniq, inverse = np.unique(spec.radii, return_inverse=True)
+    cp_idx = spec.cp_idx
     out = np.empty((x0s.shape[0], cp_idx.size))
     for i, x0 in enumerate(x0s):
         lo, hi = _radial_mass(spec.backend, x0, uniq, spec.ball_budget)
@@ -479,17 +467,12 @@ def _mass_quota_hits(spec, x0s, dist, radii):
     return hit.reshape(S, N), flag.reshape(S, N)
 
 
-def _shared_psi_sums(kind, backend, targets, psi, N, cps, ball_budget):
+def _shared_psi_sums(kind, backend, targets, radii, cp_idx, ball_budget):
     """Deterministic per-checkpoint normalizer shared by all samples."""
-    if N == 0:
-        return np.zeros(len(cps))
-    ns = np.arange(1, N + 1)
-    radii = psi.values(ns)
-    cp_idx = _checkpoint_index(cps)
-    if kind in ("pure", "modified"):
+    if kind != "shrink":
         return np.cumsum(radii)[cp_idx]
     # shrinking targets: sum of target-ball measures over the distinct balls
-    balls, inverse = np.unique(np.column_stack([targets.reshape(N, -1), radii]),
+    balls, inverse = np.unique(np.column_stack([targets.reshape(radii.size, -1), radii]),
                                axis=0, return_inverse=True)
     centers = balls[:, :-1].reshape((-1,) + targets.shape[1:])
     lo, hi = _radial_mass(backend, centers, balls[:, -1], ball_budget)
@@ -511,7 +494,6 @@ def _resolve_checkpoints(N, checkpoints):
     return tuple(cps)
 
 
-_FLOAT_RESOLVABLE = 1e-13
 _PRUNER_BALL_CAP = 20_000  # own-ball evaluations per run without a closed form
 
 
@@ -547,14 +529,18 @@ def _check_oracle_serves(kind, backend, radii, n_samples, ball_budget):
             )
 
 
-def _symbolic_eligible(kind, system, backend, radii) -> bool:
-    """True when the exact Cantor prefix-agreement hit test applies."""
+def _cantor_levels(kind, system, backend, radii) -> Optional[np.ndarray]:
+    """The levels ``k >= 0`` with ``psi(n) = 3^-k`` when the exact Cantor
+    prefix-agreement hit test applies: a pure run of a Bernoulli measure on
+    the ternary Cantor set whose radii are all such powers. Otherwise None."""
     if kind != "pure":
-        return False
+        return None
     if not (isinstance(backend, BernoulliBackend) and _is_middle_third_cantor(system)):
-        return False
+        return None
     ks = np.rint(-np.log(radii) / _LN3)
-    return bool(np.all(3.0 ** (-ks) == radii))
+    if not np.all((ks >= 0) & (3.0 ** (-ks) == radii)):
+        return None
+    return ks.astype(np.int64)
 
 
 def _canonical_targets(targets, N, dim):
@@ -587,8 +573,6 @@ def _run_counting(
     seed,
     targets=None,
     checkpoints=None,
-    flag_divisor=1000.0,
-    hit_test="auto",
     ball_budget=45,
     threads=1,
     sample_ids=None,
@@ -598,51 +582,41 @@ def _run_counting(
     if N < 0 or samples < 0:
         raise ValueError("N and samples must be >= 0")
     N = int(N)
-    cps = _resolve_checkpoints(N, checkpoints) if N > 0 else (0,)
     ids = list(range(samples)) if sample_ids is None else list(sample_ids)
-    if N == 0 or not ids:
-        spec = _RunSpec(system, backend, kind, psi, N, int(seed), cps, 1, 0.0,
-                        "distance", flag_divisor, None, np.zeros(len(cps)), ball_budget)
-        return _counting_chunk(spec, ids)
-    ns = np.arange(1, N + 1)
-    radii = psi.values(ns)
+    if N == 0:
+        x0 = as_point(system.base_point(), system.dim)
+        return [CountingRecord(sid, (Checkpoint(0, 0, 0.0),), x0) for sid in ids]
+    cps = _resolve_checkpoints(N, checkpoints)
+    if not ids:
+        return []
+    radii = psi.values(np.arange(1, N + 1))
     if np.any(radii <= 0.0):
         raise ValueError("radius function must be strictly positive")
-    min_radius = float(radii.min())
-    scale = max(system.attractor_diameter[1], 1.0)
-    resolvable = min_radius / flag_divisor > _FLOAT_RESOLVABLE * scale
-    mode = hit_test
+    # the plan: the hit test follows from the run's kind, measure and radii
+    ks = _cantor_levels(kind, system, backend, radii)
     if kind == "modified":
         mode = "mass"
-    elif mode == "auto":
-        mode = "distance" if resolvable else (
-            "symbolic" if _symbolic_eligible(kind, system, backend, radii) else "distance"
-        )
-    if mode == "symbolic":
-        if not _symbolic_eligible(kind, system, backend, radii):
-            raise ValueError(
-                "symbolic hit testing needs a pure recurrence run on the ternary "
-                "Cantor set with radii that are exact powers of 1/3"
-            )
-        depth = system.depth_for_diameter(1e-12)
-        prec = _diameter_bound(system, depth)
-    elif mode == "mass":
-        depth = system.depth_for_diameter(1e-12)
-        prec = _diameter_bound(system, depth)
     else:
+        mode = "distance" if ks is None else "symbolic"
+    if mode == "distance":
         # clamp the working precision to what float coordinates can certify;
         # per-step flag bands are floored at that precision downstream
-        band = min(max(min_radius / flag_divisor, 1e-12 * scale), scale)
-        depth = system.depth_for_diameter(band)
-        prec = _diameter_bound(system, depth)
+        scale = max(system.attractor_diameter[1], 1.0)
+        band = min(max(float(radii.min()) / _FLAG_DIVISOR, 1e-12 * scale), scale)
+    else:
+        band = 1e-12
+    depth = system.depth_for_diameter(band)
+    prec = _diameter_bound(system, depth)
+    length = N + (depth if ks is None else max(int(ks.max()), depth))
     _check_oracle_serves(kind, backend, radii, len(ids), ball_budget)
     if kind == "shrink":
         if targets is None:
             raise ValueError("shrinking-target runs need targets")
         targets = _canonical_targets(targets, N, system.dim)
-    psi_sums = _shared_psi_sums(kind, backend, targets, psi, N, cps, ball_budget)
-    spec = _RunSpec(system, backend, kind, psi, N, int(seed), cps, depth, prec,
-                    mode, flag_divisor, targets, psi_sums, ball_budget)
+    cp_idx = np.asarray(cps, dtype=np.int64) - 1
+    psi_sums = _shared_psi_sums(kind, backend, targets, radii, cp_idx, ball_budget)
+    spec = _RunSpec(backend, kind, int(seed), radii, cp_idx, mode, depth, prec, length,
+                    psi_sums, ball_budget, ks, targets)
     blocks = _worker_blocks(spec, ids, threads)
     if len(blocks) == 1:
         records = _counting_chunk(spec, ids)
@@ -664,7 +638,6 @@ def shrinking_target_run(
     seed: int,
     *,
     checkpoints: Optional[Sequence[int]] = None,
-    flag_divisor: float = 1000.0,
     ball_budget: int = 45,
     threads: int = 1,
     sample_ids: Optional[Sequence[int]] = None,
@@ -676,16 +649,18 @@ def shrinking_target_run(
     target-ball measures (bracket midpoints of the radial-mass oracle, one
     oracle call over the distinct balls; without a closed-form CDF each is a
     pruner bracket to depth ``ball_budget``, which a spectral backend must
-    cover, else ``ValueError`` before sampling); hits within the boundary
-    uncertainty band ``psi(n)/flag_divisor`` are decided by the midpoint rule
-    and counted in ``flagged``. ``sample_ids`` replaces the default id range
-    ``0..samples-1`` (each id's symbol stream is fixed by ``seed`` alone, so
-    id blocks computed separately concatenate to the full run).
+    cover, else ``ValueError`` before sampling). Hits are decided on
+    distances; a decision within the flag band ``max(psi(n)/1000, 2 prec)``
+    of the boundary (``prec`` is the certified precision of the projected
+    orbit) is taken by the midpoint rule and counted in ``flagged``.
+    ``sample_ids`` replaces the default id range ``0..samples-1`` (each id's
+    symbol stream is fixed by ``seed`` alone, so id blocks computed
+    separately concatenate to the full run).
     """
     return _run_counting(system, backend, "shrink", psi, N, samples, seed,
                          targets=targets, checkpoints=checkpoints,
-                         flag_divisor=flag_divisor, ball_budget=ball_budget,
-                         threads=threads, sample_ids=sample_ids)
+                         ball_budget=ball_budget, threads=threads,
+                         sample_ids=sample_ids)
 
 
 def recurrence_pure_run(
@@ -697,8 +672,6 @@ def recurrence_pure_run(
     seed: int,
     *,
     checkpoints: Optional[Sequence[int]] = None,
-    flag_divisor: float = 1000.0,
-    hit_test: str = "auto",
     ball_budget: int = 45,
     threads: int = 1,
     sample_ids: Optional[Sequence[int]] = None,
@@ -706,19 +679,22 @@ def recurrence_pure_run(
     """Count self-returns ``T^n x`` into ``B(x, psi(n))`` around the start point.
 
     ``ball_sum`` accumulates the sample's own-ball measures
-    ``mu(B(x, psi(n)))`` (bracket midpoints of the radial-mass oracle);
-    ``psi_sum`` accumulates the raw radii. Without a closed-form CDF the
-    oracle is the cylinder pruner at depth ``ball_budget``: before any
-    sampling, the run raises ``ValueError`` when a spectral table is shallower
-    than that, and ``CertificationError`` when samples x distinct radii
-    exceeds 20 000. When the radii fall below coordinate resolution
-    (deep Cantor-scale ladders), the hit test switches to the exact symbolic
-    criterion on the ternary Cantor set (``hit_test="auto"``). ``sample_ids``
-    replaces the default id range.
+    ``mu(B(x, psi(n)))``; ``psi_sum`` accumulates the raw radii. The hit test
+    follows from the inputs. A Bernoulli measure on the ternary Cantor set
+    with every radius a power ``3^-k`` (``k >= 0``) takes the exact symbolic
+    test: a hit is agreement of the first ``k`` symbols, nothing is flagged,
+    and the ball sums are exact cylinder-mass products. Every other run
+    compares distances, takes decisions within the flag band
+    ``max(psi(n)/1000, 2 prec)`` by the midpoint rule and counts them in
+    ``flagged``; its ball sums are bracket midpoints of the radial-mass
+    oracle. Without a closed-form CDF that oracle is the cylinder pruner at
+    depth ``ball_budget``: before any sampling, the run raises ``ValueError``
+    when a spectral table is shallower than that, and ``CertificationError``
+    when samples x distinct radii exceeds 20 000. ``sample_ids`` replaces the
+    default id range.
     """
     return _run_counting(system, backend, "pure", psi, N, samples, seed,
-                         checkpoints=checkpoints, flag_divisor=flag_divisor,
-                         hit_test=hit_test, ball_budget=ball_budget,
+                         checkpoints=checkpoints, ball_budget=ball_budget,
                          threads=threads, sample_ids=sample_ids)
 
 
@@ -1149,28 +1125,38 @@ NAMED_EXAMPLES = {
 _NAMED_SEEDS = {"7.1": 7101, "7.2": 7201, "ABB": 311, "B.2": 82}
 
 
-def run_named_example(name: str, *, threads: int = 1, **overrides) -> dict:
+def run_named_example(name: str, overrides: Optional[Mapping[str, float]] = None, *,
+                      seed: Optional[int] = None, threads: int = 1) -> dict:
     """Run one of the canned analyses and return its JSON-ready report.
 
     The report's ``"records"`` key (when the analysis runs sample orbits)
     holds :class:`CountingRecord` objects for CSV emission; everything else
-    is JSON-serializable. Overrides (``N``, ``samples``, ``seed``,
-    ``quadrature_samples``, ``tail_points``, ``mc_samples``) shrink or reseed
-    the canonical configuration.
+    is JSON-serializable. ``overrides`` maps the example's own knobs (``N``,
+    ``samples``, ``quadrature_samples``, ``tail_points``, ``mc_samples``,
+    ...) to values that shrink the canonical configuration; a key the
+    example does not take raises ``ValueError`` naming the ones it does.
+    ``seed`` reseeds the sample orbits (B.2 draws none) and ``threads`` sizes
+    the worker pool.
     """
-    if name == "7.1":
-        return _example_constant_radius(threads, **overrides)
-    if name == "7.2":
-        return _example_interval_quartet(threads, **overrides)
-    if name == "ABB":
-        return _example_staircase(threads, **overrides)
-    if name == "B.2":
-        return _example_gasket_probe(**overrides)
-    raise ValueError(f"unknown example {name!r}; known: {sorted(NAMED_EXAMPLES)}")
+    if name not in NAMED_EXAMPLES:
+        raise ValueError(f"unknown example {name!r}; known: {sorted(NAMED_EXAMPLES)}")
+    example = _EXAMPLE_RUNNERS[name]
+    knobs = list(inspect.signature(example).parameters)[2:]
+    overrides = dict(overrides or {})
+    unknown = sorted(set(overrides) - set(knobs))
+    if unknown:
+        routes = {"seed": "experiment.seed (the seed argument)",
+                  "threads": "--threads (the threads argument)"}
+        notes = "".join(f"; set {k} through {routes[k]}" for k in unknown if k in routes)
+        raise ValueError(
+            f"example {name} takes no override {', '.join(unknown)} "
+            f"(accepted: {', '.join(knobs) or 'none'}){notes}"
+        )
+    seed = _NAMED_SEEDS[name] if seed is None else int(seed)
+    return example(threads, seed, **overrides)
 
 
-def _example_constant_radius(threads, N=100_000, samples=200, seed=None,
-                             mc_samples=20_000, **_ignored):
+def _example_constant_radius(threads, seed, N=100_000, samples=200, mc_samples=20_000):
     """Constant-radius recurrence on the uniform ternary Cantor set.
 
     The radius 5/9 makes the own-ball measure piecewise constant in the start
@@ -1181,7 +1167,6 @@ def _example_constant_radius(threads, N=100_000, samples=200, seed=None,
     import time
 
     t0 = time.perf_counter()
-    seed = _NAMED_SEEDS["7.1"] if seed is None else int(seed)
     system = builtin_system("middle_third_cantor")
     backend = BernoulliBackend(system, (0.5, 0.5))
     psi = ConstantRadius(5.0 / 9.0)
@@ -1233,8 +1218,8 @@ def _example_constant_radius(threads, N=100_000, samples=200, seed=None,
     }
 
 
-def _example_interval_quartet(threads, N=100_000, samples=100, seed=None,
-                              eigen_depth=10, mixing_depth=8, **_ignored):
+def _example_interval_quartet(threads, seed, N=100_000, samples=100, eigen_depth=10,
+                              mixing_depth=8):
     """Four-branch interval system: spectral cross-check plus recurrence limits.
 
     The invariant density is 1/(ln 2 (1 + x)); with radii n^(-1/2) the
@@ -1244,7 +1229,6 @@ def _example_interval_quartet(threads, N=100_000, samples=100, seed=None,
     import time
 
     t0 = time.perf_counter()
-    seed = _NAMED_SEEDS["7.2"] if seed is None else int(seed)
     system = builtin_system("moebius_interval_quartet")
     report = eigen_solve(system, ConformalPowerPotential(1.0), eigen_depth)
     anchors = report.cell_anchor
@@ -1325,9 +1309,8 @@ def _staircase_alpha_window(probs: Sequence[float]) -> Tuple[float, float]:
     return 1.0 / entropy, 1.0 / collision
 
 
-def _example_staircase(threads, N=1_000_000, samples=200, seed=None,
-                       quadrature_samples=4096, tail_points=20,
-                       tail_split=100_000, **_ignored):
+def _example_staircase(threads, seed, N=1_000_000, samples=200, quadrature_samples=4096,
+                       tail_points=20, tail_split=100_000):
     """Weighted Cantor with staircase radii at the midpoint exponent.
 
     Own-ball measures at radius 3^-k equal the depth-k cylinder mass of the
@@ -1340,7 +1323,6 @@ def _example_staircase(threads, N=1_000_000, samples=200, seed=None,
     import time
 
     t0 = time.perf_counter()
-    seed = _NAMED_SEEDS["ABB"] if seed is None else int(seed)
     probs = (0.2, 0.8)
     system = builtin_system("middle_third_cantor")
     backend = BernoulliBackend(system, probs)
@@ -1348,7 +1330,7 @@ def _example_staircase(threads, N=1_000_000, samples=200, seed=None,
     alpha = 0.5 * (lo + hi)
     psi = PowerLogRadius(alpha)
     records = recurrence_pure_run(system, backend, psi, N, samples, seed,
-                                  hit_test="symbolic", threads=threads)
+                                  threads=threads)
     finals = np.array([r.final.count for r in records])
     cps = [cp.N for cp in records[0].checkpoints]
     # quadrature over an independent sample set: mean own-ball sums
@@ -1405,21 +1387,23 @@ def _example_staircase(threads, N=1_000_000, samples=200, seed=None,
     }
 
 
-def _example_gasket_probe(ns: Sequence[int] = tuple(range(2, 9)),
-                          hyper_ks: Sequence[int] = tuple(range(3, 11)),
-                          **_ignored) -> dict:
-    """Weighted gasket doubling blow-up and line-supported non-decay probe."""
+def _example_gasket_probe(threads, seed) -> dict:
+    """Weighted gasket doubling blow-up and line-supported non-decay probe.
+
+    Every quantity is a certified bracket, so the example draws no samples
+    and runs serially: ``threads`` and ``seed`` are unused.
+    """
     import time
 
     t0 = time.perf_counter()
     probs = (0.1, 0.8, 0.1)
-    rows = [gasket_tangency_doubling_bracket(probs, n) for n in ns]
+    rows = [gasket_tangency_doubling_bracket(probs, n) for n in range(2, 9)]
     mids = [r["ratio_mid"] for r in rows]
     line_system = builtin_system("two_line_cantor")
     line_backend = BernoulliBackend(line_system, (0.5, 0.5))
     center = line_system.base_point()
     hyper = []
-    for k in hyper_ks:
+    for k in range(3, 11):
         probe = hyperplane_decay_probe(line_backend, center, 0.4, 3.0 ** -k,
                                        (1.0, 0.0), 0.0)
         hyper.append({"rho": 3.0 ** -k, "ratio_lower": probe["ratio_low"],
@@ -1442,3 +1426,11 @@ def _example_gasket_probe(ns: Sequence[int] = tuple(range(2, 9)),
         "elapsed_seconds": time.perf_counter() - t0,
         "records": [],
     }
+
+
+_EXAMPLE_RUNNERS = {
+    "7.1": _example_constant_radius,
+    "7.2": _example_interval_quartet,
+    "ABB": _example_staircase,
+    "B.2": _example_gasket_probe,
+}

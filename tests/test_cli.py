@@ -94,6 +94,9 @@ class TestSchema:
         cfg["system"] = {"builtin": "not_a_system"}
         with pytest.raises(ValueError):
             validate_config(cfg)
+        for key, value in (("hit_test", "symbolic"), ("flag_divisor", 1000.0)):
+            with pytest.raises(ValueError, match=key):
+                validate_config(small_config(**{key: value}))
 
 
 class TestListExamples:
@@ -292,6 +295,23 @@ class TestShippedExamples:
         assert summary["final_ratio_lower"] > 100.0
         lines = (tmp_path / "out" / "results.csv").read_text().splitlines()
         assert len(lines) == 1  # no sampled orbits in this analysis
+
+    @pytest.mark.parametrize("name, overrides, hint", [
+        ("B.2", {"seed": 3}, "experiment.seed"),
+        ("B.2", {"threads": 2}, "--threads"),
+        ("7.1", {"n": 4000}, "accepted: N, samples, mc_samples"),
+    ])
+    def test_override_the_example_does_not_take_exit_2_no_artifacts(
+            self, tmp_path, capsys, name, overrides, hint):
+        cfg = {"experiment": {"kind": "named_example", "name": name, "seed": 1,
+                              "overrides": overrides}}
+        validate_config(cfg)
+        out = tmp_path / "out"
+        assert run(write_config(tmp_path, cfg), str(out)) == EXIT_CONFIG
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["kind"] == "config"
+        assert hint in err["message"] and next(iter(overrides)) in err["message"]
 
     def test_named_example_with_overrides_reports_region_means(self, tmp_path):
         cfg = {"experiment": {"kind": "named_example", "name": "7.1", "seed": 7101,

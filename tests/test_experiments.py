@@ -442,19 +442,30 @@ class TestRecurrencePure:
             assert r.final.ball_sum == pytest.approx(direct, abs=1e-9)
 
     def test_symbolic_and_distance_modes_agree(self, cantor, weighted):
+        # radii 3^-floor(ln n) are powers of 1/3, so the run takes the exact
+        # prefix test; a distance recount from the same symbols must agree
+        # wherever the distance is clear of the flag band psi(n)/1000
         N, S = 3000, 8
-        psi = PowerLogRadius(1.0)  # radii down to 3^-8: resolvable either way
-        a = recurrence_pure_run(cantor, weighted, psi, N, S, 88, hit_test="distance")
-        b = recurrence_pure_run(cantor, weighted, psi, N, S, 88, hit_test="symbolic")
-        for ra, rb in zip(a, b):
-            assert [cp.count for cp in ra.checkpoints] == [cp.count for cp in rb.checkpoints]
-            assert rb.final.flagged == 0
+        psi = PowerLogRadius(1.0)
+        recs = recurrence_pure_run(cantor, weighted, psi, N, S, 88,
+                                   checkpoints=list(range(1, N + 1)))
+        hits = per_step_hits(recs)
+        radii = psi.values(np.arange(1, N + 1))
+        depth = 40
+        block = sample_symbol_block(weighted, 88, range(S), N + depth)
+        windows = np.lib.stride_tricks.sliding_window_view(block, depth, axis=1)
+        pos = cantor_digits_position(windows[:, : N + 1])
+        dist = np.abs(pos[:, 1:] - pos[:, [0]])
+        clear = np.abs(dist - radii) > radii / 1000.0
+        assert clear.mean() > 0.99
+        np.testing.assert_array_equal(hits[clear], (dist <= radii)[clear])
+        assert all(cp.flagged == 0 for r in recs for cp in r.checkpoints)
 
     def test_symbolic_hits_match_prefix_recomputation(self, cantor, weighted):
         N, S = 2000, 12
         alpha = 0.5 * sum(_staircase_alpha_window((0.3, 0.7)))
         psi = PowerLogRadius(alpha)
-        recs = recurrence_pure_run(cantor, weighted, psi, N, S, 54, hit_test="symbolic",
+        recs = recurrence_pure_run(cantor, weighted, psi, N, S, 54,
                                    checkpoints=list(range(1, N + 1)))
         hits = per_step_hits(recs)
         ks = np.floor(alpha * np.log(np.arange(1, N + 1))).astype(int)
@@ -472,21 +483,13 @@ class TestRecurrencePure:
                 ball += prod
             assert recs[i].final.ball_sum == pytest.approx(ball, rel=1e-12)
 
-    def test_auto_mode_selects_symbolic_for_deep_radii(self, cantor, weighted):
+    def test_deep_radii_decided_without_flags(self, cantor, weighted):
+        # staircase radii reach 3^-15, far below coordinate resolution
         alpha = 0.5 * sum(_staircase_alpha_window((0.3, 0.7)))
-        auto = recurrence_pure_run(cantor, weighted, PowerLogRadius(alpha), 50_000, 3, 66)
-        forced = recurrence_pure_run(cantor, weighted, PowerLogRadius(alpha), 50_000, 3, 66,
-                                     hit_test="symbolic")
-        assert [r.final.count for r in auto] == [r.final.count for r in forced]
-        assert all(r.final.flagged == 0 for r in auto)
-
-    def test_symbolic_mode_requires_ternary_structure(self, quartet, density, cantor, weighted):
-        with pytest.raises(ValueError):
-            recurrence_pure_run(quartet, density, PowerLogRadius(1.0), 100, 1, 1,
-                                hit_test="symbolic")
-        with pytest.raises(ValueError):
-            recurrence_pure_run(cantor, weighted, PowerRadius(1.0, 0.5), 100, 1, 1,
-                                hit_test="symbolic")
+        recs = recurrence_pure_run(cantor, weighted, PowerLogRadius(alpha), 50_000, 3, 66)
+        assert PowerLogRadius(alpha).value(50_000) < 1e-6
+        assert all(cp.flagged == 0 for r in recs for cp in r.checkpoints)
+        assert all(r.final.count > 0 for r in recs)
 
     def test_determinism_and_id_block_splitting(self, cantor, uniform):
         a = recurrence_pure_run(cantor, uniform, ConstantRadius(5 / 9), 1500, 6, 7101)
@@ -524,8 +527,8 @@ class TestRecurrencePure:
     def test_symbolic_worker_blocks_keep_serial_sub_chunks(self):
         # symbolic ball sums are one matrix product per sub-chunk, whose bits
         # depend on its row count (a full run that shows it needs ~0.5 GB)
-        spec = experiments._RunSpec(None, None, "pure", None, 2_000_000, 0, (1,), 1, 0.0,
-                                    "symbolic", 1000.0)
+        spec = experiments._RunSpec(None, "pure", 0, np.ones(2_000_000), np.array([0]),
+                                    "symbolic", 1, 0.0, 2_000_001, np.zeros(1), 45)
         sub = experiments._sub_chunk_size(spec)
         assert sub == 10
         ids = list(range(25))
@@ -907,7 +910,7 @@ class TestNamedExamples:
             run_named_example("nope")
 
     def test_constant_radius_report_small(self):
-        rep = run_named_example("7.1", N=4000, samples=30, mc_samples=2000)
+        rep = run_named_example("7.1", {"N": 4000, "samples": 30, "mc_samples": 2000})
         assert rep["regions"]["outer"]["band"] == [0.75, 0.85]
         assert rep["ball_brackets"]["outer_at_0"][0] == pytest.approx(0.5, abs=1e-9)
         assert rep["ball_brackets"]["middle_at_quarter"][1] == pytest.approx(0.75, abs=1e-9)
@@ -925,8 +928,8 @@ class TestNamedExamples:
         got_lo, got_hi = _staircase_alpha_window((0.2, 0.8))
         assert got_lo == pytest.approx(lo, abs=1e-13)
         assert got_hi == pytest.approx(hi, abs=1e-13)
-        rep = run_named_example("ABB", N=4000, samples=10, quadrature_samples=256,
-                                tail_points=5, tail_split=1000)
+        rep = run_named_example("ABB", {"N": 4000, "samples": 10, "quadrature_samples": 256,
+                                       "tail_points": 5, "tail_split": 1000})
         assert rep["alpha"] == pytest.approx(0.5 * (lo + hi), abs=1e-13)
         assert rep["alpha_window"] == [got_lo, got_hi]
         assert rep["integral_sum"]["increasing"]
@@ -940,8 +943,9 @@ class TestNamedExamples:
         json.dumps({k: v for k, v in rep.items() if k != "records"})
 
     def test_reports_deterministic(self):
-        a = run_named_example("7.1", N=2000, samples=10, mc_samples=500)
-        b = run_named_example("7.1", N=2000, samples=10, mc_samples=500)
+        small = {"N": 2000, "samples": 10, "mc_samples": 500}
+        a = run_named_example("7.1", small)
+        b = run_named_example("7.1", small)
         assert a["records"] == b["records"]
         assert a["regions"] == b["regions"]
         assert a["mc_step30"] == b["mc_step30"]
@@ -975,8 +979,8 @@ class TestMonteCarloConsistency:
         depth = cantor.depth_for_diameter(1e-12)
         prec = _diameter_bound(cantor, depth)
         radii = psi.values(np.arange(1, N + 1))
-        spec = _RunSpec(cantor, weighted, "modified", psi, N, 424242, (N,), depth,
-                        prec, "mass", 1000.0, None, np.cumsum(radii)[[N - 1]])
+        spec = _RunSpec(weighted, "modified", 424242, radii, np.array([N - 1]), "mass",
+                        depth, prec, N + depth, np.cumsum(radii)[[N - 1]], 45)
         freq = np.zeros(N)
         for i0 in range(0, S, 20_000):
             ids = range(i0, min(i0 + 20_000, S))

@@ -1,8 +1,11 @@
-"""Every name a package module imports is read somewhere in that module.
+"""Every name a package module imports is read somewhere in that module,
+and every private module-level name is read somewhere in the package.
 
 A name counts as used when the module loads it (including inside string
 annotations) or lists it in ``__all__``.  A deliberate re-export that the
-module itself never reads carries ``# noqa: F401`` on its import line.
+module itself never reads carries ``# noqa: F401`` on its import line.  A
+private function, class or constant counts as read when any package module
+loads it, imports it or reads it as an attribute.
 """
 
 import ast
@@ -63,3 +66,39 @@ def test_every_import_is_read(path):
     unused = [f"{name} (line {line})" for name, line in
               _imported(tree, source.splitlines()) if name not in read]
     assert not unused, f"{path.name} imports names it never reads: {', '.join(unused)}"
+
+
+def _private_definitions(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node.lineno
+
+
+def _package_reads() -> set:
+    read = set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        read |= _read_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read |= {a.name for a in node.names}
+    return read
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_private_definition_is_read(path):
+    read = _package_reads()
+    unread = [f"{name} (line {line})" for name, line in
+              _private_definitions(ast.parse(path.read_text())) if name not in read]
+    assert not unread, f"{path.name} defines private names nothing reads: {', '.join(unread)}"
