@@ -294,19 +294,10 @@ def _sub_chunk_size(spec: _RunSpec) -> int:
     return max(1, int(cells // spec.N))
 
 
-def _worker_blocks(spec: _RunSpec, ids: Sequence[int], threads: int) -> List[list]:
+def _worker_blocks(ids: Sequence[int], threads: int) -> List[list]:
     """Split the ids into at most one block per worker: every block repeats
-    each sequential chain step.
-
-    A symbolic run reduces its ball sums with one matrix product per
-    sub-chunk, and the product's bits depend on its row count, so its blocks
-    are made of the serial run's whole sub-chunks.
-    """
-    size = math.ceil(len(ids) / max(threads, 1))
-    if spec.hit_mode == "symbolic":
-        sub = _sub_chunk_size(spec)
-        size = math.ceil(size / sub) * sub
-    return list(_sub_chunks(ids, size))
+    each sequential chain step."""
+    return list(_sub_chunks(ids, math.ceil(len(ids) / max(threads, 1))))
 
 
 def _counting_chunk(spec: _RunSpec, ids: Sequence[int]) -> List[CountingRecord]:
@@ -397,7 +388,9 @@ def _symbolic_ball_sums(backend, block, ks, cp_idx):
 
     mu(B(x, 3^-k)) equals the mass of the depth-k cylinder containing x
     (the ball covers that cylinder and meets no other one), which is the
-    product of the first k branch weights of the sample path.
+    product of the first k branch weights of the sample path. Each row is
+    reduced on its own (a matrix product's bits depend on the row count), so
+    a sample's sums do not depend on the block it was computed in.
     """
     probs = np.asarray(backend.probs)
     kmax = int(ks.max())
@@ -406,7 +399,7 @@ def _symbolic_ball_sums(backend, block, ks, cp_idx):
     counts = np.zeros((cp_idx.size, kmax + 1))
     for c, last in enumerate(cp_idx):
         counts[c] = np.bincount(ks[: last + 1], minlength=kmax + 1)
-    return prefix @ counts.T  # (samples, checkpoints)
+    return np.einsum("ik,ck->ic", prefix, counts)  # (samples, checkpoints)
 
 
 def _own_ball_sums(spec, x0s):
@@ -617,7 +610,7 @@ def _run_counting(
     psi_sums = _shared_psi_sums(kind, backend, targets, radii, cp_idx, ball_budget)
     spec = _RunSpec(backend, kind, int(seed), radii, cp_idx, mode, depth, prec, length,
                     psi_sums, ball_budget, ks, targets)
-    blocks = _worker_blocks(spec, ids, threads)
+    blocks = _worker_blocks(ids, threads)
     if len(blocks) == 1:
         records = _counting_chunk(spec, ids)
     else:
@@ -1122,9 +1115,6 @@ NAMED_EXAMPLES = {
     "B.2": "weighted gasket tangency doubling probe and line-supported non-decay series",
 }
 
-_NAMED_SEEDS = {"7.1": 7101, "7.2": 7201, "ABB": 311, "B.2": 82}
-
-
 def run_named_example(name: str, overrides: Optional[Mapping[str, float]] = None, *,
                       seed: Optional[int] = None, threads: int = 1) -> dict:
     """Run one of the canned analyses and return its JSON-ready report.
@@ -1140,9 +1130,9 @@ def run_named_example(name: str, overrides: Optional[Mapping[str, float]] = None
     """
     if name not in NAMED_EXAMPLES:
         raise ValueError(f"unknown example {name!r}; known: {sorted(NAMED_EXAMPLES)}")
-    example = _EXAMPLE_RUNNERS[name]
+    example, default_seed = _EXAMPLE_RUNNERS[name]
     knobs = list(inspect.signature(example).parameters)[2:]
-    overrides = dict(overrides or {})
+    overrides = overrides or {}
     unknown = sorted(set(overrides) - set(knobs))
     if unknown:
         routes = {"seed": "experiment.seed (the seed argument)",
@@ -1152,7 +1142,7 @@ def run_named_example(name: str, overrides: Optional[Mapping[str, float]] = None
             f"example {name} takes no override {', '.join(unknown)} "
             f"(accepted: {', '.join(knobs) or 'none'}){notes}"
         )
-    seed = _NAMED_SEEDS[name] if seed is None else int(seed)
+    seed = default_seed if seed is None else int(seed)
     return example(threads, seed, **overrides)
 
 
@@ -1428,9 +1418,10 @@ def _example_gasket_probe(threads, seed) -> dict:
     }
 
 
+# name -> (runner, default seed)
 _EXAMPLE_RUNNERS = {
-    "7.1": _example_constant_radius,
-    "7.2": _example_interval_quartet,
-    "ABB": _example_staircase,
-    "B.2": _example_gasket_probe,
+    "7.1": (_example_constant_radius, 7101),
+    "7.2": (_example_interval_quartet, 7201),
+    "ABB": (_example_staircase, 311),
+    "B.2": (_example_gasket_probe, 82),
 }

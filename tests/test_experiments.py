@@ -18,7 +18,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selfconformal import experiments
 from selfconformal.dynamics import correlation, project_windows, sample_symbol_block
 from selfconformal.experiments import (
     Checkpoint,
@@ -406,10 +405,12 @@ class TestShrinkingTarget:
 
 class TestRecurrencePure:
     def test_ball_covering_attractor_counts_every_step(self, cantor, uniform):
-        recs = recurrence_pure_run(cantor, uniform, ConstantRadius(2.0), 400, 3, 2)
-        for r in recs:
-            assert r.final.count == 400
-            assert r.final.ball_sum == pytest.approx(400.0, abs=1e-9)
+        # radius 1 = 3^0 takes the exact prefix test; radius 3 = 3^-1 must not
+        for c in (2.0, 1.0, 3.0):
+            recs = recurrence_pure_run(cantor, uniform, ConstantRadius(c), 400, 3, 2)
+            for r in recs:
+                assert r.final.count == 400
+                assert r.final.ball_sum == pytest.approx(400.0, abs=1e-9)
 
     def test_counts_match_digit_formula_recomputation(self, cantor, uniform):
         N, S = 400, 4
@@ -524,19 +525,21 @@ class TestRecurrencePure:
         for threads in (2, 3):
             assert run(threads=threads) == a
 
-    def test_symbolic_worker_blocks_keep_serial_sub_chunks(self):
-        # symbolic ball sums are one matrix product per sub-chunk, whose bits
-        # depend on its row count (a full run that shows it needs ~0.5 GB)
-        spec = experiments._RunSpec(None, "pure", 0, np.ones(2_000_000), np.array([0]),
-                                    "symbolic", 1, 0.0, 2_000_001, np.zeros(1), 45)
-        sub = experiments._sub_chunk_size(spec)
-        assert sub == 10
-        ids = list(range(25))
-        serial = list(experiments._sub_chunks(ids, sub))
-        for threads in (1, 2, 3, 4):
-            blocks = experiments._worker_blocks(spec, ids, threads)
-            assert len(blocks) <= threads
-            assert [s for b in blocks for s in experiments._sub_chunks(b, sub)] == serial
+    def test_symbolic_runs_split_and_thread_identity(self, cantor):
+        # ABB staircase radii take the exact prefix test; every id split and
+        # worker count must give the same records, ball sums to the last bit
+        probs = (0.2, 0.8)
+        backend = BernoulliBackend(cantor, probs)
+        psi = PowerLogRadius(0.5 * sum(_staircase_alpha_window(probs)))
+
+        def run(samples=7, **kw):
+            return recurrence_pure_run(cantor, backend, psi, 200_000, samples, 311, **kw)
+
+        a = run()
+        assert [r for i in range(7) for r in run(0, sample_ids=[i])] == a
+        assert run(0, sample_ids=[0, 1, 2]) + run(0, sample_ids=[3, 4, 5, 6]) == a
+        for threads in (2, 3):
+            assert run(threads=threads) == a
 
 
 # ---------------------------------------------------------------------------
