@@ -179,11 +179,8 @@ def _execute_resolved(resolved: dict):
     exp = resolved["experiment"]
     threads = resolved["threads"]
     if exp["kind"] == "named_example":
-        overrides = dict(exp.get("overrides", {}))
-        for key in ("N", "samples", "mc_samples", "quadrature_samples",
-                    "tail_points", "tail_split", "eigen_depth", "mixing_depth"):
-            if key in overrides:
-                overrides[key] = int(overrides[key])
+        # every example knob is a count or a depth
+        overrides = {key: int(value) for key, value in exp.get("overrides", {}).items()}
         report = run_named_example(exp["name"], overrides, seed=exp["seed"],
                                    threads=threads)
         records = report.pop("records")

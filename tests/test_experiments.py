@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from selfconformal import experiments
 from selfconformal.dynamics import correlation, project_windows, sample_symbol_block
 from selfconformal.experiments import (
     Checkpoint,
@@ -405,7 +406,7 @@ class TestShrinkingTarget:
 
 class TestRecurrencePure:
     def test_ball_covering_attractor_counts_every_step(self, cantor, uniform):
-        # radius 1 = 3^0 takes the exact prefix test; radius 3 = 3^-1 must not
+        # radius 1 = 3^0 takes the exact prefix test; radius 3 (k = -1) must not
         for c in (2.0, 1.0, 3.0):
             recs = recurrence_pure_run(cantor, uniform, ConstantRadius(c), 400, 3, 2)
             for r in recs:
