@@ -52,6 +52,7 @@ from .measure import (
     PowerLogRadius,
     PowerRadius,
     RadiusFunction,
+    _CDF_WALK_LEVELS,
     _closed_form_cdf,
     _is_middle_third_cantor,
     _radial_mass,
@@ -241,13 +242,14 @@ def _point_distances(pos: np.ndarray, center: np.ndarray) -> np.ndarray:
 
 def _interval_mass_bound(probs: Sequence[float], delta: float) -> float:
     """Upper bound for the mass any interval of length ``delta`` can carry
-    under a weighted ternary Cantor measure."""
+    under a weighted ternary Cantor measure, plus the residual of the
+    ``_CDF_WALK_LEVELS``-level CDF walk."""
     if delta <= 0.0:
-        return 4.0 * max(probs) ** 60
+        return 4.0 * max(probs) ** _CDF_WALK_LEVELS
     pmax = max(probs)
     k = int(math.floor(math.log(max(1.0 / delta, 1.0)) / _LN3))
-    k = min(max(k, 0), 60)
-    return 2.0 * pmax ** k + 4.0 * pmax ** 60
+    k = min(max(k, 0), _CDF_WALK_LEVELS)
+    return 2.0 * pmax ** k + 4.0 * pmax ** _CDF_WALK_LEVELS
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,10 @@ Every ball mass ``mu(B(x, r))`` comes from one radial-mass oracle,
 difference of two bracketed CDF values, vectorized over any number of balls,
 with near-zero bracket width; for every other backend and for planar systems
 it runs the pruner once per ball.  The closed forms are cross-checked against
-the pruner in the test-suite.
+the pruner in the test-suite.  The Cantor CDF is a digit walk taken in
+bounded chunks that carries only the live points from level to level: a
+point stops exactly when it lands in a removed gap, and NaN gets the vacuous
+bracket [0, 1].
 
 ``t_n_radius`` inverts r |-> mu(B(x, r)) by bisection and terminates only when
 the measure bracket at the returned radius certifies the target value within
@@ -344,6 +347,7 @@ def region_measure(
 # ---------------------------------------------------------------------------
 
 _CDF_WALK_LEVELS = 60
+_CDF_WALK_CHUNK = 1 << 15
 
 
 def _is_middle_third_cantor(system: IfsSystem) -> bool:
@@ -363,39 +367,54 @@ def _is_middle_third_cantor(system: IfsSystem) -> bool:
 def cantor_cdf_bracket(probs: Sequence[float], y) -> Tuple[np.ndarray, np.ndarray]:
     """Bracket F(y) = mu([0, y]) for the (p1, p2) middle-third Cantor measure.
 
-    Vectorized digit walk; terminates exactly when y falls in a removed gap,
-    otherwise the residual cell mass p_max^60 bounds the error.
+    Vectorized digit walk over the flattened input, ``_CDF_WALK_CHUNK`` points
+    at a time so the temporaries stay a few MB whatever the input size.  Inside
+    a chunk only the live points are carried from level to level: a point
+    stops exactly when y falls in a removed gap (a zero-width bracket),
+    otherwise the residual cell mass p_max^60 bounds the error.  ``y <= 0``
+    gives [0, 0], ``y >= 1`` gives [1, 1], and NaN gives the vacuous [0, 1].
+    The result has the shape of ``np.atleast_1d(y)``.
     """
     p1, p2 = float(probs[0]), float(probs[1])
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    acc = np.zeros(y.shape)
-    a = np.zeros(y.shape)
-    s = np.ones(y.shape)
-    w = np.ones(y.shape)
-    active = np.ones(y.shape, dtype=bool)
-    # y outside [0, 1]
-    below = y <= 0.0
+    lo, hi = np.zeros(y.shape), np.zeros(y.shape)
+    flat_y, flat_lo, flat_hi = y.reshape(-1), lo.reshape(-1), hi.reshape(-1)
+    for start in range(0, flat_y.size, _CDF_WALK_CHUNK):
+        part = slice(start, start + _CDF_WALK_CHUNK)
+        _cantor_walk_chunk(p1, p2, flat_y[part], flat_lo[part], flat_hi[part])
+    return lo, hi
+
+
+def _cantor_walk_chunk(p1: float, p2: float, y, lo, hi) -> None:
+    """Write the CDF bracket of each ``y`` into the zeroed ``lo`` and ``hi``."""
     above = y >= 1.0
-    active &= ~(below | above)
-    acc[above] = 1.0
-    w[~active] = 0.0
+    lo[above] = 1.0
+    hi[above] = 1.0
+    hi[np.isnan(y)] = 1.0
+    idx = np.flatnonzero((y > 0.0) & (y < 1.0))
+    y = y[idx]
+    a = np.zeros(idx.size)
+    s = np.ones(idx.size)
+    w = np.ones(idx.size)
+    acc = np.zeros(idx.size)
     for _ in range(_CDF_WALK_LEVELS):
-        if not active.any():
+        if not idx.size:
             break
-        rel = np.zeros(y.shape)
-        rel[active] = (y[active] - a[active]) / s[active]
-        right = active & (rel >= 2.0 / 3.0)
-        gap = active & (rel >= 1.0 / 3.0) & (rel < 2.0 / 3.0)
-        left = active & (rel < 1.0 / 3.0)
-        acc[right] += w[right] * p1
-        a[right] += 2.0 / 3.0 * s[right]
-        w[right] *= p2
-        acc[gap] += w[gap] * p1
-        w[gap] = 0.0
-        active &= ~gap
-        w[left] *= p1
-        s[active] /= 3.0
-    return acc, acc + w
+        rel = (y - a) / s
+        right = rel >= 2.0 / 3.0
+        not_left = rel >= 1.0 / 3.0
+        acc = np.where(not_left, acc + w * p1, acc)
+        gap = not_left & ~right
+        if gap.any():  # retire the points that landed in a gap
+            lo[idx[gap]] = hi[idx[gap]] = acc[gap]
+            live = ~gap
+            idx, y, a, s, w, acc, right = (
+                v[live] for v in (idx, y, a, s, w, acc, right))
+        a = np.where(right, a + 2.0 / 3.0 * s, a)
+        w = np.where(right, w * p2, w * p1)
+        s = s / 3.0
+    lo[idx] = acc
+    hi[idx] = acc + w
 
 
 def _closed_form_cdf(backend: MeasureBackend):

@@ -313,6 +313,16 @@ class TestShippedExamples:
         assert err["kind"] == "config"
         assert hint in err["message"] and next(iter(overrides)) in err["message"]
 
+    def test_fractional_override_exit_2_no_artifacts(self, tmp_path, capsys):
+        cfg = {"experiment": {"kind": "named_example", "name": "7.1", "seed": 1,
+                              "overrides": {"N": 2000.9, "samples": 3}}}
+        out = tmp_path / "out"
+        assert run(write_config(tmp_path, cfg), str(out)) == EXIT_CONFIG
+        assert not out.exists()
+        assert "overrides/N" in json.loads(capsys.readouterr().err)["error"]["message"]
+        cfg["experiment"]["overrides"]["N"] = 2000.0  # an integral float is an integer
+        validate_config(cfg)
+
     def test_named_example_with_overrides_reports_region_means(self, tmp_path):
         cfg = {"experiment": {"kind": "named_example", "name": "7.1", "seed": 7101,
                               "overrides": {"N": 4000, "samples": 30,

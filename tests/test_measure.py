@@ -13,12 +13,14 @@ Oracle values are hand-derived:
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from selfconformal.dynamics import project_windows, sample_symbol_block
 from selfconformal.gibbs import (
     BernoulliBackend,
     ConformalPowerPotential,
@@ -40,6 +42,7 @@ from selfconformal.measure import (
     PowerLogRadius,
     PowerRadius,
     StripRegion,
+    _CDF_WALK_CHUNK,
     annulus_measure,
     ball_measure,
     cantor_cdf_bracket,
@@ -255,6 +258,93 @@ class TestCantorCdf:
         a, b = min(a, b), max(a, b)
         lo, hi = cantor_cdf_bracket((0.3, 0.7), np.array([a, b]))
         assert lo[0] <= hi[1] + 1e-15  # F(a) <= F(b) through the brackets
+
+
+def _reference_cantor_cdf_bracket(probs, y):
+    """The full-size masked digit walk, every point through every level: the
+    chunked, compacting ``cantor_cdf_bracket`` must reproduce its bits."""
+    p1, p2 = float(probs[0]), float(probs[1])
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    acc = np.zeros(y.shape)
+    a = np.zeros(y.shape)
+    s = np.ones(y.shape)
+    w = np.ones(y.shape)
+    active = np.ones(y.shape, dtype=bool)
+    # y outside [0, 1]
+    below = y <= 0.0
+    above = y >= 1.0
+    active &= ~(below | above)
+    acc[above] = 1.0
+    w[~active] = 0.0
+    for _ in range(60):
+        if not active.any():
+            break
+        rel = np.zeros(y.shape)
+        rel[active] = (y[active] - a[active]) / s[active]
+        right = active & (rel >= 2.0 / 3.0)
+        gap = active & (rel >= 1.0 / 3.0) & (rel < 2.0 / 3.0)
+        left = active & (rel < 1.0 / 3.0)
+        acc[right] += w[right] * p1
+        a[right] += 2.0 / 3.0 * s[right]
+        w[right] *= p2
+        acc[gap] += w[gap] * p1
+        w[gap] = 0.0
+        active &= ~gap
+        w[left] *= p1
+        s[active] /= 3.0
+    return acc, acc + w
+
+
+def _walk_inputs(probs):
+    rng = np.random.default_rng(8)
+    backend = BernoulliBackend(builtin_system("middle_third_cantor"), probs)
+    points = project_windows(sample_symbol_block(backend, 8, range(40), 90),
+                             backend.system, 40).ravel()
+    radii = 10.0 ** rng.uniform(-14.0, -0.5, points.size)
+    cylinder_ends = np.concatenate([np.arange(3 ** j + 1) / 3 ** j for j in range(1, 9)])
+    return {
+        "projected points +- radii": np.concatenate([points - radii, points + radii]),
+        "cylinder endpoints k/3^j": cylinder_ends,
+        "outside [0, 1] and infinities": np.array([-2.0, -1e-300, 0.0, -0.0, 1.0, 1.5,
+                                                   -np.inf, np.inf]),
+        "0-d scalar": np.float64(0.25),
+        "2-D array": rng.uniform(-0.1, 1.1, (37, 19)),
+        "empty": np.empty(0),
+        "chunk - 1": rng.random(_CDF_WALK_CHUNK - 1),
+        "chunk": rng.random(_CDF_WALK_CHUNK),
+        "chunk + 1": rng.random(_CDF_WALK_CHUNK + 1),
+        "3 chunks + 5": rng.uniform(-0.1, 1.1, 3 * _CDF_WALK_CHUNK + 5),
+    }
+
+
+class TestCantorCdfWalkBits:
+    @pytest.mark.parametrize("probs", [(0.3, 0.7), (0.5, 0.5), (0.2, 0.8)])
+    def test_matches_full_size_walk_bit_for_bit(self, probs):
+        for name, y in _walk_inputs(probs).items():
+            lo, hi = cantor_cdf_bracket(probs, y)
+            ref_lo, ref_hi = _reference_cantor_cdf_bracket(probs, y)
+            assert lo.shape == ref_lo.shape and hi.shape == ref_hi.shape, name
+            assert np.array_equal(lo, ref_lo) and np.array_equal(hi, ref_hi), name
+
+    @pytest.mark.parametrize("probs", [(0.3, 0.7), (0.5, 0.5), (0.2, 0.8)])
+    def test_nan_gives_the_vacuous_bracket(self, probs):
+        y = np.array([0.4, np.nan, 0.9, np.nan])
+        lo, hi = cantor_cdf_bracket(probs, y)
+        ref_lo, ref_hi = _reference_cantor_cdf_bracket(probs, y)
+        assert np.array_equal(lo, ref_lo) and np.array_equal(hi, ref_hi)
+        assert lo[1] == lo[3] == 0.0 and hi[1] == hi[3] == 1.0
+
+    def test_peak_memory_is_bounded_by_the_output(self):
+        # the two output arrays take 2 * y.nbytes; the walk's own temporaries
+        # must stay a chunk's worth, whatever the input size
+        y = np.random.default_rng(9).uniform(-0.05, 1.05, 2_000_000)
+        tracemalloc.start()
+        try:
+            cantor_cdf_bracket((0.3, 0.7), y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * y.nbytes
 
 
 # ---------------------------------------------------------------------------
