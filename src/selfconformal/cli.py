@@ -184,7 +184,6 @@ def _execute_resolved(resolved: dict):
         report = run_named_example(exp["name"], overrides, seed=exp["seed"],
                                    threads=threads)
         records = report.pop("records")
-        report.pop("elapsed_seconds", None)
         report["summary"] = report.get("summary") or summarize_records(records)
         return records, report, 0.1
 

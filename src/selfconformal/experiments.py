@@ -52,8 +52,7 @@ from .measure import (
     PowerLogRadius,
     PowerRadius,
     RadiusFunction,
-    _CDF_WALK_LEVELS,
-    _closed_form_cdf,
+    _closed_form,
     _is_middle_third_cantor,
     _radial_mass,
     # the benchmark's span hook reads these two through this module
@@ -240,18 +239,6 @@ def _point_distances(pos: np.ndarray, center: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("...k,...k->...", diff, diff))
 
 
-def _interval_mass_bound(probs: Sequence[float], delta: float) -> float:
-    """Upper bound for the mass any interval of length ``delta`` can carry
-    under a weighted ternary Cantor measure, plus the residual of the
-    ``_CDF_WALK_LEVELS``-level CDF walk."""
-    if delta <= 0.0:
-        return 4.0 * max(probs) ** _CDF_WALK_LEVELS
-    pmax = max(probs)
-    k = int(math.floor(math.log(max(1.0 / delta, 1.0)) / _LN3))
-    k = min(max(k, 0), _CDF_WALK_LEVELS)
-    return 2.0 * pmax ** k + 4.0 * pmax ** _CDF_WALK_LEVELS
-
-
 # ---------------------------------------------------------------------------
 # counting engine
 # ---------------------------------------------------------------------------
@@ -422,9 +409,10 @@ def _mass_quota_hits(spec, x0s, dist, radii):
     A step is a hit when the ball around the start point through the orbit
     point carries less measure than the step's quota ``psi(n)`` (equivalent
     to the distance lying below the measure-equalized radius, since the
-    radial mass is monotone and continuous). Decisions within the position
-    uncertainty of the projected orbit are flagged and counted by the
-    midpoint rule. The run has checked that the oracle has a closed form.
+    radial mass is monotone and continuous). A step whose mass lies within
+    the oracle's modulus over ``2 prec`` of the quota is refined at
+    ``d -+ 2 prec`` and flagged when undecided. The run has checked that the
+    oracle has a closed form.
     """
     S, N = dist.shape
     quota = np.broadcast_to(radii, dist.shape)
@@ -433,20 +421,10 @@ def _mass_quota_hits(spec, x0s, dist, radii):
     d = dist.reshape(-1)
     q = quota.reshape(-1)
     backend, budget = spec.backend, spec.ball_budget
-    if isinstance(backend, DensityBackend):
-        in_lo, in_hi = _radial_mass(backend, x, np.maximum(d - slack, 0.0), budget)
-        out_lo, out_hi = _radial_mass(backend, x, d + slack, budget)
-        definite_hit = out_hi < q
-        definite_miss = in_lo >= q
-        flag = ~(definite_hit | definite_miss)
-        mid_lo, mid_hi = _radial_mass(backend, x, d, budget)
-        hit = np.where(flag, 0.5 * (mid_lo + mid_hi) < q, definite_hit)
-        return hit.reshape(S, N), flag.reshape(S, N)
-    # ternary Cantor: one exact walk at the observed distance, then a
-    # certified modulus bound selects the rare candidates near the boundary
     mid_lo, mid_hi = _radial_mass(backend, x, d, budget)
     mid = 0.5 * (mid_lo + mid_hi)
-    guard = _interval_mass_bound(backend.probs, 2.0 * slack) + (mid_hi - mid_lo)
+    _, modulus = _closed_form(backend)
+    guard = modulus(2.0 * slack) + (mid_hi - mid_lo)
     cand = np.abs(mid - q) <= guard
     hit = mid < q
     flag = np.zeros(d.shape, dtype=bool)
@@ -501,7 +479,7 @@ def _check_oracle_serves(kind, backend, radii, n_samples, ball_budget):
     pruner call per sample and distinct radius, capped per run whatever the
     chunking or worker count.
     """
-    if _closed_form_cdf(backend) is not None:
+    if _closed_form(backend) is not None:
         return
     if kind == "modified":
         raise CertificationError(
@@ -711,11 +689,15 @@ def recurrence_modified_run(
     The target at step ``n`` is the ball around the start point whose measure
     is exactly ``psi(n)`` (radius capped at the attractor diameter when
     ``psi(n) >= 1``), so ``psi_sum`` is the exact expected count
-    ``sum psi(n)``. Hits are decided by comparing the radial mass through the
-    orbit point against the quota; undecidable steps within the certified
-    position uncertainty are flagged and counted by the midpoint rule. The
-    comparison needs a closed-form CDF (density or weighted ternary-Cantor
-    backends); other backends raise ``CertificationError`` before sampling.
+    ``sum psi(n)``. A step is a hit when the radial mass through the orbit
+    point lies below the quota, decided the same way for every backend: one
+    oracle pass at the observed distance ``d``, a screen that settles every
+    step farther from the quota than the oracle's certified modulus over the
+    position uncertainty ``2 prec``, and a refinement with the balls at
+    ``d -+ 2 prec`` only near the quota; a step neither ball decides is
+    flagged and counted by the midpoint rule. The comparison needs a
+    closed-form CDF (density or weighted ternary-Cantor backends); other
+    backends raise ``CertificationError`` before sampling.
     ``sample_ids`` replaces the default id range.
     """
     return _run_counting(system, backend, "modified", psi, N, samples, seed,
@@ -1156,9 +1138,6 @@ def _example_constant_radius(threads, seed, N=100_000, samples=200, mc_samples=2
     ones, averaging to 5/8. Per-sample counts normalized by (5/8) N then
     split by region around 4/5 and 6/5.
     """
-    import time
-
-    t0 = time.perf_counter()
     system = builtin_system("middle_third_cantor")
     backend = BernoulliBackend(system, (0.5, 0.5))
     psi = ConstantRadius(5.0 / 9.0)
@@ -1205,7 +1184,6 @@ def _example_constant_radius(threads, seed, N=100_000, samples=200, mc_samples=2
         "mc_step30": {"samples": mc_samples, "estimate": est, "target": 0.625,
                       "sigma": sigma, "z": (est - 0.625) / sigma},
         "summary": summary,
-        "elapsed_seconds": time.perf_counter() - t0,
         "records": records,
     }
 
@@ -1218,9 +1196,6 @@ def _example_interval_quartet(threads, seed, N=100_000, samples=100, eigen_depth
     per-sample count over sum of radii converges to twice the density at the
     start point, i.e. (2 ln 2 / (1 + x0)) after the (ln 2)^2 normalization.
     """
-    import time
-
-    t0 = time.perf_counter()
     system = builtin_system("moebius_interval_quartet")
     report = eigen_solve(system, ConformalPowerPotential(1.0), eigen_depth)
     anchors = report.cell_anchor
@@ -1280,7 +1255,6 @@ def _example_interval_quartet(threads, seed, N=100_000, samples=100, eigen_depth
             "r_squared": fit.r_squared,
         },
         "summary": summary,
-        "elapsed_seconds": time.perf_counter() - t0,
         "records": records,
     }
 
@@ -1312,9 +1286,6 @@ def _example_staircase(threads, seed, N=1_000_000, samples=200, quadrature_sampl
     point; no bound holds uniformly across samples, since each count tracks
     its own-ball sum and the largest count grows with the mean sum.
     """
-    import time
-
-    t0 = time.perf_counter()
     probs = (0.2, 0.8)
     system = builtin_system("middle_third_cantor")
     backend = BernoulliBackend(system, probs)
@@ -1374,7 +1345,6 @@ def _example_staircase(threads, seed, N=1_000_000, samples=200, quadrature_sampl
             "realized_tail_sums": [float(v) for v in realized],
         },
         "summary": summary,
-        "elapsed_seconds": time.perf_counter() - t0,
         "records": records,
     }
 
@@ -1385,9 +1355,6 @@ def _example_gasket_probe(threads, seed) -> dict:
     Every quantity is a certified bracket, so the example draws no samples
     and runs serially: ``threads`` and ``seed`` are unused.
     """
-    import time
-
-    t0 = time.perf_counter()
     probs = (0.1, 0.8, 0.1)
     rows = [gasket_tangency_doubling_bracket(probs, n) for n in range(2, 9)]
     mids = [r["ratio_mid"] for r in rows]
@@ -1415,7 +1382,6 @@ def _example_gasket_probe(threads, seed) -> dict:
             "min_ratio_lower": min(h["ratio_lower"] for h in hyper),
             "threshold": 0.4,
         },
-        "elapsed_seconds": time.perf_counter() - t0,
         "records": [],
     }
 

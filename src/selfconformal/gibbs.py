@@ -122,6 +122,7 @@ DENSITY_CATALOG = {
         "density": _h_reciprocal_log2,
         "eigenvalue": 1.0,
         "tau": 1.0,
+        "sup_density": 1.0 / _LOG2,  # sup of the density on [0, 1], at x = 0
     }
 }
 
@@ -228,6 +229,7 @@ class DensityBackend:
         self.density = cat["density"]
         self.eigenvalue = cat["eigenvalue"]
         self.tau = cat["tau"]
+        self.sup_density = cat["sup_density"]
         self._root = (system.attractor_box.lo[0], system.attractor_box.hi[0])
         self._tables = {}
 

@@ -16,6 +16,12 @@ bounded chunks that carries only the live points from level to level: a
 point stops exactly when it lands in a removed gap, and NaN gets the vacuous
 bracket [0, 1].
 
+A closed form also states its certified modulus, which bounds the mass of
+two radial shells of a given total width.  A measure-equalized run decides
+every step with it: one oracle pass at the observed distance ``d``, a screen
+by the modulus, and a refinement at ``d -+ 2 prec`` only near the quota,
+where a step neither ball decides is flagged.
+
 ``t_n_radius`` inverts r |-> mu(B(x, r)) by bisection and terminates only when
 the measure bracket at the returned radius certifies the target value within
 the requested measure tolerance.
@@ -145,6 +151,15 @@ RadiusFunction = Union[ConstantRadius, PowerLogRadius, PowerRadius]
 INSIDE, STRADDLE, OUTSIDE = 1, 0, -1
 
 
+def _distance_range(center: PointRd, lo: np.ndarray, hi: np.ndarray):
+    """Least and greatest distance from ``center`` to each box ``[lo, hi]``."""
+    c = np.asarray(center.coords)
+    gap = np.maximum(np.maximum(lo - c, c - hi), 0.0)
+    min_d = np.sqrt((gap ** 2).sum(axis=1))
+    max_d = np.sqrt((np.maximum(c - lo, hi - c) ** 2).sum(axis=1))
+    return min_d, max_d
+
+
 class BallRegion:
     """Open ball; classification errs toward 'straddle'."""
 
@@ -155,10 +170,7 @@ class BallRegion:
         self.r = r
 
     def classify(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        c = np.asarray(self.center.coords)
-        gap = np.maximum(np.maximum(lo - c, c - hi), 0.0)
-        min_d = np.sqrt((gap ** 2).sum(axis=1))
-        max_d = np.sqrt((np.maximum(c - lo, hi - c) ** 2).sum(axis=1))
+        min_d, max_d = _distance_range(self.center, lo, hi)
         out = np.zeros(lo.shape[0], dtype=np.int8)
         out[max_d < self.r] = INSIDE
         out[min_d >= self.r] = OUTSIDE
@@ -176,10 +188,7 @@ class AnnulusRegion:
         self.rho = rho
 
     def classify(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        c = np.asarray(self.center.coords)
-        gap = np.maximum(np.maximum(lo - c, c - hi), 0.0)
-        min_d = np.sqrt((gap ** 2).sum(axis=1))
-        max_d = np.sqrt((np.maximum(c - lo, hi - c) ** 2).sum(axis=1))
+        min_d, max_d = _distance_range(self.center, lo, hi)
         inner, outer = self.r - self.rho, self.r + self.rho
         out = np.zeros(lo.shape[0], dtype=np.int8)
         out[(min_d > inner) & (max_d < outer)] = INSIDE
@@ -348,6 +357,10 @@ def region_measure(
 
 _CDF_WALK_LEVELS = 60
 _CDF_WALK_CHUNK = 1 << 15
+_LN3 = math.log(3.0)
+# a density oracle's rounding: two masses are four CDF values, each within a
+# few ulps of 1 at arguments in [0, 2], and two rounded differences
+_DENSITY_ROUNDING = 32 * float(np.finfo(float).eps)
 
 
 def _is_middle_third_cantor(system: IfsSystem) -> bool:
@@ -417,19 +430,37 @@ def _cantor_walk_chunk(p1: float, p2: float, y, lo, hi) -> None:
     hi[idx] = acc + w
 
 
-def _closed_form_cdf(backend: MeasureBackend):
-    """The bracket ``y -> (F_lo(y), F_hi(y))`` of ``F(y) = mu((-inf, y])``, or
-    None when the backend has no closed form.
+def _cantor_modulus(probs: Sequence[float], delta: float) -> float:
+    """Upper bound for the mass that two radial shells of total width
+    ``delta`` (or one interval of length ``delta``) can carry under a weighted
+    ternary Cantor measure, plus the residual of the
+    ``_CDF_WALK_LEVELS``-level CDF walk."""
+    if delta <= 0.0:
+        return 4.0 * max(probs) ** _CDF_WALK_LEVELS
+    pmax = max(probs)
+    k = int(math.floor(math.log(max(1.0 / delta, 1.0)) / _LN3))
+    k = min(max(k, 0), _CDF_WALK_LEVELS)
+    return 2.0 * pmax ** k + 4.0 * pmax ** _CDF_WALK_LEVELS
 
-    A density backend evaluates its catalog CDF clipped to the attractor
-    interval (exact up to rounding); a Bernoulli measure on the middle-third
-    Cantor set takes the digit walk of ``cantor_cdf_bracket``.
+
+def _closed_form(backend: MeasureBackend):
+    """The pair ``(cdf, modulus)`` of a backend with a closed form, or None.
+
+    ``cdf(y)`` brackets ``F(y) = mu((-inf, y])`` as ``(F_lo, F_hi)`` arrays.
+    ``modulus(delta)`` bounds the mass of two radial shells of total width
+    ``delta``, the residual and rounding of the brackets included.  A density
+    backend takes its catalog CDF clipped to the attractor interval and
+    ``delta * sup h`` plus rounding; a Bernoulli measure on the middle-third
+    Cantor set takes ``cantor_cdf_bracket`` and ``_cantor_modulus``.
     """
     if isinstance(backend, DensityBackend):
         lo, hi = backend.system.attractor_box.lo[0], backend.system.attractor_box.hi[0]
-        return lambda y: (backend.cdf(np.clip(y, lo, hi)),) * 2
+        sup_h = backend.sup_density
+        return (lambda y: (backend.cdf(np.clip(y, lo, hi)),) * 2,
+                lambda delta: max(delta, 0.0) * sup_h + _DENSITY_ROUNDING)
     if isinstance(backend, BernoulliBackend) and _is_middle_third_cantor(backend.system):
-        return lambda y: cantor_cdf_bracket(backend.probs, y)
+        return (lambda y: cantor_cdf_bracket(backend.probs, y),
+                lambda delta: _cantor_modulus(backend.probs, delta))
     return None
 
 
@@ -448,8 +479,9 @@ def _radial_mass(backend: MeasureBackend, centers, radii, depth_budget: int):
     dim = backend.system.dim
     shape = radii.shape if dim == 1 else radii.shape + (dim,)
     centers = np.broadcast_to(np.asarray(centers, dtype=float), shape)
-    cdf = _closed_form_cdf(backend)
-    if cdf is not None:
+    form = _closed_form(backend)
+    if form is not None:
+        cdf, _ = form
         flo, fhi = cdf(np.concatenate([(centers - radii).ravel(), (centers + radii).ravel()]))
         half = radii.size
         lo = np.maximum(flo[half:] - fhi[:half], 0.0)
@@ -500,7 +532,7 @@ def annulus_measure(
     x = as_point(x, backend.system.dim)
     if method not in ("auto", "prune"):
         raise ValueError("method must be 'auto' or 'prune'")
-    if method == "auto" and _closed_form_cdf(backend) is not None:
+    if method == "auto" and _closed_form(backend) is not None:
         radii = [r + rho] if rho >= r else [r + rho, r - rho]
         lo, hi = _radial_mass(backend, _to_coords(_point_value(x)), np.array(radii), depth_budget)
         if rho >= r:

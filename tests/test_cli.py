@@ -99,6 +99,36 @@ class TestSchema:
                 validate_config(small_config(**{key: value}))
 
 
+_NAMED = {"kind": "named_example", "name": "B.2", "seed": 1}
+
+
+class TestKeysTheKindDoesNotRead:
+    """A key the experiment kind ignores is a config error, not a silent no-op."""
+
+    @pytest.mark.parametrize("cfg, key", [
+        *[({"experiment": {**_NAMED, key: value}}, key) for key, value in (
+            ("psi", {"type": "constant", "c": 0.5}),
+            ("targets", [0.1]),
+            ("N", 10),
+            ("samples", 3),
+            ("checkpoints", [5]),
+            ("epsilon", 0.5),
+            ("depth_budgets", {"ball": 3}),
+        )],
+        (small_config(name="7.1"), "name"),
+        (small_config(overrides={"N": 5}), "overrides"),
+        (small_config(targets=[0.1]), "targets"),
+        (small_config(kind="recurrence_modified", targets=[0.1]), "targets"),
+    ])
+    def test_exit_2_names_the_key_and_writes_nothing(self, tmp_path, capsys, cfg, key):
+        out = tmp_path / "out"
+        assert run(write_config(tmp_path, cfg), str(out)) == EXIT_CONFIG
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["kind"] == "config"
+        assert f"experiment/{key}" in err["message"]
+
+
 class TestListExamples:
     def test_all_names_listed_lexicographically(self, capsys):
         assert main(["list_examples"]) == EXIT_OK

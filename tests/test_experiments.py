@@ -44,10 +44,13 @@ from selfconformal.experiments import (
     write_results_csv,
 )
 from selfconformal.experiments import (
-    _interval_mass_bound,
+    _RunSpec,
+    _diameter_bound,
+    _mass_quota_hits,
     _staircase_alpha_window,
 )
 from selfconformal.gibbs import (
+    DENSITY_CATALOG,
     BernoulliBackend,
     BernoulliPotential,
     ConformalPowerPotential,
@@ -64,6 +67,7 @@ from selfconformal.measure import (
     ConstantRadius,
     PowerLogRadius,
     PowerRadius,
+    _closed_form,
     _radial_mass,
     ball_measure,
     cantor_cdf_bracket,
@@ -104,6 +108,26 @@ def per_step_hits(records):
     """Boolean (samples, N) hit matrix from per-step checkpoint counts."""
     counts = np.array([[cp.count for cp in r.checkpoints] for r in records])
     return np.diff(np.c_[np.zeros((len(records), 1), dtype=int), counts], axis=1).astype(bool)
+
+
+def _three_pass_quota_hits(spec, x0s, dist, radii):
+    """Reference measure-equalized decision: every step takes the oracle at
+    ``d - slack``, ``d + slack`` and ``d``, with no screen."""
+    S, N = dist.shape
+    quota = np.broadcast_to(radii, dist.shape)
+    slack = 2.0 * spec.prec
+    x = np.repeat(np.asarray(x0s, dtype=float), N)
+    d = dist.reshape(-1)
+    q = quota.reshape(-1)
+    backend, budget = spec.backend, spec.ball_budget
+    in_lo, in_hi = _radial_mass(backend, x, np.maximum(d - slack, 0.0), budget)
+    out_lo, out_hi = _radial_mass(backend, x, d + slack, budget)
+    definite_hit = out_hi < q
+    definite_miss = in_lo >= q
+    flag = ~(definite_hit | definite_miss)
+    mid_lo, mid_hi = _radial_mass(backend, x, d, budget)
+    hit = np.where(flag, 0.5 * (mid_lo + mid_hi) < q, definite_hit)
+    return hit.reshape(S, N), flag.reshape(S, N)
 
 
 def cantor_digits_position(symbols):
@@ -311,15 +335,33 @@ class TestOracleServesRun:
 
 
 class TestIntervalMassBound:
+    """The oracle's modulus bounds the mass of any interval of its width."""
+
     def test_bounds_actual_interval_masses(self, weighted):
         probs = (0.3, 0.7)
+        _, modulus = _closed_form(weighted)
         rng = np.random.default_rng(4)
         for _ in range(200):
             delta = 10.0 ** rng.uniform(-9, -0.5)
             a = rng.uniform(-0.1, 1.1)
             flo, fhi = cantor_cdf_bracket(probs, np.array([a, a + delta]))
             mass = fhi[1] - flo[0]
-            assert mass <= _interval_mass_bound(probs, delta) + 1e-12
+            assert mass <= modulus(delta) + 1e-12
+
+    def test_density_modulus_is_sup_density_times_width(self, density):
+        entry = DENSITY_CATALOG[density.name]
+        sup_h = entry["sup_density"]
+        grid = np.linspace(0.0, 1.0, 100_001)
+        assert np.all(entry["density"](grid) <= sup_h)
+        assert entry["density"](0.0) == pytest.approx(sup_h, rel=1e-15)
+        _, modulus = _closed_form(density)
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            delta = 10.0 ** rng.uniform(-13, -0.5)
+            a = rng.uniform(-0.1, 1.0)
+            mass = float(np.diff(entry["cdf"](np.clip([a, a + delta], 0.0, 1.0)))[0])
+            assert mass <= modulus(delta)
+            assert modulus(delta) - delta * sup_h < 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -556,25 +598,56 @@ class TestRecurrenceModified:
             assert r.final.psi_sum == pytest.approx(300 * 2.0)
             assert r.final.flagged == 0
 
-    def test_hits_match_ball_measure_definition(self, cantor, weighted):
+    @pytest.mark.parametrize("system_name, backend_name",
+                             [("cantor", "weighted"), ("quartet", "density")])
+    def test_hits_match_ball_measure_definition(self, request, system_name, backend_name):
+        system = request.getfixturevalue(system_name)
+        backend = request.getfixturevalue(backend_name)
         N, S = 200, 5
         psi = PowerRadius(1.0, 0.5)
-        recs = recurrence_modified_run(cantor, weighted, psi, N, S, 7,
+        recs = recurrence_modified_run(system, backend, psi, N, S, 7,
                                        checkpoints=list(range(1, N + 1)))
         hits = per_step_hits(recs)
-        depth = cantor.depth_for_diameter(1e-12)
-        block = sample_symbol_block(weighted, 7, range(S), N + depth)
-        pos = project_windows(block, cantor, depth)
+        depth = system.depth_for_diameter(1e-12)
+        block = sample_symbol_block(backend, 7, range(S), N + depth)
+        pos = project_windows(block, system, depth)
         for i in range(S):
             x0 = float(pos[i, 0])
             for n in range(1, N + 1):
                 d = abs(float(pos[i, n]) - x0)
-                br = ball_measure(weighted, x0, d, 45)
+                br = ball_measure(backend, x0, d, 45)
                 q = psi.value(n)
                 if br.upper < q:
                     assert bool(hits[i, n - 1])
                 elif br.lower >= q:
                     assert not bool(hits[i, n - 1])
+
+    @pytest.mark.parametrize("system_name, backend_name",
+                             [("cantor", "weighted"), ("quartet", "density")])
+    def test_screened_decision_equals_three_pass_rule(self, request, system_name,
+                                                      backend_name):
+        # quotas on the observed mass times (1 +- eps) put many steps inside
+        # the position uncertainty: the screen must leave every decision and
+        # flag of the rule that refines every step
+        system = request.getfixturevalue(system_name)
+        backend = request.getfixturevalue(backend_name)
+        N, S = 400, 10
+        depth = system.depth_for_diameter(1e-12)
+        prec = _diameter_bound(system, depth)
+        block = sample_symbol_block(backend, 11, range(S), N + depth)
+        pos = project_windows(block, system, depth)
+        x0s, dist = pos[:, 0], np.abs(pos[:, 1:] - pos[:, [0]])
+        lo, hi = _radial_mass(backend, np.repeat(x0s, N), dist.reshape(-1), 45)
+        rng = np.random.default_rng(12)
+        eps = rng.choice([-1.0, 1.0], S * N) * 10.0 ** rng.uniform(-16, -3, S * N)
+        quota = (0.5 * (lo + hi) * (1.0 + eps)).reshape(S, N)
+        spec = _RunSpec(backend, "modified", 11, quota[0], np.array([N - 1]), "mass",
+                        depth, prec, N + depth, np.array([quota[0].sum()]), 45)
+        hit, flag = _mass_quota_hits(spec, x0s, dist, quota)
+        ref_hit, ref_flag = _three_pass_quota_hits(spec, x0s, dist, quota)
+        assert flag.any() and (~flag).any()
+        assert np.array_equal(flag, ref_flag)
+        assert np.array_equal(hit, ref_hit)
 
     def test_ahlfors_sandwich_between_pure_and_equalized_hits(self, cantor, uniform):
         # on the uniform Cantor set  r^tau/2 <= mu(B(x,r)) <= 6 r^tau,  so
@@ -972,12 +1045,6 @@ class TestMonteCarloConsistency:
     def test_equalized_hit_probability_matches_quota_at_scale(self, cantor, weighted):
         # per-step hit frequency over 1e5 orbits must match the measure quota
         # psi(n) within 4 binomial sigmas for every n in [20, 60]
-        from selfconformal.experiments import (
-            _RunSpec,
-            _diameter_bound,
-            _mass_quota_hits,
-        )
-
         N, S = 60, 100_000
         psi = PowerRadius(1.0, 0.5)
         depth = cantor.depth_for_diameter(1e-12)
