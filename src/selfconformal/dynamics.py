@@ -97,6 +97,7 @@ def t_apply(system: IfsSystem, x, depth_hint: int = 1, tol: float = 1e-9) -> Poi
 # ---------------------------------------------------------------------------
 
 _WINDOW_CHUNK = 1 << 16  # windows projected per pass; bounds the temporaries
+_DRAW_CHUNK = 1 << 16  # uniforms drawn per stream per pass in sample_symbol_block
 
 
 def project_windows(symbols: np.ndarray, system: IfsSystem, depth: int) -> np.ndarray:
@@ -235,7 +236,6 @@ def sample_symbol_block(
     master_seed: int,
     sample_ids: Sequence[int],
     length: int,
-    chunk: int = 65536,
 ) -> np.ndarray:
     """Symbols (1-based) for many sample streams at once, shape (ids, length).
 
@@ -256,7 +256,7 @@ def sample_symbol_block(
     chain = backend.chain(n)
     done = 0
     while done < length:
-        take = min(chunk, length - done)
+        take = min(_DRAW_CHUNK, length - done)
         U = np.stack([g.random(take) for g in gens])
         for t in range(take):
             out[:, done + t] = _draw(chain, U[:, t])

@@ -710,9 +710,7 @@ def recurrence_modified_run(
 # ---------------------------------------------------------------------------
 
 
-def bc_residual(
-    record: CountingRecord, epsilon: float = 0.1, which: str = "auto"
-) -> List[Tuple[int, float]]:
+def bc_residual(record: CountingRecord, epsilon: float = 0.1) -> List[Tuple[int, float]]:
     """Normalized counting residuals ``(count - S) / (sqrt(S) log(S+1)^{3/2+eps})``.
 
     ``S`` is the checkpoint's ``ball_sum`` when present (own-ball runs) and
@@ -720,17 +718,10 @@ def bc_residual(
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
-    if which not in ("auto", "psi", "ball"):
-        raise ValueError("which must be 'auto', 'psi' or 'ball'")
     out = []
     for cp in record.checkpoints:
-        if which == "psi":
-            s = cp.psi_sum
-        elif which == "ball":
-            s = cp.ball_sum
-        else:
-            s = cp.ball_sum if cp.ball_sum is not None else cp.psi_sum
-        if s is None or s <= 1.0:
+        s = cp.ball_sum if cp.ball_sum is not None else cp.psi_sum
+        if s <= 1.0:
             continue
         norm = math.sqrt(s) * math.log(s + 1.0) ** (1.5 + epsilon)
         out.append((cp.N, (cp.count - s) / norm))

@@ -122,7 +122,8 @@ DENSITY_CATALOG = {
         "density": _h_reciprocal_log2,
         "eigenvalue": 1.0,
         "tau": 1.0,
-        "sup_density": 1.0 / _LOG2,  # sup of the density on [0, 1], at x = 0
+        "support": (0.0, 1.0),  # the interval where cdf and density hold
+        "sup_density": 1.0 / _LOG2,  # sup of the density on the support, at x = 0
     }
 }
 
@@ -225,12 +226,16 @@ class DensityBackend:
         self.potential = ClosedFormDensityPotential(name)
         self.name = name
         cat = DENSITY_CATALOG[name]
+        self._root = (system.attractor_box.lo[0], system.attractor_box.hi[0])
+        lo, hi = cat["support"]
+        if self._root[0] < lo or self._root[1] > hi:
+            raise ValueError(f"attractor box {self._root} leaves the support "
+                             f"{cat['support']} of density {name!r}")
         self.cdf = cat["cdf"]
         self.density = cat["density"]
         self.eigenvalue = cat["eigenvalue"]
         self.tau = cat["tau"]
         self.sup_density = cat["sup_density"]
-        self._root = (system.attractor_box.lo[0], system.attractor_box.hi[0])
         self._tables = {}
 
     def word_interval(self, word: FiniteWord) -> Tuple[float, float]:
@@ -448,10 +453,11 @@ class SpectralBackend:
     deepest tabled next-symbol conditionals (a sliding context of depth-1
     symbols); that extension is an approximation intended for samplers and
     orbit machinery, not for exact mixing computations, which are restricted
-    to the table depth.
+    to the table depth.  ``potential`` is the one ``report`` was solved for;
+    ``gibbs_data`` reads its branch weights.
     """
 
-    def __init__(self, system: IfsSystem, report: EigenReport, potential: PotentialSpec = None):
+    def __init__(self, system: IfsSystem, report: EigenReport, potential: PotentialSpec):
         self.system = system
         self.report = report
         self.potential = potential
@@ -666,12 +672,12 @@ def conditional_next(backend: MeasureBackend, word: FiniteWord) -> np.ndarray:
     return row / row.sum()
 
 
-def verify_gibbs_property(backend: MeasureBackend, depth: int, tail_symbol: int = 1) -> dict:
+def verify_gibbs_property(backend: MeasureBackend, depth: int) -> dict:
     """Compare cylinder masses against normalized weight products.
 
     The normalized branch weight is gtilde_j(x) = g_j(x) h(phi_j x)/(R h(x));
     the product along a word, evaluated at nested anchor points with tail
-    ``tail_symbol``^infinity, approximates the cylinder mass up to bounded
+    1^infinity, approximates the cylinder mass up to bounded
     distortion.  Returns the extreme mass/weight ratios over all words of
     length <= depth.
     """
@@ -679,7 +685,7 @@ def verify_gibbs_property(backend: MeasureBackend, depth: int, tail_symbol: int 
     if system.dim != 1:
         raise ValueError("the verification walk is implemented for 1-D systems")
     R, h, gs = backend.gibbs_data()
-    base = system.apply_word(FiniteWord((tail_symbol,) * 40, system.m), system.base_point()).x
+    base = system.apply_word(FiniteWord((1,) * 40, system.m), system.base_point()).x
 
     def gtilde(j, x):
         fx = _moebius_apply(system.maps[j - 1].matrix, x)

@@ -316,9 +316,10 @@ def map_box_image(m: ConformalMap, box: Box) -> Box:
 class IfsSystem:
     """A conformal IFS with domain, optional open-set witness, and metadata.
 
-    ``iterate_power`` is the smallest n0 such that every depth-n0 composition
-    has sup-derivative < 1; individual maps may have sup-derivative equal to 1
-    as long as some fixed power contracts uniformly.
+    ``iterate_power`` is computed, not passed: the smallest n0 <= 8 such that
+    every depth-n0 composition has sup-derivative < 1 on the domain;
+    individual maps may have sup-derivative equal to 1 as long as some fixed
+    power contracts uniformly.
     ``attractor_diameter`` is a certified [lo, hi] bracket for diam(K); the
     shipped constructors set it exactly.
     """
@@ -328,7 +329,6 @@ class IfsSystem:
     domain: Box
     attractor_box: Box
     osc_witness: Optional[Box] = None
-    iterate_power: int = 1
     attractor_diameter: Tuple[float, float] = None
     name: str = ""
 
@@ -367,9 +367,7 @@ class IfsSystem:
         return map_fixed_point(self.maps[0], self.domain)
 
     def _validate_contraction(self):
-        """Find/verify the smallest contracting composition power (<= 8)."""
-        if self.dim == 2 and self.iterate_power != 1:
-            raise ValueError("2-D similarities contract at power 1")
+        """Find the smallest contracting composition power (<= 8)."""
         self._kappa = max(map_sup_derivative(m, self.domain) for m in self.maps)
         level = [(_MOEBIUS_ID, False)]
         for n0 in range(1, 9):
@@ -637,7 +635,6 @@ def system_to_json(system: IfsSystem) -> dict:
         "maps": [_map_to_json(m) for m in system.maps],
         "domain": [list(system.domain.lo), list(system.domain.hi)],
         "attractor_box": [list(system.attractor_box.lo), list(system.attractor_box.hi)],
-        "iterate_power": system.iterate_power,
         "attractor_diameter": list(system.attractor_diameter),
         "name": system.name,
     }
@@ -661,17 +658,15 @@ def system_from_json(d: dict) -> IfsSystem:
     else:
         abox = domain
     diam = tuple(d["attractor_diameter"]) if "attractor_diameter" in d else None
-    sys_ = IfsSystem(
+    return IfsSystem(
         maps=[_map_from_json(md) for md in d["maps"]],
         dim=int(d["dim"]),
         domain=domain,
         attractor_box=abox,
         osc_witness=witness,
-        iterate_power=int(d.get("iterate_power", 1)),
         attractor_diameter=diam,
         name=d.get("name", ""),
     )
-    return sys_
 
 
 # ---------------------------------------------------------------------------

@@ -499,19 +499,13 @@ def ball_measure(
     x,
     r: float,
     depth_budget: int = 40,
-    method: str = "auto",
 ) -> MeasureBracket:
-    """Bracket mu(B(x, r)) (open ball): the radial-mass oracle in ``"auto"``,
-    the cylinder pruner alone in ``"prune"``."""
+    """Bracket mu(B(x, r)) (open ball) with the radial-mass oracle."""
     if r <= 0:
         raise ValueError("radius must be positive")
     x = as_point(x, backend.system.dim)
-    if method not in ("auto", "prune"):
-        raise ValueError("method must be 'auto' or 'prune'")
-    if method == "auto":
-        lo, hi = _radial_mass(backend, _to_coords(_point_value(x)), np.array([r]), depth_budget)
-        return MeasureBracket(float(lo[0]), float(hi[0]))
-    return region_measure(backend, BallRegion(x, r), depth_budget)
+    lo, hi = _radial_mass(backend, _to_coords(_point_value(x)), np.array([r]), depth_budget)
+    return MeasureBracket(float(lo[0]), float(hi[0]))
 
 
 def annulus_measure(
@@ -520,19 +514,16 @@ def annulus_measure(
     r: float,
     rho: float,
     depth_budget: int = 40,
-    method: str = "auto",
 ) -> MeasureBracket:
     """Bracket mu{y : r - rho < |y - x| < r + rho}.
 
-    In ``"auto"``, a backend with a closed-form CDF takes the difference of
-    two oracle balls; otherwise the pruner classifies the annulus itself.
+    A backend with a closed-form CDF takes the difference of two oracle
+    balls; otherwise the pruner classifies the annulus itself.
     """
     if r <= 0 or rho <= 0:
         raise ValueError("r and rho must be positive")
     x = as_point(x, backend.system.dim)
-    if method not in ("auto", "prune"):
-        raise ValueError("method must be 'auto' or 'prune'")
-    if method == "auto" and _closed_form(backend) is not None:
+    if _closed_form(backend) is not None:
         radii = [r + rho] if rho >= r else [r + rho, r - rho]
         lo, hi = _radial_mass(backend, _to_coords(_point_value(x)), np.array(radii), depth_budget)
         if rho >= r:
@@ -548,6 +539,7 @@ def annulus_measure(
 # ---------------------------------------------------------------------------
 
 _RADIUS_PIN = 1e-12
+_BISECTION_STEPS = 200  # pinning to _RADIUS_PIN takes about 40 halvings
 
 
 def t_n_radius(
@@ -556,7 +548,6 @@ def t_n_radius(
     target: float,
     tol: float,
     depth_budget: int = 45,
-    max_steps: int = 200,
 ) -> float:
     """The smallest radius with mu(B(x, r)) >= target, certified within tol.
 
@@ -581,8 +572,8 @@ def t_n_radius(
     steps = 0
     while hi_r - lo_r > eta:
         steps += 1
-        if steps > max_steps:
-            raise CertificationError("bisection exceeded max_steps")
+        if steps > _BISECTION_STEPS:
+            raise CertificationError(f"bisection exceeded {_BISECTION_STEPS} steps")
         mid = 0.5 * (lo_r + hi_r)
         br = ball_measure(backend, x, mid, depth_budget)
         if br.upper < target:

@@ -189,15 +189,11 @@ class SymbolStream:
         if self.prefix:
             return SymbolStream(self.prefix[1:], self.tail, self.m, self.tail_offset)
         if isinstance(self.tail, PeriodicTail):
+            # keep the offset-free periodic form: rotate the period past
+            # the offset and the dropped symbol
             per = self.tail.period
-            rotated = per[1:] + per[:1]
-            # Keep offset-free periodic representation: rotate the period.
-            if self.tail_offset:
-                k = self.tail_offset % len(per)
-                rotated = per[k:] + per[:k]
-                rotated = rotated[1:] + rotated[:1]
-                return SymbolStream((), PeriodicTail(rotated), self.m, 0)
-            return SymbolStream((), PeriodicTail(rotated), self.m, 0)
+            k = (self.tail_offset + 1) % len(per)
+            return SymbolStream((), PeriodicTail(per[k:] + per[:k]), self.m, 0)
         return SymbolStream((), self.tail, self.m, self.tail_offset + 1)
 
     def is_periodic(self) -> bool:

@@ -25,7 +25,7 @@ from selfconformal.cli import (
 )
 from selfconformal.experiments import NAMED_EXAMPLES, recurrence_pure_run
 from selfconformal.gibbs import BernoulliBackend
-from selfconformal.ifs import builtin_system
+from selfconformal.ifs import BUILTIN_SYSTEMS, builtin_system, system_to_json
 from selfconformal.measure import ConstantRadius, ball_measure
 
 
@@ -98,6 +98,30 @@ class TestSchema:
             with pytest.raises(ValueError, match=key):
                 validate_config(small_config(**{key: value}))
 
+    @pytest.mark.parametrize("name", sorted(BUILTIN_SYSTEMS))
+    def test_explicit_system_round_trip_validates(self, name):
+        cfg = small_config()
+        cfg["system"] = system_to_json(builtin_system(name))
+        validate_config(cfg)
+
+    @pytest.mark.parametrize("edit, path, key", [
+        (lambda s: s.update(bogus_key=1), "system", "bogus_key"),
+        (lambda s: s.update(iterate_power=1), "system", "iterate_power"),
+        (lambda s: s["maps"][0].pop("a"), "system/maps/0", "a"),
+        (lambda s: s["maps"][1].update(c=1.0), "system/maps/1", "c"),
+    ], ids=["system_key", "iterate_power", "missing_map_key", "extra_map_key"])
+    def test_explicit_system_keys_are_the_ones_read(self, tmp_path, capsys, edit, path, key):
+        cfg = small_config()
+        cfg["system"] = system_to_json(builtin_system("middle_third_cantor"))
+        edit(cfg["system"])
+        out = tmp_path / "out"
+        assert run(write_config(tmp_path, cfg), str(out)) == EXIT_CONFIG
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["kind"] == "config"
+        assert err["message"].startswith(f"schema violation at {path}: ")
+        assert f"'{key}'" in err["message"]
+
 
 _NAMED = {"kind": "named_example", "name": "B.2", "seed": 1}
 
@@ -126,7 +150,9 @@ class TestKeysTheKindDoesNotRead:
         assert not out.exists()
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["kind"] == "config"
-        assert f"experiment/{key}" in err["message"]
+        kind = cfg["experiment"]["kind"]
+        assert err["message"] == (
+            f"schema violation at experiment/{key}: experiment kind {kind!r} does not read {key!r}")
 
 
 class TestListExamples:

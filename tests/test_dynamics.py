@@ -16,6 +16,7 @@ import math
 import numpy as np
 import pytest
 
+from selfconformal import dynamics
 from selfconformal.dynamics import (
     MuSampler,
     correlation,
@@ -235,9 +236,11 @@ class TestSampling:
             stream = MuSampler(backend, 42).stream(sample_id=sid)
             assert tuple(int(v) for v in row) == stream.read(60)
 
-    def test_block_chunking_invariant(self, quartet_density):
-        a = sample_symbol_block(quartet_density, 3, [0, 1], 50, chunk=7)
-        b = sample_symbol_block(quartet_density, 3, [0, 1], 50, chunk=50)
+    def test_block_chunking_invariant(self, quartet_density, monkeypatch):
+        monkeypatch.setattr(dynamics, "_DRAW_CHUNK", 7)
+        a = sample_symbol_block(quartet_density, 3, [0, 1], 50)
+        monkeypatch.setattr(dynamics, "_DRAW_CHUNK", 50)
+        b = sample_symbol_block(quartet_density, 3, [0, 1], 50)
         np.testing.assert_array_equal(a, b)
 
     def test_spectral_of_bernoulli_samples_identically(self, cantor, cantor_weighted, cantor_spectral):

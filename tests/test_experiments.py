@@ -277,7 +277,7 @@ class TestRadialMassOracle:
         rs = 10.0 ** rng.uniform(-6, 0, 25)
         lo, hi = _radial_mass(weighted, xs, rs, 40)
         for x, r, a, b in zip(xs, rs, lo, hi):
-            br = ball_measure(weighted, float(x), float(r), 40, method="prune")
+            br = region_measure(weighted, BallRegion(PointRd((float(x),)), float(r)), 40)
             assert a <= br.upper + 1e-12
             assert b >= br.lower - 1e-12
             assert b - a < 1e-12
@@ -729,15 +729,12 @@ class TestBcResidual:
     def test_ball_sum_preferred_when_present(self):
         cps = [Checkpoint(100, 50, 40.0, 50.0)]
         rec = CountingRecord(0, cps, PointRd((0.0,)))
-        assert bc_residual(rec)[0][1] == 0.0
-        assert bc_residual(rec, which="psi")[0][1] > 0.0
+        assert bc_residual(rec)[0][1] == 0.0  # psi_sum would give a positive residual
 
     def test_epsilon_validation(self):
         rec = _record_with([(100, 7, 8.0)])
         with pytest.raises(ValueError):
             bc_residual(rec, 0.0)
-        with pytest.raises(ValueError):
-            bc_residual(rec, which="bogus")
 
     @given(st.integers(2, 10**6), st.floats(2.0, 10**5))
     @settings(max_examples=40, deadline=None)

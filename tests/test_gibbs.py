@@ -155,6 +155,20 @@ def test_density_pair_system_shares_density():
         assert abs(cylinder_measure(b, word(combo, 2)) - DEPTH1_ORACLE[idx]) < 1e-14
 
 
+def test_density_rejects_attractor_off_the_catalog_support():
+    # {x/2 - 1/2, x/2} on [-1/2, 1/2]: the catalog CDF would give a level-1
+    # table summing to 2.32 and a ball mass of 1.585
+    half = IfsSystem(
+        maps=[Affine1D(0.5, -0.5), Affine1D(0.5, 0.0)],
+        dim=1,
+        domain=Box((-0.5,), (0.5,)),
+        attractor_box=Box((-0.5,), (0.5,)),
+    )
+    assert DENSITY_CATALOG["reciprocal_log2"]["support"] == (0.0, 1.0)
+    with pytest.raises(ValueError, match="support"):
+        DensityBackend(half, "reciprocal_log2")
+
+
 # ---------------------------------------------------------------------------
 # Bernoulli backend
 # ---------------------------------------------------------------------------
@@ -403,6 +417,19 @@ def test_verify_gibbs_density_bounded_distortion(density_backend):
     # stay well inside a generous bracket and bracket 1
     assert 0.2 < rep["min_ratio"] <= 1.000001
     assert 1.0 - 1e-6 <= rep["max_ratio"] < 5.0
+
+
+def test_verify_gibbs_spectral_bounded_distortion(quartet, density_backend):
+    pot = ConformalPowerPotential(1.0)
+    sb = SpectralBackend(quartet, eigen_solve(quartet, pot, depth=6), pot)
+    rep = verify_gibbs_property(sb, depth=6)
+    assert rep["count"] == sum(4 ** k for k in range(1, 7))
+    # the cell-constant density lowers the smallest ratio below the exact
+    # density's, but the distortion stays bounded and brackets 1
+    assert 0.2 < rep["min_ratio"] <= 1.0
+    assert 1.0 <= rep["max_ratio"] < 5.0
+    exact = verify_gibbs_property(density_backend, depth=6)
+    assert abs(rep["max_ratio"] - exact["max_ratio"]) < 1e-3
 
 
 # ---------------------------------------------------------------------------

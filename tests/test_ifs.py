@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from selfconformal.ifs import (
     Affine1D,
     Box,
+    IfsSystem,
     Moebius1D,
     Similarity2D,
     apply_word,
@@ -73,6 +74,13 @@ def test_iterate_power_detection():
     assert builtin_system("moebius_interval_quartet").iterate_power == 1
     assert builtin_system("moebius_interval_pair").iterate_power == 2
     assert builtin_system("middle_third_cantor").iterate_power == 1
+
+
+def test_iterate_power_is_computed_not_passed():
+    cantor = builtin_system("middle_third_cantor")
+    with pytest.raises(TypeError, match="iterate_power"):
+        IfsSystem(maps=cantor.maps, dim=1, domain=cantor.domain,
+                  attractor_box=cantor.attractor_box, iterate_power=3)
 
 
 def test_pair_square_equals_quartet():

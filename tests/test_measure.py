@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from selfconformal import measure
 from selfconformal.dynamics import project_windows, sample_symbol_block
 from selfconformal.gibbs import (
     BernoulliBackend,
@@ -52,6 +53,7 @@ from selfconformal.measure import (
     region_measure,
     t_n_radius,
 )
+from selfconformal.symbolic import as_point
 
 LOG2 = math.log(2.0)
 
@@ -367,7 +369,7 @@ class TestBallMeasureCantor:
 
     @pytest.mark.parametrize("x,r,expected", GAP_BALL_ORACLES)
     def test_pruner_route_exact(self, cantor_uniform, x, r, expected):
-        br = ball_measure(cantor_uniform, x, r, depth_budget=30, method="prune")
+        br = region_measure(cantor_uniform, BallRegion(as_point(x), r), 30)
         # gap endpoints separate from the attractor, so the straddle
         # frontier empties and the pruner terminates with an exact value
         assert br.width < 1e-12
@@ -378,7 +380,7 @@ class TestBallMeasureCantor:
         assert br.contains(1.0) and br.width < 1e-12
 
     def test_disjoint_ball(self, cantor_uniform):
-        br = ball_measure(cantor_uniform, 0.5, 0.05, method="prune", depth_budget=20)
+        br = region_measure(cantor_uniform, BallRegion(as_point(0.5), 0.05), 20)
         # (0.45, 0.55) sits inside the central gap
         assert br.lower == 0.0 and br.upper == 0.0
 
@@ -389,7 +391,7 @@ class TestBallMeasureCantor:
             x = float(np.sum(2.0 * digits * 3.0 ** -np.arange(1, 36)))
             r = float(rng.uniform(0.02, 0.7))
             fast = ball_measure(cantor_weighted, x, r)
-            prune = ball_measure(cantor_weighted, x, r, depth_budget=26, method="prune")
+            prune = region_measure(cantor_weighted, BallRegion(as_point(x), r), 26)
             assert max(fast.lower, prune.lower) <= min(fast.upper, prune.upper) + 1e-12
             assert abs(fast.midpoint - prune.midpoint) < 1e-4
 
@@ -406,7 +408,7 @@ class TestBallMeasureDensity:
         assert br.midpoint == pytest.approx(0.37851162325372981, abs=1e-14)
 
     def test_pruner_brackets_closed_form(self, quartet_density):
-        br = ball_measure(quartet_density, 0.5, 0.25, depth_budget=14, method="prune")
+        br = region_measure(quartet_density, BallRegion(as_point(0.5), 0.25), 14)
         assert br.contains(0.48542682717024176)
         assert br.width < 1e-5
 
@@ -430,7 +432,7 @@ class TestBallMeasureDensity:
     @settings(max_examples=25, deadline=None)
     def test_fast_and_pruned_overlap(self, quartet_density, x, r):
         fast = ball_measure(quartet_density, x, r)
-        prune = ball_measure(quartet_density, x, r, depth_budget=12, method="prune")
+        prune = region_measure(quartet_density, BallRegion(as_point(x), r), 12)
         assert max(fast.lower, prune.lower) <= min(fast.upper, prune.upper) + 1e-12
 
     @given(
@@ -445,16 +447,15 @@ class TestBallMeasureDensity:
         assert b1.upper <= b2.upper + 1e-15
 
     def test_deeper_budget_nests(self, cantor_weighted):
-        shallow = ball_measure(cantor_weighted, 0.21, 0.17, depth_budget=6, method="prune")
-        deep = ball_measure(cantor_weighted, 0.21, 0.17, depth_budget=16, method="prune")
+        ball = BallRegion(as_point(0.21), 0.17)
+        shallow = region_measure(cantor_weighted, ball, 6)
+        deep = region_measure(cantor_weighted, ball, 16)
         assert deep.lower >= shallow.lower - 1e-12
         assert deep.upper <= shallow.upper + 1e-12
 
     def test_validation(self, quartet_density):
         with pytest.raises(ValueError):
             ball_measure(quartet_density, 0.5, 0.0)
-        with pytest.raises(ValueError):
-            ball_measure(quartet_density, 0.5, 0.1, method="bogus")
 
 
 class TestBallMeasureGasket:
@@ -500,9 +501,7 @@ class TestAnnulus:
 
     def test_pruned_route_consistent(self, cantor_uniform):
         ann = annulus_measure(cantor_uniform, 0.7, 0.4, 0.03)
-        pruned = annulus_measure(
-            cantor_uniform, 0.7, 0.4, 0.03, depth_budget=24, method="prune"
-        )
+        pruned = region_measure(cantor_uniform, AnnulusRegion(as_point(0.7), 0.4, 0.03), 24)
         assert max(ann.lower, pruned.lower) <= min(ann.upper, pruned.upper) + 1e-12
 
     def test_fat_annulus_equals_outer_ball(self, cantor_uniform):
@@ -516,10 +515,6 @@ class TestAnnulus:
             annulus_measure(cantor_uniform, 0.5, -0.1, 0.05)
         with pytest.raises(ValueError):
             annulus_measure(cantor_uniform, 0.5, 0.1, 0.0)
-
-    def test_unknown_method_rejected(self, cantor_uniform):
-        with pytest.raises(ValueError, match="method must be 'auto' or 'prune'"):
-            annulus_measure(cantor_uniform, 0.7, 0.4, 0.03, method="bogus")
 
 
 # ---------------------------------------------------------------------------
@@ -554,6 +549,12 @@ class TestInverseRadius:
 
     def test_target_above_mass_returns_diameter(self, cantor_uniform):
         assert t_n_radius(cantor_uniform, 0.0, 1.0, tol=1e-6) == 1.0
+
+    def test_bisection_guard_raises(self, cantor_uniform, monkeypatch):
+        # pinning to 1e-12 needs about 40 halvings, so 3 steps hit the guard
+        monkeypatch.setattr(measure, "_BISECTION_STEPS", 3)
+        with pytest.raises(CertificationError, match="bisection exceeded 3 steps"):
+            t_n_radius(cantor_uniform, 0.0, 0.5, tol=1e-3)
 
     def test_certified_measure_at_radius(self, cantor_weighted):
         t = t_n_radius(cantor_weighted, 0.1, 0.4, tol=1e-3)

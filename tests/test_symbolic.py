@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from selfconformal.symbolic import (
     FiniteWord,
+    PeriodicTail,
     PointRd,
     SymbolStream,
     as_point,
@@ -114,6 +115,15 @@ def test_coding_map_commutes_with_shift():
     img = map_apply(sys_.maps[first - 1], y)
     assert abs(img.x - x.x) <= 2 * tol
 
+
+
+@pytest.mark.parametrize("period", [(2,), (1, 2), (2, 1, 1, 2)])
+@pytest.mark.parametrize("offset", range(6))
+def test_shift_of_periodic_tail_drops_one_symbol(period, offset):
+    s = SymbolStream((), PeriodicTail(period), 2, offset)
+    t = shift(s)
+    assert t.tail_offset == 0
+    assert t.read(12) == s.read(13)[1:]
 
 @given(st.lists(st.integers(1, 2), min_size=1, max_size=10))
 @settings(max_examples=100, deadline=None)
