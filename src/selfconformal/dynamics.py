@@ -9,12 +9,20 @@ contractions, whose rounding errors shrink instead.
 
 Sampling is counter-based: the stream for sample ``i`` is generated by a
 Philox generator keyed on ``(master_seed, i)``, and every symbol consumes
-exactly one uniform.  The sequential per-stream sampler and the vectorized
-batch sampler therefore produce bit-identical symbols, which makes
-experiments reproducible independently of worker scheduling.  Both read the
-next-symbol law from the backend's chain (``backend.chain(n_rows)``, defined
-with the backends in :mod:`selfconformal.gibbs`): each step picks a symbol per
-row from the chain's cumulative rows, then advances the chain.
+exactly one uniform.  Philox is a function of its key and a block counter
+(Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11), so
+uniform ``t`` of stream ``i`` is read by re-keying one bit generator to
+``(master_seed, i)``, setting its counter to block ``t // 4`` and discarding
+``t % 4`` draws: the batch sampler re-keys a single generator per row and per
+chunk of draws instead of building one generator per stream.  The sequential
+per-stream sampler and the vectorized batch sampler therefore produce
+bit-identical symbols, which makes experiments reproducible independently of
+worker scheduling.  Both read the next-symbol law from the backend's chain
+(``backend.chain(n_rows)``, defined with the backends in
+:mod:`selfconformal.gibbs`): each step picks a symbol per row from the
+chain's cumulative rows, then advances the chain.  I.i.d. (Bernoulli) symbols
+skip the chain: a whole batch of uniforms is mapped through the one
+cumulative row at once.
 """
 
 from __future__ import annotations
@@ -177,6 +185,34 @@ def _stream_generator(master_seed: int, sample_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+_PHILOX_BLOCK = 4  # 64-bit words per Philox4x64 counter block, one uniform each
+
+
+def _stream_uniforms(
+    gen: np.random.Generator, master_seed: int, sample_id: int, start: int, out: np.ndarray
+) -> None:
+    """Fill ``out`` with uniforms ``start, start + 1, ...`` of stream ``sample_id``.
+
+    ``gen`` wraps a Philox bit generator, which is re-keyed in place: key
+    ``(master_seed, sample_id)``, counter at the block before ``start``'s and
+    an empty buffer (the next draw increments the counter, then fills the
+    buffer), so the draws equal those of :func:`_stream_generator` after
+    ``start`` others.
+    """
+    block, skip = divmod(start, _PHILOX_BLOCK)
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [block, 0, 0, 0], "key": [master_seed, sample_id]},
+        "buffer": [0] * _PHILOX_BLOCK,
+        "buffer_pos": _PHILOX_BLOCK,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    if skip:
+        gen.random(skip)
+    gen.random(out=out)
+
+
 def _pick_symbols(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Map uniforms to 1-based symbols through cumulative-probability rows."""
     idx = (u[:, None] >= cum_rows).sum(axis=1)
@@ -241,26 +277,37 @@ def sample_symbol_block(
 
     Row ``i`` is bit-identical to the stream of ``MuSampler`` with the same
     ``(master_seed, sample_ids[i])``: both consume one uniform per symbol from
-    the same keyed generator and share the chain arithmetic.
+    the same keyed Philox stream and pick through the same cumulative rows.
+    Uniforms are drawn at most ``_DRAW_CHUNK`` per row at a time (a Bernoulli
+    row longer than that is drawn whole).
     """
     sample_ids = list(sample_ids)
     n = len(sample_ids)
     out = np.empty((n, length), dtype=np.int8)
+    gen = np.random.Generator(np.random.Philox(0))  # re-keyed for every row
     if isinstance(backend, BernoulliBackend):
-        # i.i.d. symbols: one broadcast row serves a whole stream at once
-        cum = backend.chain(1).cum_rows()
-        for i, sid in enumerate(sample_ids):
-            out[i] = _pick_symbols(cum, _stream_generator(master_seed, sid).random(length))
+        # i.i.d. symbols: the one cumulative row maps a whole batch at once;
+        # on a nondecreasing row, searchsorted counts the entries <= u exactly
+        # as _pick_symbols does
+        cum = backend.chain(1).cum_rows()[0]
+        batch = max(1, _DRAW_CHUNK // max(length, 1))
+        U = np.empty((min(batch, n), length))
+        for r0 in range(0, n, batch):
+            ids = sample_ids[r0 : r0 + batch]
+            u = U[: len(ids)]
+            for i, sid in enumerate(ids):
+                _stream_uniforms(gen, master_seed, sid, 0, u[i])
+            idx = np.searchsorted(cum, u, side="right")
+            out[r0 : r0 + len(ids)] = np.minimum(idx, cum.size - 1) + 1
         return out
-    gens = [_stream_generator(master_seed, sid) for sid in sample_ids]
     chain = backend.chain(n)
-    done = 0
-    while done < length:
+    U = np.empty((n, min(_DRAW_CHUNK, length)))
+    for done in range(0, length, _DRAW_CHUNK):
         take = min(_DRAW_CHUNK, length - done)
-        U = np.stack([g.random(take) for g in gens])
+        for i, sid in enumerate(sample_ids):
+            _stream_uniforms(gen, master_seed, sid, done, U[i, :take])
         for t in range(take):
             out[:, done + t] = _draw(chain, U[:, t])
-        done += take
     return out
 
 

@@ -321,8 +321,8 @@ def _records_for_block(spec: _RunSpec, sub, block) -> List[CountingRecord]:
         ball_cum = None
         if spec.kind == "pure":
             ball_cum = _own_ball_sums(spec, x0s)
-    counts = np.cumsum(hit, axis=1, dtype=np.int64)[:, cp_idx]
-    flags = np.cumsum(flag, axis=1, dtype=np.int64)[:, cp_idx]
+    counts = _checkpoint_sums(hit, cp_idx)
+    flags = _checkpoint_sums(flag, cp_idx)
     recs = []
     for i, sid in enumerate(sub):
         x0 = as_point(
@@ -343,6 +343,20 @@ def _records_for_block(spec: _RunSpec, sub, block) -> List[CountingRecord]:
             )
         recs.append(CountingRecord(int(sid), tuple(rows), x0))
     return recs
+
+
+def _checkpoint_sums(marks, cp_idx):
+    """Running counts of a boolean ``(S, N)`` matrix at the checkpoint steps.
+
+    Equal to ``np.cumsum(marks, axis=1)[:, cp_idx]`` for strictly increasing
+    checkpoints ending at ``N - 1``, without the full-length count matrix: the
+    segments between checkpoints are summed, then the ``(S, checkpoints)``
+    segment sums are accumulated. Integer sums are exact, so the bits agree.
+    The explicit dtype keeps the counts int64 whatever the platform's default
+    integer is.
+    """
+    starts = np.concatenate([[0], cp_idx[:-1] + 1])
+    return np.cumsum(np.add.reduceat(marks, starts, axis=1, dtype=np.int64), axis=1)
 
 
 def _symbolic_self_hits(block, ks, N):

@@ -210,6 +210,38 @@ class BernoulliBackend:
         return 1.0, h, gs
 
 
+# Rounding allowance of the invariance check, in units of the CDF's ulp at 1
+# per term: each side is a sum of up to m + 1 CDF differences of values in
+# [0, 1], and each value carries a few ulps from the log and the Moebius map.
+# The catalog's true pairs stay within 1.4 ulps in all; a density that is not
+# invariant misses by a fixed fraction of its mass (0.32 on the Cantor set).
+_INVARIANCE_ULPS = 8
+_INVARIANCE_GRID = 65
+
+
+def _check_invariant(system: IfsSystem, cdf, root: Tuple[float, float], name: str) -> None:
+    """Refuse a catalog CDF that is not invariant for the system.
+
+    An invariant measure gives the preimage of ``[a0, y]`` under the induced
+    map, the union of the images ``phi_j([a0, y])``, the mass of ``[a0, y]``:
+    ``sum_j |F(phi_j(y)) - F(phi_j(a0))| = F(y) - F(a0)``. The identity is
+    checked on a grid of the attractor interval.
+    """
+    a0, b0 = root
+    y = np.linspace(a0, b0, _INVARIANCE_GRID)
+    images = sum(
+        np.abs(cdf(_moebius_apply(m.matrix, y)) - cdf(_moebius_apply(m.matrix, a0)))
+        for m in system.maps
+    )
+    residual = float(np.max(np.abs(images - (cdf(y) - cdf(a0)))))
+    if residual > _INVARIANCE_ULPS * (system.m + 1) * np.finfo(float).eps:
+        raise ValueError(
+            f"density {name!r} is not invariant for this system: the images of "
+            f"[{a0}, y] carry a mass that differs from that of [{a0}, y] by up to "
+            f"{residual:.3g}"
+        )
+
+
 class DensityBackend:
     """Closed-form measure: mu([a,b]) = H(b) - H(a) for a catalog CDF.
 
@@ -232,6 +264,7 @@ class DensityBackend:
             raise ValueError(f"attractor box {self._root} leaves the support "
                              f"{cat['support']} of density {name!r}")
         self.cdf = cat["cdf"]
+        _check_invariant(system, self.cdf, self._root, name)
         self.density = cat["density"]
         self.eigenvalue = cat["eigenvalue"]
         self.tau = cat["tau"]
@@ -330,12 +363,14 @@ def _avg_weight(m, tau: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return integral / (b - a)
 
 
+_EIGEN_TOL = 1e-13  # stop once an iteration moves h and nu by less than this
+_EIGEN_MAX_ITER = 500
+
+
 def eigen_solve(
     system: IfsSystem,
     potential: PotentialSpec,
     depth: int,
-    tol: float = 1e-13,
-    max_iter: int = 500,
 ) -> EigenReport:
     """Leading eigendata of the transfer operator on depth-k cells.
 
@@ -402,7 +437,7 @@ def eigen_solve(
     lam = 1.0
     iterations = 0
     converged = False
-    for it in range(1, max_iter + 1):
+    for it in range(1, _EIGEN_MAX_ITER + 1):
         iterations = it
         h_new = forward(h)
         h_new /= np.abs(h_new, out=scratch).max()
@@ -415,7 +450,7 @@ def eigen_solve(
         )
         h, nu = h_new, nu_new
         lam = lam_nu
-        if delta < tol:
+        if delta < _EIGEN_TOL:
             converged = True
             break
 

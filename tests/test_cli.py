@@ -1,5 +1,6 @@
 """Tests for the config-driven command line: artifacts, exit codes, closure."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -254,6 +255,57 @@ class TestRunArtifacts:
             assert ball_sums[rec.sample_id] == np.cumsum(np.full(50, mid))[-1]
 
 
+# Three small Bernoulli runs, one per hit test, with the SHA-256 digests of
+# their artifacts. The digests pin the bits of the whole path (sampling,
+# projection, hit test, checkpoint reduction and emission): a change that
+# moves any of them must say so.
+PINNED_RUNS = {
+    "symbolic_pure": (
+        {
+            "system": {"builtin": "middle_third_cantor"},
+            "potential": {"type": "bernoulli", "p": [0.3, 0.7]},
+            "experiment": {"kind": "recurrence_pure", "psi": {"type": "constant", "c": 1 / 27},
+                           "N": 3000, "samples": 6, "seed": 5, "checkpoints": [1, 2, 3, 700]},
+        },
+        "c527bb12877ef0d02fbbe33bfbb7180e30f705e335b65d03f3e29debbed131a0",
+        "388b95587b851963fcd18bd6e643163c84ecb614280909af0b935bf9c7a5cd3d",
+    ),
+    "distance_shrink": (
+        {
+            "system": {"builtin": "middle_third_cantor"},
+            "potential": {"type": "bernoulli", "p": [0.4, 0.6]},
+            "experiment": {"kind": "shrinking_target", "targets": [0.25],
+                           "psi": {"type": "power", "c": 0.5, "beta": 0.5},
+                           "N": 2000, "samples": 6, "seed": 9, "checkpoints": [1, 50, 1999]},
+        },
+        "f9546cd89d5f2b1b3527e15f4d99949d4e158f3f021c3d1b4fa43e6e9fbf5cde",
+        "92f05158d907c27d6822da1d14ef0fc2f249ba4689148dc7223918034abd48e4",
+    ),
+    "mass_modified": (
+        {
+            "system": {"builtin": "middle_third_cantor"},
+            "potential": {"type": "bernoulli", "p": [0.3, 0.7]},
+            "experiment": {"kind": "recurrence_modified",
+                           "psi": {"type": "power", "c": 1.0, "beta": 0.5},
+                           "N": 1500, "samples": 5, "seed": 13},
+        },
+        "ca7af40c006c2a25c6cb633a0fefa622faf43eb0583a3aaee6f4b0ab3617e0ff",
+        "68b23a3fe0845a9cd85ae78b7730b686eb135027262f5015908610995e2dd273",
+    ),
+}
+
+
+class TestPinnedArtifacts:
+    @pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+    def test_artifact_digests(self, tmp_path, name):
+        cfg, results_sha, summary_sha = PINNED_RUNS[name]
+        out = tmp_path / "out"
+        assert run(write_config(tmp_path, cfg), str(out)) == EXIT_OK, name
+        for artifact, want in (("results.csv", results_sha), ("summary.json", summary_sha)):
+            got = hashlib.sha256((out / artifact).read_bytes()).hexdigest()
+            assert got == want, f"{name}: {artifact} digest changed"
+
+
 class TestExitCodes:
     def test_malformed_json_exit_2_no_partial_outputs(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -285,6 +337,14 @@ class TestExitCodes:
         assert run(write_config(tmp_path, cfg), str(out)) == EXIT_CONFIG
         assert not out.exists()
         capsys.readouterr()
+
+    def test_density_not_invariant_for_the_system_exit_2(self, tmp_path, capsys):
+        cfg = small_config()
+        cfg["potential"] = {"type": "density", "name": "reciprocal_log2"}  # Cantor maps
+        out = tmp_path / "out"
+        assert run(write_config(tmp_path, cfg), str(out)) == EXIT_CONFIG
+        assert not out.exists()
+        assert "not invariant" in capsys.readouterr().err
 
     def test_flag_budget_exceeded_exit_3_with_artifacts(self, tmp_path, capsys):
         cfg = small_config(flag_budget=0.001)  # boundary-hugging radius flags ~0.6%

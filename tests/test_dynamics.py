@@ -219,22 +219,44 @@ class TestSampling:
         assert first == b.read(25)
 
     @pytest.mark.parametrize(
-        "backend_name", ["bernoulli", "density", "spectral", "spectral_depth1"]
+        "backend_name",
+        ["bernoulli", "bernoulli_m3", "bernoulli_short_sum", "density", "spectral",
+         "spectral_depth1"],
     )
     def test_block_matches_streams(
-        self, backend_name, cantor_weighted, quartet_density, cantor_spectral,
-        quartet_spectral_depth1,
+        self, backend_name, monkeypatch, cantor, gasket, cantor_weighted,
+        quartet_density, cantor_spectral, quartet_spectral_depth1,
     ):
+        # a weight row whose cumulative sum ends at 0.5: half the uniforms
+        # land past it and both samplers clamp them to the last symbol
+        short_sum = BernoulliBackend(cantor, (0.3, 0.7))
+        short_sum.probs = np.array([0.2, 0.3])
         backend = {
             "bernoulli": cantor_weighted,
+            "bernoulli_m3": BernoulliBackend(gasket, (0.2, 0.3, 0.5)),
+            "bernoulli_short_sum": short_sum,
             "density": quartet_density,
             "spectral": cantor_spectral,
             "spectral_depth1": quartet_spectral_depth1,
         }[backend_name]
-        block = sample_symbol_block(backend, 42, [0, 1, 5], 60)
-        for row, sid in zip(block, [0, 1, 5]):
-            stream = MuSampler(backend, 42).stream(sample_id=sid)
-            assert tuple(int(v) for v in row) == stream.read(60)
+        if not isinstance(backend, BernoulliBackend):
+            # chain chunks then start at uniforms 7, 14, ...: inside a Philox block
+            monkeypatch.setattr(dynamics, "_DRAW_CHUNK", 7)
+        ids = [5, 0, 5]  # unsorted, with a repeat
+        for length in (1, 3, 4, 5, dynamics._DRAW_CHUNK + 1):
+            expected = {sid: MuSampler(backend, 42).stream(sample_id=sid).read(length)
+                        for sid in set(ids)}
+            block = sample_symbol_block(backend, 42, ids, length)
+            assert block.shape == (len(ids), length)
+            for row, sid in zip(block, ids):
+                assert tuple(int(v) for v in row) == expected[sid], (length, sid)
+
+    def test_bernoulli_block_after_chain_block(self, cantor_weighted, quartet_density):
+        sample_symbol_block(quartet_density, 42, [3, 1], 9)
+        block = sample_symbol_block(cantor_weighted, 42, [1, 3], 9)
+        for row, sid in zip(block, [1, 3]):
+            stream = MuSampler(cantor_weighted, 42).stream(sample_id=sid)
+            assert tuple(int(v) for v in row) == stream.read(9)
 
     def test_block_chunking_invariant(self, quartet_density, monkeypatch):
         monkeypatch.setattr(dynamics, "_DRAW_CHUNK", 7)

@@ -45,6 +45,7 @@ from selfconformal.experiments import (
 )
 from selfconformal.experiments import (
     _RunSpec,
+    _checkpoint_sums,
     _diameter_bound,
     _mass_quota_hits,
     _staircase_alpha_window,
@@ -211,6 +212,23 @@ class TestDefaultCheckpoints:
         assert cps[-1] == N
         assert cps == sorted(set(cps))
         assert all(1 <= c <= N for c in cps)
+
+
+class TestCheckpointSums:
+    @pytest.mark.parametrize(
+        "N, cps",
+        [(1, [1]), (2, [2]), (40, [40]), (40, [1, 40]), (40, list(range(1, 41))),
+         (40, [1, 2, 3, 17, 39, 40]), (1000, default_checkpoints(1000))],
+    )
+    def test_matches_full_cumsum(self, N, cps):
+        rng = np.random.default_rng(N + len(cps))
+        cp_idx = np.asarray(cps, dtype=np.int64) - 1
+        for density in (0.0, 0.3, 1.0):
+            marks = rng.random((5, N)) < density
+            got = _checkpoint_sums(marks, cp_idx)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(
+                got, np.cumsum(marks, axis=1, dtype=np.int64)[:, cp_idx])
 
 
 class TestRecordTypes:

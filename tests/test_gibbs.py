@@ -169,6 +169,13 @@ def test_density_rejects_attractor_off_the_catalog_support():
         DensityBackend(half, "reciprocal_log2")
 
 
+def test_density_rejects_a_system_it_is_not_invariant_for():
+    # the catalog density lives on the Cantor set's interval, but the Cantor
+    # maps' images of [0, y] carry a different mass (off by up to 0.32)
+    with pytest.raises(ValueError, match="not invariant"):
+        DensityBackend(builtin_system("middle_third_cantor"), "reciprocal_log2")
+
+
 # ---------------------------------------------------------------------------
 # Bernoulli backend
 # ---------------------------------------------------------------------------
