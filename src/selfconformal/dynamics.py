@@ -298,7 +298,9 @@ def sample_symbol_block(
             for i, sid in enumerate(ids):
                 _stream_uniforms(gen, master_seed, sid, 0, u[i])
             idx = np.searchsorted(cum, u, side="right")
-            out[r0 : r0 + len(ids)] = np.minimum(idx, cum.size - 1) + 1
+            np.minimum(idx, cum.size - 1, out=idx)
+            idx += 1
+            out[r0 : r0 + len(ids)] = idx
         return out
     chain = backend.chain(n)
     U = np.empty((n, min(_DRAW_CHUNK, length)))
