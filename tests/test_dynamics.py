@@ -243,7 +243,7 @@ class TestSampling:
             # chain chunks then start at uniforms 7, 14, ...: inside a Philox block
             monkeypatch.setattr(dynamics, "_DRAW_CHUNK", 7)
         ids = [5, 0, 5]  # unsorted, with a repeat
-        for length in (1, 3, 4, 5, dynamics._DRAW_CHUNK + 1):
+        for length in (1, 3, 4, 5, 60, dynamics._DRAW_CHUNK + 1):
             expected = {sid: MuSampler(backend, 42).stream(sample_id=sid).read(length)
                         for sid in set(ids)}
             block = sample_symbol_block(backend, 42, ids, length)
