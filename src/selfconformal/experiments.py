@@ -224,13 +224,6 @@ def default_checkpoints(N: int) -> List[int]:
 # ---------------------------------------------------------------------------
 
 
-def _diameter_bound(system: IfsSystem, depth: int) -> float:
-    """Certified upper bound for any depth-``depth`` cylinder diameter."""
-    diam = max(system.attractor_diameter[1], 1e-300)
-    n0 = system.iterate_power
-    return diam * system.kappa_eff ** max(0, depth - n0)
-
-
 def _point_distances(pos: np.ndarray, center: np.ndarray) -> np.ndarray:
     """Euclidean distances along the step axis for 1-D or planar positions."""
     if pos.ndim == 2:
@@ -313,7 +306,9 @@ def _records_for_block(spec: _RunSpec, sub, block) -> List[CountingRecord]:
             center = x0s[:, None] if pos.ndim == 2 else x0s[:, None, :]
         dist = _point_distances(pos[:, 1:], center)
         if spec.hit_mode == "distance":
-            band = np.maximum(radii / _FLAG_DIVISOR, 2.0 * spec.prec)
+            # a target center is exact; a start point is as uncertain as the orbit
+            slack = spec.prec if spec.kind == "shrink" else 2.0 * spec.prec
+            band = np.maximum(radii / _FLAG_DIVISOR, slack)
             hit = dist <= radii
             flag = np.abs(dist - radii) <= band
         else:  # mass comparison against the per-step measure quota
@@ -593,7 +588,7 @@ def _run_counting(
     else:
         band = 1e-12
     depth = system.depth_for_diameter(band)
-    prec = _diameter_bound(system, depth)
+    prec = system.diameter_bound(depth)
     length = N + (depth if ks is None else max(int(ks.max()), depth))
     _check_oracle_serves(kind, backend, radii, len(ids), ball_budget)
     if kind == "shrink":
@@ -634,12 +629,14 @@ def shrinking_target_run(
     ``targets`` is a single point (constant target) or an ``(N, d)`` array of
     per-step centers. ``psi_sum`` of each checkpoint accumulates the
     target-ball measures (bracket midpoints of the radial-mass oracle, one
-    oracle call over the distinct balls; without a closed-form CDF each is a
-    pruner bracket to depth ``ball_budget``, which a spectral backend must
-    cover, else ``ValueError`` before sampling). Hits are decided on
-    distances; a decision within the flag band ``max(psi(n)/1000, 2 prec)``
-    of the boundary (``prec`` is the certified precision of the projected
-    orbit) is taken by the midpoint rule and counted in ``flagged``.
+    oracle call over the distinct balls; without a closed-form CDF that call
+    is one batched pruner descent, and each ball stops at depth
+    ``ball_budget``, which a spectral backend must cover, else ``ValueError``
+    before sampling, or earlier at the pruner's node cap, keeping its
+    certified bracket). Hits are decided on distances; a decision within the
+    flag band ``max(psi(n)/1000, prec)`` of the boundary (``prec`` is the
+    certified precision of the projected orbit; the target centers are
+    exact) is taken by the midpoint rule and counted in ``flagged``.
     ``sample_ids`` replaces the default id range ``0..samples-1`` (each id's
     symbol stream is fixed by ``seed`` alone, so id blocks computed
     separately concatenate to the full run).
@@ -673,12 +670,15 @@ def recurrence_pure_run(
     and the ball sums are exact cylinder-mass products. Every other run
     compares distances, takes decisions within the flag band
     ``max(psi(n)/1000, 2 prec)`` by the midpoint rule and counts them in
-    ``flagged``; its ball sums are bracket midpoints of the radial-mass
-    oracle. Without a closed-form CDF that oracle is the cylinder pruner at
-    depth ``ball_budget``: before any sampling, the run raises ``ValueError``
-    when a spectral table is shallower than that, and ``CertificationError``
-    when samples x distinct radii exceeds 20 000. ``sample_ids`` replaces the
-    default id range.
+    ``flagged`` (the band is ``2 prec`` wide at least, since the center is
+    itself a projected point); its ball sums are bracket midpoints of the
+    radial-mass oracle. Without a closed-form CDF that oracle is the
+    cylinder pruner, one batched descent over a sample's distinct radii,
+    each ball stopped at depth ``ball_budget`` or earlier at the node cap
+    with its certified bracket: before any sampling, the run raises
+    ``ValueError`` when a spectral table is shallower than ``ball_budget``,
+    and ``CertificationError`` when samples x distinct radii exceeds 20 000.
+    ``sample_ids`` replaces the default id range.
     """
     return _run_counting(system, backend, "pure", psi, N, samples, seed,
                          checkpoints=checkpoints, ball_budget=ball_budget,

@@ -393,12 +393,25 @@ class IfsSystem:
         """Per-step contraction rate certified at ``iterate_power`` blocks."""
         return self._kappa_eff
 
-    def depth_for_diameter(self, tol: float) -> int:
-        """Smallest depth guaranteeing every cylinder diameter < tol.
+    def diameter_bound(self, depth: int) -> float:
+        """Certified upper bound for the diameter of every depth-``depth`` cylinder.
 
-        Uses the certified bound |K_I| <= diam(K) * kappa_eff^(|I| - n0),
-        rounded up to whole iterate-power blocks.
+        A depth-``depth`` word splits into ``depth // n0`` blocks of
+        ``n0 = iterate_power`` maps, each with sup-derivative at most
+        ``kappa_eff^n0`` on the convex domain, and fewer than ``n0`` single
+        maps, each at most ``max(1, kappa)``. By the chain rule and the
+        mean-value inequality the cylinder is at most
+        ``diam(K) * kappa_eff^(n0 * (depth // n0)) * max(1, kappa)^(n0 - 1)``
+        across, and never more than ``diam(K)``.
         """
+        diam = max(self.attractor_diameter[1], 1e-300)
+        n0 = self.iterate_power
+        partial = max(1.0, self.kappa) ** (n0 - 1)
+        return diam * min(1.0, partial * (self._kappa_eff ** n0) ** (depth // n0))
+
+    def depth_for_diameter(self, tol: float) -> int:
+        """Smallest depth, in whole iterate-power blocks, whose
+        ``diameter_bound`` lies below ``tol`` (1 when diam(K) < tol)."""
         if tol <= 0:
             raise ValueError("tol must be positive")
         diam = max(self.attractor_diameter[1], 1e-300)
@@ -407,8 +420,13 @@ class IfsSystem:
         n0 = self.iterate_power
         block = self._kappa_eff ** n0
         partial = max(1.0, self.kappa) ** (n0 - 1)
-        a = math.ceil(math.log(tol / (diam * partial)) / math.log(block))
-        return max(1, a) * n0
+        a = max(1, math.ceil(math.log(tol / (diam * partial)) / math.log(block)))
+        # the logarithms only estimate the count; the bound itself decides it
+        while self.diameter_bound(a * n0) >= tol:
+            a += 1
+        while a > 1 and self.diameter_bound((a - 1) * n0) < tol:
+            a -= 1
+        return a * n0
 
     # -- words and cylinders ---------------------------------------------
     def apply_word(self, I: FiniteWord, x) -> PointRd:

@@ -3,15 +3,17 @@
 All quantities are returned as two-sided brackets: a cylinder-tree pruner
 classifies cylinder hulls as certainly inside / certainly outside / straddling
 an open region, accumulates certain mass, and bounds the truth by the
-straddling mass at the depth budget.
+straddling mass where it stops: at the depth budget, below 1e-18 of
+straddle mass, or at a cap on the straddling cylinders.
 
 Every ball mass ``mu(B(x, r))`` comes from one radial-mass oracle,
 ``_radial_mass``: for backends with a closed-form distribution function
 (interval densities, weighted middle-third Cantor measures) it takes the
 difference of two bracketed CDF values, vectorized over any number of balls,
 with near-zero bracket width; for every other backend and for planar systems
-it runs the pruner once per ball.  The closed forms are cross-checked against
-the pruner in the test-suite.  The Cantor CDF is a digit walk taken in
+it runs one level-synchronous pruner descent over all the balls at once, with
+each ball's bracket the one it gets alone.  The closed forms are cross-checked
+against the pruner in the test-suite.  The Cantor CDF is a digit walk taken in
 bounded chunks that carries only the live points from level to level: a
 point stops exactly when it lands in a removed gap, and NaN gets the vacuous
 bracket [0, 1].
@@ -151,13 +153,22 @@ RadiusFunction = Union[ConstantRadius, PowerLogRadius, PowerRadius]
 INSIDE, STRADDLE, OUTSIDE = 1, 0, -1
 
 
-def _distance_range(center: PointRd, lo: np.ndarray, hi: np.ndarray):
-    """Least and greatest distance from ``center`` to each box ``[lo, hi]``."""
-    c = np.asarray(center.coords)
+def _distance_range(c: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Least and greatest distance from the points ``c`` (one, or one per
+    box) to each box ``[lo, hi]``."""
     gap = np.maximum(np.maximum(lo - c, c - hi), 0.0)
     min_d = np.sqrt((gap ** 2).sum(axis=1))
     max_d = np.sqrt((np.maximum(c - lo, hi - c) ** 2).sum(axis=1))
     return min_d, max_d
+
+
+def _classify_balls(c: np.ndarray, r, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Boxes against open balls ``B(c, r)``: one ball, or one per box."""
+    min_d, max_d = _distance_range(c, lo, hi)
+    out = np.zeros(lo.shape[0], dtype=np.int8)
+    out[max_d < r] = INSIDE
+    out[min_d >= r] = OUTSIDE
+    return out
 
 
 class BallRegion:
@@ -170,11 +181,7 @@ class BallRegion:
         self.r = r
 
     def classify(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        min_d, max_d = _distance_range(self.center, lo, hi)
-        out = np.zeros(lo.shape[0], dtype=np.int8)
-        out[max_d < self.r] = INSIDE
-        out[min_d >= self.r] = OUTSIDE
-        return out
+        return _classify_balls(np.asarray(self.center.coords), self.r, lo, hi)
 
 
 class AnnulusRegion:
@@ -188,7 +195,7 @@ class AnnulusRegion:
         self.rho = rho
 
     def classify(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        min_d, max_d = _distance_range(self.center, lo, hi)
+        min_d, max_d = _distance_range(np.asarray(self.center.coords), lo, hi)
         inner, outer = self.r - self.rho, self.r + self.rho
         out = np.zeros(lo.shape[0], dtype=np.int8)
         out[(min_d > inner) & (max_d < outer)] = INSIDE
@@ -240,7 +247,10 @@ class IntersectRegion:
 # cylinder-tree pruner
 # ---------------------------------------------------------------------------
 
-_NODE_CAP = 5_000_000
+# frontier rows a region may hold, and rows a group of regions descends with
+_NODE_CAP = 1 << 17
+# numpy adds fewer terms than this left to right; longer sums are pairwise
+_SEQUENTIAL_SUM = 8
 
 
 def _initial_state(system: IfsSystem):
@@ -275,11 +285,11 @@ def _state_boxes(system: IfsSystem, state):
             z = np.where(state[k], z.conjugate(), z)
         pts.append(_to_coords(_moebius_apply(state[:k], z)))
     lo, hi = functools.reduce(np.minimum, pts), functools.reduce(np.maximum, pts)
-    return lo.reshape(len(lo), -1), hi.reshape(len(hi), -1)
+    return lo.reshape(len(lo), system.dim), hi.reshape(len(hi), system.dim)
 
 
-def _select_state(state, mask):
-    return [c[mask] for c in state]
+def _select_rows(columns, rows):
+    return [c[rows] for c in columns]
 
 
 def _child_masses(backend: MeasureBackend, masses, idx, level, j, lo, hi):
@@ -293,11 +303,113 @@ def _child_masses(backend: MeasureBackend, masses, idx, level, j, lo, hi):
     raise TypeError(f"unsupported backend {type(backend).__name__}")
 
 
-def _unit_bracket(lower: float, upper: float) -> MeasureBracket:
-    """Clip a bracket to [0, 1], absorbing float summation rounding."""
-    lower = min(max(lower, 0.0), 1.0)
-    upper = min(max(upper, 0.0), 1.0)
-    return MeasureBracket(min(lower, upper), upper)
+def _owner_starts(owner: np.ndarray) -> np.ndarray:
+    """The first row of each owner's run in rows sorted by owner."""
+    return np.flatnonzero(np.concatenate([[True], owner[1:] != owner[:-1]]))
+
+
+def _segment_sums(values: np.ndarray, owner: np.ndarray):
+    """Owner ids, row counts and sums of ``values`` over rows sorted by owner.
+
+    Each sum has the bits of ``values[owner == k].sum()``: numpy adds fewer
+    than ``_SEQUENTIAL_SUM`` terms left to right from 0, which is done here
+    one column of terms at a time for all short segments at once; a longer
+    segment takes numpy's own pairwise sum of its slice.
+    """
+    starts = _owner_starts(owner)
+    counts = np.diff(np.append(starts, owner.size))
+    sums = np.zeros(starts.size)
+    short = counts < _SEQUENTIAL_SUM
+    for k in range(int(counts[short].max(initial=0))):
+        sel = short & (counts > k)
+        sums[sel] += values[starts[sel] + k]
+    for s in np.flatnonzero(~short):
+        sums[s] = values[starts[s]:starts[s] + counts[s]].sum()
+    return owner[starts], counts, sums
+
+
+def _group_cut(owner: np.ndarray) -> int:
+    """The owner boundary nearest the middle row of a group of two or more owners."""
+    starts = _owner_starts(owner)[1:]
+    return int(starts[np.argmin(np.abs(starts - owner.size // 2))])
+
+
+def _descend(backend: MeasureBackend, classify, n: int, depth_budget: int):
+    """Lower and upper mass arrays for ``n`` open regions, by one cylinder descent.
+
+    ``classify(lo, hi, owner)`` sorts boxes against the regions named by
+    ``owner`` into INSIDE, STRADDLE and OUTSIDE. Every frontier row carries
+    its owner next to its cylinder state, mass and index, and one numpy pass
+    per level and branch refines all rows; rows stay sorted by owner, in
+    branch-major order within each owner. A region accumulates the mass of
+    its inside cylinders and stops with the bracket
+    ``[inside, inside + straddle]``, clipped to [0, 1], at the first of: an
+    empty frontier, a straddle mass below 1e-18, a frontier of more than
+    ``_NODE_CAP`` rows, or level ``depth_budget``. Regions descend in groups
+    of at most ``_NODE_CAP`` rows; a group is cut in two at an owner boundary
+    when its next level could pass that. Every sum runs over one owner's
+    rows, so a region's bracket does not depend on the others or on the
+    grouping.
+    """
+    system = backend.system
+    if depth_budget < 1:
+        raise ValueError("depth_budget must be >= 1")
+    if isinstance(backend, SpectralBackend) and depth_budget > backend.max_depth:
+        raise ValueError(f"depth_budget {depth_budget} is beyond the spectral "
+                         f"table depth {backend.max_depth}")
+    lower, upper = np.zeros(n), np.zeros(n)
+    if n == 0:
+        return lower, upper
+    root = _initial_state(system)
+    lo, hi = _state_boxes(system, root)
+    owner = np.arange(n)
+    cls = classify(np.repeat(lo, n, axis=0), np.repeat(hi, n, axis=0), owner)
+    lower[cls == INSIDE] = upper[cls == INSIDE] = 1.0
+    owner = owner[cls == STRADDLE]
+    inside, straddle, count = np.zeros(n), np.zeros(n), np.zeros(n, dtype=np.int64)
+    # a frontier is a list of row columns: the cylinder state, mass, index, owner
+    groups = [([*(np.repeat(c, owner.size) for c in root), np.ones(owner.size),
+                np.zeros(owner.size, dtype=np.int64), owner], 0)]
+    while groups:
+        frontier, level = groups.pop()
+        while frontier[-1].size:
+            *state, masses, idx, owner = frontier
+            if system.m * owner.size > _NODE_CAP and owner[0] != owner[-1]:
+                cut = _group_cut(owner)
+                groups.append((_select_rows(frontier, slice(cut, None)), level))
+                frontier = _select_rows(frontier, slice(cut))
+                continue
+            level += 1
+            prev = owner[_owner_starts(owner)]
+            parts = []
+            for j in range(1, system.m + 1):
+                cs = _child_state(system, state, j)
+                ci = idx * system.m + (j - 1)
+                lo, hi = _state_boxes(system, cs)
+                cm = _child_masses(backend, masses, ci, level, j, lo, hi)
+                cls = classify(lo, hi, owner)
+                ins = cls == INSIDE
+                if ins.any():
+                    ids, _, sums = _segment_sums(cm[ins], owner[ins])
+                    inside[ids] += sums
+                parts.append(_select_rows([*cs, cm, ci, owner], cls == STRADDLE))
+            frontier = [np.concatenate(cols) for cols in zip(*parts)]
+            frontier = _select_rows(frontier, np.argsort(frontier[-1], kind="stable"))
+            masses, owner = frontier[-3], frontier[-1]
+            straddle[prev] = 0.0
+            count[prev] = 0
+            if owner.size:
+                ids, counts, sums = _segment_sums(masses, owner)
+                straddle[ids] = sums
+                count[ids] = counts
+            done = prev[(count[prev] > _NODE_CAP) | (straddle[prev] < 1e-18)
+                        | (level >= depth_budget)]
+            hi_done = np.clip(inside[done] + straddle[done], 0.0, 1.0)
+            upper[done] = hi_done
+            lower[done] = np.minimum(np.clip(inside[done], 0.0, 1.0), hi_done)
+            if done.size:
+                frontier = _select_rows(frontier, ~np.isin(owner, done))
+    return lower, upper
 
 
 def region_measure(
@@ -305,50 +417,18 @@ def region_measure(
     region,
     depth_budget: int,
 ) -> MeasureBracket:
-    """Bracket the measure of an open region by pruning the cylinder tree."""
-    system = backend.system
-    if depth_budget < 1:
-        raise ValueError("depth_budget must be >= 1")
-    if isinstance(backend, SpectralBackend) and depth_budget > backend.max_depth:
-        raise ValueError(f"depth_budget {depth_budget} is beyond the spectral "
-                         f"table depth {backend.max_depth}")
-    state = _initial_state(system)
-    masses = np.array([1.0])
-    idx = np.array([0], dtype=np.int64)
-    lo, hi = _state_boxes(system, state)
-    cls = region.classify(lo, hi)
-    if cls[0] == INSIDE:
-        return MeasureBracket(1.0, 1.0)
-    if cls[0] == OUTSIDE:
-        return MeasureBracket(0.0, 0.0)
-    inside_mass = 0.0
-    for level in range(1, depth_budget + 1):
-        new_states, new_masses, new_idx = [], [], []
-        for j in range(1, system.m + 1):
-            cs = _child_state(system, state, j)
-            ci = idx * system.m + (j - 1)
-            lo, hi = _state_boxes(system, cs)
-            cm = _child_masses(backend, masses, ci, level, j, lo, hi)
-            cls = region.classify(lo, hi)
-            inside_mass += float(cm[cls == INSIDE].sum())
-            keep = cls == STRADDLE
-            if np.any(keep):
-                new_states.append(_select_state(cs, keep))
-                new_masses.append(cm[keep])
-                new_idx.append(ci[keep])
-        if not new_states:
-            return _unit_bracket(inside_mass, inside_mass)
-        state = [np.concatenate(cols) for cols in zip(*new_states)]
-        masses = np.concatenate(new_masses)
-        idx = np.concatenate(new_idx)
-        if masses.size > _NODE_CAP:
-            raise CertificationError(
-                f"straddle frontier exceeded {_NODE_CAP} nodes at depth {level}",
-                _unit_bracket(inside_mass, inside_mass + float(masses.sum())),
-            )
-        if float(masses.sum()) < 1e-18:
-            return _unit_bracket(inside_mass, inside_mass + float(masses.sum()))
-    return _unit_bracket(inside_mass, inside_mass + float(masses.sum()))
+    """Bracket the measure of an open region by pruning the cylinder tree.
+
+    The region takes the batched descent of the radial-mass oracle alone.
+    Cylinders whose hull lies inside the region add their mass to the lower
+    end; those that straddle its boundary are refined. The descent stops at
+    ``depth_budget`` levels, when the straddle mass falls below 1e-18, or
+    when more than ``_NODE_CAP`` cylinders straddle, and returns
+    ``[inside, inside + straddle]``: the cap ends the descent with a wider
+    bracket that still contains the true mass, not with an error.
+    """
+    lo, hi = _descend(backend, lambda lo, hi, owner: region.classify(lo, hi), 1, depth_budget)
+    return MeasureBracket(float(lo[0]), float(hi[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +552,10 @@ def _radial_mass(backend: MeasureBackend, centers, radii, depth_budget: int):
     (the coordinates ``project_windows`` returns).  With a closed-form CDF
     bracket ``F`` every ball costs one vectorized call:
     ``[F_lo(x+r) - F_hi(x-r), F_hi(x+r) - F_lo(x-r)]``, clipped at 0.  Otherwise
-    ``region_measure`` brackets each ball to ``depth_budget`` levels, once
-    per entry, so callers pass each distinct ball once.
+    one cylinder descent (``_descend``) brackets all the balls together to at
+    most ``depth_budget`` levels, one entry at a time, so callers pass each
+    distinct ball once; each ball's bracket is the one ``region_measure``
+    gives it alone.
     """
     radii = np.asarray(radii, dtype=float)
     dim = backend.system.dim
@@ -487,10 +569,11 @@ def _radial_mass(backend: MeasureBackend, centers, radii, depth_budget: int):
         lo = np.maximum(flo[half:] - fhi[:half], 0.0)
         hi = np.maximum(fhi[half:] - flo[:half], 0.0)
     else:
-        lo, hi = np.empty(radii.size), np.empty(radii.size)
-        for i, (c, r) in enumerate(zip(centers.reshape(radii.size, dim), radii.ravel())):
-            br = region_measure(backend, BallRegion(PointRd(tuple(c)), float(r)), depth_budget)
-            lo[i], hi[i] = br.lower, br.upper
+        if np.any(radii <= 0.0):
+            raise ValueError("radius must be positive")
+        c, r = centers.reshape(radii.size, dim), radii.reshape(-1)
+        lo, hi = _descend(backend, lambda blo, bhi, owner: _classify_balls(
+            c[owner], r[owner], blo, bhi), radii.size, depth_budget)
     return lo.reshape(radii.shape), hi.reshape(radii.shape)
 
 

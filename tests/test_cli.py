@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import jsonschema
 import numpy as np
@@ -254,11 +255,23 @@ class TestRunArtifacts:
             mid = ball_measure(backend, rec.x0, 0.3, 8).midpoint
             assert ball_sums[rec.sample_id] == np.cumsum(np.full(50, mid))[-1]
 
+    def test_planar_shrinking_target_at_the_default_ball_budget(self, tmp_path):
+        # the target ball's straddle frontier passes the pruner's node cap,
+        # which ends the descent with the certified bracket it holds
+        cfg = small_config(kind="shrinking_target", targets=[0.5, 0.0],
+                           psi={"type": "constant", "c": 0.1}, N=200, samples=2, seed=1)
+        cfg["system"] = {"builtin": "sierpinski_triangle"}
+        cfg["potential"] = {"type": "bernoulli", "p": [1 / 3, 1 / 3, 1 / 3]}
+        start = time.perf_counter()
+        assert run(write_config(tmp_path, cfg), str(tmp_path / "out")) == EXIT_OK
+        assert time.perf_counter() - start < 10.0
 
-# Three small Bernoulli runs, one per hit test, with the SHA-256 digests of
-# their artifacts. The digests pin the bits of the whole path (sampling,
-# projection, hit test, checkpoint reduction and emission): a change that
-# moves any of them must say so.
+
+# Small runs, one per hit test and two whose ball masses come from the
+# cylinder pruner, with the SHA-256 digests of their artifacts. The digests
+# pin the bits of the whole path (sampling, projection, hit test, ball
+# masses, checkpoint reduction and emission): a change that moves any of them
+# must say so.
 PINNED_RUNS = {
     "symbolic_pure": (
         {
@@ -279,7 +292,7 @@ PINNED_RUNS = {
                            "N": 2000, "samples": 6, "seed": 9, "checkpoints": [1, 50, 1999]},
         },
         "f9546cd89d5f2b1b3527e15f4d99949d4e158f3f021c3d1b4fa43e6e9fbf5cde",
-        "92f05158d907c27d6822da1d14ef0fc2f249ba4689148dc7223918034abd48e4",
+        "079fe1ecdce26a5033fa7de4cee77ce3d84a58e584be396c325cf625cfdaea6f",
     ),
     "mass_modified": (
         {
@@ -291,6 +304,30 @@ PINNED_RUNS = {
         },
         "ca7af40c006c2a25c6cb633a0fefa622faf43eb0583a3aaee6f4b0ab3617e0ff",
         "68b23a3fe0845a9cd85ae78b7730b686eb135027262f5015908610995e2dd273",
+    ),
+    # no closed form: target-ball and own-ball masses come from the pruner
+    "pruner_shrink": (
+        {
+            "system": {"builtin": "moebius_interval_pair"},
+            "potential": {"type": "bernoulli", "p": [0.35, 0.65]},
+            "experiment": {"kind": "shrinking_target", "targets": [0.3],
+                           "psi": {"type": "power", "c": 0.5, "beta": 0.5},
+                           "N": 400, "samples": 5, "seed": 17, "checkpoints": [1, 100, 400]},
+        },
+        "16832198b507bdba62f179dab7b759b0782381dd9814b9972fd40d0b57ce5bb9",
+        "63fe5c78d6f3539098c7cba2b1f0173d18bb39f59438406a2b2b6e5af3ec7237",
+    ),
+    "pruner_spectral_pure": (
+        {
+            "system": {"builtin": "moebius_interval_quartet"},
+            "potential": {"type": "spectral", "base": {"type": "conformal_power", "s": 1.0},
+                          "depth": 6},
+            "experiment": {"kind": "recurrence_pure", "psi": {"type": "constant", "c": 0.05},
+                           "N": 600, "samples": 4, "seed": 17, "checkpoints": [1, 60, 600],
+                           "depth_budgets": {"ball": 6}},
+        },
+        "990f46ebbf9f03344ff24edcb0c42b220ef9a3d2c1bfdf8449feadfd21ce9cc5",
+        "5005bc29af6f8f9d6c5d068f2a5f65d42d2c421031a9bc74ee6b4fc9e8dbae4a",
     ),
 }
 

@@ -46,7 +46,6 @@ from selfconformal.experiments import (
 from selfconformal.experiments import (
     _RunSpec,
     _checkpoint_sums,
-    _diameter_bound,
     _mass_quota_hits,
     _staircase_alpha_window,
 )
@@ -651,7 +650,7 @@ class TestRecurrenceModified:
         backend = request.getfixturevalue(backend_name)
         N, S = 400, 10
         depth = system.depth_for_diameter(1e-12)
-        prec = _diameter_bound(system, depth)
+        prec = system.diameter_bound(depth)
         block = sample_symbol_block(backend, 11, range(S), N + depth)
         pos = project_windows(block, system, depth)
         x0s, dist = pos[:, 0], np.abs(pos[:, 1:] - pos[:, [0]])
@@ -1063,7 +1062,7 @@ class TestMonteCarloConsistency:
         N, S = 60, 100_000
         psi = PowerRadius(1.0, 0.5)
         depth = cantor.depth_for_diameter(1e-12)
-        prec = _diameter_bound(cantor, depth)
+        prec = cantor.diameter_bound(depth)
         radii = psi.values(np.arange(1, N + 1))
         spec = _RunSpec(weighted, "modified", 424242, radii, np.array([N - 1]), "mass",
                         depth, prec, N + depth, np.cumsum(radii)[[N - 1]], 45)

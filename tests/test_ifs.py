@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from selfconformal.ifs import (
     Affine1D,
+    BUILTIN_SYSTEMS,
     Box,
     IfsSystem,
     Moebius1D,
@@ -178,6 +179,22 @@ def test_depth_for_diameter():
     assert d2 % 2 == 0  # whole blocks of the contracting power
     geo = pair.cylinder_geometry(word((2,) * d2, 2))
     assert geo.diameter[1] < 1e-4
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SYSTEMS))
+def test_diameter_bound_dominates_every_cylinder(name):
+    sys_ = builtin_system(name)
+    # a measured diameter is a difference of rounded endpoints, a few ulps of
+    # the coordinates off; on the Cantor sets it equals the bound exactly
+    ulps = 8.0 * np.finfo(float).eps
+    for depth in range(1, 7):
+        bound = sys_.diameter_bound(depth)
+        for symbols in itertools.product(range(1, sys_.m + 1), repeat=depth):
+            assert sys_.cylinder_geometry(word(symbols, sys_.m)).diameter[1] <= bound + ulps
+    for tol in (0.3, 1e-4, 1e-9):
+        depth = sys_.depth_for_diameter(tol)
+        assert sys_.diameter_bound(depth) < tol
+        assert depth == 1 or sys_.diameter_bound(depth - sys_.iterate_power) >= tol
 
 
 # ---------------------------------------------------------------------------

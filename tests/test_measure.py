@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selfconformal import measure
+from selfconformal import experiments, measure
 from selfconformal.dynamics import project_windows, sample_symbol_block
 from selfconformal.gibbs import (
     BernoulliBackend,
@@ -654,3 +654,115 @@ class TestGasketStripAndProbe:
     def test_region_measure_depth_validation(self, gasket_uniform):
         with pytest.raises(ValueError):
             region_measure(gasket_uniform, StripRegion((0.0, 1.0), 0.0, 0.05), 0)
+
+
+# ---------------------------------------------------------------------------
+# the batched cylinder descent
+# ---------------------------------------------------------------------------
+
+
+def _per_ball_descent(backend, center, r, depth_budget):
+    """The one-ball-at-a-time pruner the batched descent replaced: its
+    brackets are the reference bits on the line."""
+    system = backend.system
+    ball = BallRegion(as_point(tuple(np.atleast_1d(center)), system.dim), float(r))
+    state = measure._initial_state(system)
+    masses, idx = np.array([1.0]), np.array([0], dtype=np.int64)
+    cls = ball.classify(*measure._state_boxes(system, state))[0]
+    if cls != STRADDLE:
+        return (1.0, 1.0) if cls == INSIDE else (0.0, 0.0)
+    inside = 0.0
+    for level in range(1, depth_budget + 1):
+        parts = []
+        for j in range(1, system.m + 1):
+            cs = measure._child_state(system, state, j)
+            ci = idx * system.m + (j - 1)
+            lo, hi = measure._state_boxes(system, cs)
+            cm = measure._child_masses(backend, masses, ci, level, j, lo, hi)
+            c = ball.classify(lo, hi)
+            inside += float(cm[c == INSIDE].sum())
+            keep = c == STRADDLE
+            parts.append(([col[keep] for col in cs], cm[keep], ci[keep]))
+        state = [np.concatenate(cols) for cols in zip(*(p[0] for p in parts))]
+        masses = np.concatenate([p[1] for p in parts])
+        idx = np.concatenate([p[2] for p in parts])
+        straddle = float(masses.sum())
+        if masses.size > measure._NODE_CAP or straddle < 1e-18:
+            break
+    upper = min(max(inside + straddle, 0.0), 1.0)
+    return min(min(max(inside, 0.0), 1.0), upper), upper
+
+
+def _random_balls(system, n, seed):
+    rng = np.random.default_rng(seed)
+    box = system.attractor_box
+    centers = np.column_stack([rng.uniform(lo - 0.1, hi + 0.1, n)
+                               for lo, hi in zip(box.lo, box.hi)])
+    radii = np.exp(rng.uniform(math.log(1e-4), math.log(0.5), n))
+    return (centers[:, 0] if system.dim == 1 else centers), radii
+
+
+class TestBatchedDescent:
+    @pytest.fixture(scope="class")
+    def line_backends(self, quartet_spectral):
+        pair = builtin_system("moebius_interval_pair")
+        quartet = builtin_system("moebius_interval_quartet")
+        return {
+            "pair": (BernoulliBackend(pair, (0.3, 0.7)), 45),
+            "quartet": (BernoulliBackend(quartet, (0.1, 0.2, 0.3, 0.4)), 45),
+            "quartet_spectral": (quartet_spectral, 8),
+        }
+
+    @pytest.mark.parametrize("name", ["pair", "quartet", "quartet_spectral"])
+    def test_line_batch_equals_per_ball_descent(self, line_backends, name):
+        backend, budget = line_backends[name]
+        centers, radii = _random_balls(backend.system, 60, 41)
+        lo, hi = measure._radial_mass(backend, centers, radii, budget)
+        for i in range(radii.size):
+            ref = _per_ball_descent(backend, centers[i], radii[i], budget)
+            assert (lo[i], hi[i]) == ref, (name, i)
+
+    @pytest.mark.parametrize("name, budget", [("moebius_interval_pair", 45),
+                                              ("sierpinski_triangle", 12)])
+    def test_ball_alone_equals_ball_in_batch(self, name, budget, monkeypatch):
+        system = builtin_system(name)
+        backend = BernoulliBackend(system, np.full(system.m, 1.0 / system.m))
+        centers, radii = _random_balls(system, 500, 43)
+        # a small cap makes the batch cut its groups and stops some balls early
+        monkeypatch.setattr(measure, "_NODE_CAP", 1 << 9)
+        lo, hi = measure._radial_mass(backend, centers, radii, budget)
+        for i in range(0, 500, 25):
+            one_lo, one_hi = measure._radial_mass(backend, centers[i:i + 1], radii[i:i + 1],
+                                                  budget)
+            assert (one_lo[0], one_hi[0]) == (lo[i], hi[i]), i
+
+    @pytest.mark.parametrize("name", ["moebius_interval_pair", "sierpinski_triangle"])
+    def test_empty_batch_and_balls_decided_at_the_root(self, name):
+        system = builtin_system(name)
+        backend = BernoulliBackend(system, np.full(system.m, 1.0 / system.m))
+        shape = (0,) if system.dim == 1 else (0, 2)
+        lo, hi = measure._radial_mass(backend, np.zeros(shape), np.zeros(0), 45)
+        assert lo.shape == hi.shape == (0,)
+        far = np.full(system.dim, 100.0) if system.dim == 2 else 100.0
+        near = np.zeros(system.dim) if system.dim == 2 else 0.0
+        centers = np.array([far, near, far])
+        lo, hi = measure._radial_mass(backend, centers, np.array([1.0, 10.0, 0.5]), 45)
+        assert lo.tolist() == [0.0, 1.0, 0.0] and hi.tolist() == [0.0, 1.0, 0.0]
+
+    def test_capped_gasket_ball_keeps_a_certified_bracket(self):
+        # the frontier of this ball passes the node cap before level 40, so
+        # budgets 40 and 45 stop at the same level with a nonzero straddle
+        row = experiments.gasket_tangency_doubling_bracket((0.1, 0.8, 0.1), 2)
+        backend = BernoulliBackend(builtin_system("sierpinski_triangle"), (0.1, 0.8, 0.1))
+        capped = ball_measure(backend, row["center"], row["radius"], 45)
+        assert capped == ball_measure(backend, row["center"], row["radius"], 40)
+        assert capped.width > 0.0
+        shallow = ball_measure(backend, row["center"], row["radius"], 20)
+        assert shallow.lower <= capped.lower <= capped.upper <= shallow.upper
+        small_lo, small_hi = row["small_ball"]
+        assert max(small_lo, capped.lower) <= min(small_hi, capped.upper)
+
+    def test_nonpositive_radius_rejected_by_the_pruner(self):
+        backend = BernoulliBackend(builtin_system("moebius_interval_pair"), (0.5, 0.5))
+        with pytest.raises(ValueError, match="radius must be positive"):
+            measure._radial_mass(backend, np.array([0.3, 0.4]), np.array([0.1, 0.0]), 45)
