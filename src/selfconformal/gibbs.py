@@ -15,8 +15,12 @@ on depth-k cells with exact Lebesgue cell averages of the weight, so for
 tau = 1 in one dimension the cell-length vector is an exact fixed point of the
 adjoint and the leading eigenvalue is 1 to machine precision.  Cells are in
 lexicographic word order, so the m cells that share a parent word are one
-contiguous block and branch j maps them all into cell j.parent: the operator
-is a broadcast over (parent, last symbol) blocks, with no index gather.
+contiguous block and branch j maps them all into cell j.parent.  The weights
+are stored once, branch-major: ``G[j, l, p]`` is the weight of branch j on
+cell ``p * m + l``.  Both operators run over blocks of ``_EIGEN_BLOCK``
+prefixes, where every product and sum is one contiguous row of G against a
+block-long scratch row, so the power loop holds G, two (h, nu) pairs and
+scratch that fits in L2, with no index gather and no full-size temporary.
 
 Each backend's next-symbol law is written once, as the vectorized chain that
 ``backend.chain(n_rows)`` returns: ``rows()`` gives each row's next-symbol
@@ -157,6 +161,13 @@ def _check_level_size(m: int, k: int):
         raise ValueError(f"level table of size {m}^{k} exceeds the cap")
 
 
+def _check_weight_count(system: IfsSystem, probs: Sequence[float]) -> None:
+    if len(probs) != system.m:
+        raise ValueError(
+            f"need one weight per map: got {len(probs)} weights for {system.m} maps"
+        )
+
+
 def _power_weights(system: IfsSystem, tau: float) -> list:
     """The branch weights x |-> |phi_j'(x)|^tau of a 1-D system."""
     gs = []
@@ -177,8 +188,7 @@ class BernoulliBackend:
     max_depth: Optional[int] = None
 
     def __init__(self, system: IfsSystem, probs: Sequence[float]):
-        if len(probs) != system.m:
-            raise ValueError("need one weight per map")
+        _check_weight_count(system, probs)
         self.system = system
         self.potential = BernoulliPotential(tuple(probs))
         self.probs = np.asarray(self.potential.probs)
@@ -365,6 +375,83 @@ def _avg_weight(m, tau: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 _EIGEN_TOL = 1e-13  # stop once an iteration moves h and nu by less than this
 _EIGEN_MAX_ITER = 500
+_EIGEN_BLOCK = 2 ** 14  # prefixes per operator pass: a block's rows stay in L2
+
+
+class _BranchMajorOperator:
+    """The discretized transfer operator, applied one block of prefixes at a time.
+
+    ``G[j, l, p]`` is the averaged weight of branch j on cell ``p * m + l``
+    (prefix p, last symbol l), which branch j maps into cell
+    ``j * n_prefix + p``.  A block of prefixes reads one contiguous row of G
+    per (j, l) pair, and every product and sum runs over such rows.  Each
+    cell keeps the operation order of the plain operators: forward adds the
+    branches in order, adjoint adds the columns left to right for m < 8 and
+    takes numpy's pairwise row sum from 8 on.
+    """
+
+    def __init__(self, G: np.ndarray):
+        self.G = G
+        self.mm, _, self.n_prefix = G.shape
+        block = min(_EIGEN_BLOCK, self.n_prefix)
+        self.spans = [(p0, min(p0 + block, self.n_prefix))
+                      for p0 in range(0, self.n_prefix, block)]
+        self.row, self.prod = np.empty(block), np.empty(block)
+        n_cells = self.mm * self.n_prefix
+        self.chunks = [slice(c0, min(c0 + block, n_cells)) for c0 in range(0, n_cells, block)]
+
+    def cells(self):
+        """Slices of at most a block's length that cover the cells, each with
+        a scratch row as long as it."""
+        for c in self.chunks:
+            yield c, self.row[: c.stop - c.start]
+
+    def forward(self, f: np.ndarray, out: np.ndarray) -> float:
+        """``out = L f``; returns ``max |out|``."""
+        G, mm, n_prefix = self.G, self.mm, self.n_prefix
+        peaks = np.empty((len(self.spans), mm))
+        for i, (p0, p1) in enumerate(self.spans):
+            acc, prod = self.row[: p1 - p0], self.prod[: p1 - p0]
+            out_blk = out[p0 * mm : p1 * mm].reshape(p1 - p0, mm)
+            for l in range(mm):
+                np.multiply(G[0, l, p0:p1], f[p0:p1], out=acc)
+                for j in range(1, mm):
+                    q0 = j * n_prefix + p0
+                    acc += np.multiply(G[j, l, p0:p1], f[q0 : q0 + p1 - p0], out=prod)
+                out_blk[:, l] = acc
+                peaks[i, l] = np.abs(acc, out=acc).max()
+        return peaks.max()
+
+    def adjoint(self, w: np.ndarray, out: np.ndarray) -> None:
+        """``out = L* w``."""
+        G, mm, n_prefix = self.G, self.mm, self.n_prefix
+        if mm >= 8:
+            rows = np.empty((len(self.row), mm))
+        for p0, p1 in self.spans:
+            w_blk = w[p0 * mm : p1 * mm].reshape(p1 - p0, mm)
+            if mm < 8:
+                # numpy's row sum adds fewer than 8 terms left to right, so
+                # adding the columns in order gives its bits
+                col, prod = self.row[: p1 - p0], self.prod[: p1 - p0]
+                for l in range(mm):
+                    col[...] = w_blk[:, l]
+                    for j in range(mm):
+                        o = out[j * n_prefix + p0 : j * n_prefix + p1]
+                        if l == 0:
+                            np.multiply(G[j, 0, p0:p1], col, out=o)
+                        else:
+                            o += np.multiply(G[j, l, p0:p1], col, out=prod)
+            else:  # 8 or more terms numpy adds pairwise
+                prod = rows[: p1 - p0]
+                for j in range(mm):
+                    np.multiply(G[j, :, p0:p1].T, w_blk, out=prod)
+                    prod.sum(axis=1, out=out[j * n_prefix + p0 : j * n_prefix + p1])
+
+    def max_residual(self, image: np.ndarray, lam: float, f: np.ndarray) -> float:
+        """``max |image - lam * f|``."""
+        peaks = [np.abs(np.subtract(image[c], np.multiply(f[c], lam, out=d), out=d), out=d).max()
+                 for c, d in self.cells()]
+        return float(np.max(peaks))
 
 
 def eigen_solve(
@@ -384,86 +471,76 @@ def eigen_solve(
         raise ValueError("the eigensolver operates on 1-D systems")
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    if isinstance(potential, BernoulliPotential):
+        _check_weight_count(system, potential.probs)
+        tau = None
+    elif isinstance(potential, ConformalPowerPotential):
+        tau = potential.tau
+    elif isinstance(potential, ClosedFormDensityPotential):
+        tau = DENSITY_CATALOG[potential.name]["tau"]
+    else:
+        raise TypeError(f"unsupported potential {potential!r}")
     _check_level_size(system.m, depth)
     mm = system.m
     n_cells = mm ** depth
-    lo, hi, anchor = _cell_arrays(system, depth)
-    lengths = hi - lo
-    if np.any(lengths <= 0):
-        raise ValueError("degenerate cells; system cylinders must have length")
-
-    if isinstance(potential, BernoulliPotential):
-        g_bar = np.repeat(np.asarray(potential.probs)[:, None], n_cells, axis=1)
-    elif isinstance(potential, ConformalPowerPotential):
-        g_bar = np.stack([_avg_weight(m, potential.tau, lo, hi) for m in system.maps])
-    elif isinstance(potential, ClosedFormDensityPotential):
-        tau = DENSITY_CATALOG[potential.name]["tau"]
-        g_bar = np.stack([_avg_weight(m, tau, lo, hi) for m in system.maps])
-    else:
-        raise TypeError(f"unsupported potential {potential!r}")
-
-    # cell p * m + l (prefix p, last symbol l) maps under branch j into the
-    # cell j * n_prefix + p, so both operators work on (n_prefix, m) blocks
     n_prefix = n_cells // mm
-    g3 = g_bar.reshape(mm, n_prefix, mm)
-    scratch = np.empty(n_cells)  # the operators' products, then the loop's differences
-    prod = scratch.reshape(n_prefix, mm)
+    lo, hi, anchor = _cell_arrays(system, depth)
+    nu = np.subtract(hi, lo)  # the cell lengths, then the first weights
+    if np.any(nu <= 0):
+        raise ValueError("degenerate cells; system cylinders must have length")
+    nu /= nu.sum()
 
-    def forward(f):
-        f3 = f.reshape(mm, n_prefix, 1)
-        out = np.zeros((n_prefix, mm))
-        for j in range(mm):
-            out += np.multiply(g3[j], f3[j], out=prod)
-        return out.reshape(n_cells)
+    G = np.empty((mm, mm, n_prefix))
+    if tau is None:
+        for j, p in enumerate(potential.probs):
+            G[j].fill(p)
+    else:
+        lo2, hi2 = lo.reshape(n_prefix, mm), hi.reshape(n_prefix, mm)
+        for p0 in range(0, n_prefix, _EIGEN_BLOCK):
+            s = slice(p0, p0 + _EIGEN_BLOCK)
+            for j, m in enumerate(system.maps):
+                for l in range(mm):
+                    G[j, l, s] = _avg_weight(m, tau, lo2[s, l], hi2[s, l])
+    op = _BranchMajorOperator(G)
+    del G
 
-    def adjoint(w):
-        w2 = w.reshape(n_prefix, mm)
-        out = np.empty((mm, n_prefix))
-        for j in range(mm):
-            np.multiply(g3[j], w2, out=prod)
-            if mm < 8:
-                # numpy's row sum adds fewer than 8 terms left to right, so
-                # these column additions give its bits (pinned by a test in
-                # test_gibbs) at about half its cost for short rows
-                np.add(prod[:, 0], prod[:, 1], out=out[j])
-                for c in range(2, mm):
-                    out[j] += prod[:, c]
-            else:  # 8 or more terms numpy adds pairwise
-                prod.sum(axis=1, out=out[j])
-        return out.reshape(n_cells)
-
-    h = np.ones(n_cells)
-    nu = lengths / lengths.sum()
-    lam = 1.0
+    # the power loop ping-pongs two (h, nu) pairs; each iteration normalizes
+    # the new pair and measures its move in one blocked pass
+    h, h_new, nu_new = np.ones(n_cells), np.empty(n_cells), np.empty(n_cells)
+    d_h, d_nu = np.empty(len(op.chunks)), np.empty(len(op.chunks))
     iterations = 0
     converged = False
     for it in range(1, _EIGEN_MAX_ITER + 1):
         iterations = it
-        h_new = forward(h)
-        h_new /= np.abs(h_new, out=scratch).max()
-        nu_new = adjoint(nu)
+        h_peak = op.forward(h, h_new)
+        op.adjoint(nu, nu_new)
         lam_nu = nu_new.sum()
-        nu_new /= lam_nu
-        delta = max(
-            np.abs(np.subtract(h_new, h, out=scratch), out=scratch).max(),
-            np.abs(np.subtract(nu_new, nu, out=scratch), out=scratch).max(),
-        )
-        h, nu = h_new, nu_new
-        lam = lam_nu
+        for i, (c, d) in enumerate(op.cells()):
+            hc, nc = h_new[c], nu_new[c]
+            hc /= h_peak
+            nc /= lam_nu
+            d_h[i] = np.abs(np.subtract(hc, h[c], out=d), out=d).max()
+            d_nu[i] = np.abs(np.subtract(nc, nu[c], out=d), out=d).max()
+        delta = max(d_h.max(), d_nu.max())
+        h, h_new = h_new, h
+        nu, nu_new = nu_new, nu
         if delta < _EIGEN_TOL:
             converged = True
             break
 
-    # Rayleigh eigenvalue and normalization
+    # Rayleigh eigenvalue and normalization, in the spare pair
     denom = float(h @ nu)
-    lam = float((forward(h) @ nu) / denom)
-    nu = nu / nu.sum()
-    h = h / float(h @ nu)
-    residual = float(np.max(np.abs(forward(h) - lam * h)))
-    adj = adjoint(nu)
-    adjoint_residual = float(np.max(np.abs(adj - lam * nu)))
-    mu_table = h * nu
-    mu_table = mu_table / mu_table.sum()
+    op.forward(h, h_new)
+    lam = float((h_new @ nu) / denom)
+    nu /= nu.sum()
+    h /= float(h @ nu)
+    op.forward(h, h_new)
+    residual = op.max_residual(h_new, lam, h)
+    op.adjoint(nu, nu_new)
+    adjoint_residual = op.max_residual(nu_new, lam, nu)
+    del op, nu_new
+    mu_table = np.multiply(h, nu, out=h_new)
+    mu_table /= mu_table.sum()
     return EigenReport(
         eigenvalue=lam,
         depth=depth,
@@ -545,10 +622,20 @@ class SpectralBackend:
         return self.level_table(depth)[heads] * picked.prod(axis=1)
 
     def h_at(self, x: float) -> float:
-        """Piecewise-constant density value at a point (cell lookup)."""
-        idx = np.searchsorted(self.report.cell_lo, x, side="right") - 1
-        idx = int(np.clip(idx, 0, len(self.report.h_values) - 1))
-        return float(self.report.h_values[idx])
+        """Piecewise-constant density value at a point: the value of the
+        rightmost cell that starts at or left of it.
+
+        Cells are in word order, which is not position order on systems with
+        orientation-reversing maps, so the lookup runs on the cells sorted by
+        left endpoint, built on the first call.
+        """
+        if not hasattr(self, "_by_position"):
+            order = np.argsort(self.report.cell_lo, kind="stable")
+            self._by_position = (self.report.cell_lo[order], order)
+        starts, order = self._by_position
+        idx = np.searchsorted(starts, x, side="right") - 1
+        idx = int(np.clip(idx, 0, len(order) - 1))
+        return float(self.report.h_values[order[idx]])
 
     def gibbs_data(self):
         pot = self.potential

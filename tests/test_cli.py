@@ -10,7 +10,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from selfconformal import experiments
+from selfconformal import experiments, gibbs
 from selfconformal.cli import (
     ARTIFACTS,
     EXIT_CERTIFICATION,
@@ -422,6 +422,22 @@ class TestExitCodes:
         assert not out.exists()
         message = json.loads(capsys.readouterr().err)["error"]["message"]
         assert "45" in message and "depth 6" in message and "depth_budgets.ball" in message
+
+    def test_spectral_weight_count_off_the_system_exit_2_before_solving(
+            self, tmp_path, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("built the cells before checking the weights")
+
+        monkeypatch.setattr(gibbs, "_cell_arrays", refuse)
+        cfg = small_config()
+        cfg["system"] = {"builtin": "moebius_interval_quartet"}
+        cfg["potential"] = {"type": "spectral",
+                            "base": {"type": "bernoulli", "p": [0.5, 0.5]}, "depth": 10}
+        out = tmp_path / "out"
+        assert run(write_config(tmp_path, cfg), str(out)) == EXIT_CONFIG
+        assert not out.exists()
+        message = json.loads(capsys.readouterr().err)["error"]["message"]
+        assert "2 weights" in message and "4 maps" in message
 
     def test_spectral_depth_1_pure_recurrence_runs(self, tmp_path):
         # seed 1 gives sample ids 3 and 4 a first symbol other than 1, so the

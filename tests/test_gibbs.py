@@ -1,6 +1,7 @@
 """Transfer-operator eigendata and measure backends."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from selfconformal import gibbs
 from selfconformal.gibbs import (
     DENSITY_CATALOG,
     BernoulliBackend,
@@ -310,8 +312,12 @@ def _nine_map_system():
     pytest.param("cantor", BernoulliPotential((0.3, 0.7)), 8, id="cantor-bernoulli"),
     pytest.param("quartet", ClosedFormDensityPotential("reciprocal_log2"), 5,
                  id="quartet-reciprocal_log2"),
-    # nine branches: numpy adds the adjoint's rows pairwise
+    # nine branches: numpy adds the adjoint's rows pairwise; the last two
+    # cases round differently when the rows are added left to right
     pytest.param("nine", BernoulliPotential((0.1,) * 8 + (0.2,)), 3, id="nine-bernoulli"),
+    pytest.param("nine", BernoulliPotential((0.05, 0.07, 0.09, 0.11, 0.13, 0.15, 0.12, 0.18, 0.10)),
+                 3, id="nine-bernoulli-distinct"),
+    pytest.param("nine", ConformalPowerPotential(0.7), 3, id="nine-tau0.7"),
 ])
 def test_eigen_solve_bit_identical_to_gathered_operators(quartet, cantor, system, potential, depth):
     system = {"quartet": quartet, "cantor": cantor, "nine": _nine_map_system()}[system]
@@ -319,6 +325,52 @@ def test_eigen_solve_bit_identical_to_gathered_operators(quartet, cantor, system
     ref = _gathered_power_iteration(system, potential, depth)
     for name, value in ref.items():
         assert np.array_equal(getattr(rep, name), value), name
+
+
+@pytest.mark.parametrize("block", [1, 7])
+@pytest.mark.parametrize("system, potential, depth", [
+    pytest.param("quartet", ConformalPowerPotential(1.0), 4, id="quartet-tau1"),
+    pytest.param("quartet", ConformalPowerPotential(0.7), 4, id="quartet-tau0.7"),
+    pytest.param("nine", BernoulliPotential((0.1,) * 8 + (0.2,)), 3, id="nine-bernoulli"),
+    pytest.param("nine", BernoulliPotential((0.05, 0.07, 0.09, 0.11, 0.13, 0.15, 0.12, 0.18, 0.10)),
+                 3, id="nine-bernoulli-distinct"),
+    pytest.param("nine", ConformalPowerPotential(0.7), 3, id="nine-tau0.7"),
+])
+def test_eigen_solve_bits_do_not_depend_on_the_block(quartet, monkeypatch, system, potential,
+                                                     depth, block):
+    # blocks of 1 and 7 prefixes end raggedly (64 and 81 prefixes) and cut
+    # the cell passes, which run a block's length of cells, inside a block
+    system = {"quartet": quartet, "nine": _nine_map_system()}[system]
+    monkeypatch.setattr(gibbs, "_EIGEN_BLOCK", block)
+    rep = eigen_solve(system, potential, depth)
+    ref = _gathered_power_iteration(system, potential, depth)
+    for name, value in ref.items():
+        assert np.array_equal(getattr(rep, name), value), name
+
+
+@pytest.mark.parametrize("probs", [(0.5, 0.5), (0.2,) * 5])
+def test_eigen_solve_refuses_a_weight_count_before_allocating(quartet, monkeypatch, probs):
+    def refuse(*args):
+        raise AssertionError("built the cells before checking the weights")
+
+    monkeypatch.setattr(gibbs, "_cell_arrays", refuse)
+    with pytest.raises(ValueError, match=f"got {len(probs)} weights for 4 maps"):
+        eigen_solve(quartet, BernoulliPotential(probs), depth=10)
+
+
+def test_eigen_solve_peak_memory(quartet):
+    # the report keeps six cell arrays; the solve adds the weights (m = 4
+    # arrays), the spare (h, nu) pair and block-sized scratch, about 11.5
+    # arrays in all where the full-size temporaries took 16
+    depth = 8
+    array_bytes = 4 ** depth * 8
+    tracemalloc.start()
+    try:
+        eigen_solve(quartet, ConformalPowerPotential(1.0), depth)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 13 * array_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -431,12 +483,25 @@ def test_verify_gibbs_spectral_bounded_distortion(quartet, density_backend):
     sb = SpectralBackend(quartet, eigen_solve(quartet, pot, depth=6), pot)
     rep = verify_gibbs_property(sb, depth=6)
     assert rep["count"] == sum(4 ** k for k in range(1, 7))
-    # the cell-constant density lowers the smallest ratio below the exact
-    # density's, but the distortion stays bounded and brackets 1
+    # the cell-constant density differs from the exact one by a depth-6
+    # cell's variation, so both extreme ratios track the exact density's
     assert 0.2 < rep["min_ratio"] <= 1.0
     assert 1.0 <= rep["max_ratio"] < 5.0
     exact = verify_gibbs_property(density_backend, depth=6)
+    assert abs(rep["min_ratio"] - exact["min_ratio"]) < 1e-3
     assert abs(rep["max_ratio"] - exact["max_ratio"]) < 1e-3
+
+
+@pytest.mark.parametrize("name", ["moebius_interval_quartet", "moebius_interval_pair"])
+def test_spectral_h_at_reads_the_cell_holding_the_point(name):
+    # both systems reverse orientation, so word order is not position order
+    system = builtin_system(name)
+    pot = ConformalPowerPotential(1.0)
+    rep = eigen_solve(system, pot, depth=4)
+    sb = SpectralBackend(system, rep, pot)
+    for x in np.linspace(rep.cell_lo.min(), rep.cell_hi.max(), 1999):
+        holding = rep.h_values[(rep.cell_lo <= x) & (x <= rep.cell_hi)]
+        assert sb.h_at(x) in holding, x
 
 
 # ---------------------------------------------------------------------------
