@@ -390,10 +390,10 @@ class _BranchMajorOperator:
     takes numpy's pairwise row sum from 8 on.
     """
 
-    def __init__(self, G: np.ndarray):
-        self.G = G
-        self.mm, _, self.n_prefix = G.shape
-        block = min(_EIGEN_BLOCK, self.n_prefix)
+    def __init__(self, mm: int, n_prefix: int):
+        self.mm, self.n_prefix = mm, n_prefix
+        self.G = np.empty((mm, mm, n_prefix))  # filled by the caller
+        block = min(_EIGEN_BLOCK, n_prefix)
         self.spans = [(p0, min(p0 + block, self.n_prefix))
                       for p0 in range(0, self.n_prefix, block)]
         self.row, self.prod = np.empty(block), np.empty(block)
@@ -490,19 +490,16 @@ def eigen_solve(
         raise ValueError("degenerate cells; system cylinders must have length")
     nu /= nu.sum()
 
-    G = np.empty((mm, mm, n_prefix))
+    op = _BranchMajorOperator(mm, n_prefix)
     if tau is None:
         for j, p in enumerate(potential.probs):
-            G[j].fill(p)
+            op.G[j].fill(p)
     else:
         lo2, hi2 = lo.reshape(n_prefix, mm), hi.reshape(n_prefix, mm)
-        for p0 in range(0, n_prefix, _EIGEN_BLOCK):
-            s = slice(p0, p0 + _EIGEN_BLOCK)
+        for p0, p1 in op.spans:
             for j, m in enumerate(system.maps):
                 for l in range(mm):
-                    G[j, l, s] = _avg_weight(m, tau, lo2[s, l], hi2[s, l])
-    op = _BranchMajorOperator(G)
-    del G
+                    op.G[j, l, p0:p1] = _avg_weight(m, tau, lo2[p0:p1, l], hi2[p0:p1, l])
 
     # the power loop ping-pongs two (h, nu) pairs; each iteration normalizes
     # the new pair and measures its move in one blocked pass
