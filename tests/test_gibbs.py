@@ -338,8 +338,10 @@ def test_eigen_solve_bit_identical_to_gathered_operators(quartet, cantor, system
 ])
 def test_eigen_solve_bits_do_not_depend_on_the_block(quartet, monkeypatch, system, potential,
                                                      depth, block):
-    # blocks of 1 and 7 prefixes end raggedly (64 and 81 prefixes) and cut
-    # the cell passes, which run a block's length of cells, inside a block
+    # blocks of 7 prefixes leave a short last block (of 64 and of 81
+    # prefixes), blocks of 1 give each prefix its own; the normalization
+    # passes run over a block's length of cells, so each prefix block's
+    # cells span several of them
     system = {"quartet": quartet, "nine": _nine_map_system()}[system]
     monkeypatch.setattr(gibbs, "_EIGEN_BLOCK", block)
     rep = eigen_solve(system, potential, depth)
@@ -359,9 +361,9 @@ def test_eigen_solve_refuses_a_weight_count_before_allocating(quartet, monkeypat
 
 
 def test_eigen_solve_peak_memory(quartet):
-    # the report keeps six cell arrays; the solve adds the weights (m = 4
-    # arrays), the spare (h, nu) pair and block-sized scratch, about 11.5
-    # arrays in all where the full-size temporaries took 16
+    # the loop holds the three cell-endpoint arrays, two (h, nu) pairs, the
+    # weights (m = 4 arrays) and block-sized scratch: about 11.5 cell
+    # arrays, where the full-size temporaries took 16
     depth = 8
     array_bytes = 4 ** depth * 8
     tracemalloc.start()
