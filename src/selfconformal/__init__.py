@@ -4,7 +4,7 @@ seeded counting experiments.
 The package is organized in layers:
 
 ``symbolic``
-    Finite words, symbol streams, and the coding map onto the attractor.
+    Finite words over the alphabet and points of the ambient space.
 ``ifs``
     Contracting map families (affine, Moebius, planar similarities), the
     open-set check, and the shipped example systems.
@@ -12,7 +12,8 @@ The package is organized in layers:
     Measures on the coding space: Bernoulli weights, closed-form densities,
     and transfer-operator spectral fixed points with certified residuals.
 ``dynamics``
-    Orbit generation, deterministic seeded symbol sampling, and exact
+    The induced map, seeded symbol-block sampling, window projection of
+    orbits, and exact
     correlation / mixing coefficients of cylinder indicators.
 ``measure``
     Certified ball / annulus / region measure brackets, radius ladders, and
@@ -27,12 +28,8 @@ The package is organized in layers:
 """
 
 from .dynamics import (
-    MuSampler,
     correlation,
-    orbit_array,
-    orbit_symbolic,
     project_windows,
-    sample_mu,
     sample_symbol_block,
     t_apply,
 )
@@ -104,7 +101,7 @@ from .measure import (
     region_measure,
     t_n_radius,
 )
-from .symbolic import FiniteWord, PointRd, SymbolStream, as_point, coding_map_pi, word
+from .symbolic import FiniteWord, PointRd, as_point, word
 
 __version__ = "0.1.0"
 
@@ -128,7 +125,6 @@ __all__ = [
     "IntersectRegion",
     "MeasureBracket",
     "Moebius1D",
-    "MuSampler",
     "NAMED_EXAMPLES",
     "PointRd",
     "PowerLogRadius",
@@ -139,7 +135,6 @@ __all__ = [
     "Similarity2D",
     "SpectralBackend",
     "StripRegion",
-    "SymbolStream",
     "annulus_measure",
     "apply_word",
     "as_point",
@@ -148,7 +143,6 @@ __all__ = [
     "builtin_system",
     "cantor_cdf_bracket",
     "check_osc",
-    "coding_map_pi",
     "correlation",
     "cylinder_event_crosscheck",
     "cylinder_measure",
@@ -160,8 +154,6 @@ __all__ = [
     "gasket_tangency_doubling_bracket",
     "hyperplane_decay_probe",
     "mixing_coeff_cylinders",
-    "orbit_array",
-    "orbit_symbolic",
     "pairwise_independence_check",
     "product_cube_mixing",
     "product_mixing_bound",
@@ -172,7 +164,6 @@ __all__ = [
     "recurrence_pure_run",
     "region_measure",
     "run_named_example",
-    "sample_mu",
     "sample_symbol_block",
     "shrinking_target_run",
     "summarize_records",

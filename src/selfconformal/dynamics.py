@@ -1,24 +1,24 @@
 """The induced map, exact symbolic orbits, measure sampling, and correlations.
 
-Orbits are symbolic-first: the orbit of ``pi(omega)`` under the induced
-expanding map is computed by shifting the symbol stream and projecting each
-shifted stream through a fixed-depth composition window.  Expanding maps
-amplify floating-point error exponentially, so the induced map itself
-(:func:`t_apply`) is only used for spot checks; the window projection applies
-contractions, whose rounding errors shrink instead.
+Orbits are symbolic-first: the orbit point ``pi(sigma^n omega)`` is the
+projection of the length-``k`` window that starts at symbol ``n`` of a
+sampled symbol row (:func:`project_windows`), so no error accumulates along
+the orbit.  Expanding maps amplify floating-point error exponentially, so the
+induced map itself (:func:`t_apply`) is only used for spot checks; the window
+projection applies contractions, whose rounding errors shrink instead.
 
-Sampling is counter-based: the stream for sample ``i`` is generated by a
+Sampling is counter-based: the row of sample ``i`` is generated by a
 Philox generator keyed on ``(master_seed, i)``, and every symbol consumes
 exactly one uniform.  Philox is a function of its key and a block counter
 (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11), so
-uniform ``t`` of stream ``i`` is read by re-keying one bit generator to
+uniform ``t`` of row ``i`` is read by re-keying one bit generator to
 ``(master_seed, i)``, setting its counter to block ``t // 4`` and discarding
-``t % 4`` draws: the batch sampler re-keys a single generator per row and per
-chunk of draws instead of building one generator per stream.  The sequential
-per-stream sampler and the vectorized batch sampler therefore produce
-bit-identical symbols, which makes experiments reproducible independently of
-worker scheduling.  Both read the next-symbol law from the backend's chain
-(``backend.chain(n_rows)``, defined with the backends in
+``t % 4`` draws: :func:`sample_symbol_block` re-keys a single generator per
+row and per chunk of draws instead of building one generator per row.  A
+row's symbols therefore depend only on ``(master_seed, i)``, not on the other
+ids in the block or on the chunking, which makes experiments reproducible
+independently of worker scheduling.  The next-symbol law is read from the
+backend's chain (``backend.chain(n_rows)``, defined with the backends in
 :mod:`selfconformal.gibbs`): each step picks a symbol per row from the
 chain's cumulative rows, then advances the chain.  I.i.d. (Bernoulli) symbols
 skip the chain: a whole batch of uniforms is mapped through the one
@@ -28,22 +28,17 @@ cumulative row at once.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, Sequence, Union
 
 import numpy as np
 
 from .gibbs import BernoulliBackend, MeasureBackend, SpectralBackend, _over_alphabet, word_index
 from .ifs import IfsSystem, _moebius_apply, _point_value, _to_coords, _value_point
-from .symbolic import FiniteWord, PointRd, RandomTail, SymbolStream, as_point
+from .symbolic import FiniteWord, PointRd, as_point
 
 __all__ = [
-    "MuSampler",
-    "sample_mu",
     "sample_symbol_block",
     "t_apply",
-    "orbit_symbolic",
-    "orbit_array",
     "project_windows",
     "correlation",
 ]
@@ -111,18 +106,21 @@ _DRAW_CHUNK = 1 << 16  # uniforms drawn per stream per pass in sample_symbol_blo
 def project_windows(symbols: np.ndarray, system: IfsSystem, depth: int) -> np.ndarray:
     """Project every length-``depth`` window of a symbol array to coordinates.
 
-    ``symbols`` is one stream, or a ``(rows, cols)`` block of independent
+    ``symbols`` is one symbol row, or a ``(rows, cols)`` block of independent
     sample paths whose windows slide within each row.  Returns the points
     ``phi_{s_n} ... phi_{s_{n+depth-1}}(base)`` for ``n = 0..cols-depth``,
     shape ``(cols - depth + 1,)`` or ``(rows, cols - depth + 1)``, with a
     trailing coordinate axis for plane systems.  Maps are applied
     innermost-first so the contractions damp rounding instead of amplifying
     it; each step gathers the per-symbol coefficients from the system's
-    table, in the system's field (complex in the plane).
+    table, in the system's field (complex in the plane).  A block with no
+    rows gives an empty result; a symbol outside ``1..m`` raises.
     """
     syms = np.asarray(symbols)
     if depth < 1 or syms.ndim not in (1, 2) or syms.shape[-1] < depth:
         raise ValueError("need at least `depth` symbols")
+    if syms.size and (syms.min() < 1 or syms.max() > system.m):
+        raise ValueError(f"symbols must lie in 1..{system.m}")
     count = syms.shape[-1] - depth + 1
     rows = syms.reshape(-1, syms.shape[-1])
     # a leading dummy entry makes the 1-based symbols direct table indices
@@ -132,7 +130,7 @@ def project_windows(symbols: np.ndarray, system: IfsSystem, depth: int) -> np.nd
         flips = np.concatenate([flips[:1], flips])
     base = _point_value(system.base_point())
     out = np.empty((rows.shape[0], count), dtype=system.dtype)
-    width = max(1, _WINDOW_CHUNK // rows.shape[0])
+    width = max(1, _WINDOW_CHUNK // max(rows.shape[0], 1))
     for c0 in range(0, count, width):
         c1 = min(c0 + width, count)
         X = out[:, c0:c1]
@@ -153,37 +151,9 @@ def project_windows(symbols: np.ndarray, system: IfsSystem, depth: int) -> np.nd
     return _to_coords(out.reshape(syms.shape[:-1] + (count,)))
 
 
-def orbit_array(stream: SymbolStream, N: int, system: IfsSystem, tol: float) -> np.ndarray:
-    """Orbit points pi(sigma^n omega), n = 0..N, as a float array.
-
-    Each point is the image of the base point under the next
-    ``depth_for_diameter(tol)`` symbols of the shifted stream, so every orbit
-    point is within ``tol`` of the true projection and no error accumulates
-    along the orbit.
-    """
-    if N < 0:
-        raise ValueError("N must be >= 0")
-    depth = system.depth_for_diameter(tol)
-    syms = np.asarray(stream.read(N + depth), dtype=np.int64)
-    return project_windows(syms, system, depth)
-
-
-def orbit_symbolic(
-    stream: SymbolStream, N: int, system: IfsSystem, tol: float
-) -> List[PointRd]:
-    """Orbit (pi(sigma^n omega))_{n=0..N} as points; see :func:`orbit_array`."""
-    arr = orbit_array(stream, N, system, tol)
-    return [PointRd(tuple(c)) for c in arr.reshape(arr.shape[0], -1)]
-
-
 # ---------------------------------------------------------------------------
 # measure-distributed sampling
 # ---------------------------------------------------------------------------
-
-def _stream_generator(master_seed: int, sample_id: int) -> np.random.Generator:
-    key = np.array([master_seed, sample_id], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
 
 _PHILOX_BLOCK = 4  # 64-bit words per Philox4x64 counter block, one uniform each
 
@@ -196,8 +166,8 @@ def _stream_uniforms(
     ``gen`` wraps a Philox bit generator, which is re-keyed in place: key
     ``(master_seed, sample_id)``, counter at the block before ``start``'s and
     an empty buffer (the next draw increments the counter, then fills the
-    buffer), so the draws equal those of :func:`_stream_generator` after
-    ``start`` others.
+    buffer), so the draws equal those of a fresh
+    ``Generator(Philox(key=(master_seed, sample_id)))`` after ``start`` others.
     """
     block, skip = divmod(start, _PHILOX_BLOCK)
     gen.bit_generator.state = {
@@ -226,47 +196,6 @@ def _draw(chain, u: np.ndarray) -> np.ndarray:
     return symbols
 
 
-@dataclass
-class MuSampler:
-    """Reproducible measure-distributed symbol streams.
-
-    The stream for sample ``i`` is fully determined by ``(master_seed, i)``;
-    the counter assigns consecutive ids to successive :meth:`stream` calls.
-    """
-
-    backend: MeasureBackend
-    master_seed: int
-    counter: int = 0
-
-    def stream(self, sample_id: Optional[int] = None) -> SymbolStream:
-        if sample_id is None:
-            sample_id = self.counter
-            self.counter += 1
-        gen = _stream_generator(self.master_seed, sample_id)
-        chain = self.backend.chain(1)
-        state = {"drawn": 0}
-
-        def draw(need: int, so_far: Sequence[int]) -> Sequence[int]:
-            if len(so_far) != state["drawn"]:
-                raise RuntimeError("sampling chain out of sync with its stream")
-            u = gen.random(need)
-            out = np.empty(need, dtype=np.int64)
-            for i in range(need):
-                out[i] = _draw(chain, u[i : i + 1])[0]
-            state["drawn"] += need
-            return out.tolist()
-
-        return SymbolStream((), RandomTail(draw), self.backend.system.m)
-
-
-def sample_mu(sampler: MuSampler, prefix_depth: int = 0) -> SymbolStream:
-    """A fresh measure-distributed stream with ``prefix_depth`` symbols drawn."""
-    stream = sampler.stream()
-    if prefix_depth > 0:
-        stream.read(prefix_depth)
-    return stream
-
-
 def sample_symbol_block(
     backend: MeasureBackend,
     master_seed: int,
@@ -275,10 +204,11 @@ def sample_symbol_block(
 ) -> np.ndarray:
     """Symbols (1-based) for many sample streams at once, shape (ids, length).
 
-    Row ``i`` is bit-identical to the stream of ``MuSampler`` with the same
-    ``(master_seed, sample_ids[i])``: both consume one uniform per symbol from
-    the same keyed Philox stream and pick through the same cumulative rows.
-    Uniforms are drawn at most ``_DRAW_CHUNK`` per row at a time (a Bernoulli
+    Symbol ``t`` of row ``i`` is picked by uniform ``t`` of the Philox stream
+    keyed ``(master_seed, sample_ids[i])``, through the cumulative row that the
+    backend's chain holds after symbols ``0..t-1``.  A row therefore does not
+    depend on the other ids in the block, and a shorter block is a prefix of
+    a longer one.  Uniforms are drawn at most ``_DRAW_CHUNK`` per row at a time (a Bernoulli
     row longer than that is drawn whole).
     """
     sample_ids = list(sample_ids)

@@ -339,16 +339,17 @@ def _cell_arrays(system: IfsSystem, depth: int):
     hi = np.array([system.attractor_box.hi[0]])
     anchor = np.array([system.base_point().x])
     for _ in range(depth):
-        blocks = []
-        for m in system.maps:
+        n = lo.size
+        nxt = [np.empty(system.m * n) for _ in range(3)]
+        for j, m in enumerate(system.maps):
             mat = m.matrix
+            cells = slice(j * n, (j + 1) * n)
             a = _moebius_apply(mat, lo)
             b = _moebius_apply(mat, hi)
-            anc = _moebius_apply(mat, anchor)
-            blocks.append((np.minimum(a, b), np.maximum(a, b), anc))
-        lo = np.concatenate([b[0] for b in blocks])
-        hi = np.concatenate([b[1] for b in blocks])
-        anchor = np.concatenate([b[2] for b in blocks])
+            np.minimum(a, b, out=nxt[0][cells])
+            np.maximum(a, b, out=nxt[1][cells])
+            nxt[2][cells] = _moebius_apply(mat, anchor)
+        lo, hi, anchor = nxt
     return lo, hi, anchor
 
 

@@ -1,4 +1,4 @@
-"""Tests for the induced map, symbolic orbits, sampling, and correlations.
+"""Tests for the induced map, window orbits, block sampling, and correlations.
 
 Oracles:
 
@@ -8,6 +8,8 @@ Oracles:
   whose inverse at y = 0.3 is 1/0.6 - 1 = 2/3.
 * Product measures make symbols i.i.d., so every correlation with a gap
   factorizes to zero and empirical symbol frequencies obey binomial CIs.
+* The block sampler is checked row by row against ``_reference_row``, which
+  draws one symbol per step from its own Philox generator.
 """
 
 import itertools
@@ -18,12 +20,8 @@ import pytest
 
 from selfconformal import dynamics
 from selfconformal.dynamics import (
-    MuSampler,
     correlation,
-    orbit_array,
-    orbit_symbolic,
     project_windows,
-    sample_mu,
     sample_symbol_block,
     t_apply,
 )
@@ -36,13 +34,31 @@ from selfconformal.gibbs import (
     eigen_solve,
 )
 from selfconformal.ifs import builtin_system
-from selfconformal.symbolic import (
-    FiniteWord,
-    PeriodicTail,
-    SymbolStream,
-    coding_map_pi,
-    periodic_stream,
-)
+from selfconformal.symbolic import FiniteWord
+
+
+def _reference_row(backend, master_seed, sample_id, length):
+    """Row ``sample_id`` drawn one symbol at a time: uniform ``t`` of the
+    Philox stream keyed ``(master_seed, sample_id)`` picks the first symbol
+    whose cumulative weight exceeds it (the last one past a short sum), then
+    the chain advances."""
+    gen = np.random.Generator(np.random.Philox(key=[master_seed, sample_id]))
+    chain = backend.chain(1)
+    row = []
+    for _ in range(length):
+        cum = chain.cum_rows()[0]
+        symbol = min(int((gen.random() >= cum).sum()), cum.size - 1) + 1
+        chain.advance(np.array([symbol]))
+        row.append(symbol)
+    return tuple(row)
+
+
+def _orbit(system, period, N, tol, prefix=()):
+    """pi(sigma^n omega), n = 0..N, for omega = prefix . (period)^inf."""
+    depth = system.depth_for_diameter(tol)
+    n = N + depth
+    syms = (list(prefix) + list(period) * (n // len(period) + 1))[:n]
+    return project_windows(np.array(syms), system, depth)
 
 
 @pytest.fixture(scope="module")
@@ -134,48 +150,42 @@ class TestInducedMap:
 
 class TestOrbits:
     def test_period_two_orbit(self, cantor):
-        stream = periodic_stream((), (1, 2), 2)
-        pts = orbit_symbolic(stream, 3, cantor, 1e-9)
-        vals = [p.coords[0] for p in pts]
+        vals = _orbit(cantor, (1, 2), 3, 1e-9)
         assert vals == pytest.approx([0.25, 0.75, 0.25, 0.75], abs=2e-9)
 
     def test_constant_orbit_at_fixed_point(self, cantor):
-        stream = periodic_stream((), (1,), 2)
-        pts = orbit_symbolic(stream, 5, cantor, 1e-9)
-        assert all(p.coords[0] == 0.0 for p in pts)
+        assert np.all(_orbit(cantor, (1,), 5, 1e-9) == 0.0)
 
     def test_prefix_consumed(self, cantor):
-        stream = SymbolStream((2,), PeriodicTail((1,)), 2)
-        vals = [p.coords[0] for p in orbit_symbolic(stream, 2, cantor, 1e-9)]
+        vals = _orbit(cantor, (1,), 2, 1e-9, prefix=(2,))
         assert vals == pytest.approx([2 / 3, 0.0, 0.0], abs=2e-9)
 
     def test_quartet_branch2_fixed_point(self, quartet):
         # 1/(2(1+x)) = x at x = (sqrt(3) - 1)/2
-        stream = periodic_stream((), (2,), 4)
-        pts = orbit_array(stream, 4, quartet, 1e-10)
+        pts = _orbit(quartet, (2,), 4, 1e-10)
         fix = (math.sqrt(3.0) - 1.0) / 2.0
         np.testing.assert_allclose(pts, fix, atol=2e-10)
 
     def test_gasket_orbit_shape(self, gasket):
-        stream = periodic_stream((), (1,), 3)
-        pts = orbit_array(stream, 4, gasket, 1e-8)
+        pts = _orbit(gasket, (1,), 4, 1e-8)
         assert pts.shape == (5, 2)
         np.testing.assert_allclose(pts, 0.0, atol=1e-8)
 
     def test_projection_matches_coding_map(self, quartet, quartet_density):
-        sampler = MuSampler(quartet_density, master_seed=11)
-        stream = sampler.stream()
-        pts = orbit_array(stream, 30, quartet, 1e-10)
+        # each window equals its word's maps composed on the base point, at
+        # the depth where cylinders are shorter than tol
+        depth = quartet.depth_for_diameter(1e-10)
+        row = sample_symbol_block(quartet_density, 11, [0], 30 + depth)[0]
+        pts = project_windows(row, quartet, depth)
         for n in [0, 7, 30]:
-            shifted = stream
-            for _ in range(n):
-                shifted = shifted.shifted()
-            x = coding_map_pi(quartet, shifted, 1e-10)
+            word = FiniteWord(tuple(row[n : n + depth]), 4)
+            x = quartet.apply_word(word, quartet.base_point())
             assert abs(pts[n] - x.coords[0]) <= 2e-10
 
     def test_conjugacy_with_induced_map(self, quartet, quartet_density):
-        sampler = MuSampler(quartet_density, master_seed=5)
-        pts = orbit_array(sampler.stream(), 40, quartet, 1e-11)
+        depth = quartet.depth_for_diameter(1e-11)
+        row = sample_symbol_block(quartet_density, 5, [0], 40 + depth)[0]
+        pts = project_windows(row, quartet, depth)
         for n in range(40):
             stepped = t_apply(quartet, float(pts[n]), tol=1e-8)
             assert abs(stepped.coords[0] - pts[n + 1]) < 1e-8
@@ -187,8 +197,24 @@ class TestOrbits:
             project_windows(np.array([1, 2]), cantor, 3)
 
     def test_negative_N_raises(self, cantor):
+        # a row one symbol short of a window has N = -1 orbit steps
+        depth = cantor.depth_for_diameter(1e-9)
         with pytest.raises(ValueError):
-            orbit_array(periodic_stream((), (1,), 2), -1, cantor, 1e-9)
+            project_windows(np.ones(depth - 1, np.int8), cantor, depth)
+        with pytest.raises(ValueError):
+            project_windows(np.array([1, 2]), cantor, 0)
+
+    def test_empty_block(self, cantor, gasket):
+        out = project_windows(np.empty((0, 10), np.int8), cantor, 3)
+        assert out.shape == (0, 8)
+        assert project_windows(np.empty((0, 10), np.int8), gasket, 3).shape == (0, 8, 2)
+
+    @pytest.mark.parametrize("bad", [0, -1, 3])
+    def test_symbol_outside_alphabet_raises(self, cantor, bad):
+        with pytest.raises(ValueError, match=r"1\.\.2"):
+            project_windows(np.array([bad, 1, 2, 1]), cantor, 3)
+        with pytest.raises(ValueError, match=r"1\.\.2"):
+            project_windows(np.array([[1, 2, 1, 2], [1, bad, 1, 2]], np.int8), cantor, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -198,25 +224,17 @@ class TestOrbits:
 
 class TestSampling:
     def test_fixed_seed_reproducible(self, cantor_weighted):
-        a = MuSampler(cantor_weighted, master_seed=99).stream(sample_id=3)
-        b = MuSampler(cantor_weighted, master_seed=99).stream(sample_id=3)
-        assert a.read(200) == b.read(200)
-        c = MuSampler(cantor_weighted, master_seed=99).stream(sample_id=4)
-        assert a.read(200) != c.read(200)
-
-    def test_counter_assigns_consecutive_ids(self, cantor_weighted):
-        sampler = MuSampler(cantor_weighted, master_seed=7)
-        s0, s1 = sampler.stream(), sampler.stream()
-        assert sampler.counter == 2
-        assert s0.read(50) == MuSampler(cantor_weighted, 7).stream(sample_id=0).read(50)
-        assert s1.read(50) == MuSampler(cantor_weighted, 7).stream(sample_id=1).read(50)
+        a = sample_symbol_block(cantor_weighted, 99, [3], 200)
+        b = sample_symbol_block(cantor_weighted, 99, [3], 200)
+        np.testing.assert_array_equal(a, b)
+        c = sample_symbol_block(cantor_weighted, 99, [4], 200)
+        assert not np.array_equal(a, c)
 
     def test_incremental_reads_match_bulk(self, quartet_density):
-        a = MuSampler(quartet_density, master_seed=13).stream(sample_id=0)
-        a.read(10)
-        first = a.read(25)
-        b = MuSampler(quartet_density, master_seed=13).stream(sample_id=0)
-        assert first == b.read(25)
+        # a shorter block is a prefix of a longer one
+        a = sample_symbol_block(quartet_density, 13, [0], 10)
+        b = sample_symbol_block(quartet_density, 13, [0], 25)
+        np.testing.assert_array_equal(a, b[:, :10])
 
     @pytest.mark.parametrize(
         "backend_name",
@@ -244,8 +262,7 @@ class TestSampling:
             monkeypatch.setattr(dynamics, "_DRAW_CHUNK", 7)
         ids = [5, 0, 5]  # unsorted, with a repeat
         for length in (1, 3, 4, 5, 60, dynamics._DRAW_CHUNK + 1):
-            expected = {sid: MuSampler(backend, 42).stream(sample_id=sid).read(length)
-                        for sid in set(ids)}
+            expected = {sid: _reference_row(backend, 42, sid, length) for sid in set(ids)}
             block = sample_symbol_block(backend, 42, ids, length)
             assert block.shape == (len(ids), length)
             for row, sid in zip(block, ids):
@@ -255,8 +272,7 @@ class TestSampling:
         sample_symbol_block(quartet_density, 42, [3, 1], 9)
         block = sample_symbol_block(cantor_weighted, 42, [1, 3], 9)
         for row, sid in zip(block, [1, 3]):
-            stream = MuSampler(cantor_weighted, 42).stream(sample_id=sid)
-            assert tuple(int(v) for v in row) == stream.read(9)
+            assert tuple(int(v) for v in row) == _reference_row(cantor_weighted, 42, sid, 9)
 
     def test_block_chunking_invariant(self, quartet_density, monkeypatch):
         monkeypatch.setattr(dynamics, "_DRAW_CHUNK", 7)
@@ -274,8 +290,7 @@ class TestSampling:
 
     def test_uniform_symbol_frequency(self, cantor):
         backend = BernoulliBackend(cantor, (0.5, 0.5))
-        stream = sample_mu(MuSampler(backend, master_seed=2026), prefix_depth=0)
-        syms = np.array(stream.read(100_000))
+        syms = sample_symbol_block(backend, 2026, [0], 100_000)[0]
         freq = float((syms == 1).mean())
         assert 0.497 <= freq <= 0.503
 
@@ -309,10 +324,6 @@ class TestSampling:
             sigma = math.sqrt(p * (1 - p) / 3000)
             assert abs(freq - p) <= 4.5 * sigma
 
-    def test_sample_mu_materializes_prefix(self, cantor_weighted):
-        stream = sample_mu(MuSampler(cantor_weighted, master_seed=1), prefix_depth=12)
-        assert len(stream.tail.buffer) >= 12
-
     def test_deep_density_stream_stays_nondegenerate(self, quartet_density):
         # beyond ~55 symbols the running cell outruns float CDF subtraction;
         # the chain must keep sampling the conditional law via its linear
@@ -325,12 +336,10 @@ class TestSampling:
 
     def test_deep_density_block_matches_stream(self, quartet_density):
         block = sample_symbol_block(quartet_density, 55, [2], 400)
-        stream = MuSampler(quartet_density, 55).stream(sample_id=2)
-        assert tuple(int(v) for v in block[0]) == stream.read(400)
+        assert tuple(int(v) for v in block[0]) == _reference_row(quartet_density, 55, 2, 400)
 
     def test_birkhoff_average(self, cantor_weighted):
-        stream = MuSampler(cantor_weighted, master_seed=31).stream()
-        syms = np.array(stream.read(100_000))
+        syms = sample_symbol_block(cantor_weighted, 31, [0], 100_000)[0]
         avg = float((syms == 1).mean())
         slack = 3.0 * math.sqrt(0.3 * 0.7 / 100_000) * 10.0
         assert abs(avg - 0.3) <= slack

@@ -27,7 +27,7 @@ from selfconformal.gibbs import (
     _avg_weight,
     _cell_arrays,
 )
-from selfconformal.ifs import Affine1D, Box, IfsSystem, builtin_system
+from selfconformal.ifs import Affine1D, Box, IfsSystem, _moebius_apply, builtin_system
 from selfconformal.symbolic import word
 
 LOG2 = math.log(2.0)
@@ -251,6 +251,33 @@ def test_eigen_solve_pair_system_power_two():
     assert abs(rep.eigenvalue - 1.0) < 1e-9
     exact = DensityBackend(pair, "reciprocal_log2").level_table(8)
     assert np.max(np.abs(rep.mu_table - exact)) < 1e-4
+
+
+def _concatenated_cell_arrays(system, depth):
+    """``_cell_arrays`` written plainly: each level is every map's image of
+    the previous level, joined in map order."""
+    lo = np.array([system.attractor_box.lo[0]])
+    hi = np.array([system.attractor_box.hi[0]])
+    anchor = np.array([system.base_point().x])
+    for _ in range(depth):
+        images = [(_moebius_apply(m.matrix, lo), _moebius_apply(m.matrix, hi),
+                   _moebius_apply(m.matrix, anchor)) for m in system.maps]
+        lo = np.concatenate([np.minimum(a, b) for a, b, _ in images])
+        hi = np.concatenate([np.maximum(a, b) for a, b, _ in images])
+        anchor = np.concatenate([anc for _, _, anc in images])
+    return lo, hi, anchor
+
+
+@pytest.mark.parametrize("name, depth", [
+    ("moebius_interval_quartet", 10),
+    ("moebius_interval_pair", 12),
+    ("middle_third_cantor", 16),
+    ("nine", 4),
+])
+def test_cell_arrays_bit_identical_to_concatenated_levels(name, depth):
+    system = _nine_map_system() if name == "nine" else builtin_system(name)
+    for got, ref in zip(_cell_arrays(system, depth), _concatenated_cell_arrays(system, depth)):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
 
 def _gathered_power_iteration(system, potential, depth, tol=1e-13, max_iter=500):

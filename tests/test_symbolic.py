@@ -1,36 +1,36 @@
-"""Symbol streams, finite words, and the coding map."""
-
-import math
+"""Finite words, points, and the coding map on windows of symbol rows."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from selfconformal.symbolic import (
-    FiniteWord,
-    PeriodicTail,
-    PointRd,
-    SymbolStream,
-    as_point,
-    coding_map_pi,
-    constant_stream,
-    periodic_stream,
-    shift,
-    symbolic_dist,
-    word,
-)
-from selfconformal.ifs import builtin_system
+from selfconformal import dynamics
+from selfconformal.dynamics import project_windows
+from selfconformal.ifs import builtin_system, map_apply
+from selfconformal.symbolic import FiniteWord, PointRd, as_point, word
+
+
+def _periodic(prefix, period, n):
+    """The first ``n`` symbols of ``prefix . (period)^inf``."""
+    prefix, period = list(prefix), list(period)
+    reps = max(0, n - len(prefix)) // len(period) + 1
+    return np.array((prefix + period * reps)[:n])
+
+
+def _pi(system, prefix, period, tol, shifts=0):
+    """pi(sigma^k omega) for k = 0..shifts, omega = prefix . (period)^inf, to
+    within ``tol``: the windows of the coding map truncated at the depth
+    where cylinders are shorter than ``tol``."""
+    depth = system.depth_for_diameter(tol)
+    return project_windows(_periodic(prefix, period, depth + shifts), system, depth)
 
 
 def test_finite_word_basics():
     w = word("1212", 2)
     assert len(w) == 4
     assert w[0] == 1 and w[3] == 2
-    assert w.prefix(2) == word("12", 2)
-    assert w.suffix(2) == word("12", 2)
-    assert word("12", 2).is_prefix_of(w)
-    assert w.concat(word("1", 2)) == word("12121", 2)
-    assert w.append(2) == word("12122", 2)
+    assert tuple(w) == (1, 2, 1, 2)
+    assert w == FiniteWord((1, 2, 1, 2), 2)
 
 
 def test_finite_word_validation():
@@ -41,98 +41,84 @@ def test_finite_word_validation():
 
 
 def test_periodic_stream_read_and_shift():
-    s = periodic_stream("12", "21", 2)
-    assert s.read(7) == (1, 2, 2, 1, 2, 1, 2)
-    t = shift(s)
-    assert t.read(6) == (2, 2, 1, 2, 1, 2)
-    assert t.is_periodic()
+    # omega = 12(21)^inf: sigma omega = 2(21)^inf, and from sigma^2 on the
+    # orbit alternates pi((21)^inf) = 3/4 and pi((12)^inf) = 1/4
+    sys_ = builtin_system("middle_third_cantor")
+    vals = _pi(sys_, (1, 2), (2, 1), 1e-12, shifts=6)
+    assert vals == pytest.approx([11 / 36, 11 / 12, 0.75, 0.25, 0.75, 0.25, 0.75], abs=2e-12)
 
 
 def test_constant_stream():
-    s = constant_stream(2, 3)
-    assert s.read(5) == (2, 2, 2, 2, 2)
-    assert shift(s).read(3) == (2, 2, 2)
+    # (2)^inf is a fixed point of the shift: on the three-map gasket its
+    # orbit stays at the fixed point of the second map
+    sys_ = builtin_system("sierpinski_triangle")
+    pts = _pi(sys_, (), (2,), 1e-12, shifts=4)
+    fix = map_apply(sys_.maps[1], as_point(tuple(pts[0])))
+    np.testing.assert_allclose(pts, np.broadcast_to(fix.coords, pts.shape), rtol=0, atol=1e-12)
 
 
-def test_symbolic_dist_prefix_rule():
-    a = periodic_stream("", "12", 2)
-    b = periodic_stream("", "11", 2)
-    # streams agree on the first symbol only: distance 2^{-1}
-    assert symbolic_dist(a, b, 64) == 0.5
-    c = periodic_stream("1", "12", 2)  # 1,1,2,1,2...
-    d = periodic_stream("11", "21", 2)  # 1,1,2,1,2,1...
-    # c: 1 1 2 1 2 1 2... d: 1 1 2 1 2 1... equal forever -> distance 0
-    assert symbolic_dist(c, d, 64) == 0.0
+@pytest.mark.parametrize("period", [(2,), (1, 2), (2, 1, 1, 2)])
+@pytest.mark.parametrize("offset", range(6))
+def test_shift_of_periodic_tail_drops_one_symbol(period, offset, monkeypatch):
+    # sigma takes the period rotated by `offset` to the one rotated by
+    # offset + 1, so the first orbit less its first point is the second
+    # orbit, bit for bit; chunks of 5 windows put windows on chunk edges
+    monkeypatch.setattr(dynamics, "_WINDOW_CHUNK", 5)
+    sys_ = builtin_system("middle_third_cantor")
 
+    def rotated(r):
+        r %= len(period)
+        return period[r:] + period[:r]
 
-def test_symbolic_dist_equal_periodic_is_zero_and_mismatch_raises():
-    a = periodic_stream("", "121", 2)
-    b = periodic_stream("121", "121", 2)
-    assert symbolic_dist(a, b, 32) == 0.0
-    with pytest.raises(ValueError):
-        symbolic_dist(a, periodic_stream("", "12", 3), 32)
-
-
-@given(st.integers(2, 4), st.lists(st.integers(1, 4), min_size=1, max_size=8),
-       st.lists(st.integers(1, 4), min_size=1, max_size=8),
-       st.lists(st.integers(1, 4), min_size=1, max_size=8))
-@settings(max_examples=200, deadline=None)
-def test_symbolic_dist_ultrametric(m, pa, pb, pc):
-    pa = [1 + (s - 1) % m for s in pa]
-    pb = [1 + (s - 1) % m for s in pb]
-    pc = [1 + (s - 1) % m for s in pc]
-    a = periodic_stream("", pa, m)
-    b = periodic_stream("", pb, m)
-    c = periodic_stream("", pc, m)
-    dab = symbolic_dist(a, b, 48)
-    dbc = symbolic_dist(b, c, 48)
-    dac = symbolic_dist(a, c, 48)
-    assert dac <= max(dab, dbc) + 1e-15
+    a = _pi(sys_, (), rotated(offset), 1e-9, shifts=12)
+    b = _pi(sys_, (), rotated(offset + 1), 1e-9, shifts=11)
+    np.testing.assert_array_equal(a[1:], b)
 
 
 def test_coding_map_cantor_values():
     sys_ = builtin_system("middle_third_cantor")
     # all-ones word -> 0; all-twos -> 1; (2,1,1,1,...) -> 2/3
-    assert abs(coding_map_pi(sys_, constant_stream(1, 2), 1e-12).x - 0.0) < 1e-12
-    assert abs(coding_map_pi(sys_, constant_stream(2, 2), 1e-12).x - 1.0) < 1e-12
-    p = periodic_stream("2", "1", 2)
-    assert abs(coding_map_pi(sys_, p, 1e-12).x - 2.0 / 3.0) < 1e-12
+    assert abs(_pi(sys_, (), (1,), 1e-12)[0] - 0.0) < 1e-12
+    assert abs(_pi(sys_, (), (2,), 1e-12)[0] - 1.0) < 1e-12
+    assert abs(_pi(sys_, (2,), (1,), 1e-12)[0] - 2.0 / 3.0) < 1e-12
     # (0.7)_3-style periodic point: (2,1,1,2)^infinity -> 0.7
-    s = periodic_stream("", "2112", 2)
-    assert abs(coding_map_pi(sys_, s, 1e-13).x - 0.7) < 1e-12
+    assert abs(_pi(sys_, (), (2, 1, 1, 2), 1e-13)[0] - 0.7) < 1e-12
 
 
 def test_coding_map_commutes_with_shift():
     sys_ = builtin_system("middle_third_cantor")
-    s = periodic_stream("12", "212", 2)
     tol = 1e-10
-    x = coding_map_pi(sys_, s, tol)
-    y = coding_map_pi(sys_, shift(s), tol)
-    # phi_{first symbol}(pi(shifted)) == pi(stream) within 2*tol
-    first = s.read(1)[0]
-    from selfconformal.ifs import map_apply
-
-    img = map_apply(sys_.maps[first - 1], y)
-    assert abs(img.x - x.x) <= 2 * tol
+    prefix = (1, 2)
+    x, y = _pi(sys_, prefix, (2, 1, 2), tol, shifts=1)
+    # phi_{first symbol}(pi(sigma omega)) == pi(omega) within 2*tol
+    img = map_apply(sys_.maps[prefix[0] - 1], as_point(float(y)))
+    assert abs(img.x - x) <= 2 * tol
 
 
+def test_coding_map_matches_word_image():
+    # the window projection agrees with composing the word's maps on the base
+    # point, on the line and in the plane
+    tol = 1e-10
+    for name, prefix, period in [
+        ("middle_third_cantor", (1, 2), (2, 1, 2)),
+        ("moebius_interval_quartet", (3, 1, 4), (2, 4)),
+        ("sierpinski_triangle", (3,), (1, 2, 3, 3)),
+    ]:
+        sys_ = builtin_system(name)
+        depth = sys_.depth_for_diameter(tol)
+        syms = _periodic(prefix, period, depth)
+        ref = sys_.apply_word(FiniteWord(tuple(syms), sys_.m), sys_.base_point())
+        got = np.atleast_1d(project_windows(syms, sys_, depth)[0])
+        np.testing.assert_allclose(got, ref.coords, rtol=0, atol=1e-14)
 
-@pytest.mark.parametrize("period", [(2,), (1, 2), (2, 1, 1, 2)])
-@pytest.mark.parametrize("offset", range(6))
-def test_shift_of_periodic_tail_drops_one_symbol(period, offset):
-    s = SymbolStream((), PeriodicTail(period), 2, offset)
-    t = shift(s)
-    assert t.tail_offset == 0
-    assert t.read(12) == s.read(13)[1:]
 
 @given(st.lists(st.integers(1, 2), min_size=1, max_size=10))
 @settings(max_examples=100, deadline=None)
 def test_coding_map_lands_in_cylinder(prefix):
     sys_ = builtin_system("middle_third_cantor")
-    s = periodic_stream(prefix, "12", 2)
-    pt = coding_map_pi(sys_, s, 1e-10)
+    x = _pi(sys_, prefix, (1, 2), 1e-10)[0]
     box = sys_.word_box(FiniteWord(tuple(prefix), 2))
-    assert box.lo[0] - 1e-9 <= pt.x <= box.hi[0] + 1e-9
+    assert box.lo[0] - 1e-9 <= x <= box.hi[0] + 1e-9
 
 
 def test_point_helpers():
@@ -142,20 +128,3 @@ def test_point_helpers():
     assert q.d == 2 and q.y == 2.0
     assert abs(p.dist(as_point(0.25)) - 0.25) < 1e-15
     assert abs(q.dist(as_point((1.0, 0.0))) - 2.0) < 1e-15
-
-
-def test_random_tail_stream_is_reproducible_and_shareable():
-    # a deterministic 'random' tail: draw(k, history) returns k alternating symbols
-    from selfconformal.symbolic import RandomTail
-
-    def draw(k, history):
-        start = len(history)
-        return [1 + (start + i) % 2 for i in range(k)]
-
-    tail = RandomTail(draw)
-    s = SymbolStream(prefix=(2, 2), tail=tail, m=2)
-    assert s.read(6) == (2, 2, 1, 2, 1, 2)
-    t = shift(s)
-    # shifted stream shares the same tail buffer
-    assert t.read(5) == (2, 1, 2, 1, 2)
-    assert s.read(8) == (2, 2, 1, 2, 1, 2, 1, 2)
