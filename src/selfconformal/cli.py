@@ -251,6 +251,7 @@ def run(config_path: str, out_dir: str, seed: Optional[int] = None,
         config = read_config(config_path)
         validate_config(config)
         resolved = resolve_config(config, seed=seed, threads=threads)
+        validate_config(resolved)  # the --seed and --threads overrides too
     except ConfigError as exc:
         return _emit_error(EXIT_CONFIG, "config", str(exc))
 

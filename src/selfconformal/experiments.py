@@ -295,7 +295,8 @@ def _records_for_block(spec: _RunSpec, sub, block) -> List[CountingRecord]:
     system, radii, cp_idx = spec.backend.system, spec.radii, spec.cp_idx
     if spec.hit_mode == "symbolic":
         x0s = project_windows(block[:, : spec.depth], system, spec.depth)[:, 0]
-        hit, flag = _symbolic_self_hits(block, spec.ks, spec.N)
+        hit = _symbolic_self_hits(block, spec.ks, spec.N)
+        flags = np.zeros((len(sub), cp_idx.size), dtype=np.int64)  # exact: none flagged
         ball_cum = _symbolic_ball_sums(spec.backend, block, spec.ks, cp_idx)
     else:
         pos = project_windows(block, system, spec.depth)
@@ -313,11 +314,11 @@ def _records_for_block(spec: _RunSpec, sub, block) -> List[CountingRecord]:
             flag = np.abs(dist - radii) <= band
         else:  # mass comparison against the per-step measure quota
             hit, flag = _mass_quota_hits(spec, x0s, dist, radii)
+        flags = _checkpoint_sums(flag, cp_idx)
         ball_cum = None
         if spec.kind == "pure":
             ball_cum = _own_ball_sums(spec, x0s)
     counts = _checkpoint_sums(hit, cp_idx)
-    flags = _checkpoint_sums(flag, cp_idx)
     recs = []
     for i, sid in enumerate(sub):
         x0 = as_point(
@@ -344,14 +345,17 @@ def _checkpoint_sums(marks, cp_idx):
     """Running counts of a boolean ``(S, N)`` matrix at the checkpoint steps.
 
     Equal to ``np.cumsum(marks, axis=1)[:, cp_idx]`` for strictly increasing
-    checkpoints ending at ``N - 1``, without the full-length count matrix: the
-    segments between checkpoints are summed, then the ``(S, checkpoints)``
-    segment sums are accumulated. Integer sums are exact, so the bits agree.
-    The explicit dtype keeps the counts int64 whatever the platform's default
-    integer is.
+    checkpoints ending at ``N - 1``, without an integer copy of ``marks``:
+    each segment between checkpoints is counted in place into an int64
+    ``(S, checkpoints)`` array, which is then accumulated. Integer counts are
+    exact, so the bits agree.
     """
-    starts = np.concatenate([[0], cp_idx[:-1] + 1])
-    return np.cumsum(np.add.reduceat(marks, starts, axis=1, dtype=np.int64), axis=1)
+    sums = np.empty((marks.shape[0], cp_idx.size), dtype=np.int64)
+    start = 0
+    for c, last in enumerate(cp_idx):
+        sums[:, c] = np.count_nonzero(marks[:, start : last + 1], axis=1)
+        start = last + 1
+    return np.cumsum(sums, axis=1)
 
 
 def _symbolic_self_hits(block, ks, N):
@@ -362,7 +366,7 @@ def _symbolic_self_hits(block, ks, N):
     (distinct depth-k cylinders are separated by gaps of at least 3^-k; the
     facing-endpoint configurations that could touch across a gap require
     eventually-constant tails, a measure-zero event). The hit test is
-    therefore exact and nothing is flagged.
+    therefore exact and nothing is flagged; only the hit matrix is returned.
     """
     S = block.shape[0]
     kmax = int(ks.max())
@@ -377,8 +381,7 @@ def _symbolic_self_hits(block, ks, N):
             hit[:, sel] = alive[:, sel]
         if not alive.any():
             break
-    flag = np.zeros((S, N), dtype=bool)
-    return hit, flag
+    return hit
 
 
 def _symbolic_ball_sums(backend, block, ks, cp_idx):
@@ -1203,9 +1206,14 @@ def _example_interval_quartet(threads, seed, N=100_000, samples=100, eigen_depth
     """
     system = builtin_system("moebius_interval_quartet")
     report = eigen_solve(system, ConformalPowerPotential(1.0), eigen_depth)
-    anchors = report.cell_anchor
-    target_h = 1.0 / (math.log(2.0) * (1.0 + anchors))
-    h_err = float(np.max(np.abs(report.h_values - target_h)))
+    # sup |h - 1/(ln 2 (1 + x))| over the cell anchors, in one scratch array
+    err = np.add(1.0, report.cell_anchor)
+    err *= math.log(2.0)
+    np.divide(1.0, err, out=err)
+    np.subtract(report.h_values, err, out=err)
+    h_err = float(np.abs(err, out=err).max())
+    eigenvalue = report.eigenvalue
+    del report, err  # the cell arrays are not needed while sampling
     backend = DensityBackend(system, "reciprocal_log2")
     psi = PowerRadius(1.0, 0.5)
     records = recurrence_pure_run(system, backend, psi, N, samples, seed,
@@ -1237,8 +1245,8 @@ def _example_interval_quartet(threads, seed, N=100_000, samples=100, eigen_depth
         "samples": samples,
         "eigen": {
             "depth": eigen_depth,
-            "eigenvalue": report.eigenvalue,
-            "eigenvalue_gap": abs(report.eigenvalue - 1.0),
+            "eigenvalue": eigenvalue,
+            "eigenvalue_gap": abs(eigenvalue - 1.0),
             "density_sup_error": h_err,
             "density_form": "1/(ln2 * (1+x))",
         },

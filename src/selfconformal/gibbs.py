@@ -485,7 +485,7 @@ def eigen_solve(
     mm = system.m
     n_cells = mm ** depth
     n_prefix = n_cells // mm
-    lo, hi, anchor = _cell_arrays(system, depth)
+    lo, hi = _cell_arrays(system, depth)[:2]
     nu = np.subtract(hi, lo)  # the cell lengths, then the first weights
     if np.any(nu <= 0):
         raise ValueError("degenerate cells; system cylinders must have length")
@@ -501,9 +501,12 @@ def eigen_solve(
             for j, m in enumerate(system.maps):
                 for l in range(mm):
                     op.G[j, l, p0:p1] = _avg_weight(m, tau, lo2[p0:p1, l], hi2[p0:p1, l])
+        del lo2, hi2
+    del lo, hi  # the loop never reads the cells; the report rebuilds them
 
-    # the power loop ping-pongs two (h, nu) pairs; each iteration normalizes
-    # the new pair and measures its move in one blocked pass
+    # the power loop holds G (m cell arrays), two (h, nu) pairs it ping-pongs
+    # and block scratch; each iteration normalizes the new pair and measures
+    # its move in one blocked pass
     h, h_new, nu_new = np.ones(n_cells), np.empty(n_cells), np.empty(n_cells)
     d_h, d_nu = np.empty(len(op.chunks)), np.empty(len(op.chunks))
     iterations = 0
@@ -539,6 +542,7 @@ def eigen_solve(
     del op, nu_new
     mu_table = np.multiply(h, nu, out=h_new)
     mu_table /= mu_table.sum()
+    lo, hi, anchor = _cell_arrays(system, depth)
     return EigenReport(
         eigenvalue=lam,
         depth=depth,

@@ -362,6 +362,23 @@ class TestExitCodes:
         assert not out.exists()
         assert "seed" in json.loads(capsys.readouterr().err)["error"]["message"]
 
+    @pytest.mark.parametrize("override, path", [
+        ({"seed": -1}, "experiment/seed"),
+        ({"threads": 0}, "threads"),
+        ({"threads": -3}, "threads"),
+    ])
+    def test_override_off_the_schema_exit_2_before_running(
+            self, tmp_path, capsys, monkeypatch, override, path):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran a config the schema rejects")
+
+        monkeypatch.setattr("selfconformal.cli._execute_resolved", refuse)
+        out = tmp_path / "out"
+        assert run(write_config(tmp_path, small_config()), str(out), **override) == EXIT_CONFIG
+        assert not out.exists()
+        message = json.loads(capsys.readouterr().err)["error"]["message"]
+        assert f"schema violation at {path}:" in message
+
     def test_missing_config_file_exit_2(self, tmp_path, capsys):
         assert run(str(tmp_path / "nope.json"), str(tmp_path / "out")) == EXIT_CONFIG
         assert not (tmp_path / "out").exists()

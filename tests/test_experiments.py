@@ -11,6 +11,7 @@ consistency checks run at full stated scale with fixed seeds.
 import csv
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -228,6 +229,28 @@ class TestCheckpointSums:
             assert got.dtype == np.int64
             np.testing.assert_array_equal(
                 got, np.cumsum(marks, axis=1, dtype=np.int64)[:, cp_idx])
+
+    def test_segment_past_a_narrow_accumulator(self):
+        # 70 000 marks in one segment overflow any 16-bit count
+        marks = np.ones((2, 70_001), dtype=bool)
+        marks[1, ::7] = False
+        got = _checkpoint_sums(marks, np.array([0, 70_000]))
+        np.testing.assert_array_equal(got, [[1, 70_001], [0, 60_000]])
+
+    def test_peak_memory_is_about_the_output(self):
+        # an ABB-sized block: an int64 copy of the marks would take 80 MB
+        N = 200_000
+        marks = np.random.default_rng(0).random((50, N)) < 0.3
+        cp_idx = np.asarray(default_checkpoints(N), dtype=np.int64) - 1
+        out_bytes = marks.shape[0] * cp_idx.size * 8
+        tracemalloc.start()
+        try:
+            _checkpoint_sums(marks, cp_idx)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the segment counts, their running sums and one reduction buffer
+        assert peak <= 2 * out_bytes + 2 ** 17
 
 
 class TestRecordTypes:
@@ -1032,6 +1055,15 @@ class TestNamedExamples:
         assert rep["hyperplane"]["min_ratio_lower"] >= 0.4
         assert len(rep["hyperplane"]["series"]) == 8
         json.dumps({k: v for k, v in rep.items() if k != "records"})
+
+    # the sup sits on one cell, so one depth can miss a reordered expression
+    @pytest.mark.parametrize("depth", [4, 5, 8])
+    def test_interval_eigen_fields_match_the_full_array_expression(self, quartet, depth):
+        rep = run_named_example("7.2", {"eigen_depth": depth, "N": 200, "samples": 4})
+        ref = eigen_solve(quartet, ConformalPowerPotential(1.0), depth)
+        target_h = 1.0 / (math.log(2.0) * (1.0 + ref.cell_anchor))
+        assert rep["eigen"]["eigenvalue"] == ref.eigenvalue
+        assert rep["eigen"]["density_sup_error"] == float(np.max(np.abs(ref.h_values - target_h)))
 
     def test_reports_deterministic(self):
         small = {"N": 2000, "samples": 10, "mc_samples": 500}

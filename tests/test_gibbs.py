@@ -388,10 +388,9 @@ def test_eigen_solve_refuses_a_weight_count_before_allocating(quartet, monkeypat
 
 
 def test_eigen_solve_peak_memory(quartet):
-    # the loop holds the three cell-endpoint arrays, two (h, nu) pairs, the
-    # weights (m = 4 arrays) and block-sized scratch: about 11.5 cell
-    # arrays, where the full-size temporaries took 16
-    depth = 8
+    # the power loop holds only the weights G (m = 4 cell arrays), two
+    # (h, nu) pairs and block-sized scratch: about 8.1 cell arrays at depth 9
+    depth = 9
     array_bytes = 4 ** depth * 8
     tracemalloc.start()
     try:
@@ -399,7 +398,7 @@ def test_eigen_solve_peak_memory(quartet):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 13 * array_bytes
+    assert peak <= 9 * array_bytes
 
 
 # ---------------------------------------------------------------------------
