@@ -231,7 +231,7 @@ class TestCheckpointSums:
                 got, np.cumsum(marks, axis=1, dtype=np.int64)[:, cp_idx])
 
     def test_segment_past_a_narrow_accumulator(self):
-        # 70 000 marks in one segment overflow any 16-bit count
+        # 70 001 marks in one segment overflow any 16-bit count
         marks = np.ones((2, 70_001), dtype=bool)
         marks[1, ::7] = False
         got = _checkpoint_sums(marks, np.array([0, 70_000]))
