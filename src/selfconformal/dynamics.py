@@ -33,7 +33,8 @@ from typing import List, Sequence, Union
 import numpy as np
 
 from .gibbs import BernoulliBackend, MeasureBackend, SpectralBackend, _over_alphabet, word_index
-from .ifs import IfsSystem, _moebius_apply, _point_value, _to_coords, _value_point
+from .ifs import (IfsSystem, _children, _distance_range, _initial_state, _moebius_apply,
+                  _point_value, _state_boxes, _to_coords, _value_point)
 from .symbolic import FiniteWord, PointRd, as_point
 
 __all__ = [
@@ -57,13 +58,6 @@ def _invert_map(system: IfsSystem, j: int, x: PointRd) -> PointRd:
     return _value_point(z.conjugate() if m.reflect else z)
 
 
-def _box_distance(box, coords: np.ndarray) -> float:
-    lo = np.asarray(box.lo)
-    hi = np.asarray(box.hi)
-    gap = np.maximum(np.maximum(lo - coords, coords - hi), 0.0)
-    return float(np.sqrt((gap**2).sum()))
-
-
 def t_apply(system: IfsSystem, x, depth_hint: int = 1, tol: float = 1e-9) -> PointRd:
     """One step of the induced expanding map: phi_j^{-1} on branch j's piece.
 
@@ -72,27 +66,20 @@ def t_apply(system: IfsSystem, x, depth_hint: int = 1, tol: float = 1e-9) -> Poi
     so the tie-break is statistically irrelevant.  ``depth_hint > 1`` sharpens
     membership by testing the depth-``depth_hint`` cylinder hulls inside each
     branch, which rejects points that only touch a branch's bounding hull.
+    The hulls of one level are built and tested at once; in word order the
+    first hit lies in the lowest branch.
     """
     if depth_hint < 1 or depth_hint > 8:
         raise ValueError("depth_hint must be in 1..8")
     x = as_point(x, system.dim)
-    coords = np.asarray(x.coords)
-    for j in range(1, system.m + 1):
-        if depth_hint == 1:
-            hit = _box_distance(system.word_box(FiniteWord((j,), system.m)), coords) <= tol
-        else:
-            hit = any(
-                _box_distance(
-                    system.word_box(FiniteWord((j,) + rest, system.m)), coords
-                )
-                <= tol
-                for rest in itertools.product(
-                    range(1, system.m + 1), repeat=depth_hint - 1
-                )
-            )
-        if hit:
-            return _invert_map(system, j, x)
-    raise ValueError(f"point {x.coords} is not within {tol} of any depth-1 piece")
+    state = _initial_state(system)
+    for _ in range(depth_hint):
+        state = _children(system, state)
+    lo, hi = _state_boxes(system, state, system.attractor_box)
+    hits = np.flatnonzero(_distance_range(np.asarray(x.coords), lo, hi)[0] <= tol)
+    if not hits.size:
+        raise ValueError(f"point {x.coords} is not within {tol} of any depth-1 piece")
+    return _invert_map(system, int(hits[0]) // system.m ** (depth_hint - 1) + 1, x)
 
 
 # ---------------------------------------------------------------------------

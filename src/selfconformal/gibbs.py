@@ -168,6 +168,18 @@ def _check_weight_count(system: IfsSystem, probs: Sequence[float]) -> None:
         )
 
 
+def _potential_tau(potential: PotentialSpec) -> Optional[float]:
+    """The exponent tau of a potential's branch weights |phi_j'|^tau, or None
+    for constant (Bernoulli) weights."""
+    if isinstance(potential, BernoulliPotential):
+        return None
+    if isinstance(potential, ConformalPowerPotential):
+        return potential.tau
+    if isinstance(potential, ClosedFormDensityPotential):
+        return DENSITY_CATALOG[potential.name]["tau"]
+    raise TypeError(f"unsupported potential {potential!r}")
+
+
 def _power_weights(system: IfsSystem, tau: float) -> list:
     """The branch weights x |-> |phi_j'(x)|^tau of a 1-D system."""
     gs = []
@@ -472,15 +484,9 @@ def eigen_solve(
         raise ValueError("the eigensolver operates on 1-D systems")
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if isinstance(potential, BernoulliPotential):
+    tau = _potential_tau(potential)
+    if tau is None:
         _check_weight_count(system, potential.probs)
-        tau = None
-    elif isinstance(potential, ConformalPowerPotential):
-        tau = potential.tau
-    elif isinstance(potential, ClosedFormDensityPotential):
-        tau = DENSITY_CATALOG[potential.name]["tau"]
-    else:
-        raise TypeError(f"unsupported potential {potential!r}")
     _check_level_size(system.m, depth)
     mm = system.m
     n_cells = mm ** depth
@@ -568,14 +574,17 @@ class SpectralBackend:
     symbols); that extension is an approximation intended for samplers and
     orbit machinery, not for exact mixing computations, which are restricted
     to the table depth.  ``potential`` is the one ``report`` was solved for;
-    ``gibbs_data`` reads its branch weights.
+    ``gibbs_data`` reads its branch weights.  The backend keeps only the
+    report's mass table, eigenvalue and density values, so the cell arrays
+    are freed with the report.
     """
 
     def __init__(self, system: IfsSystem, report: EigenReport, potential: PotentialSpec):
         self.system = system
-        self.report = report
         self.potential = potential
         self.max_depth = report.depth
+        self.eigenvalue = report.eigenvalue
+        self.h_values = report.h_values
         self._tables = {report.depth: report.mu_table}
 
     def level_table(self, k: int) -> np.ndarray:
@@ -629,25 +638,24 @@ class SpectralBackend:
 
         Cells are in word order, which is not position order on systems with
         orientation-reversing maps, so the lookup runs on the cells sorted by
-        left endpoint, built on the first call.
+        left endpoint.  The first call rebuilds the left endpoints, which are
+        the report's bit for bit.
         """
         if not hasattr(self, "_by_position"):
-            order = np.argsort(self.report.cell_lo, kind="stable")
-            self._by_position = (self.report.cell_lo[order], order)
+            cell_lo = _cell_arrays(self.system, self.max_depth)[0]
+            order = np.argsort(cell_lo, kind="stable")
+            self._by_position = (cell_lo[order], order)
         starts, order = self._by_position
         idx = np.searchsorted(starts, x, side="right") - 1
         idx = int(np.clip(idx, 0, len(order) - 1))
-        return float(self.report.h_values[order[idx]])
+        return float(self.h_values[order[idx]])
 
     def gibbs_data(self):
-        pot = self.potential
-        if isinstance(pot, BernoulliPotential):
-            probs = np.asarray(pot.probs)
-            return self.report.eigenvalue, (lambda x: 1.0), [
-                (lambda x, p=p: p) for p in probs
-            ]
-        tau = pot.tau if isinstance(pot, ConformalPowerPotential) else DENSITY_CATALOG[pot.name]["tau"]
-        return self.report.eigenvalue, self.h_at, _power_weights(self.system, tau)
+        tau = _potential_tau(self.potential)
+        if tau is None:
+            probs = np.asarray(self.potential.probs)
+            return self.eigenvalue, (lambda x: 1.0), [(lambda x, p=p: p) for p in probs]
+        return self.eigenvalue, self.h_at, _power_weights(self.system, tau)
 
 
 # ---------------------------------------------------------------------------

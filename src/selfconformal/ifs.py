@@ -17,13 +17,20 @@ single maps, and quantities such as cylinder-interval endpoints and
 sup-derivatives over an interval are evaluated in closed form (monotone
 analysis of (r*x+s)^2), not by sampling.
 
-The module also provides cylinder geometry (attractor pieces K_I indexed by
-finite words), empirical contraction constants, open-set-condition checking,
-adaptive stopping families, and a JSON round-trip for system specifications.
+One batched kernel carries words and their attractor pieces K_I: a cylinder
+state holds the composed coefficients and reflect bits of many words as
+columns (``_initial_state``, ``_child_state``, ``_children``), and bounds
+their pieces by the boxes of the mapped corners of a given box
+(``_state_boxes``) or by diameters (``_state_diameters``).  The contraction
+check, the empirical contraction constants, adaptive stopping families, the
+open-set check, ``IfsSystem.word_map``, the induced map and the cylinder-tree
+pruner all run on it, a whole level of words at a time.  The module also
+provides a JSON round-trip for system specifications.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
@@ -38,7 +45,6 @@ __all__ = [
     "Similarity2D",
     "Box",
     "IfsSystem",
-    "CylinderGeometry",
     "apply_word",
     "contraction_constants",
     "lambda_rho",
@@ -146,14 +152,12 @@ def _moebius_apply(mat, x, reflect=False):
     return (p * x + q) / (r * x + s)
 
 
-def _moebius_compose(m1, m2, reflect1=False):
+def _moebius_compose(m1, m2):
     """Coefficient matrix of map1 composed after map2 (apply m2 first).
 
-    A reflecting map1 conjugates map2's coefficients; the composite reflects
-    when exactly one factor does.
+    When map1 reflects, the caller passes map2's conjugated coefficients; the
+    composite reflects when exactly one factor does.
     """
-    if reflect1:
-        m2 = tuple(c.conjugate() for c in m2)
     if len(m1) == 2:
         (a1, b1), (a2, b2) = m1, m2
         return (a1 * a2, a1 * b2 + b1)
@@ -176,20 +180,23 @@ def _moebius_det(mat):
 
 
 def _moebius_sup_inf_deriv(mat, box: "Box"):
-    """Exact (sup, inf) of |map'| on a box (pole outside it).
+    """Exact (sup, inf) of |map'| on a box (pole outside it), elementwise over
+    array coefficients.
 
-    Maps with r = 0 have constant |map'|; otherwise the box is an interval.
+    An affine pair (a, b) has the constant |a|; otherwise the coefficients are
+    real, the box is an interval, and |map'| = |det| / (r*x + s)^2 is monotone
+    on it, so its extremes sit at the endpoints.
     """
-    p, q, r, s = mat
-    d = abs(_moebius_det(mat))
-    if r == 0.0:
-        v = d / abs(s) ** 2
+    if len(mat) == 2:
+        v = np.abs(mat[0])
         return v, v
-    lo, hi = box.lo[0], box.hi[0]
-    va, vb = (r * lo + s) ** 2, (r * hi + s) ** 2
-    if (r * lo + s) * (r * hi + s) <= 0:
+    r, s = mat[2], mat[3]
+    d = np.abs(_moebius_det(mat))
+    ua, ub = r * box.lo[0] + s, r * box.hi[0] + s
+    if np.any(ua * ub <= 0):
         raise ValueError("Moebius pole inside evaluation interval")
-    return d / min(va, vb), d / max(va, vb)
+    va, vb = ua * ua, ub * ub
+    return d / np.minimum(va, vb), d / np.maximum(va, vb)
 
 
 # -- points as field values ----------------------------------------------------
@@ -228,10 +235,6 @@ def map_apply(m: ConformalMap, x):
         return _moebius_apply(m.matrix, x)
     z = np.ascontiguousarray(x, dtype=float).view(np.complex128)[..., 0]
     return _to_coords(_moebius_apply(m.matrix, z, m.reflect))
-
-
-def map_sup_derivative(m: ConformalMap, box: "Box") -> float:
-    return _moebius_sup_inf_deriv(m.matrix, box)[0]
 
 
 def map_fixed_point(m: ConformalMap, box: "Box") -> PointRd:
@@ -296,16 +299,81 @@ class Box:
         return out
 
 
-def _hull(z) -> Box:
-    """Bounding box of a 1-D array of field values."""
-    c = _to_coords(z).reshape(len(z), -1)
-    return Box(tuple(c.min(axis=0)), tuple(c.max(axis=0)))
+# ---------------------------------------------------------------------------
+# cylinder states: the one batched kernel for words and their pieces
+# ---------------------------------------------------------------------------
+#
+# A state is a list of per-word columns: the composed coefficients of each
+# word's map phi_I = phi_{i1} o ... o phi_{in} in the system's field ((a, b)
+# when every map is affine, else (p, q, r, s)), then the reflect bits when any
+# map reflects.  A child appends a symbol on the right, phi_I o phi_j, so the
+# state of a word is composed from the root in the order of its symbols.
+
+def _initial_state(system: "IfsSystem"):
+    """The root (the empty word) as a one-row state: the identity's
+    coefficients, then a false reflect bit when any map reflects."""
+    one = np.ones(1, dtype=system.dtype)
+    zero = np.zeros(1, dtype=system.dtype)
+    state = [one, zero] if len(system._coeffs) == 2 else [one, zero, zero, one]
+    if system._flips is not None:
+        state.append(np.zeros(1, dtype=bool))
+    return state
 
 
-def map_box_image(m: ConformalMap, box: Box) -> Box:
-    """Image of a box: the bounding box of its vertex images, exact for
+def _child_state(system: "IfsSystem", state, j: int):
+    """Every row's word followed by symbol ``j``; a reflecting word
+    conjugates the coefficients of the map it composes after it."""
+    mat = tuple(c[j - 1] for c in system._coeffs)
+    k = len(mat)
+    if len(state) == k:
+        return list(_moebius_compose(state, mat))
+    flip = state[k]
+    mat = tuple(np.where(flip, c.conjugate(), c) for c in mat)
+    return [*_moebius_compose(state[:k], mat), flip != system.maps[j - 1].reflect]
+
+
+def _children(system: "IfsSystem", state):
+    """All ``m`` children of every row, in word order: row ``p * m + j - 1``
+    holds row ``p``'s word followed by ``j``.  Applied ``k`` times to the
+    root it gives every depth-k word in lexicographic order."""
+    kids = [_child_state(system, state, j) for j in range(1, system.m + 1)]
+    return [np.stack(cols, axis=1).reshape(-1) for cols in zip(*kids)]
+
+
+def _state_apply(system: "IfsSystem", state, z):
+    """Each row's image of the field value ``z``."""
+    k = len(system._coeffs)
+    if len(state) > k:
+        z = np.where(state[k], z.conjugate(), z)
+    return _moebius_apply(state[:k], z)
+
+
+def _state_boxes(system: "IfsSystem", state, box: Box):
+    """Boxes (lo, hi), shape (rows, dim), bounding each row's images of the
+    vertices of ``box``: a hull of the word's image of ``box``, exact for
     monotone 1-D maps and for similarities whose rotation is axis-aligned."""
-    return _hull(_moebius_apply(m.matrix, _box_corners(box), m.reflect))
+    pts = [_to_coords(_state_apply(system, state, z)) for z in _box_corners(box)]
+    lo, hi = functools.reduce(np.minimum, pts), functools.reduce(np.maximum, pts)
+    return lo.reshape(len(lo), system.dim), hi.reshape(len(hi), system.dim)
+
+
+def _state_diameters(system: "IfsSystem", state) -> np.ndarray:
+    """An upper bound for the diameter of each row's piece K_I: the width of
+    its attractor-box image on the line, and ``|a| * diam(K)`` in the plane,
+    where the similarity scales every distance by ``|a|``."""
+    if system.dim == 1:
+        lo, hi = _state_boxes(system, state, system.attractor_box)
+        return (hi - lo)[:, 0]
+    return np.abs(state[0]) * system.attractor_diameter[1]
+
+
+def _distance_range(c: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Least and greatest distance from the points ``c`` (one, or one per
+    box) to each box ``[lo, hi]``."""
+    gap = np.maximum(np.maximum(lo - c, c - hi), 0.0)
+    min_d = np.sqrt((gap ** 2).sum(axis=1))
+    max_d = np.sqrt((np.maximum(c - lo, hi - c) ** 2).sum(axis=1))
+    return min_d, max_d
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +410,6 @@ class IfsSystem:
                 raise ValueError(f"{m.dim}-D map in a {self.dim}-D system")
         if self.attractor_diameter is None:
             self.attractor_diameter = (0.0, self.attractor_box.diameter())
-        self._validate_contraction()
         # per-map coefficient columns for the batched kernels: (a, b) when
         # every map is affine, else (p, q, r, s); reflect bits when any map
         # reflects, else None
@@ -351,6 +418,7 @@ class IfsSystem:
         self._coeffs = tuple(mats[:, :2].T.copy() if affine else mats.T.copy())
         flips = np.array([m.reflect for m in self.maps])
         self._flips = flips if flips.any() else None
+        self._validate_contraction()
 
     # -- basic structure -------------------------------------------------
     @property
@@ -368,15 +436,13 @@ class IfsSystem:
 
     def _validate_contraction(self):
         """Find the smallest contracting composition power (<= 8)."""
-        self._kappa = max(map_sup_derivative(m, self.domain) for m in self.maps)
-        level = [(_MOEBIUS_ID, False)]
+        k = len(self._coeffs)
+        state = _initial_state(self)
         for n0 in range(1, 9):
-            level = [
-                (_moebius_compose(m.matrix, mat, m.reflect), m.reflect != flip)
-                for m in self.maps
-                for mat, flip in level
-            ]
-            worst = max(_moebius_sup_inf_deriv(mat, self.domain)[0] for mat, _ in level)
+            state = _children(self, state)
+            worst = float(_moebius_sup_inf_deriv(state[:k], self.domain)[0].max())
+            if n0 == 1:
+                self._kappa = worst
             if worst < 1.0:
                 self.iterate_power = n0
                 self._kappa_eff = worst ** (1.0 / n0)
@@ -433,51 +499,13 @@ class IfsSystem:
         return apply_word(self, I, x)
 
     def word_map(self, I: FiniteWord):
-        """The composed map of a word: its coefficient matrix and reflect bit."""
-        mat, flip = _MOEBIUS_ID, False
+        """The composed map of a word: its coefficient matrix ((a, b) when
+        every map is affine) and reflect bit."""
+        state = _initial_state(self)
         for sym in I:
-            m = self.maps[sym - 1]
-            mat = _moebius_compose(mat, m.matrix, flip)
-            flip = flip != m.reflect
-        return mat, flip
-
-    def word_box(self, I: FiniteWord) -> Box:
-        """Image of the attractor box under the word's composition."""
-        box = self.attractor_box
-        for sym in reversed(I.symbols):
-            box = map_box_image(self.maps[sym - 1], box)
-        return box
-
-    def cylinder_geometry(self, I: FiniteWord) -> "CylinderGeometry":
-        anchor = apply_word(self, I, self.base_point())
-        if self.dim == 1:
-            mat, _ = self.word_map(I)
-            klo = self.attractor_box.lo[0]
-            khi = self.attractor_box.hi[0]
-            a, b = _moebius_apply(mat, klo), _moebius_apply(mat, khi)
-            d = abs(b - a)
-            scale = 1.0
-            dd = (d, d)
-        else:
-            scale = 1.0
-            for sym in I:
-                scale *= self.maps[sym - 1].scale
-            dd = (scale * self.attractor_diameter[0], scale * self.attractor_diameter[1])
-        return CylinderGeometry(word=I, anchor=anchor, diameter=dd)
-
-
-@dataclass(frozen=True)
-class CylinderGeometry:
-    """A word, a point of its attractor piece, and a diameter bracket."""
-
-    word: FiniteWord
-    anchor: PointRd
-    diameter: Tuple[float, float]
-
-    def __post_init__(self):
-        lo, hi = self.diameter
-        if lo > hi + 1e-15:
-            raise ValueError("diameter bracket with lo > hi")
+            state = _child_state(self, state, sym)
+        k = len(self._coeffs)
+        return tuple(c[0] for c in state[:k]), len(state) > k and bool(state[k][0])
 
 
 # ---------------------------------------------------------------------------
@@ -520,41 +548,28 @@ def contraction_constants(system: IfsSystem, probe_depth: int) -> dict:
     corners = _box_corners(box)
     lo, hi = corners[0].item(), corners[-1].item()
     diam = abs(hi - lo)
+    k = len(system._coeffs)
     c1 = c2 = c3 = 0.0
-    lengths = {(): diam}
-    # Build all words up to probe_depth with their composed matrices,
-    # composing right-to-left: word (i1,...,in) maps x to phi_{i1}(...phi_{in}(x)).
-    frontier = [((), _MOEBIUS_ID, False)]
-    all_words = {}
+    # lengths[d - 1] holds |K_I| of every depth-d word, in word order
+    lengths = []
+    state = _initial_state(system)
     for depth in range(1, probe_depth + 1):
-        nxt = []
-        for word, mat, flip in frontier:
-            for j, mp in enumerate(system.maps, start=1):
-                w2 = word + (j,)
-                mat2 = _moebius_compose(mat, mp.matrix, flip) if word else mp.matrix
-                nxt.append((w2, mat2, flip != mp.reflect))
-                all_words[w2] = (mat2, flip != mp.reflect)
-        frontier = nxt
-    for w2, (mat2, flip2) in all_words.items():
-        depth = len(w2)
-        sup_d, inf_d = _moebius_sup_inf_deriv(mat2, box)
-        a, b = _moebius_apply(mat2, lo, flip2), _moebius_apply(mat2, hi, flip2)
-        length = abs(b - a)
-        lengths[w2] = length
-        c1 = max(c1, sup_d / inf_d)
-        c2 = max(c2, sup_d * diam / length, length / (inf_d * diam))
-        c3 = max(c3, length / (diam * system.kappa ** depth))
+        state = _children(system, state)
+        sup_d, inf_d = _moebius_sup_inf_deriv(state[:k], box)
+        length = np.abs(_state_apply(system, state, hi) - _state_apply(system, state, lo))
+        lengths.append(length)
+        c1 = max(c1, float((sup_d / inf_d).max()))
+        c2 = max(c2, float((sup_d * diam / length).max()),
+                 float((length / (inf_d * diam)).max()))
+        c3 = max(c3, float((length / (diam * system.kappa ** depth)).max()))
+    # word IJ, |I| = a and |J| = b, sits at index idx(I) * m^b + idx(J) of its
+    # level, so that level reshaped to (m^a, m^b) pairs every I with every J
     c4 = 1.0
-    items = [(w, l) for w, l in lengths.items() if w]
-    for wi, li in items:
-        for wj, lj in items:
-            if len(wi) + len(wj) > probe_depth:
-                continue
-            lij = lengths.get(wi + wj)
-            if lij is None:
-                continue
-            prod = li * lj / diam
-            c4 = max(c4, lij / prod, prod / lij)
+    for a in range(1, probe_depth):
+        for b in range(1, probe_depth - a + 1):
+            prod = lengths[a - 1][:, None] * lengths[b - 1][None, :] / diam
+            lij = lengths[a + b - 1].reshape(prod.shape)
+            c4 = max(c4, float((lij / prod).max()), float((prod / lij).max()))
     return {
         "kappa": system.kappa,
         "C1": c1,
@@ -565,33 +580,36 @@ def contraction_constants(system: IfsSystem, probe_depth: int) -> dict:
     }
 
 
+_STOPPING_FAMILY_CAP = 5_000_000  # words lambda_rho may visit
+
+
 def lambda_rho(system: IfsSystem, rho: float) -> List[FiniteWord]:
     """Adaptive stopping family: words whose cylinder diameter first drops
     below ``rho`` (diameter upper bounds drive the test).
 
     Returns the root word alone when rho is at least the attractor diameter.
+    The family is built one level at a time: the children of every word that
+    has not yet stopped are composed and measured at once.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
-    diam_hi = system.attractor_diameter[1]
-    if rho >= diam_hi:
+    if rho >= system.attractor_diameter[1]:
         return [FiniteWord((), system.m)]
+    m = system.m
     out: List[FiniteWord] = []
-    stack = [((), diam_hi)]
-    guard = 0
-    while stack:
-        word, _ = stack.pop()
-        for j in range(1, system.m + 1):
-            w2 = word + (j,)
-            geo = system.cylinder_geometry(FiniteWord(w2, system.m))
-            hi = geo.diameter[1]
-            if hi < rho:
-                out.append(FiniteWord(w2, system.m))
-            else:
-                stack.append((w2, hi))
-            guard += 1
-            if guard > 5_000_000:
-                raise RuntimeError("stopping family enumeration too large")
+    state, words = _initial_state(system), np.zeros((1, 0), dtype=np.int64)
+    visited = 0
+    while len(words):
+        visited += m * len(words)
+        if visited > _STOPPING_FAMILY_CAP:
+            raise RuntimeError("stopping family enumeration too large")
+        state = _children(system, state)
+        words = np.column_stack([np.repeat(words, m, axis=0),
+                                 np.tile(np.arange(1, m + 1), len(words))])
+        stop = _state_diameters(system, state) < rho
+        out.extend(FiniteWord(tuple(w), m) for w in words[stop].tolist())
+        state = [c[~stop] for c in state]
+        words = words[~stop]
     out.sort(key=lambda w: w.symbols)
     return out
 
@@ -605,7 +623,8 @@ def check_osc(system: IfsSystem) -> dict:
     if system.osc_witness is None:
         raise ValueError("system has no open-set witness")
     v = system.osc_witness
-    images = [map_box_image(m, v) for m in system.maps]
+    lo, hi = _state_boxes(system, _children(system, _initial_state(system)), v)
+    images = [Box(tuple(a), tuple(b)) for a, b in zip(lo, hi)]
     # containment phi_i(V) within V (closed-box check with tiny slack)
     for img in images:
         for a, b, a0, b0 in zip(img.lo, img.hi, v.lo, v.hi):

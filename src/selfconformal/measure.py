@@ -31,7 +31,6 @@ the requested measure tolerance.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
@@ -39,8 +38,8 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .gibbs import BernoulliBackend, DensityBackend, MeasureBackend, SpectralBackend
-from .ifs import (Affine1D, IfsSystem, _box_corners, _moebius_apply, _moebius_compose,
-                  _point_value, _to_coords)
+from .ifs import (Affine1D, IfsSystem, _child_state, _distance_range, _initial_state,
+                  _point_value, _state_boxes, _to_coords)
 from .symbolic import PointRd, as_point
 
 __all__ = [
@@ -153,15 +152,6 @@ RadiusFunction = Union[ConstantRadius, PowerLogRadius, PowerRadius]
 INSIDE, STRADDLE, OUTSIDE = 1, 0, -1
 
 
-def _distance_range(c: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """Least and greatest distance from the points ``c`` (one, or one per
-    box) to each box ``[lo, hi]``."""
-    gap = np.maximum(np.maximum(lo - c, c - hi), 0.0)
-    min_d = np.sqrt((gap ** 2).sum(axis=1))
-    max_d = np.sqrt((np.maximum(c - lo, hi - c) ** 2).sum(axis=1))
-    return min_d, max_d
-
-
 def _classify_balls(c: np.ndarray, r, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Boxes against open balls ``B(c, r)``: one ball, or one per box."""
     min_d, max_d = _distance_range(c, lo, hi)
@@ -253,41 +243,6 @@ _NODE_CAP = 1 << 17
 _SEQUENTIAL_SUM = 8
 
 
-def _initial_state(system: IfsSystem):
-    """The root node as a list of per-node columns: the identity's
-    coefficients in the system's field ((a, b) when every map is affine),
-    then the reflect bits when any map reflects."""
-    one = np.ones(1, dtype=system.dtype)
-    zero = np.zeros(1, dtype=system.dtype)
-    state = [one, zero] if len(system._coeffs) == 2 else [one, zero, zero, one]
-    if system._flips is not None:
-        state.append(np.zeros(1, dtype=bool))
-    return state
-
-
-def _child_state(system: IfsSystem, state, j: int):
-    mat = tuple(c[j - 1] for c in system._coeffs)
-    k = len(mat)
-    if len(state) == k:
-        return list(_moebius_compose(state, mat))
-    flip = state[k]
-    mat = tuple(np.where(flip, c.conjugate(), c) for c in mat)
-    return [*_moebius_compose(state[:k], mat), flip != system.maps[j - 1].reflect]
-
-
-def _state_boxes(system: IfsSystem, state):
-    """Boxes (lo, hi), shape (nodes, dim), bounding each node's images of the
-    attractor box's vertices."""
-    k = len(system._coeffs)
-    pts = []
-    for z in _box_corners(system.attractor_box):
-        if len(state) > k:
-            z = np.where(state[k], z.conjugate(), z)
-        pts.append(_to_coords(_moebius_apply(state[:k], z)))
-    lo, hi = functools.reduce(np.minimum, pts), functools.reduce(np.maximum, pts)
-    return lo.reshape(len(lo), system.dim), hi.reshape(len(hi), system.dim)
-
-
 def _select_rows(columns, rows):
     return [c[rows] for c in columns]
 
@@ -361,7 +316,7 @@ def _descend(backend: MeasureBackend, classify, n: int, depth_budget: int):
     if n == 0:
         return lower, upper
     root = _initial_state(system)
-    lo, hi = _state_boxes(system, root)
+    lo, hi = _state_boxes(system, root, system.attractor_box)
     owner = np.arange(n)
     cls = classify(np.repeat(lo, n, axis=0), np.repeat(hi, n, axis=0), owner)
     lower[cls == INSIDE] = upper[cls == INSIDE] = 1.0
@@ -385,7 +340,7 @@ def _descend(backend: MeasureBackend, classify, n: int, depth_budget: int):
             for j in range(1, system.m + 1):
                 cs = _child_state(system, state, j)
                 ci = idx * system.m + (j - 1)
-                lo, hi = _state_boxes(system, cs)
+                lo, hi = _state_boxes(system, cs, system.attractor_box)
                 cm = _child_masses(backend, masses, ci, level, j, lo, hi)
                 cls = classify(lo, hi, owner)
                 ins = cls == INSIDE

@@ -366,6 +366,7 @@ class TestExitCodes:
         ({"seed": -1}, "experiment/seed"),
         ({"threads": 0}, "threads"),
         ({"threads": -3}, "threads"),
+        ({"seed": 2 ** 64}, "experiment/seed"),
     ])
     def test_override_off_the_schema_exit_2_before_running(
             self, tmp_path, capsys, monkeypatch, override, path):
@@ -378,6 +379,20 @@ class TestExitCodes:
         assert not out.exists()
         message = json.loads(capsys.readouterr().err)["error"]["message"]
         assert f"schema violation at {path}:" in message
+
+    def test_config_seed_past_64_bits_exit_2_before_running(self, tmp_path, capsys, monkeypatch):
+        # Philox keys hold 64-bit seeds; 2**64 - 1 is the largest the schema takes
+        validate_config(small_config(seed=2 ** 64 - 1))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran a config the schema rejects")
+
+        monkeypatch.setattr("selfconformal.cli._execute_resolved", refuse)
+        out = tmp_path / "out"
+        assert run(write_config(tmp_path, small_config(seed=2 ** 64)), str(out)) == EXIT_CONFIG
+        assert not out.exists()
+        message = json.loads(capsys.readouterr().err)["error"]["message"]
+        assert "schema violation at experiment/seed:" in message
 
     def test_missing_config_file_exit_2(self, tmp_path, capsys):
         assert run(str(tmp_path / "nope.json"), str(tmp_path / "out")) == EXIT_CONFIG

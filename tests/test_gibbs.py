@@ -1,7 +1,9 @@
 """Transfer-operator eigendata and measure backends."""
 
+import gc
 import math
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import mpmath
@@ -387,6 +389,15 @@ def test_eigen_solve_refuses_a_weight_count_before_allocating(quartet, monkeypat
         eigen_solve(quartet, BernoulliPotential(probs), depth=10)
 
 
+def test_unsupported_potential_is_a_type_error(quartet):
+    pot = ConformalPowerPotential(1.0)
+    sb = SpectralBackend(quartet, eigen_solve(quartet, pot, depth=3), pot)
+    sb.potential = "not a potential"
+    for call in (lambda: eigen_solve(quartet, "not a potential", depth=3), sb.gibbs_data):
+        with pytest.raises(TypeError, match="unsupported potential"):
+            call()
+
+
 def test_eigen_solve_peak_memory(quartet):
     # the power loop holds only the weights G (m = 4 cell arrays), two
     # (h, nu) pairs and block-sized scratch: about 8.1 cell arrays at depth 9
@@ -530,6 +541,25 @@ def test_spectral_h_at_reads_the_cell_holding_the_point(name):
     for x in np.linspace(rep.cell_lo.min(), rep.cell_hi.max(), 1999):
         holding = rep.h_values[(rep.cell_lo <= x) & (x <= rep.cell_hi)]
         assert sb.h_at(x) in holding, x
+
+
+@pytest.mark.parametrize("name", ["moebius_interval_quartet", "moebius_interval_pair"])
+def test_spectral_backend_frees_the_report_and_keeps_h_at(name):
+    system = builtin_system(name)
+    pot = ConformalPowerPotential(1.0)
+    rep = eigen_solve(system, pot, depth=5)
+    xs = np.linspace(0.0, 1.0, 257)
+    # the lookup on the report's own cells: the rightmost cell starting at or
+    # left of x, among the cells sorted by left endpoint
+    order = np.argsort(rep.cell_lo, kind="stable")
+    idx = np.clip(np.searchsorted(rep.cell_lo[order], xs, side="right") - 1, 0, len(order) - 1)
+    expected = rep.h_values[order[idx]]
+    sb = SpectralBackend(system, rep, pot)
+    alive = weakref.ref(rep)
+    del rep
+    gc.collect()
+    assert alive() is None
+    assert np.array_equal([sb.h_at(x) for x in xs], expected)
 
 
 # ---------------------------------------------------------------------------

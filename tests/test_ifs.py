@@ -1,4 +1,4 @@
-"""Conformal map families, cylinder geometry, constants, stopping families."""
+"""Conformal map families, the cylinder-state kernel, constants, stopping families."""
 
 import itertools
 import json
@@ -15,6 +15,11 @@ from selfconformal.ifs import (
     IfsSystem,
     Moebius1D,
     Similarity2D,
+    _child_state,
+    _children,
+    _initial_state,
+    _state_boxes,
+    _state_diameters,
     apply_word,
     builtin_system,
     check_osc,
@@ -25,6 +30,14 @@ from selfconformal.ifs import (
     system_to_json,
 )
 from selfconformal.symbolic import FiniteWord, PointRd, word
+
+
+def _word_state(sys_, symbols):
+    """The one-row cylinder state of a word, composed from the root."""
+    state = _initial_state(sys_)
+    for j in symbols:
+        state = _child_state(sys_, state, j)
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -115,30 +128,28 @@ def test_kappa_values():
 
 def test_cylinder_geometry_cantor():
     sys_ = builtin_system("middle_third_cantor")
-    geo = sys_.cylinder_geometry(word((2, 1), 2))
-    # K_{21} = [2/3, 7/9]
-    assert abs(geo.anchor.x - 2.0 / 3.0) < 1e-15
-    assert abs(geo.diameter[0] - 1.0 / 9.0) < 1e-15
-    assert abs(geo.diameter[1] - 1.0 / 9.0) < 1e-15
-    box = sys_.word_box(word((2, 1), 2))
-    assert abs(box.lo[0] - 2.0 / 3.0) < 1e-15 and abs(box.hi[0] - 7.0 / 9.0) < 1e-15
+    state = _word_state(sys_, (2, 1))
+    # K_{21} = [2/3, 7/9], anchored at phi_21(0) = 2/3
+    anchor = apply_word(sys_, word((2, 1), 2), sys_.base_point())
+    assert abs(anchor.x - 2.0 / 3.0) < 1e-15
+    assert abs(_state_diameters(sys_, state)[0] - 1.0 / 9.0) < 1e-15
+    lo, hi = _state_boxes(sys_, state, sys_.attractor_box)
+    assert abs(lo[0, 0] - 2.0 / 3.0) < 1e-15 and abs(hi[0, 0] - 7.0 / 9.0) < 1e-15
 
 
 def test_cylinder_geometry_quartet_depth1():
     sys_ = builtin_system("moebius_interval_quartet")
     lens = [0.25, 0.25, 1.0 / 6.0, 1.0 / 3.0]
-    for j, ln in enumerate(lens, start=1):
-        geo = sys_.cylinder_geometry(word((j,), 4))
-        assert abs(geo.diameter[0] - ln) < 1e-15
+    level = _children(sys_, _initial_state(sys_))
+    assert np.abs(_state_diameters(sys_, level) - lens).max() < 1e-15
 
 
 def test_gasket_cylinder_diameter_exact():
     g = builtin_system("sierpinski_triangle")
-    geo = g.cylinder_geometry(word((2, 1, 1), 3))
-    assert abs(geo.diameter[0] - 0.125) < 1e-15
-    assert abs(geo.diameter[1] - 0.125) < 1e-15
+    assert abs(_state_diameters(g, _word_state(g, (2, 1, 1)))[0] - 0.125) < 1e-15
     # anchor = phi_2 phi_1 phi_1 (0,0) = phi_2 phi_1 (0,0) = phi_2 (0,0) = (1/2, 0)
-    assert np.allclose(geo.anchor.coords, (0.5, 0.0))
+    anchor = apply_word(g, word((2, 1, 1), 3), g.base_point())
+    assert np.allclose(anchor.coords, (0.5, 0.0))
 
 
 def test_apply_word_outside_domain_raises():
@@ -177,8 +188,7 @@ def test_depth_for_diameter():
     pair = builtin_system("moebius_interval_pair")
     d2 = pair.depth_for_diameter(1e-4)
     assert d2 % 2 == 0  # whole blocks of the contracting power
-    geo = pair.cylinder_geometry(word((2,) * d2, 2))
-    assert geo.diameter[1] < 1e-4
+    assert _state_diameters(pair, _word_state(pair, (2,) * d2))[0] < 1e-4
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_SYSTEMS))
@@ -187,10 +197,11 @@ def test_diameter_bound_dominates_every_cylinder(name):
     # a measured diameter is a difference of rounded endpoints, a few ulps of
     # the coordinates off; on the Cantor sets it equals the bound exactly
     ulps = 8.0 * np.finfo(float).eps
+    state = _initial_state(sys_)
     for depth in range(1, 7):
-        bound = sys_.diameter_bound(depth)
-        for symbols in itertools.product(range(1, sys_.m + 1), repeat=depth):
-            assert sys_.cylinder_geometry(word(symbols, sys_.m)).diameter[1] <= bound + ulps
+        state = _children(sys_, state)
+        assert len(state[0]) == sys_.m ** depth
+        assert (_state_diameters(sys_, state) <= sys_.diameter_bound(depth) + ulps).all()
     for tol in (0.3, 1e-4, 1e-9):
         depth = sys_.depth_for_diameter(tol)
         assert sys_.diameter_bound(depth) < tol
@@ -229,10 +240,8 @@ def test_lambda_rho_quartet_mixed_depths():
             if a != b:
                 assert a != b[: len(a)]
     for w in fam:
-        geo = sys_.cylinder_geometry(w)
-        assert geo.diameter[1] < rho
-        parent = FiniteWord(w.symbols[:-1], 4)
-        assert sys_.cylinder_geometry(parent).diameter[1] >= rho
+        assert _state_diameters(sys_, _word_state(sys_, w.symbols))[0] < rho
+        assert _state_diameters(sys_, _word_state(sys_, w.symbols[:-1]))[0] >= rho
 
 
 @given(st.floats(min_value=0.01, max_value=0.9))
@@ -241,7 +250,7 @@ def test_lambda_rho_masses_cover_interval(rho):
     """Stopping-family cylinders of the quartet tile [0,1] (total length 1)."""
     sys_ = builtin_system("moebius_interval_quartet")
     fam = lambda_rho(sys_, rho)
-    total = sum(sys_.cylinder_geometry(w).diameter[0] for w in fam)
+    total = sum(_state_diameters(sys_, _word_state(sys_, w.symbols))[0] for w in fam)
     assert abs(total - 1.0) < 1e-9
 
 
@@ -375,16 +384,13 @@ def test_rotated_reflecting_sim2d_matches_explicit_formula():
             mat, flip = sys_.word_map(I)
             z = _moebius_apply(mat, complex(*x), flip)
             assert abs(z - complex(*e)) < tol
-        # word_box maps the box's vertices one map at a time
-        lo, hi = np.array(_ROTREF_SPEC["attractor_box"])
-        for sym in reversed(symbols):
-            A, t = maps[sym - 1]
-            corners = np.array([[a, b] for a in (lo[0], hi[0]) for b in (lo[1], hi[1])])
-            img = corners @ A.T + t
-            lo, hi = img.min(axis=0), img.max(axis=0)
-        box = sys_.word_box(I)
-        assert np.abs(np.subtract(box.lo, lo)).max() < tol
-        assert np.abs(np.subtract(box.hi, hi)).max() < tol
+        # the kernel's box bounds the word's images of the box's vertices
+        (x0, y0), (x1, y1) = _ROTREF_SPEC["attractor_box"]
+        img = np.array([_explicit_word(maps, symbols, np.array([a, b]))
+                        for a in (x0, x1) for b in (y0, y1)])
+        lo, hi = _state_boxes(sys_, _word_state(sys_, symbols), sys_.attractor_box)
+        assert np.abs(lo[0] - img.min(axis=0)).max() < tol
+        assert np.abs(hi[0] - img.max(axis=0)).max() < tol
 
     block = rng.integers(1, 4, (3, 14)).astype(np.int8)
     depth = 6
@@ -412,17 +418,66 @@ def test_rotated_reflecting_sim2d_matches_explicit_formula():
 def test_pruner_nodes_follow_reflecting_words():
     # each cylinder-tree node's box bounds the composed word's images of the
     # attractor box's vertices
-    from selfconformal.measure import _child_state, _initial_state, _state_boxes
-
     sys_ = system_from_json(_ROTREF_SPEC)
     maps = [_explicit_affine(m) for m in _ROTREF_SPEC["maps"]]
     (x0, y0), (x1, y1) = _ROTREF_SPEC["attractor_box"]
     corners = np.array([[a, b] for a in (x0, x1) for b in (y0, y1)])
     for symbols in itertools.product(range(1, 4), repeat=3):
-        state = _initial_state(sys_)
-        for j in symbols:
-            state = _child_state(sys_, state, j)
-        lo, hi = _state_boxes(sys_, state)
+        lo, hi = _state_boxes(sys_, _word_state(sys_, symbols), sys_.attractor_box)
         img = np.array([_explicit_word(maps, symbols, c) for c in corners])
         assert np.abs(lo[0] - img.min(axis=0)).max() < 1e-14
         assert np.abs(hi[0] - img.max(axis=0)).max() < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# the depth plan and the cylinder boxes of every system
+# ---------------------------------------------------------------------------
+
+def _kernel_systems():
+    out = {name: builtin_system(name) for name in sorted(BUILTIN_SYSTEMS)}
+    out["rotref"] = system_from_json(_ROTREF_SPEC)
+    return out
+
+
+# repr of (iterate_power, kappa, kappa_eff) and depth_for_diameter at the
+# tolerances below: these set every run's projection depth and precision
+_DEPTH_TOLS = (0.3, 1e-4, 1e-9, 1e-12)
+_DEPTH_PLAN = {
+    "middle_third_cantor": ("1", "0.3333333333333333", "0.3333333333333333", [2, 9, 19, 26]),
+    "moebius_interval_pair": ("2", "1.0", "0.7071067811865476", [4, 28, 60, 80]),
+    "moebius_interval_quartet": ("1", "0.5", "0.5", [2, 14, 30, 40]),
+    "sierpinski_triangle": ("1", "0.5", "0.5", [2, 14, 30, 40]),
+    "two_line_cantor": ("1", "0.3333333333333333", "0.3333333333333333", [2, 10, 20, 26]),
+    "rotref": ("1", "0.25", "0.25", [3, 8, 17, 22]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DEPTH_PLAN))
+def test_depth_plan_is_pinned(name):
+    sys_ = _kernel_systems()[name]
+    got = (repr(sys_.iterate_power), repr(sys_.kappa), repr(sys_.kappa_eff),
+           [sys_.depth_for_diameter(t) for t in _DEPTH_TOLS])
+    assert got == _DEPTH_PLAN[name]
+
+
+@st.composite
+def _word_and_tail(draw):
+    name = draw(st.sampled_from(sorted(_DEPTH_PLAN)))
+    m = _kernel_systems()[name].m
+    symbols = st.integers(1, m)
+    return (name, draw(st.lists(symbols, min_size=1, max_size=6)),
+            draw(st.lists(symbols, max_size=8)))
+
+
+@given(_word_and_tail())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_level_boxes_hold_their_words_and_meet_the_diameter_bound(case):
+    name, symbols, tail = case
+    sys_ = _kernel_systems()[name]
+    state = _word_state(sys_, symbols)
+    lo, hi = _state_boxes(sys_, state, sys_.attractor_box)
+    x = apply_word(sys_, FiniteWord(tuple(symbols + tail), sys_.m), sys_.base_point())
+    slack = 1e-12
+    assert (lo[0] - slack <= x.coords).all() and (np.array(x.coords) <= hi[0] + slack).all()
+    ulps = 8.0 * np.finfo(float).eps
+    assert _state_diameters(sys_, state)[0] <= sys_.diameter_bound(len(symbols)) + ulps

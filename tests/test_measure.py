@@ -29,7 +29,7 @@ from selfconformal.gibbs import (
     SpectralBackend,
     eigen_solve,
 )
-from selfconformal.ifs import builtin_system
+from selfconformal.ifs import _child_state, _initial_state, _state_boxes, builtin_system
 from selfconformal.measure import (
     INSIDE,
     OUTSIDE,
@@ -666,18 +666,19 @@ def _per_ball_descent(backend, center, r, depth_budget):
     brackets are the reference bits on the line."""
     system = backend.system
     ball = BallRegion(as_point(tuple(np.atleast_1d(center)), system.dim), float(r))
-    state = measure._initial_state(system)
+    box = system.attractor_box
+    state = _initial_state(system)
     masses, idx = np.array([1.0]), np.array([0], dtype=np.int64)
-    cls = ball.classify(*measure._state_boxes(system, state))[0]
+    cls = ball.classify(*_state_boxes(system, state, box))[0]
     if cls != STRADDLE:
         return (1.0, 1.0) if cls == INSIDE else (0.0, 0.0)
     inside = 0.0
     for level in range(1, depth_budget + 1):
         parts = []
         for j in range(1, system.m + 1):
-            cs = measure._child_state(system, state, j)
+            cs = _child_state(system, state, j)
             ci = idx * system.m + (j - 1)
-            lo, hi = measure._state_boxes(system, cs)
+            lo, hi = _state_boxes(system, cs, box)
             cm = measure._child_masses(backend, masses, ci, level, j, lo, hi)
             c = ball.classify(lo, hi)
             inside += float(cm[c == INSIDE].sum())

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from selfconformal import dynamics
 from selfconformal.dynamics import project_windows
-from selfconformal.ifs import builtin_system, map_apply
+from selfconformal.ifs import _child_state, _initial_state, _state_boxes, builtin_system, map_apply
 from selfconformal.symbolic import FiniteWord, PointRd, as_point, word
 
 
@@ -117,8 +117,11 @@ def test_coding_map_matches_word_image():
 def test_coding_map_lands_in_cylinder(prefix):
     sys_ = builtin_system("middle_third_cantor")
     x = _pi(sys_, prefix, (1, 2), 1e-10)[0]
-    box = sys_.word_box(FiniteWord(tuple(prefix), 2))
-    assert box.lo[0] - 1e-9 <= x <= box.hi[0] + 1e-9
+    state = _initial_state(sys_)
+    for j in prefix:
+        state = _child_state(sys_, state, j)
+    lo, hi = _state_boxes(sys_, state, sys_.attractor_box)
+    assert lo[0, 0] - 1e-9 <= x <= hi[0, 0] + 1e-9
 
 
 def test_point_helpers():
