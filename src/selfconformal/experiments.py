@@ -34,13 +34,14 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dynamics import correlation, project_windows, sample_symbol_block
+from .dynamics import _pair_intersection, project_windows, sample_symbol_block
 from .gibbs import (
     BernoulliBackend,
     ConformalPowerPotential,
     DensityBackend,
     MeasureBackend,
     SpectralBackend,
+    _joint_masses,
     cylinder_measure,
     eigen_solve,
     mixing_coeff_cylinders,
@@ -606,7 +607,7 @@ def _run_counting(
     if len(blocks) == 1:
         records = _counting_chunk(spec, ids)
     else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
             parts = list(pool.map(_counting_chunk, itertools.repeat(spec), blocks))
         records = [r for part in parts for r in part]
     records.sort(key=lambda r: r.sample_id)
@@ -779,6 +780,8 @@ def pairwise_independence_check(
     """
     if not (1 <= a <= b):
         raise ValueError("need 1 <= a <= b")
+    if backend.system is not system:
+        raise ValueError("backend belongs to a different system")
     if mc_samples is not None:
         return _pairwise_ball_mc(system, backend, event, a, b, kappa, mc_samples, seed)
     words = {n: FiniteWord(_event_word(event, n), system.m) for n in range(a, b + 1)}
@@ -787,10 +790,7 @@ def pairwise_independence_check(
     lhs = sum(mus.values())  # diagonal terms mu(A_n inter A_n) = mu(A_n)
     for m in range(a, b + 1):
         for n in range(m + 1, b + 1):
-            gap = n - m
-            joint = correlation(system, backend, words[m], words[n], gap)
-            joint += mus[m] * mus[n]
-            lhs += 2.0 * joint
+            lhs += 2.0 * _pair_intersection(backend, words[m], words[n], n - m)
     rhs_main = total * total
     bound = rhs_main + (2.0 * kappa + 1.0) * total
     return {
@@ -922,8 +922,7 @@ class ProductBackend:
         """mu((E1 x E2 ...) inter T^-n (F1 x F2 ...)): the factor joints multiply."""
         out = 1.0
         for f, b, e, g in zip(self.system.factors, self.backends, E, F):
-            we, wf = FiniteWord(tuple(e), f.m), FiniteWord(tuple(g), f.m)
-            out *= correlation(f, b, we, wf, n) + cylinder_measure(b, we) * cylinder_measure(b, wf)
+            out *= _pair_intersection(b, FiniteWord(tuple(e), f.m), FiniteWord(tuple(g), f.m), n)
         return out
 
 
@@ -939,27 +938,18 @@ def product_cube_mixing(backend: ProductBackend, depth: int, n: int) -> float:
     Maximizes ``|mu(E inter T^-n F)/mu(F) - mu(E)|`` over all cubes whose
     factor words have length ``depth``; requires ``n >= depth`` so the past
     and future blocks are disjoint (product measures then score exactly 0).
+    Each factor's joint masses are one table,
+    ``_joint_masses(b, depth, n - depth, depth)``, so every factor backend
+    must serve level ``n + depth`` exactly (a spectral factor: within its
+    table depth).
     """
     if n < depth:
         raise ValueError("need n >= depth so event blocks are disjoint")
-    factors = backend.system.factors
-    joints, masses = [], []
-    for f, b in zip(factors, backend.backends):
-        words = [FiniteWord(w, f.m)
-                 for w in itertools.product(range(1, f.m + 1), repeat=depth)]
-        mu = np.array([cylinder_measure(b, w) for w in words])
-        J = np.empty((len(words), len(words)))
-        for i, wi in enumerate(words):
-            for j, wj in enumerate(words):
-                J[i, j] = correlation(f, b, wi, wj, n) + mu[i] * mu[j]
-        joints.append(J)
-        masses.append(mu)
-    JA, JB = joints
-    pA, pB = masses
+    JA, JB = (_joint_masses(b, depth, n - depth, depth) for b in backend.backends)
+    pA, pB = (b.level_table(depth) for b in backend.backends)
     ratio = np.einsum("ij,kl->ikjl", JA, JB) / np.einsum("j,l->jl", pA, pB)[None, None, :, :]
     ref = np.einsum("i,k->ik", pA, pB)[:, :, None, None]
-    worst = float(np.abs(ratio - ref).max())
-    return worst
+    return float(np.abs(ratio - ref).max())
 
 
 def product_mixing_bound(envelopes: Sequence[Tuple[float, float]], n: int) -> float:

@@ -180,16 +180,6 @@ def _potential_tau(potential: PotentialSpec) -> Optional[float]:
     raise TypeError(f"unsupported potential {potential!r}")
 
 
-def _power_weights(system: IfsSystem, tau: float) -> list:
-    """The branch weights x |-> |phi_j'(x)|^tau of a 1-D system."""
-    gs = []
-    for m in system.maps:
-        p, q, r, s = m.matrix
-        det = abs(p * s - q * r)
-        gs.append(lambda x, det=det, r=r, s=s: (det / (r * x + s) ** 2) ** tau)
-    return gs
-
-
 # ---------------------------------------------------------------------------
 # backends
 # ---------------------------------------------------------------------------
@@ -221,15 +211,6 @@ class BernoulliBackend:
 
     def chain(self, n_rows: int) -> _BernoulliChain:
         return _BernoulliChain(self, n_rows)
-
-    def gibbs_data(self):
-        probs = self.probs
-
-        def h(x):
-            return 1.0
-
-        gs = [(lambda x, p=p: p) for p in probs]
-        return 1.0, h, gs
 
 
 # Rounding allowance of the invariance check, in units of the CDF's ulp at 1
@@ -289,7 +270,6 @@ class DensityBackend:
         _check_invariant(system, self.cdf, self._root, name)
         self.density = cat["density"]
         self.eigenvalue = cat["eigenvalue"]
-        self.tau = cat["tau"]
         self.sup_density = cat["sup_density"]
         self._tables = {}
 
@@ -312,14 +292,6 @@ class DensityBackend:
 
     def chain(self, n_rows: int) -> _DensityChain:
         return _DensityChain(self, n_rows)
-
-    def gibbs_data(self):
-        dens = self.density
-
-        def h(x):
-            return float(dens(x))
-
-        return self.eigenvalue, h, _power_weights(self.system, self.tau)
 
 
 # ---------------------------------------------------------------------------
@@ -574,9 +546,9 @@ class SpectralBackend:
     symbols); that extension is an approximation intended for samplers and
     orbit machinery, not for exact mixing computations, which are restricted
     to the table depth.  ``potential`` is the one ``report`` was solved for;
-    ``gibbs_data`` reads its branch weights.  The backend keeps only the
-    report's mass table, eigenvalue and density values, so the cell arrays
-    are freed with the report.
+    :func:`verify_gibbs_property` reads its branch weights.  The backend keeps
+    only the report's mass table, eigenvalue and density values, so the cell
+    arrays are freed with the report.
     """
 
     def __init__(self, system: IfsSystem, report: EigenReport, potential: PotentialSpec):
@@ -632,9 +604,9 @@ class SpectralBackend:
         heads = (words[:, :depth] - 1) @ self.system.m ** np.arange(depth - 1, -1, -1)
         return self.level_table(depth)[heads] * picked.prod(axis=1)
 
-    def h_at(self, x: float) -> float:
-        """Piecewise-constant density value at a point: the value of the
-        rightmost cell that starts at or left of it.
+    def h_at(self, x):
+        """Piecewise-constant density value at a point, or at each point of an
+        array: the value of the rightmost cell that starts at or left of it.
 
         Cells are in word order, which is not position order on systems with
         orientation-reversing maps, so the lookup runs on the cells sorted by
@@ -646,16 +618,9 @@ class SpectralBackend:
             order = np.argsort(cell_lo, kind="stable")
             self._by_position = (cell_lo[order], order)
         starts, order = self._by_position
-        idx = np.searchsorted(starts, x, side="right") - 1
-        idx = int(np.clip(idx, 0, len(order) - 1))
-        return float(self.h_values[order[idx]])
-
-    def gibbs_data(self):
-        tau = _potential_tau(self.potential)
-        if tau is None:
-            probs = np.asarray(self.potential.probs)
-            return self.eigenvalue, (lambda x: 1.0), [(lambda x, p=p: p) for p in probs]
-        return self.eigenvalue, self.h_at, _power_weights(self.system, tau)
+        idx = np.clip(np.searchsorted(starts, x, side="right") - 1, 0, len(order) - 1)
+        values = self.h_values[order[idx]]
+        return float(values) if np.ndim(x) == 0 else values
 
 
 # ---------------------------------------------------------------------------
@@ -804,40 +769,56 @@ def conditional_next(backend: MeasureBackend, word: FiniteWord) -> np.ndarray:
     return row / row.sum()
 
 
+def _joint_masses(backend: MeasureBackend, head: int, gap: int, tail: int) -> np.ndarray:
+    """``mu([I] intersect sigma^-(head + gap)[J])`` for every word I of length
+    ``head`` and J of length ``tail``, as an ``(m^head, m^tail)`` array in
+    word order: the level ``head + gap + tail`` table summed over the gap words.
+    """
+    mm = backend.system.m
+    table = backend.level_table(head + gap + tail)
+    return table.reshape(mm ** head, mm ** gap, mm ** tail).sum(axis=1)
+
+
 def verify_gibbs_property(backend: MeasureBackend, depth: int) -> dict:
     """Compare cylinder masses against normalized weight products.
 
-    The normalized branch weight is gtilde_j(x) = g_j(x) h(phi_j x)/(R h(x));
-    the product along a word, evaluated at nested anchor points with tail
-    1^infinity, approximates the cylinder mass up to bounded
-    distortion.  Returns the extreme mass/weight ratios over all words of
-    length <= depth.
+    The normalized branch weight is gtilde_j(x) = g_j(x) h(phi_j x)/(R h(x)),
+    with g_j the potential's branch weight (a constant p_j, or |phi_j'|^tau)
+    and (R, h) the backend's eigenvalue and density: (1, 1) for a Bernoulli
+    backend and h = 1 for any Bernoulli potential, the catalog pair for a
+    density backend, and the solved eigenvalue with ``h_at`` for a spectral
+    one.  The product along a word, evaluated at nested anchor points with
+    tail 1^infinity, approximates the cylinder mass up to bounded distortion.
+    Each level is one array in ``_cell_arrays`` word order.  Returns the
+    extreme mass/weight ratios over all words of length <= depth.
     """
     system = backend.system
     if system.dim != 1:
         raise ValueError("the verification walk is implemented for 1-D systems")
-    R, h, gs = backend.gibbs_data()
+    tau = _potential_tau(backend.potential)
+    R = 1.0 if isinstance(backend, BernoulliBackend) else backend.eigenvalue
+    if tau is not None:
+        h = backend.density if isinstance(backend, DensityBackend) else backend.h_at
     base = system.apply_word(FiniteWord((1,) * 40, system.m), system.base_point()).x
-
-    def gtilde(j, x):
-        fx = _moebius_apply(system.maps[j - 1].matrix, x)
-        return gs[j - 1](x) * h(fx) / (R * h(x))
-
+    x, w = np.array([base]), np.array([1.0])  # each word's tail anchor and weight
     ratios = []
-    level = [(0, base, 1.0)]  # (word index, anchor point of the word's tail, weight)
     for ell in range(1, depth + 1):
-        table = backend.level_table(ell)
-        block = system.m ** (ell - 1)
-        nxt = []
-        for idx, pt, w in level:
-            for j in range(1, system.m + 1):
-                w2 = w * gtilde(j, pt)
-                pt2 = _moebius_apply(system.maps[j - 1].matrix, pt)
-                idx2 = (j - 1) * block + idx
-                ratios.append(float(table[idx2]) / w2)
-                nxt.append((idx2, pt2, w2))
-        level = nxt
-    ratios = np.asarray(ratios)
+        n = x.size
+        x_next, w_next = np.empty(system.m * n), np.empty(system.m * n)
+        for j, mp in enumerate(system.maps):
+            cells = slice(j * n, (j + 1) * n)
+            fx = _moebius_apply(mp.matrix, x)
+            if tau is None:
+                gtilde = backend.potential.probs[j] / R
+            else:
+                p, q, r, s = mp.matrix
+                g = (abs(p * s - q * r) / (r * x + s) ** 2) ** tau
+                gtilde = g * h(fx) / (R * h(x))
+            np.multiply(w, gtilde, out=w_next[cells])
+            x_next[cells] = fx
+        x, w = x_next, w_next
+        ratios.append(backend.level_table(ell) / w)
+    ratios = np.concatenate(ratios)
     return {
         "max_ratio": float(ratios.max()),
         "min_ratio": float(ratios.min()),
@@ -853,23 +834,20 @@ def mixing_coeff_cylinders(backend: MeasureBackend, depth_k: int, n: int) -> flo
         max_{|I| = n, |J| = depth_k - n} | mu([I.J]) / mu([J']) - mu([I]) |
     where J' ranges with J as the trailing block; for n = 0 it degenerates to
     1 - min_{|I| = depth_k} mu([I]) (total dependence on the full block).
+    The joint masses mu([I.J]) are ``_joint_masses(backend, n, 0, depth_k - n)``.
     Product measures give exactly 0 for every n >= 1.
     """
     if depth_k < 1:
         raise ValueError("depth_k must be >= 1")
     if n < 0 or n > depth_k:
         raise ValueError("need 0 <= n <= depth_k")
-    if getattr(backend, "max_depth", None) is not None and depth_k > backend.max_depth:
+    if backend.max_depth is not None and depth_k > backend.max_depth:
         raise ValueError("depth_k beyond the backend's exact table depth")
-    mm = backend.system.m
-    _check_level_size(mm, depth_k)
-    table = backend.level_table(depth_k)
     if n == 0:
-        return float(1.0 - table.min())
+        return float(1.0 - backend.level_table(depth_k).min())
     if n == depth_k:
         return 0.0
-    rows = mm ** n
-    T = table.reshape(rows, -1)
+    T = _joint_masses(backend, n, 0, depth_k - n)
     marg_head = backend.level_table(n)
     marg_tail = backend.level_table(depth_k - n)
     return float(np.max(np.abs(T / marg_tail[None, :] - marg_head[:, None])))

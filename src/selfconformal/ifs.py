@@ -367,6 +367,19 @@ def _state_diameters(system: "IfsSystem", state) -> np.ndarray:
     return np.abs(state[0]) * system.attractor_diameter[1]
 
 
+def _attractor_spread(system: "IfsSystem") -> float:
+    """A lower bound for diam(K): the farthest any of the level-k images of the
+    base point lies from one of its extreme points, with k the smallest level
+    of at least 64 words.  The base point (the first map's fixed point) and
+    all its images lie in K, so this is a distance between two points of K."""
+    state = _initial_state(system)
+    while len(state[0]) < 64:
+        state = _children(system, state)
+    z = _state_apply(system, state, _point_value(system.base_point()))
+    ends = {z.real.argmin(), z.real.argmax(), z.imag.argmin(), z.imag.argmax()}
+    return float(max(np.abs(z - z[e]).max() for e in ends))
+
+
 def _distance_range(c: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """Least and greatest distance from the points ``c`` (one, or one per
     box) to each box ``[lo, hi]``."""
@@ -379,6 +392,9 @@ def _distance_range(c: np.ndarray, lo: np.ndarray, hi: np.ndarray):
 # ---------------------------------------------------------------------------
 # systems
 # ---------------------------------------------------------------------------
+
+_DIAMETER_SLACK = 1e-9  # relative rounding allowance of the attractor's spread
+
 
 @dataclass
 class IfsSystem:
@@ -419,6 +435,21 @@ class IfsSystem:
         flips = np.array([m.reflect for m in self.maps])
         self._flips = flips if flips.any() else None
         self._validate_contraction()
+        self._validate_diameter()
+
+    def _validate_diameter(self):
+        """Refuse an ``attractor_diameter`` whose ends are out of order or
+        whose upper end lies below the distance between two points of K: the
+        depth plan would then certify cylinders smaller than they are."""
+        lo, hi = self.attractor_diameter
+        if lo > hi:
+            raise ValueError(f"attractor_diameter [{lo}, {hi}] has lower end above upper end")
+        spread = _attractor_spread(self)
+        if hi < spread * (1.0 - _DIAMETER_SLACK):
+            raise ValueError(
+                f"attractor_diameter upper end {hi} is below {spread:.12g}, the distance "
+                "between two points of the attractor"
+            )
 
     # -- basic structure -------------------------------------------------
     @property

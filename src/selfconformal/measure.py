@@ -106,9 +106,6 @@ class CertificationError(RuntimeError):
 class ConstantRadius:
     c: float
 
-    def value(self, n: int) -> float:
-        return self.c
-
     def values(self, ns: np.ndarray) -> np.ndarray:
         return np.full(np.asarray(ns).shape, self.c, dtype=float)
 
@@ -118,9 +115,6 @@ class PowerLogRadius:
     """psi(n) = 3^(-floor(alpha * ln n)): a staircase of Cantor scales."""
 
     alpha: float
-
-    def value(self, n: int) -> float:
-        return 3.0 ** (-math.floor(self.alpha * math.log(n)))
 
     def values(self, ns: np.ndarray) -> np.ndarray:
         ns = np.asarray(ns, dtype=float)
@@ -133,9 +127,6 @@ class PowerRadius:
 
     c: float
     beta: float
-
-    def value(self, n: int) -> float:
-        return self.c * float(n) ** (-self.beta)
 
     def values(self, ns: np.ndarray) -> np.ndarray:
         ns = np.asarray(ns, dtype=float)

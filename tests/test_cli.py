@@ -415,6 +415,18 @@ class TestExitCodes:
         assert not out.exists()
         assert "not invariant" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("diam", [[0.0, 0.001], [5.0, 0.2]])
+    def test_attractor_diameter_off_the_attractor_exit_2(self, tmp_path, capsys, diam):
+        cfg = small_config(kind="shrinking_target", targets=[0.5],
+                           psi={"type": "constant", "c": 1e-3})
+        cfg["system"] = system_to_json(builtin_system("middle_third_cantor"))
+        cfg["system"]["attractor_diameter"] = diam
+        out = tmp_path / "out"
+        assert run(write_config(tmp_path, cfg), str(out)) == EXIT_CONFIG
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["kind"] == "config" and "attractor_diameter" in err["message"]
+
     def test_flag_budget_exceeded_exit_3_with_artifacts(self, tmp_path, capsys):
         cfg = small_config(flag_budget=0.001)  # boundary-hugging radius flags ~0.6%
         out = tmp_path / "out"

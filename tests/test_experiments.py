@@ -571,7 +571,7 @@ class TestRecurrencePure:
         # staircase radii reach 3^-15, far below coordinate resolution
         alpha = 0.5 * sum(_staircase_alpha_window((0.3, 0.7)))
         recs = recurrence_pure_run(cantor, weighted, PowerLogRadius(alpha), 50_000, 3, 66)
-        assert PowerLogRadius(alpha).value(50_000) < 1e-6
+        assert PowerLogRadius(alpha).values(np.array([50_000]))[0] < 1e-6
         assert all(cp.flagged == 0 for r in recs for cp in r.checkpoints)
         assert all(r.final.count > 0 for r in recs)
 
@@ -624,6 +624,36 @@ class TestRecurrencePure:
         for threads in (2, 3):
             assert run(threads=threads) == a
 
+    def test_pool_opens_one_worker_per_block(self, cantor, uniform, monkeypatch):
+        # a stand-in pool records its size and maps in this process, so the
+        # test starts no worker whatever size the engine asks for
+        opened = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, specs, blocks):
+                blocks = list(blocks)
+                opened.append((self.max_workers, len(blocks)))
+                return [fn(spec, block) for spec, block in zip(specs, blocks)]
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+
+        def run(**kw):
+            return recurrence_pure_run(cantor, uniform, ConstantRadius(1 / 3), 100, 2, 5, **kw)
+
+        serial = run()
+        assert opened == []
+        assert run(threads=16) == serial
+        assert opened == [(2, 2)]  # max_workers == len(blocks) <= samples
+
 
 # ---------------------------------------------------------------------------
 # measure-equalized recurrence runs
@@ -651,12 +681,13 @@ class TestRecurrenceModified:
         depth = system.depth_for_diameter(1e-12)
         block = sample_symbol_block(backend, 7, range(S), N + depth)
         pos = project_windows(block, system, depth)
+        quotas = psi.values(np.arange(1, N + 1))  # the quotas the engine reads
         for i in range(S):
             x0 = float(pos[i, 0])
             for n in range(1, N + 1):
                 d = abs(float(pos[i, n]) - x0)
                 br = ball_measure(backend, x0, d, 45)
-                q = psi.value(n)
+                q = quotas[n - 1]
                 if br.upper < q:
                     assert bool(hits[i, n - 1])
                 elif br.lower >= q:
@@ -902,6 +933,28 @@ class TestProductSystem:
             got = product_cube_mixing(pb, 2, n)
             bound = product_mixing_bound([(fit.amplitude, fit.gamma), (0.0, 0.0)], n)
             assert 0.0 < got <= bound, (n, got, bound)
+
+    # criterion 09's products and the weighted one, at depth 2 for n = 2..6
+    CUBE_PINS = {
+        "uniform_uniform": [0.0, 0.0, 0.0, 0.0, 0.0],
+        "uniform_weighted": [2.7755575615628914e-17, 2.7755575615628914e-17,
+                             4.163336342344337e-17, 4.163336342344337e-17,
+                             4.163336342344337e-17],
+        "quartet_uniform": [0.0068151089475536955, 0.0006588914359674375,
+                            3.8797645864899893e-05, 5.250347552946538e-06,
+                            1.7844955798804185e-07],
+    }
+
+    def test_cube_mixing_is_pinned(self, cantor, uniform, weighted, quartet, density):
+        products = {
+            "uniform_uniform": (cantor, uniform, cantor, BernoulliBackend(cantor, (0.5, 0.5))),
+            "uniform_weighted": (cantor, uniform, cantor, weighted),
+            "quartet_uniform": (quartet, density, cantor, uniform),
+        }
+        for name, factors in products.items():
+            _, pb = product_system(*factors)
+            got = [product_cube_mixing(pb, 2, n) for n in range(2, 7)]
+            assert np.allclose(got, self.CUBE_PINS[name], rtol=0.0, atol=1e-15), (name, got)
 
     def test_envelope_combination_form(self):
         assert product_mixing_bound([(0.5, 0.3), (0.2, 0.6)], 4) == pytest.approx(

@@ -1,6 +1,7 @@
 """Transfer-operator eigendata and measure backends."""
 
 import gc
+import itertools
 import math
 import tracemalloc
 import weakref
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from selfconformal import gibbs
+from selfconformal.dynamics import _pair_intersection
 from selfconformal.gibbs import (
     DENSITY_CATALOG,
     BernoulliBackend,
@@ -393,7 +395,8 @@ def test_unsupported_potential_is_a_type_error(quartet):
     pot = ConformalPowerPotential(1.0)
     sb = SpectralBackend(quartet, eigen_solve(quartet, pot, depth=3), pot)
     sb.potential = "not a potential"
-    for call in (lambda: eigen_solve(quartet, "not a potential", depth=3), sb.gibbs_data):
+    for call in (lambda: eigen_solve(quartet, "not a potential", depth=3),
+                 lambda: verify_gibbs_property(sb, depth=2)):
         with pytest.raises(TypeError, match="unsupported potential"):
             call()
 
@@ -531,6 +534,61 @@ def test_verify_gibbs_spectral_bounded_distortion(quartet, density_backend):
     assert abs(rep["max_ratio"] - exact["max_ratio"]) < 1e-3
 
 
+def _gibbs_pin_backend(name):
+    cantor = builtin_system("middle_third_cantor")
+    quartet = builtin_system("moebius_interval_quartet")
+    pair = builtin_system("moebius_interval_pair")
+
+    def spectral(system, pot, depth):
+        return SpectralBackend(system, eigen_solve(system, pot, depth=depth), pot)
+
+    return {
+        "weighted_cantor": lambda: BernoulliBackend(cantor, (0.3, 0.7)),
+        "density_quartet": lambda: DensityBackend(quartet, "reciprocal_log2"),
+        "density_pair": lambda: DensityBackend(pair, "reciprocal_log2"),
+        "spectral_quartet": lambda: spectral(quartet, ConformalPowerPotential(1.0), 8),
+        "spectral_pair": lambda: spectral(pair, ConformalPowerPotential(0.7), 10),
+        "spectral_cantor": lambda: spectral(cantor, BernoulliPotential((0.3, 0.7)), 8),
+    }[name]()
+
+
+# the exact extreme ratios of the walk, pinned bit for bit
+GIBBS_PINS = {
+    "weighted_cantor": {
+        4: (1.0000000000000002, 0.9999999999999997, 30),
+        6: (1.0000000000000004, 0.9999999999999997, 126),
+    },
+    "density_quartet": {
+        4: (1.4398845936327953, 0.7227491035895058, 340),
+        6: (1.4425189593130077, 0.7214355469075673, 5460),
+    },
+    "density_pair": {
+        4: (1.3994054600054304, 0.7421594417277568, 30),
+        6: (1.4315400338210886, 0.7268681088899644, 126),
+    },
+    "spectral_quartet": {
+        4: (1.4398846241930223, 0.7227490967910791, 340),
+        6: (1.4425186053517483, 0.7214355835199535, 5460),
+    },
+    "spectral_pair": {
+        4: (1.2673812945607315, 0.8062968686322429, 30),
+        6: (1.2869456176747343, 0.7940999553681494, 126),
+    },
+    "spectral_cantor": {
+        4: (1.0000000000000004, 1.0, 30),
+        6: (1.0000000000000007, 1.0, 126),
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GIBBS_PINS))
+def test_verify_gibbs_property_is_pinned(name):
+    backend = _gibbs_pin_backend(name)
+    for depth, (hi, lo, count) in GIBBS_PINS[name].items():
+        expected = {"max_ratio": hi, "min_ratio": lo, "depth": depth, "count": count}
+        assert repr(verify_gibbs_property(backend, depth)) == repr(expected), (name, depth)
+
+
 @pytest.mark.parametrize("name", ["moebius_interval_quartet", "moebius_interval_pair"])
 def test_spectral_h_at_reads_the_cell_holding_the_point(name):
     # both systems reverse orientation, so word order is not position order
@@ -585,6 +643,27 @@ def test_mixing_guards(density_backend):
     with pytest.raises(ValueError):
         mixing_coeff_cylinders(density_backend, 0, 0)
     assert mixing_coeff_cylinders(density_backend, 5, 5) == 0.0
+
+
+@pytest.mark.parametrize("name", ["density_quartet", "spectral_quartet", "weighted_cantor"])
+def test_joint_masses_match_the_pair_identity(name, quartet, cantor, density_backend):
+    pot = ConformalPowerPotential(1.0)
+    backend = {
+        "density_quartet": lambda: density_backend,
+        "spectral_quartet": lambda: SpectralBackend(quartet, eigen_solve(quartet, pot, 6), pot),
+        "weighted_cantor": lambda: BernoulliBackend(cantor, (0.3, 0.7)),
+    }[name]()
+    m = backend.system.m
+    for head, tail in ((1, 2), (2, 1)):
+        for gap in range(4):
+            got = gibbs._joint_masses(backend, head, gap, tail)
+            expected = np.array([
+                [_pair_intersection(backend, word(I, m), word(J, m), head + gap)
+                 for J in itertools.product(range(1, m + 1), repeat=tail)]
+                for I in itertools.product(range(1, m + 1), repeat=head)
+            ])
+            assert got.shape == (m ** head, m ** tail)
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
 
 
 def test_mixing_spectral_depth_guard(spectral_quartet):

@@ -321,6 +321,35 @@ def test_validation_rejects_bad_maps():
         Similarity2D(1.2, 0.0, False, (0.0, 0.0))
 
 
+def _middle_third(attractor_diameter):
+    return IfsSystem(
+        maps=[Affine1D(1 / 3, 0.0), Affine1D(1 / 3, 2 / 3)],
+        dim=1,
+        domain=Box((0.0,), (1.0,)),
+        attractor_box=Box((0.0,), (1.0,)),
+        attractor_diameter=attractor_diameter,
+    )
+
+
+@pytest.mark.parametrize("diam, reason", [
+    ((0.0, 0.001), "is below"),  # would plan depth 5 for 1e-5: 3^-5 cylinders
+    ((5.0, 0.2), "lower end above upper end"),
+])
+def test_attractor_diameter_off_the_attractor_is_refused(diam, reason):
+    with pytest.raises(ValueError, match=f"attractor_diameter.*{reason}"):
+        _middle_third(diam)
+
+
+def test_attractor_diameter_at_or_above_the_attractor_is_accepted():
+    # diam K = 1 exactly; the default is the attractor box's diameter
+    for diam in ((1.0, 1.0), (0.0, 1.0), (0.5, 3.0), None):
+        assert _middle_third(diam).depth_for_diameter(1e-5) >= 11
+    for name in BUILTIN_SYSTEMS:
+        system = builtin_system(name)
+        assert system_from_json(system_to_json(system)).attractor_diameter == (
+            system.attractor_diameter)
+
+
 # ---------------------------------------------------------------------------
 # rotated and reflecting plane similarities
 # ---------------------------------------------------------------------------

@@ -119,21 +119,21 @@ class TestBracketBasics:
 class TestRadiusSchedules:
     def test_constant(self):
         psi = ConstantRadius(0.125)
-        assert psi.value(1) == 0.125 and psi.value(999) == 0.125
+        assert np.all(psi.values(np.array([1, 999])) == 0.125)
         assert np.all(psi.values(np.arange(1, 5)) == 0.125)
 
     def test_power_log_staircase(self):
         psi = PowerLogRadius(2.0)
-        assert psi.value(1) == 1.0  # floor(2 ln 1) = 0
-        assert psi.value(10) == 3.0 ** (-4)  # floor(2 ln 10) = floor(4.605..) = 4
         ns = np.arange(1, 200)
         vec = psi.values(ns)
-        scalar = np.array([psi.value(int(n)) for n in ns])
-        np.testing.assert_allclose(vec, scalar, rtol=0, atol=0)
+        assert vec[0] == 1.0  # floor(2 ln 1) = 0
+        assert vec[9] == 3.0 ** (-4)  # floor(2 ln 10) = floor(4.605..) = 4
+        # exact powers of 3 that step down where 2 ln n crosses an integer
+        steps = np.array([math.floor(2.0 * math.log(int(n))) for n in ns])
+        np.testing.assert_array_equal(vec, 3.0 ** (-steps))
 
     def test_power(self):
         psi = PowerRadius(0.5, 1.5)
-        assert psi.value(4) == pytest.approx(0.0625, abs=1e-15)
         np.testing.assert_allclose(
             psi.values(np.array([1, 4])), [0.5, 0.0625], atol=1e-15
         )
