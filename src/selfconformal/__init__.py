@@ -10,11 +10,11 @@ The package is organized in layers:
     open-set check, and the shipped example systems.
 ``gibbs``
     Measures on the coding space: Bernoulli weights, closed-form densities,
-    and transfer-operator spectral fixed points with certified residuals.
+    and transfer-operator spectral fixed points with certified residuals;
+    exact joint cylinder masses and mixing coefficients off level tables.
 ``dynamics``
     The induced map, seeded symbol-block sampling, window projection of
-    orbits, and exact
-    correlation / mixing coefficients of cylinder indicators.
+    orbits, and exact correlations of cylinder indicators.
 ``measure``
     Certified ball / annulus / region measure brackets, radius ladders, and
     doubling and decay probes.

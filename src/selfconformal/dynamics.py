@@ -32,7 +32,7 @@ from typing import List, Sequence, Union
 
 import numpy as np
 
-from .gibbs import BernoulliBackend, MeasureBackend, SpectralBackend, _over_alphabet, word_index
+from .gibbs import BernoulliBackend, MeasureBackend, _over_alphabet, _pair_mass
 from .ifs import (IfsSystem, _children, _distance_range, _initial_state, _moebius_apply,
                   _point_value, _state_boxes, _to_coords, _value_point)
 from .symbolic import FiniteWord, PointRd, as_point
@@ -236,8 +236,6 @@ def sample_symbol_block(
 
 IndicatorSpec = Union[FiniteWord, Sequence[FiniteWord]]
 
-_SPECTRAL_GAP_CAP = 65536
-
 
 def _as_union(spec: IndicatorSpec, m: int) -> List[FiniteWord]:
     words = [spec] if isinstance(spec, FiniteWord) else list(spec)
@@ -254,34 +252,6 @@ def _as_union(spec: IndicatorSpec, m: int) -> List[FiniteWord]:
     return words
 
 
-def _pair_intersection(backend: MeasureBackend, I: FiniteWord, J: FiniteWord, n: int) -> float:
-    """mu([I] intersect sigma^{-n}[J]) by the word-overlap identity."""
-    m = backend.system.m
-    if n < len(I):
-        k = len(I) - n
-        ov = min(k, len(J))
-        if I.symbols[n : n + ov] != J.symbols[:ov]:
-            return 0.0
-        merged = I.symbols + J.symbols[k:] if len(J) > k else I.symbols
-        return backend.cylinder_measure(FiniteWord(merged, m))
-    free = n - len(I)
-    L = n + len(J)
-    if isinstance(backend, SpectralBackend) and L > backend.max_depth:
-        if m**free > _SPECTRAL_GAP_CAP:
-            raise ValueError("correlation horizon too deep for the spectral table")
-        gaps = np.array(list(itertools.product(range(1, m + 1), repeat=free)), dtype=np.int64)
-        words = np.hstack([
-            np.broadcast_to(I.symbols, (m**free, len(I))),
-            gaps.reshape(m**free, free),
-            np.broadcast_to(J.symbols, (m**free, len(J))),
-        ])
-        return float(backend.cylinder_masses(words).sum())
-    table = backend.level_table(L)
-    base = word_index(I) * m ** (L - len(I)) + word_index(J)
-    idxs = base + np.arange(m**free, dtype=np.int64) * m ** len(J)
-    return float(table[idxs].sum())
-
-
 def correlation(
     system: IfsSystem,
     backend: MeasureBackend,
@@ -292,10 +262,10 @@ def correlation(
     """C(n) = int f1 . f2 o T^n dmu - int f1 dmu . int f2 dmu.
 
     ``f1`` and ``f2`` are indicators of finite disjoint unions of cylinders,
-    so both integrals and the joint term are exact cylinder sums.
+    so both integrals are cylinder sums and each joint mass is read off a
+    level table (``gibbs._pair_mass``), which refuses ``n < 0`` and any level
+    past a spectral table.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
     if backend.system is not system:
         raise ValueError("backend belongs to a different system")
     words1 = _as_union(f1, system.m)
@@ -305,5 +275,5 @@ def correlation(
     joint = 0.0
     for I in words1:
         for J in words2:
-            joint += _pair_intersection(backend, I, J, n)
+            joint += _pair_mass(backend, I, J, n)
     return joint - mu1 * mu2

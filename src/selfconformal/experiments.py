@@ -34,7 +34,7 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dynamics import _pair_intersection, project_windows, sample_symbol_block
+from .dynamics import project_windows, sample_symbol_block
 from .gibbs import (
     BernoulliBackend,
     ConformalPowerPotential,
@@ -42,6 +42,7 @@ from .gibbs import (
     MeasureBackend,
     SpectralBackend,
     _joint_masses,
+    _pair_mass,
     cylinder_measure,
     eigen_solve,
     mixing_coeff_cylinders,
@@ -773,10 +774,11 @@ def pairwise_independence_check(
     Events are pullbacks ``A_n = T^-n E_n``. ``event`` is a cylinder word
     (constant across ``n``), a callable ``n -> word``, or, with
     ``mc_samples`` set, a ``(center, radius)`` ball estimated by Monte Carlo
-    over that many sample orbits. Cylinder events are computed exactly via
-    shift invariance and the symbolic intersection identities; the returned
-    dict carries both sides, the error coefficient, and the verdict with the
-    supplied ``kappa``.
+    over that many sample orbits. Cylinder event masses and pair masses
+    ``mu(A_m inter A_n)`` are read off level tables (``gibbs._pair_mass``),
+    so on a spectral backend every event word and every pair must lie within
+    the table; a deeper level is refused. The returned dict carries both
+    sides, the error coefficient, and the verdict with the supplied ``kappa``.
     """
     if not (1 <= a <= b):
         raise ValueError("need 1 <= a <= b")
@@ -785,12 +787,12 @@ def pairwise_independence_check(
     if mc_samples is not None:
         return _pairwise_ball_mc(system, backend, event, a, b, kappa, mc_samples, seed)
     words = {n: FiniteWord(_event_word(event, n), system.m) for n in range(a, b + 1)}
-    mus = {n: cylinder_measure(backend, words[n]) for n in words}
-    total = sum(mus.values())
-    lhs = sum(mus.values())  # diagonal terms mu(A_n inter A_n) = mu(A_n)
+    # the diagonal terms mu(A_n inter A_n) = mu(A_n) are the shift-0 pairs
+    mus = {n: _pair_mass(backend, words[n], words[n], 0) for n in words}
+    lhs = total = sum(mus.values())
     for m in range(a, b + 1):
         for n in range(m + 1, b + 1):
-            lhs += 2.0 * _pair_intersection(backend, words[m], words[n], n - m)
+            lhs += 2.0 * _pair_mass(backend, words[m], words[n], n - m)
     rhs_main = total * total
     bound = rhs_main + (2.0 * kappa + 1.0) * total
     return {
@@ -845,6 +847,12 @@ def cylinder_event_crosscheck(
     path symbols at offsets ``n..n+|word|-1`` match the word, so frequencies
     are exact Bernoulli trials of the invariant cylinder mass.
     """
+    if not words:
+        raise ValueError("words must name at least one cylinder")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    if n < 0:
+        raise ValueError("n must be >= 0")
     maxlen = max(len(w) for w in words)
     block = sample_symbol_block(backend, seed, range(samples), n + maxlen)
     out = []
@@ -920,9 +928,11 @@ class ProductBackend:
 
     def cube_joint(self, E, F, n: int) -> float:
         """mu((E1 x E2 ...) inter T^-n (F1 x F2 ...)): the factor joints multiply."""
+        if len(E) != len(self.backends) or len(F) != len(self.backends):
+            raise ValueError("need one word per factor")
         out = 1.0
         for f, b, e, g in zip(self.system.factors, self.backends, E, F):
-            out *= _pair_intersection(b, FiniteWord(tuple(e), f.m), FiniteWord(tuple(g), f.m), n)
+            out *= _pair_mass(b, FiniteWord(tuple(e), f.m), FiniteWord(tuple(g), f.m), n)
         return out
 
 

@@ -26,9 +26,12 @@ Each backend's next-symbol law is written once, as the vectorized chain that
 ``backend.chain(n_rows)`` returns: ``rows()`` gives each row's next-symbol
 weights (proportional to the conditional law), ``cum_rows()`` their cumulative
 sums, which the samplers pick from, and ``advance(symbols)`` appends one
-symbol per row.  The samplers in :mod:`selfconformal.dynamics`,
-:func:`conditional_next` and the spectral cylinder masses past the table depth
-all read the law through it.
+symbol per row.  The samplers in :mod:`selfconformal.dynamics` and
+:func:`conditional_next` read the law through it, and the spectral cylinder
+masses past the table depth read its deepest conditional rows.
+
+Exact joint masses ``mu([I] intersect sigma^-n[J])`` are read off level tables
+(``_joint_masses``, ``_pair_mass``), and never past a spectral table.
 
 ``mixing_coeff_cylinders`` measures the uniform dependence coefficient between
 a leading block and the remaining symbols at a fixed table depth; product
@@ -537,18 +540,24 @@ def eigen_solve(
     )
 
 
+def _check_table_level(backend: MeasureBackend, level: int) -> None:
+    if backend.max_depth is not None and level > backend.max_depth:
+        raise ValueError(f"level {level} is beyond the spectral table depth {backend.max_depth}")
+
+
 class SpectralBackend:
     """Measure backend backed by an ``EigenReport`` cylinder-mass table.
 
     Words at most ``depth`` long are read off the table exactly (by
     marginalization).  Longer words are extended multiplicatively with the
     deepest tabled next-symbol conditionals (a sliding context of depth-1
-    symbols); that extension is an approximation intended for samplers and
-    orbit machinery, not for exact mixing computations, which are restricted
-    to the table depth.  ``potential`` is the one ``report`` was solved for;
-    :func:`verify_gibbs_property` reads its branch weights.  The backend keeps
-    only the report's mass table, eigenvalue and density values, so the cell
-    arrays are freed with the report.
+    symbols); that extension is an approximation that serves
+    :meth:`cylinder_measure` and the sampler only: exact joint masses and
+    mixing coefficients refuse any level past the table.  ``potential`` is the
+    one ``report`` was solved for; :func:`verify_gibbs_property` reads its
+    branch weights.  The backend keeps only the report's mass table,
+    eigenvalue and density values, so the cell arrays are freed with the
+    report.
     """
 
     def __init__(self, system: IfsSystem, report: EigenReport, potential: PotentialSpec):
@@ -560,8 +569,7 @@ class SpectralBackend:
         self._tables = {report.depth: report.mu_table}
 
     def level_table(self, k: int) -> np.ndarray:
-        if k > self.max_depth:
-            raise ValueError(f"level {k} beyond table depth {self.max_depth}")
+        _check_table_level(self, k)
         if k not in self._tables:
             mm = self.system.m
             deep = self._tables[self.max_depth]
@@ -580,29 +588,21 @@ class SpectralBackend:
         return _SpectralChain(self, n_rows)
 
     def cylinder_measure(self, word: FiniteWord) -> float:
-        word = _over_alphabet(word, self.system.m)
-        if len(word) <= self.max_depth:
-            return float(self.level_table(len(word))[word_index(word)])
-        return float(self.cylinder_masses(np.array([word.symbols]))[0])
-
-    def cylinder_masses(self, words: np.ndarray) -> np.ndarray:
-        """Masses of equal-length words longer than the table.
-
-        ``words`` holds one word per row, as symbols ``1..m``.
-        """
-        n, k = words.shape
-        depth, tail = self.max_depth, k - self.max_depth
-        # past the table depth the law reads only the last depth - 1 symbols,
-        # so a chain row fed the depth symbols before a tail symbol holds that
-        # symbol's conditional: one chain serves every tail symbol at once
-        chain = self.chain(n * tail)
-        for j in range(depth):
-            chain.advance(words[:, j : j + tail].ravel())
-        rows = chain.rows()
-        picked = rows[np.arange(n * tail), words[:, depth:].ravel() - 1] / rows.sum(axis=1)
-        picked = picked.reshape(n, tail)
-        heads = (words[:, :depth] - 1) @ self.system.m ** np.arange(depth - 1, -1, -1)
-        return self.level_table(depth)[heads] * picked.prod(axis=1)
+        m, depth = self.system.m, self.max_depth
+        word = _over_alphabet(word, m)
+        k = len(word)
+        if k <= depth:
+            return float(self.level_table(k)[word_index(word)])
+        # past the table a symbol's law is the deepest conditional row of the
+        # depth - 1 symbols before it, the sampler's sliding context
+        s = np.array(word.symbols, dtype=np.int64) - 1
+        ctx = np.zeros(k - depth, dtype=np.int64)
+        for j in range(1, depth):
+            ctx = ctx * m + s[j : j + k - depth]
+        rows = self._law_tables()[1][ctx]
+        picked = rows[np.arange(k - depth), s[depth:]] / rows.sum(axis=1)
+        head = word_index(FiniteWord(word.symbols[:depth], m))
+        return float(self.level_table(depth)[head] * picked.prod())
 
     def h_at(self, x):
         """Piecewise-constant density value at a point, or at each point of an
@@ -779,6 +779,26 @@ def _joint_masses(backend: MeasureBackend, head: int, gap: int, tail: int) -> np
     return table.reshape(mm ** head, mm ** gap, mm ** tail).sum(axis=1)
 
 
+def _pair_mass(backend: MeasureBackend, I: FiniteWord, J: FiniteWord, n: int) -> float:
+    """``mu([I] intersect sigma^-n[J])`` at level ``max(|I|, n + |J|)``.
+
+    Overlapping words (``n < |I|``) meet in one merged cylinder, or in none
+    where they disagree; otherwise the level table is summed over the gap
+    words between I and J.  A level past a spectral table is refused.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    _check_table_level(backend, max(len(I), n + len(J)))
+    m = backend.system.m
+    if n < len(I):
+        k = len(I) - n
+        if I.symbols[n : n + len(J)] != J.symbols[:k]:
+            return 0.0
+        return backend.cylinder_measure(FiniteWord(I.symbols + J.symbols[k:], m))
+    table = backend.level_table(n + len(J)).reshape(m ** len(I), m ** (n - len(I)), m ** len(J))
+    return float(table[word_index(I), :, word_index(J)].sum())
+
+
 def verify_gibbs_property(backend: MeasureBackend, depth: int) -> dict:
     """Compare cylinder masses against normalized weight products.
 
@@ -841,8 +861,7 @@ def mixing_coeff_cylinders(backend: MeasureBackend, depth_k: int, n: int) -> flo
         raise ValueError("depth_k must be >= 1")
     if n < 0 or n > depth_k:
         raise ValueError("need 0 <= n <= depth_k")
-    if backend.max_depth is not None and depth_k > backend.max_depth:
-        raise ValueError("depth_k beyond the backend's exact table depth")
+    _check_table_level(backend, depth_k)
     if n == 0:
         return float(1.0 - backend.level_table(depth_k).min())
     if n == depth_k:

@@ -399,24 +399,30 @@ class TestCorrelation:
         assert slope < -0.5
 
     def test_spectral_beyond_table_route(self, cantor, cantor_spectral, cantor_weighted):
+        # within the depth-6 table the pair masses are the Bernoulli ones;
+        # one level past it the exact joint is refused, not extrapolated
         w = FiniteWord((1,), 2)
-        far = correlation(cantor, cantor_spectral, w, w, 9)  # 9 + 1 > depth 6
-        exact = correlation(cantor, cantor_weighted, w, w, 9)
-        assert far == pytest.approx(exact, abs=1e-12)
+        for n in range(6):
+            near = correlation(cantor, cantor_spectral, w, w, n)
+            assert near == pytest.approx(correlation(cantor, cantor_weighted, w, w, n), abs=1e-12)
+        with pytest.raises(ValueError, match="level 10 is beyond the spectral table depth 6"):
+            correlation(cantor, cantor_spectral, w, w, 9)
 
     def test_spectral_gap_words_match_cylinder_loop(self, quartet):
-        # past the table the gap words are summed in one batch; the loop over
-        # cylinder_measure is the reference (gaps of 0 to 3 free symbols)
+        # within a depth-8 table the joint is one table read; the loop over
+        # cylinder_measure is the reference (gaps of 0 to 4 free symbols)
         pot = ConformalPowerPotential(1.0)
-        sb = SpectralBackend(quartet, eigen_solve(quartet, pot, depth=4), pot)
-        I, J = FiniteWord((1, 2, 3), 4), FiniteWord((4, 1, 2), 4)
+        sb = SpectralBackend(quartet, eigen_solve(quartet, pot, depth=8), pot)
+        I, J = FiniteWord((1, 2), 4), FiniteWord((4, 1), 4)
         mu = sb.cylinder_measure(I) * sb.cylinder_measure(J)
-        for n in range(3, 7):
+        for n in range(2, 7):
             loop = sum(
                 sb.cylinder_measure(FiniteWord(I.symbols + gap + J.symbols, 4))
-                for gap in itertools.product(range(1, 5), repeat=n - 3)
+                for gap in itertools.product(range(1, 5), repeat=n - 2)
             )
             assert correlation(quartet, sb, I, J, n) + mu == pytest.approx(loop, rel=1e-12)
+        with pytest.raises(ValueError, match="level 9 is beyond the spectral table depth 8"):
+            correlation(quartet, sb, I, J, 7)
 
     def test_invariance_under_preimage(self, quartet_density):
         # summing mu([iJ]) over first symbols recovers mu([J])

@@ -974,6 +974,50 @@ class TestProductSystem:
         with pytest.raises(ValueError):
             product_cube_mixing(pb, 3, 2)
 
+    def test_cube_joint_refuses_negative_shifts(self, cantor, uniform, weighted):
+        _, pb = product_system(cantor, uniform, cantor, weighted)
+        for n in (-1, -2):
+            with pytest.raises(ValueError, match="n must be >= 0"):
+                pb.cube_joint([(1, 2), (1, 2)], [(1,), (1,)], n)
+
+    def test_cube_joint_needs_one_word_per_factor(self, cantor, uniform, weighted):
+        _, pb = product_system(cantor, uniform, cantor, weighted)
+        with pytest.raises(ValueError, match="one word per factor"):
+            pb.cube_joint([(1,)], [(1,), (2,)], 3)
+        with pytest.raises(ValueError, match="one word per factor"):
+            pb.cube_joint([(1,), (2,)], [(1,)], 3)
+
+
+# ---------------------------------------------------------------------------
+# exact pair masses stop at a spectral table
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def quartet_spectral3(quartet):
+    pot = ConformalPowerPotential(1.0)
+    return SpectralBackend(quartet, eigen_solve(quartet, pot, depth=3), pot)
+
+
+_ONE = FiniteWord((1,), 4)
+# each call needs level 4, one past the depth-3 table; the arguments are the
+# system, the spectral backend and its product with the uniform Cantor measure
+PAST_THE_TABLE = {
+    "correlation": lambda q, sb, pb: correlation(q, sb, _ONE, _ONE, 3),
+    "pairwise_pair_level": lambda q, sb, pb: pairwise_independence_check(q, sb, (1, 2), 1, 3),
+    "pairwise_long_event": lambda q, sb, pb: pairwise_independence_check(q, sb, (1, 2, 1, 2), 1, 1),
+    "cube_joint": lambda q, sb, pb: pb.cube_joint([(1,), (1,)], [(1,), (1,)], 3),
+    "mixing_coeff_cylinders": lambda q, sb, pb: mixing_coeff_cylinders(sb, 4, 2),
+    "product_cube_mixing": lambda q, sb, pb: product_cube_mixing(pb, 2, 2),
+}
+
+
+@pytest.mark.parametrize("api", sorted(PAST_THE_TABLE))
+def test_exact_pairs_refuse_past_a_spectral_table(api, quartet, quartet_spectral3, cantor, uniform):
+    _, pb = product_system(quartet, quartet_spectral3, cantor, uniform)
+    with pytest.raises(ValueError, match="level 4 is beyond the spectral table depth 3"):
+        PAST_THE_TABLE[api](quartet, quartet_spectral3, pb)
+
 
 # ---------------------------------------------------------------------------
 # gasket doubling brackets
@@ -1140,6 +1184,14 @@ class TestMonteCarloConsistency:
             out = cylinder_event_crosscheck(backend.system, backend, words, 50, 10_000, 97)
             for row in out:
                 assert abs(row["z"]) < 4.0, row
+
+    def test_cylinder_event_crosscheck_validation(self, cantor, weighted):
+        with pytest.raises(ValueError, match="samples"):
+            cylinder_event_crosscheck(cantor, weighted, [(1,)], 5, 0, 1)
+        with pytest.raises(ValueError, match="words"):
+            cylinder_event_crosscheck(cantor, weighted, [], 5, 100, 1)
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            cylinder_event_crosscheck(cantor, weighted, [(1,)], -1, 100, 1)
 
     def test_equalized_hit_probability_matches_quota_at_scale(self, cantor, weighted):
         # per-step hit frequency over 1e5 orbits must match the measure quota

@@ -1,6 +1,7 @@
 """Transfer-operator eigendata and measure backends."""
 
 import gc
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -13,7 +14,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from selfconformal import gibbs
-from selfconformal.dynamics import _pair_intersection
 from selfconformal.gibbs import (
     DENSITY_CATALOG,
     BernoulliBackend,
@@ -483,6 +483,24 @@ def test_skewed_weights_keep_relative_precision(cantor):
     assert abs(sb.cylinder_measure(word(w, 2)) / mass - 1.0) < 2e-15
 
 
+@pytest.mark.parametrize("name, pot, digest", [
+    ("moebius_interval_quartet", ConformalPowerPotential(1.0),
+     "1eaedb447421da1c6deed8d565abeb7ea355c4e4bdd675d95b4328f7aa50e940"),
+    ("middle_third_cantor", BernoulliPotential((1 - 1e-9, 1e-9)),
+     "1608d1b3934a295868bfe499f16ed01103f85b6a6a2c668b71e39ca80492db81"),
+])
+def test_spectral_extension_bits_are_pinned(name, pot, digest):
+    """Masses of words of length 5-15 past a depth-4 table, bit for bit."""
+    system = builtin_system(name)
+    sb = SpectralBackend(system, eigen_solve(system, pot, depth=4), pot)
+    m = system.m
+    masses = np.array([
+        sb.cylinder_measure(word(tuple((i * i + k * i + L) % m + 1 for i in range(L)), m))
+        for L in range(5, 16) for k in range(3)
+    ])
+    assert hashlib.sha256(masses.tobytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("kind", ["bernoulli", "density", "spectral"])
 def test_words_over_another_alphabet_rejected(quartet, density_backend, spectral_quartet, kind):
     backend = {
@@ -654,16 +672,26 @@ def test_joint_masses_match_the_pair_identity(name, quartet, cantor, density_bac
         "weighted_cantor": lambda: BernoulliBackend(cantor, (0.3, 0.7)),
     }[name]()
     m = backend.system.m
+
+    def words(k):
+        return list(itertools.product(range(1, m + 1), repeat=k))
+
     for head, tail in ((1, 2), (2, 1)):
         for gap in range(4):
             got = gibbs._joint_masses(backend, head, gap, tail)
+            pairs = np.array([
+                [gibbs._pair_mass(backend, word(I, m), word(J, m), head + gap) for J in words(tail)]
+                for I in words(head)
+            ])
+            # independent reference: the cylinders [I g J] summed over gap words g
             expected = np.array([
-                [_pair_intersection(backend, word(I, m), word(J, m), head + gap)
-                 for J in itertools.product(range(1, m + 1), repeat=tail)]
-                for I in itertools.product(range(1, m + 1), repeat=head)
+                [sum(backend.cylinder_measure(word(I + g + J, m)) for g in words(gap))
+                 for J in words(tail)]
+                for I in words(head)
             ])
             assert got.shape == (m ** head, m ** tail)
             np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(pairs, expected, rtol=1e-12, atol=0)
 
 
 def test_mixing_spectral_depth_guard(spectral_quartet):
