@@ -10,25 +10,23 @@ projection applies contractions, whose rounding errors shrink instead.
 Sampling is counter-based: the row of sample ``i`` is generated by a
 Philox generator keyed on ``(master_seed, i)``, and every symbol consumes
 exactly one uniform.  Philox is a function of its key and a block counter
-(Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11), so
-uniform ``t`` of row ``i`` is read by re-keying one bit generator to
-``(master_seed, i)``, setting its counter to block ``t // 4`` and discarding
-``t % 4`` draws: :func:`sample_symbol_block` re-keys a single generator per
-row and per chunk of draws instead of building one generator per row.  A
-row's symbols therefore depend only on ``(master_seed, i)``, not on the other
-ids in the block or on the chunking, which makes experiments reproducible
-independently of worker scheduling.  The next-symbol law is read from the
-backend's chain (``backend.chain(n_rows)``, defined with the backends in
-:mod:`selfconformal.gibbs`): each step picks a symbol per row from the
-chain's cumulative rows, then advances the chain.  I.i.d. (Bernoulli) symbols
-skip the chain: a whole batch of uniforms is mapped through the one
-cumulative row at once.
+(Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11), and
+uniforms drawn in pieces equal one long draw, so a row's symbols depend only
+on ``(master_seed, i)``, not on the other ids in the block or on the
+windowing, which makes experiments reproducible independently of worker
+scheduling.  A :class:`SymbolSource` draws a block's time axis window by
+window, one Philox stream per row and one chain for all rows; the
+next-symbol law is read from the backend's chain (``backend.chain(n_rows)``,
+defined with the backends in :mod:`selfconformal.gibbs`): each step picks a
+symbol per row from the chain's cumulative rows, then advances the chain.
+I.i.d. (Bernoulli) symbols skip the stepping: a whole window of uniforms is
+mapped through the one cumulative row at once.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import List, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -39,6 +37,7 @@ from .symbolic import FiniteWord, PointRd, as_point
 
 __all__ = [
     "sample_symbol_block",
+    "SymbolSource",
     "t_apply",
     "project_windows",
     "correlation",
@@ -87,7 +86,6 @@ def t_apply(system: IfsSystem, x, depth_hint: int = 1, tol: float = 1e-9) -> Poi
 # ---------------------------------------------------------------------------
 
 _WINDOW_CHUNK = 1 << 16  # windows projected per pass; bounds the temporaries
-_DRAW_CHUNK = 1 << 16  # uniforms drawn per stream per pass in sample_symbol_block
 
 
 def project_windows(symbols: np.ndarray, system: IfsSystem, depth: int) -> np.ndarray:
@@ -101,7 +99,11 @@ def project_windows(symbols: np.ndarray, system: IfsSystem, depth: int) -> np.nd
     innermost-first so the contractions damp rounding instead of amplifying
     it; each step gathers the per-symbol coefficients from the system's
     table, in the system's field (complex in the plane).  A block with no
-    rows gives an empty result; a symbol outside ``1..m`` raises.
+    rows gives an empty result; a symbol outside ``1..m`` raises.  Each point
+    is computed from its own window alone, elementwise, so column windows of
+    a block that overlap by ``depth - 1`` symbols project to the block's
+    points bit for bit: the counting engine projects a time axis that way,
+    one window of the sampler at a time.
     """
     syms = np.asarray(symbols)
     if depth < 1 or syms.ndim not in (1, 2) or syms.shape[-1] < depth:
@@ -141,6 +143,32 @@ def project_windows(symbols: np.ndarray, system: IfsSystem, depth: int) -> np.nd
 # ---------------------------------------------------------------------------
 # measure-distributed sampling
 # ---------------------------------------------------------------------------
+
+_WINDOW_CELLS = 1 << 17  # symbols (rows x columns) per window of a block's time axis
+_DRAW_CELLS = 1 << 16  # Bernoulli uniforms mapped per pass; bounds the draw buffer
+_KEY_LIMIT = 1 << 64  # a Philox key word is an unsigned 64-bit integer
+
+
+def _key_word(value, name: str) -> int:
+    """``value`` as one word of a Philox key: an integer in ``[0, 2**64)``."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or not 0 <= value < _KEY_LIMIT):
+        raise ValueError(f"{name}: {value!r} is not an integer in [0, 2**64)")
+    return int(value)
+
+
+def _check_sample_ids(sample_ids: Sequence[int]) -> List[int]:
+    """The ids as Philox key words, refusing repeats (a repeat counts one stream twice)."""
+    ids = [_key_word(sid, "sample_ids") for sid in sample_ids]
+    if len(set(ids)) != len(ids):
+        raise ValueError("sample_ids must not repeat")
+    return ids
+
+
+def _window_width(rows: int) -> int:
+    """Columns per window of a ``rows``-row block: ``_WINDOW_CELLS`` symbols."""
+    return max(1, _WINDOW_CELLS // max(rows, 1))
+
 
 _PHILOX_BLOCK = 4  # 64-bit words per Philox4x64 counter block, one uniform each
 
@@ -183,11 +211,74 @@ def _draw(chain, u: np.ndarray) -> np.ndarray:
     return symbols
 
 
+class SymbolSource:
+    """The symbol rows of a block of sample ids, drawn window by window.
+
+    Holds one next-symbol chain for all rows and the number of symbols drawn
+    so far; each :meth:`draw` reads every row's next uniforms from its Philox
+    stream and continues the chain, so consecutive windows concatenate to the
+    block one long draw gives.  The first window re-keys one generator per
+    row (:func:`_stream_uniforms`); a second window gives each row its own
+    generator, positioned where the row stands, so that later windows read on
+    without re-keying.
+    """
+
+    def __init__(self, backend: MeasureBackend, master_seed: int, sample_ids: Sequence[int]):
+        self.backend = backend
+        self.master_seed = _key_word(master_seed, "master_seed")
+        self.sample_ids = _check_sample_ids(sample_ids)
+        self.drawn = 0
+        self._gen = np.random.Generator(np.random.Philox(0))  # re-keyed for every row
+        self._row_gens: Optional[List[np.random.Generator]] = None
+        self._chain = backend.chain(len(self.sample_ids))
+
+    def _fill(self, u: np.ndarray, r0: int) -> None:
+        """Fill row ``i`` of ``u`` with the next uniforms of row ``r0 + i``."""
+        if self._row_gens is None:
+            for row, sid in zip(u, self.sample_ids[r0 : r0 + u.shape[0]]):
+                _stream_uniforms(self._gen, self.master_seed, sid, self.drawn, row)
+        else:
+            for row, gen in zip(u, self._row_gens[r0 : r0 + u.shape[0]]):
+                gen.random(out=row)
+
+    def draw(self, width: int) -> np.ndarray:
+        """The next ``width`` symbols (1-based) of every row, shape (rows, width)."""
+        ids = self.sample_ids
+        if self.drawn and self._row_gens is None:
+            self._row_gens = [np.random.Generator(np.random.Philox(0)) for _ in ids]
+            for gen, sid in zip(self._row_gens, ids):
+                _stream_uniforms(gen, self.master_seed, sid, self.drawn, np.empty(0))
+        out = np.empty((len(ids), width), dtype=np.int8)
+        if isinstance(self.backend, BernoulliBackend):
+            # i.i.d. symbols: the one cumulative row maps a batch of rows at
+            # once; on a nondecreasing row, searchsorted counts the entries
+            # <= u exactly as _pick_symbols does
+            cum = self._chain.cum_rows()[0]
+            batch = max(1, _DRAW_CELLS // max(width, 1))
+            U = np.empty((min(batch, len(ids)), width))
+            for r0 in range(0, len(ids), batch):
+                u = U[: len(ids[r0 : r0 + batch])]
+                self._fill(u, r0)
+                idx = np.searchsorted(cum, u, side="right")
+                np.minimum(idx, cum.size - 1, out=idx)
+                idx += 1
+                out[r0 : r0 + u.shape[0]] = idx
+        else:
+            u = np.empty((len(ids), width))
+            self._fill(u, 0)
+            for t in range(width):
+                out[:, t] = _draw(self._chain, u[:, t])
+        self.drawn += width
+        return out
+
+
 def sample_symbol_block(
     backend: MeasureBackend,
     master_seed: int,
     sample_ids: Sequence[int],
     length: int,
+    *,
+    source: Optional[SymbolSource] = None,
 ) -> np.ndarray:
     """Symbols (1-based) for many sample streams at once, shape (ids, length).
 
@@ -195,38 +286,27 @@ def sample_symbol_block(
     keyed ``(master_seed, sample_ids[i])``, through the cumulative row that the
     backend's chain holds after symbols ``0..t-1``.  A row therefore does not
     depend on the other ids in the block, and a shorter block is a prefix of
-    a longer one.  Uniforms are drawn at most ``_DRAW_CHUNK`` per row at a time (a Bernoulli
-    row longer than that is drawn whole).
+    a longer one.  ``master_seed`` and the ids must be integers in
+    ``[0, 2**64)``, the ids without repeats.
+
+    The block is the concatenation of the windows of a :class:`SymbolSource`,
+    ``_window_width(len(sample_ids))`` columns each (Bernoulli rows, which
+    need no chain step, are drawn whole, a batch of rows at a time).  Given an
+    open ``source`` for the same backend, seed and ids, the block is that
+    source's next ``length`` columns: the counting engine draws a worker
+    block's time axis this way, one window per call.
     """
-    sample_ids = list(sample_ids)
-    n = len(sample_ids)
-    out = np.empty((n, length), dtype=np.int8)
-    gen = np.random.Generator(np.random.Philox(0))  # re-keyed for every row
-    if isinstance(backend, BernoulliBackend):
-        # i.i.d. symbols: the one cumulative row maps a whole batch at once;
-        # on a nondecreasing row, searchsorted counts the entries <= u exactly
-        # as _pick_symbols does
-        cum = backend.chain(1).cum_rows()[0]
-        batch = max(1, _DRAW_CHUNK // max(length, 1))
-        U = np.empty((min(batch, n), length))
-        for r0 in range(0, n, batch):
-            ids = sample_ids[r0 : r0 + batch]
-            u = U[: len(ids)]
-            for i, sid in enumerate(ids):
-                _stream_uniforms(gen, master_seed, sid, 0, u[i])
-            idx = np.searchsorted(cum, u, side="right")
-            np.minimum(idx, cum.size - 1, out=idx)
-            idx += 1
-            out[r0 : r0 + len(ids)] = idx
-        return out
-    chain = backend.chain(n)
-    U = np.empty((n, min(_DRAW_CHUNK, length)))
-    for done in range(0, length, _DRAW_CHUNK):
-        take = min(_DRAW_CHUNK, length - done)
-        for i, sid in enumerate(sample_ids):
-            _stream_uniforms(gen, master_seed, sid, done, U[i, :take])
-        for t in range(take):
-            out[:, done + t] = _draw(chain, U[:, t])
+    if source is None:
+        source = SymbolSource(backend, master_seed, sample_ids)
+    elif (source.backend is not backend or source.master_seed != master_seed
+          or source.sample_ids != list(sample_ids)):
+        raise ValueError("source was opened for a different backend, seed or ids")
+    out = np.empty((len(source.sample_ids), length), dtype=np.int8)
+    # Bernoulli rows need no chain step: the source draws them whole
+    width = length if isinstance(backend, BernoulliBackend) else _window_width(out.shape[0])
+    for c0 in range(0, length, max(width, 1)):
+        c1 = min(c0 + width, length)
+        out[:, c0:c1] = source.draw(c1 - c0)
     return out
 
 

@@ -34,7 +34,8 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dynamics import project_windows, sample_symbol_block
+from .dynamics import (SymbolSource, _check_sample_ids, _key_word, _window_width,
+                       project_windows, sample_symbol_block)
 from .gibbs import (
     BernoulliBackend,
     ConformalPowerPotential,
@@ -266,63 +267,88 @@ class _RunSpec:
         return self.radii.size
 
 
-def _sub_chunks(ids: Sequence[int], size: int):
-    ids = list(ids)
-    for i in range(0, len(ids), size):
-        yield ids[i : i + size]
-
-
-def _sub_chunk_size(spec: _RunSpec) -> int:
-    """Sample rows drawn and reduced together (a few million cells per array)."""
-    cells = 2.0e7 if spec.hit_mode == "symbolic" else 3.0e6
-    return max(1, int(cells // spec.N))
-
-
 def _worker_blocks(ids: Sequence[int], threads: int) -> List[list]:
     """Split the ids into at most one block per worker: every block repeats
     each sequential chain step."""
-    return list(_sub_chunks(ids, math.ceil(len(ids) / max(threads, 1))))
+    size = math.ceil(len(ids) / max(threads, 1))
+    return [list(ids[i : i + size]) for i in range(0, len(ids), size)]
 
 
 def _counting_chunk(spec: _RunSpec, ids: Sequence[int]) -> List[CountingRecord]:
-    """Compute records for the given sample ids (deterministic per id)."""
-    out: List[CountingRecord] = []
-    for sub in _sub_chunks(ids, _sub_chunk_size(spec)):
-        block = sample_symbol_block(spec.backend, spec.seed, sub, spec.length)
-        out.extend(_records_for_block(spec, sub, block))
-    return out
+    """Records for one worker block of sample ids (deterministic per id).
 
-
-def _records_for_block(spec: _RunSpec, sub, block) -> List[CountingRecord]:
-    system, radii, cp_idx = spec.backend.system, spec.radii, spec.cp_idx
-    if spec.hit_mode == "symbolic":
-        x0s = project_windows(block[:, : spec.depth], system, spec.depth)[:, 0]
-        hit = _symbolic_self_hits(block, spec.ks, spec.N)
-        flags = np.zeros((len(sub), cp_idx.size), dtype=np.int64)  # exact: none flagged
-        ball_cum = _symbolic_ball_sums(spec.backend, block, spec.ks, cp_idx)
-    else:
-        pos = project_windows(block, system, spec.depth)
-        x0s = pos[:, 0]
-        if spec.kind == "shrink":
-            center = spec.targets  # per-step centers in window coordinates
+    The block's time axis is walked in windows of ``_window_width(rows)``
+    columns. Each window's symbols continue one chain pass and one Philox
+    stream per row (one ``sample_symbol_block`` call on the block's
+    :class:`SymbolSource`); its orbit points are projected, hit-tested and
+    added to the open checkpoint segments. Across windows only the symbols
+    the next points still read (``depth - 1``, or the symbolic test's
+    lookahead), the start points, a symbolic run's first ``kmax`` symbols and
+    the segment counts are carried, so memory is O(rows x width + N) for any
+    N. Every decision is elementwise and every count an integer, so the
+    records do not depend on the window width.
+    """
+    backend, N = spec.backend, spec.N
+    rows = len(ids)
+    source = SymbolSource(backend, spec.seed, ids)
+    span = spec.length - N  # symbols each orbit point reads
+    counts = _CheckpointCounts(rows, spec.cp_idx)
+    flags = _CheckpointCounts(rows, spec.cp_idx)  # stays 0 in a symbolic run
+    width = _window_width(rows)
+    syms = np.empty((rows, 0), dtype=np.int8)
+    point = 0  # orbit point of the first symbol in syms
+    for c0 in range(0, spec.length, width):
+        window = sample_symbol_block(backend, spec.seed, ids, min(width, spec.length - c0),
+                                     source=source)
+        syms = np.concatenate([syms, window], axis=1)
+        n_points = syms.shape[1] - span + 1
+        if n_points <= 0:
+            continue
+        skip = 1 if point == 0 else 0  # point 0 is the start, not a step
+        steps = slice(point + skip - 1, point + n_points - 1)
+        if spec.hit_mode == "symbolic":
+            if point == 0:
+                x0s = project_windows(syms[:, : spec.depth], backend.system, spec.depth)[:, 0]
+                head = syms[:, : int(spec.ks.max())].copy()
+            if n_points > skip:
+                counts.add(_symbolic_self_hits(syms[:, skip:], head, spec.ks[steps]))
         else:
-            center = x0s[:, None] if pos.ndim == 2 else x0s[:, None, :]
-        dist = _point_distances(pos[:, 1:], center)
-        if spec.hit_mode == "distance":
-            # a target center is exact; a start point is as uncertain as the orbit
-            slack = spec.prec if spec.kind == "shrink" else 2.0 * spec.prec
-            band = np.maximum(radii / _FLAG_DIVISOR, slack)
-            hit = dist <= radii
-            flag = np.abs(dist - radii) <= band
-        else:  # mass comparison against the per-step measure quota
-            hit, flag = _mass_quota_hits(spec, x0s, dist, radii)
-        flags = _checkpoint_sums(flag, cp_idx)
-        ball_cum = None
-        if spec.kind == "pure":
-            ball_cum = _own_ball_sums(spec, x0s)
-    counts = _checkpoint_sums(hit, cp_idx)
+            pos = project_windows(syms, backend.system, spec.depth)
+            if point == 0:
+                x0s = pos[:, 0].copy()
+            if n_points > skip:
+                hit, flag = _step_hits(spec, pos[:, skip:], x0s, steps)
+                counts.add(hit)
+                flags.add(flag)
+        syms = syms[:, n_points:]
+        point += n_points
+    if spec.hit_mode == "symbolic":
+        ball_cum = _symbolic_ball_sums(backend, head, spec.ks, spec.cp_idx)
+    else:
+        ball_cum = _own_ball_sums(spec, x0s) if spec.kind == "pure" else None
+    return _records(spec, ids, x0s, counts.totals(), flags.totals(), ball_cum)
+
+
+def _step_hits(spec, pos, x0s, steps):
+    """Hit and flag marks of the orbit points ``pos`` of one window of steps."""
+    radii = spec.radii[steps]
+    if spec.kind == "shrink":
+        center = spec.targets[steps]  # per-step centers in window coordinates
+    else:
+        center = x0s[:, None] if pos.ndim == 2 else x0s[:, None, :]
+    dist = _point_distances(pos, center)
+    if spec.hit_mode == "mass":  # mass comparison against the per-step measure quota
+        return _mass_quota_hits(spec, x0s, dist, radii)
+    # a target center is exact; a start point is as uncertain as the orbit
+    slack = spec.prec if spec.kind == "shrink" else 2.0 * spec.prec
+    band = np.maximum(radii / _FLAG_DIVISOR, slack)
+    return dist <= radii, np.abs(dist - radii) <= band
+
+
+def _records(spec, ids, x0s, counts, flags, ball_cum) -> List[CountingRecord]:
+    system, cp_idx = spec.backend.system, spec.cp_idx
     recs = []
-    for i, sid in enumerate(sub):
+    for i, sid in enumerate(ids):
         x0 = as_point(
             float(x0s[i]) if np.ndim(x0s[i]) == 0 else tuple(np.atleast_1d(x0s[i])),
             system.dim,
@@ -343,42 +369,60 @@ def _records_for_block(spec: _RunSpec, sub, block) -> List[CountingRecord]:
     return recs
 
 
-def _checkpoint_sums(marks, cp_idx):
-    """Running counts of a boolean ``(S, N)`` matrix at the checkpoint steps.
+class _CheckpointCounts:
+    """Each row's running count of marks at the checkpoint steps, fed one
+    window of steps at a time.
 
-    Equal to ``np.cumsum(marks, axis=1)[:, cp_idx]`` for strictly increasing
-    checkpoints ending at ``N - 1``, without an integer copy of ``marks``:
-    each segment between checkpoints is counted in place into an int64
-    ``(S, checkpoints)`` array, which is then accumulated. Integer counts are
-    exact, so the bits agree.
+    Segment ``c`` holds the marks of steps ``cp_idx[c-1] + 1 .. cp_idx[c]``
+    (``cp_idx`` strictly increasing, ending at ``N - 1``). A window adds its
+    marks to the segments it meets, the one still open included, counting in
+    place into an int64 ``(rows, checkpoints)`` array; :meth:`totals`
+    accumulates the segments. Integer counts are exact, so the totals equal
+    ``np.cumsum(marks, axis=1)[:, cp_idx]`` of the whole mark matrix
+    whatever the windows.
     """
-    sums = np.empty((marks.shape[0], cp_idx.size), dtype=np.int64)
-    start = 0
-    for c, last in enumerate(cp_idx):
-        sums[:, c] = np.count_nonzero(marks[:, start : last + 1], axis=1)
-        start = last + 1
-    return np.cumsum(sums, axis=1)
+
+    def __init__(self, rows: int, cp_idx: np.ndarray):
+        self._cp_idx = cp_idx
+        self._segments = np.zeros((rows, cp_idx.size), dtype=np.int64)
+        self._step = 0  # first step of the next window
+        self._open = 0  # segment that the next step falls in
+
+    def add(self, marks: np.ndarray) -> None:
+        """Count a ``(rows, w)`` window of marks for the next ``w`` steps."""
+        start, end = self._step, self._step + marks.shape[1]
+        while self._step < end:
+            seg_end = int(self._cp_idx[self._open]) + 1
+            stop = min(seg_end, end)
+            self._segments[:, self._open] += np.count_nonzero(
+                marks[:, self._step - start : stop - start], axis=1)
+            if stop == seg_end:
+                self._open += 1
+            self._step = stop
+
+    def totals(self) -> np.ndarray:
+        return np.cumsum(self._segments, axis=1)
 
 
-def _symbolic_self_hits(block, ks, N):
-    """Exact self-return hits on the ternary Cantor set.
+def _symbolic_self_hits(syms, head, ks):
+    """Exact self-return hits on the ternary Cantor set, one window of steps.
 
-    A closed ball of radius 3^-k around the orbit's start contains the step-n
-    point exactly when the two symbol streams agree on their first k entries
-    (distinct depth-k cylinders are separated by gaps of at least 3^-k; the
-    facing-endpoint configurations that could touch across a gap require
-    eventually-constant tails, a measure-zero event). The hit test is
-    therefore exact and nothing is flagged; only the hit matrix is returned.
+    ``syms`` starts with the window's first step and ``head`` holds the
+    start's first ``kmax`` symbols. A closed ball of radius 3^-k around the
+    orbit's start contains the step-n point exactly when the two symbol
+    streams agree on their first k entries (distinct depth-k cylinders are
+    separated by gaps of at least 3^-k; the facing-endpoint configurations
+    that could touch across a gap require eventually-constant tails, a
+    measure-zero event). The hit test is therefore exact and nothing is
+    flagged; only the hit marks are returned.
     """
-    S = block.shape[0]
-    kmax = int(ks.max())
-    hit = np.zeros((S, N), dtype=bool)
+    shape = (syms.shape[0], ks.size)
+    hit = np.zeros(shape, dtype=bool)
     hit[:, ks == 0] = True
-    alive = np.ones((S, N), dtype=bool)
-    for k in range(1, kmax + 1):
-        j = k - 1
-        alive &= block[:, 1 + j : N + j + 1] == block[:, j][:, None]
-        sel = ks == k
+    alive = np.ones(shape, dtype=bool)
+    for j in range(int(ks.max())):
+        alive &= syms[:, j : j + ks.size] == head[:, j][:, None]
+        sel = ks == j + 1
         if sel.any():
             hit[:, sel] = alive[:, sel]
         if not alive.any():
@@ -386,19 +430,20 @@ def _symbolic_self_hits(block, ks, N):
     return hit
 
 
-def _symbolic_ball_sums(backend, block, ks, cp_idx):
+def _symbolic_ball_sums(backend, head, ks, cp_idx):
     """Exact own-ball measure sums for radius ladder 3^-k(n) on the Cantor set.
 
     mu(B(x, 3^-k)) equals the mass of the depth-k cylinder containing x
     (the ball covers that cylinder and meets no other one), which is the
-    product of the first k branch weights of the sample path. Each row is
-    reduced on its own (a matrix product's bits depend on the row count), so
-    a sample's sums do not depend on the block it was computed in.
+    product of the first k branch weights of the sample path; ``head`` holds
+    each row's first ``kmax`` symbols. Each row is reduced on its own (a
+    matrix product's bits depend on the row count), so a sample's sums do
+    not depend on the block it was computed in.
     """
     probs = np.asarray(backend.probs)
     kmax = int(ks.max())
-    w = probs[np.asarray(block[:, :kmax], dtype=np.int64) - 1]
-    prefix = np.concatenate([np.ones((block.shape[0], 1)), np.cumprod(w, axis=1)], axis=1)
+    w = probs[np.asarray(head[:, :kmax], dtype=np.int64) - 1]
+    prefix = np.concatenate([np.ones((head.shape[0], 1)), np.cumprod(w, axis=1)], axis=1)
     counts = np.zeros((cp_idx.size, kmax + 1))
     for c, last in enumerate(cp_idx):
         counts[c] = np.bincount(ks[: last + 1], minlength=kmax + 1)
@@ -418,7 +463,7 @@ def _own_ball_sums(spec, x0s):
 
 
 def _mass_quota_hits(spec, x0s, dist, radii):
-    """Hit/flag matrices for the measure-equalized recurrence run.
+    """Hit/flag marks of one window of steps of a measure-equalized run.
 
     A step is a hit when the ball around the start point through the orbit
     point carries less measure than the step's quota ``psi(n)`` (equivalent
@@ -428,10 +473,9 @@ def _mass_quota_hits(spec, x0s, dist, radii):
     ``d -+ 2 prec`` and flagged when undecided. The run has checked that the
     oracle has a closed form.
     """
-    S, N = dist.shape
     quota = np.broadcast_to(radii, dist.shape)
     slack = 2.0 * spec.prec
-    x = np.repeat(np.asarray(x0s, dtype=float), N)
+    x = np.repeat(np.asarray(x0s, dtype=float), dist.shape[1])
     d = dist.reshape(-1)
     q = quota.reshape(-1)
     backend, budget = spec.backend, spec.ball_budget
@@ -451,7 +495,7 @@ def _mass_quota_hits(spec, x0s, dist, radii):
         sub_flag = ~(definite_hit | definite_miss)
         flag[cand] = sub_flag
         hit[cand] = np.where(sub_flag, mid[cand] < qc, definite_hit)
-    return hit.reshape(S, N), flag.reshape(S, N)
+    return hit.reshape(dist.shape), flag.reshape(dist.shape)
 
 
 def _shared_psi_sums(kind, backend, targets, radii, cp_idx, ball_budget):
@@ -569,7 +613,8 @@ def _run_counting(
     if N < 0 or samples < 0:
         raise ValueError("N and samples must be >= 0")
     N = int(N)
-    ids = list(range(samples)) if sample_ids is None else list(sample_ids)
+    _key_word(seed, "seed")
+    ids = _check_sample_ids(range(samples) if sample_ids is None else sample_ids)
     if N == 0:
         x0 = as_point(system.base_point(), system.dim)
         return [CountingRecord(sid, (Checkpoint(0, 0, 0.0),), x0) for sid in ids]

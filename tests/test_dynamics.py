@@ -257,11 +257,12 @@ class TestSampling:
             "spectral": cantor_spectral,
             "spectral_depth1": quartet_spectral_depth1,
         }[backend_name]
-        if not isinstance(backend, BernoulliBackend):
-            # chain chunks then start at uniforms 7, 14, ...: inside a Philox block
-            monkeypatch.setattr(dynamics, "_DRAW_CHUNK", 7)
-        ids = [5, 0, 5]  # unsorted, with a repeat
-        for length in (1, 3, 4, 5, 60, dynamics._DRAW_CHUNK + 1):
+        # chain windows of 7 // 3 = 2 columns then start at uniforms 2, 4, 6,
+        # ...: inside a Philox block; Bernoulli rows go one or a few at a time
+        monkeypatch.setattr(dynamics, "_WINDOW_CELLS", 7)
+        monkeypatch.setattr(dynamics, "_DRAW_CELLS", 7)
+        ids = [5, 0, 2]  # unsorted
+        for length in (1, 3, 4, 5, 60, dynamics._WINDOW_CELLS + 1):
             expected = {sid: _reference_row(backend, 42, sid, length) for sid in set(ids)}
             block = sample_symbol_block(backend, 42, ids, length)
             assert block.shape == (len(ids), length)
@@ -275,11 +276,49 @@ class TestSampling:
             assert tuple(int(v) for v in row) == _reference_row(cantor_weighted, 42, sid, 9)
 
     def test_block_chunking_invariant(self, quartet_density, monkeypatch):
-        monkeypatch.setattr(dynamics, "_DRAW_CHUNK", 7)
+        monkeypatch.setattr(dynamics, "_WINDOW_CELLS", 7)
         a = sample_symbol_block(quartet_density, 3, [0, 1], 50)
-        monkeypatch.setattr(dynamics, "_DRAW_CHUNK", 50)
+        monkeypatch.setattr(dynamics, "_WINDOW_CELLS", 100)
         b = sample_symbol_block(quartet_density, 3, [0, 1], 50)
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("backend_name", ["bernoulli", "density", "spectral"])
+    @pytest.mark.parametrize("widths", [[1] * 9, [2, 3, 4], [4, 1, 4], [9]])
+    def test_source_windows_concatenate_to_the_block(
+        self, backend_name, widths, cantor_weighted, quartet_density, cantor_spectral
+    ):
+        # a source's consecutive windows are the columns of one block, with
+        # window edges inside and on Philox blocks
+        backend = {"bernoulli": cantor_weighted, "density": quartet_density,
+                   "spectral": cantor_spectral}[backend_name]
+        ids = [4, 1, 7]
+        source = dynamics.SymbolSource(backend, 21, ids)
+        windows = [sample_symbol_block(backend, 21, ids, w, source=source) for w in widths]
+        np.testing.assert_array_equal(np.concatenate(windows, axis=1),
+                                      sample_symbol_block(backend, 21, ids, sum(widths)))
+        assert source.drawn == sum(widths)
+
+    def test_source_of_other_arguments_refused(self, cantor_weighted, quartet_density):
+        source = dynamics.SymbolSource(cantor_weighted, 21, [4, 1])
+        for backend, seed, ids in ((quartet_density, 21, [4, 1]), (cantor_weighted, 22, [4, 1]),
+                                   (cantor_weighted, 21, [1, 4])):
+            with pytest.raises(ValueError, match="source was opened"):
+                sample_symbol_block(backend, seed, ids, 3, source=source)
+
+    @pytest.mark.parametrize("seed, ids, bad", [
+        (1, [-1, 0], "sample_ids"), (1, [2 ** 64], "sample_ids"), (1, [1.5], "sample_ids"),
+        (1, [True], "sample_ids"), (1, [3, 3], "sample_ids"), (-1, [0], "master_seed"),
+        (2 ** 64, [0], "master_seed"), (2.0, [0], "master_seed"),
+    ])
+    def test_bad_keys_refused(self, cantor_weighted, quartet_density, seed, ids, bad):
+        for backend in (cantor_weighted, quartet_density):
+            with pytest.raises(ValueError, match=bad):
+                sample_symbol_block(backend, seed, ids, 4)
+
+    def test_largest_keys_accepted(self, cantor_weighted):
+        top = 2 ** 64 - 1
+        block = sample_symbol_block(cantor_weighted, top, [top, np.uint64(0)], 5)
+        assert tuple(int(v) for v in block[0]) == _reference_row(cantor_weighted, top, top, 5)
 
     def test_spectral_of_bernoulli_samples_identically(self, cantor, cantor_weighted, cantor_spectral):
         # the spectral table of a product potential reproduces the product

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selfconformal import experiments
+from selfconformal import dynamics, experiments
 from selfconformal.dynamics import correlation, project_windows, sample_symbol_block
 from selfconformal.experiments import (
     Checkpoint,
@@ -45,8 +45,8 @@ from selfconformal.experiments import (
     write_results_csv,
 )
 from selfconformal.experiments import (
+    _CheckpointCounts,
     _RunSpec,
-    _checkpoint_sums,
     _mass_quota_hits,
     _staircase_alpha_window,
 )
@@ -214,7 +214,21 @@ class TestDefaultCheckpoints:
         assert all(1 <= c <= N for c in cps)
 
 
+def _windowed_counts(marks, cp_idx, widths):
+    """Feed ``marks`` to a checkpoint reducer in windows of the given widths,
+    cycling through them, and return its totals."""
+    counts = _CheckpointCounts(marks.shape[0], cp_idx)
+    start, i = 0, 0
+    while start < marks.shape[1]:
+        stop = min(start + widths[i % len(widths)], marks.shape[1])
+        counts.add(marks[:, start:stop])
+        start, i = stop, i + 1
+    return counts.totals()
+
+
 class TestCheckpointSums:
+    """The window reducer: segment counts fed window by window."""
+
     @pytest.mark.parametrize(
         "N, cps",
         [(1, [1]), (2, [2]), (40, [40]), (40, [1, 40]), (40, list(range(1, 41))),
@@ -225,27 +239,32 @@ class TestCheckpointSums:
         cp_idx = np.asarray(cps, dtype=np.int64) - 1
         for density in (0.0, 0.3, 1.0):
             marks = rng.random((5, N)) < density
-            got = _checkpoint_sums(marks, cp_idx)
-            assert got.dtype == np.int64
-            np.testing.assert_array_equal(
-                got, np.cumsum(marks, axis=1, dtype=np.int64)[:, cp_idx])
+            want = np.cumsum(marks, axis=1, dtype=np.int64)[:, cp_idx]
+            # one window, single steps, and widths that cut segments anywhere
+            for widths in ([N], [1], [2, 5], [3, 16, 1], [17]):
+                got = _windowed_counts(marks, cp_idx, widths)
+                assert got.dtype == np.int64
+                np.testing.assert_array_equal(got, want)
 
     def test_segment_past_a_narrow_accumulator(self):
         # 70 001 marks in one segment overflow any 16-bit count
         marks = np.ones((2, 70_001), dtype=bool)
         marks[1, ::7] = False
-        got = _checkpoint_sums(marks, np.array([0, 70_000]))
-        np.testing.assert_array_equal(got, [[1, 70_001], [0, 60_000]])
+        for widths in ([70_001], [40_000], [1, 69_999, 1]):
+            got = _windowed_counts(marks, np.array([0, 70_000]), widths)
+            np.testing.assert_array_equal(got, [[1, 70_001], [0, 60_000]])
 
     def test_peak_memory_is_about_the_output(self):
-        # an ABB-sized block: an int64 copy of the marks would take 80 MB
+        # an ABB-sized window: an int64 copy of the marks would take 80 MB
         N = 200_000
         marks = np.random.default_rng(0).random((50, N)) < 0.3
         cp_idx = np.asarray(default_checkpoints(N), dtype=np.int64) - 1
         out_bytes = marks.shape[0] * cp_idx.size * 8
         tracemalloc.start()
         try:
-            _checkpoint_sums(marks, cp_idx)
+            counts = _CheckpointCounts(marks.shape[0], cp_idx)
+            counts.add(marks)
+            counts.totals()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -372,6 +391,42 @@ class TestOracleServesRun:
     def test_spectral_measure_equalized_run(self, cantor, spectral, no_sampling):
         with pytest.raises(CertificationError, match="closed-form radial mass"):
             recurrence_modified_run(cantor, spectral, PowerRadius(1.0, 0.5), 100, 2, 1)
+
+
+class TestRunKeysRefused:
+    """Ids the Philox key cannot hold, or that repeat, are refused before any
+    set-up work."""
+
+    @pytest.fixture
+    def no_setup(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("set up before refusing the run")
+
+        monkeypatch.setattr(experiments, "_shared_psi_sums", refuse)
+
+    @pytest.mark.parametrize("kind", ["shrink", "pure", "modified"])
+    @pytest.mark.parametrize("seed, ids, bad", [
+        (1, [-1, 0], "sample_ids"), (1, [2 ** 64], "sample_ids"), (1, [1.5], "sample_ids"),
+        (1, [3, 3], "sample_ids"), (-1, None, "seed"), (2 ** 64, None, "seed"),
+    ])
+    def test_refused_before_setup(self, no_setup, kind, seed, ids, bad):
+        pair = builtin_system("moebius_interval_pair")
+        backend = BernoulliBackend(pair, (0.5, 0.5))
+        args = (pair, backend, PowerRadius(0.5, 0.5), 500, 2, seed)
+        kw = {"sample_ids": ids}
+        with pytest.raises(ValueError, match=bad):
+            if kind == "shrink":
+                shrinking_target_run(pair, backend, 0.3, *args[2:], **kw)
+            elif kind == "pure":
+                recurrence_pure_run(*args, **kw)
+            else:
+                recurrence_modified_run(*args, **kw)
+
+    def test_largest_ids_run(self, cantor, weighted):
+        top = 2 ** 64 - 1
+        recs = recurrence_pure_run(cantor, weighted, ConstantRadius(0.1), 50, 0, top,
+                                   sample_ids=[top, 0])
+        assert [r.sample_id for r in recs] == [0, top]
 
 
 class TestIntervalMassBound:
@@ -771,6 +826,106 @@ class TestRecurrenceModified:
 # ---------------------------------------------------------------------------
 # residual normalization
 # ---------------------------------------------------------------------------
+
+
+_WINDOW_CASES = ("distance_line_pure", "distance_line_pure_every_step", "distance_line_shrink",
+                 "distance_plane_shrink", "mass_cantor", "mass_density", "symbolic_staircase",
+                 "density_chain", "spectral_chain")
+# sparse checkpoints: some fall on window edges, and most segments span several
+_WINDOW_CPS = [1, 2, 3, 5, 8, 21, 22, 64, 65, 100, 101, 211]
+
+
+class TestWindowedEngine:
+    """A run walks each worker block's time axis in windows of about
+    ``dynamics._WINDOW_CELLS`` symbols; no record may depend on that size."""
+
+    @pytest.fixture(scope="class")
+    def run_case(self, cantor, weighted, quartet, density):
+        tri = builtin_system("sierpinski_triangle")
+        thirds = BernoulliBackend(tri, (1 / 3, 1 / 3, 1 / 3))
+        staircase = BernoulliBackend(cantor, (0.2, 0.8))
+        alpha = 0.5 * sum(_staircase_alpha_window((0.2, 0.8)))
+        rep = eigen_solve(quartet, ConformalPowerPotential(1.0), 4)
+        spectral = SpectralBackend(quartet, rep, ConformalPowerPotential(1.0))
+        N = 300
+        targets = np.random.default_rng(5).uniform(0.0, 1.0, N)
+        cps = _WINDOW_CPS + [N]
+        runs = {
+            "distance_line_pure": lambda t: recurrence_pure_run(
+                cantor, weighted, PowerRadius(0.5, 0.5), N, 3, 41, checkpoints=cps, threads=t),
+            "distance_line_pure_every_step": lambda t: recurrence_pure_run(
+                cantor, weighted, PowerRadius(0.5, 0.5), N, 3, 41,
+                checkpoints=range(1, N + 1), threads=t),
+            "distance_line_shrink": lambda t: shrinking_target_run(
+                cantor, weighted, targets, PowerRadius(0.3, 0.5), N, 3, 42, checkpoints=cps,
+                threads=t),
+            "distance_plane_shrink": lambda t: shrinking_target_run(
+                tri, thirds, (0.5, 0.0), ConstantRadius(0.1), N, 3, 43, checkpoints=cps,
+                threads=t),
+            "mass_cantor": lambda t: recurrence_modified_run(
+                cantor, weighted, PowerRadius(1.0, 0.5), N, 3, 44, checkpoints=cps, threads=t),
+            "mass_density": lambda t: recurrence_modified_run(
+                quartet, density, PowerRadius(1.0, 0.5), N, 3, 45, checkpoints=cps, threads=t),
+            "symbolic_staircase": lambda t: recurrence_pure_run(
+                cantor, staircase, PowerLogRadius(alpha), 2 * N, 3, 46, checkpoints=cps,
+                threads=t),
+            "density_chain": lambda t: recurrence_pure_run(
+                quartet, density, ConstantRadius(0.05), N, 3, 47, checkpoints=cps, threads=t),
+            "spectral_chain": lambda t: recurrence_pure_run(
+                quartet, spectral, ConstantRadius(0.05), N, 3, 48, checkpoints=cps,
+                ball_budget=4, threads=t),
+        }
+        defaults = {}
+
+        def run(name, threads, cells=None):
+            if cells is None:
+                if name not in defaults:
+                    defaults[name] = runs[name](1)
+                return defaults[name]
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(dynamics, "_WINDOW_CELLS", cells)
+                return runs[name](threads)
+        return run
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("cells", [1, 7, 64])
+    @pytest.mark.parametrize("name", _WINDOW_CASES)
+    def test_records_do_not_depend_on_the_window(self, run_case, name, cells, threads):
+        want = run_case(name, 1)
+        assert all(r.final.count > 0 for r in want)
+        assert run_case(name, threads, cells) == want
+
+
+class TestCountingMemory:
+    """Counting memory is O(rows x window + N): past the per-run step vectors
+    (radii, Cantor levels, normalizers), it does not grow with N."""
+
+    STEP_WORDS = 8  # float64 or int64 words per step the run may hold at once
+    SLACK = 4 * 2 ** 20
+
+    @staticmethod
+    def _peak(run) -> int:
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("mode", ["distance", "symbolic"])
+    def test_peak_grows_only_by_step_vectors(self, cantor, weighted, mode):
+        if mode == "distance":
+            def run(N):
+                return recurrence_pure_run(cantor, weighted, ConstantRadius(0.01), N, 4, 3)
+        else:
+            staircase = BernoulliBackend(cantor, (0.2, 0.8))
+            psi = PowerLogRadius(0.5 * sum(_staircase_alpha_window((0.2, 0.8))))
+
+            def run(N):
+                return recurrence_pure_run(cantor, staircase, psi, N, 20, 311)
+        small, large = 10 ** 5, 10 ** 6
+        growth = self._peak(lambda: run(large)) - self._peak(lambda: run(small))
+        assert growth <= self.STEP_WORDS * 8 * (large - small) + self.SLACK
 
 
 def _record_with(counts_psi):
