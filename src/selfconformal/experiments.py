@@ -689,7 +689,9 @@ def shrinking_target_run(
     exact) is taken by the midpoint rule and counted in ``flagged``.
     ``sample_ids`` replaces the default id range ``0..samples-1`` (each id's
     symbol stream is fixed by ``seed`` alone, so id blocks computed
-    separately concatenate to the full run).
+    separately concatenate to the full run). The seed and the ids must be
+    integers in ``[0, 2**64)``, the ids without repeats, else ``ValueError``
+    before any set-up.
     """
     return _run_counting(system, backend, "shrink", psi, N, samples, seed,
                          targets=targets, checkpoints=checkpoints,
@@ -728,7 +730,7 @@ def recurrence_pure_run(
     with its certified bracket: before any sampling, the run raises
     ``ValueError`` when a spectral table is shallower than ``ball_budget``,
     and ``CertificationError`` when samples x distinct radii exceeds 20 000.
-    ``sample_ids`` replaces the default id range.
+    ``sample_ids`` replaces the default id range, with the same checks.
     """
     return _run_counting(system, backend, "pure", psi, N, samples, seed,
                          checkpoints=checkpoints, ball_budget=ball_budget,
@@ -762,7 +764,7 @@ def recurrence_modified_run(
     flagged and counted by the midpoint rule. The comparison needs a
     closed-form CDF (density or weighted ternary-Cantor backends); other
     backends raise ``CertificationError`` before sampling.
-    ``sample_ids`` replaces the default id range.
+    ``sample_ids`` replaces the default id range, with the same checks.
     """
     return _run_counting(system, backend, "modified", psi, N, samples, seed,
                          checkpoints=checkpoints, ball_budget=ball_budget,
