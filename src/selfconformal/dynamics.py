@@ -166,8 +166,9 @@ def _check_sample_ids(sample_ids: Sequence[int]) -> List[int]:
 
 
 def _window_width(rows: int) -> int:
-    """Columns per window of a ``rows``-row block: ``_WINDOW_CELLS`` symbols."""
-    return max(1, _WINDOW_CELLS // max(rows, 1))
+    """Columns per window of a ``rows``-row block: ``_WINDOW_CELLS`` symbols, but
+    at least ``_WINDOW_CELLS // 1024``, so many short rows are not re-keyed per window."""
+    return max(1, _WINDOW_CELLS // 1024, _WINDOW_CELLS // max(rows, 1))
 
 
 _PHILOX_BLOCK = 4  # 64-bit words per Philox4x64 counter block, one uniform each

@@ -323,7 +323,9 @@ def _counting_chunk(spec: _RunSpec, ids: Sequence[int]) -> List[CountingRecord]:
         syms = syms[:, n_points:]
         point += n_points
     if spec.hit_mode == "symbolic":
-        ball_cum = _symbolic_ball_sums(backend, head, spec.ks, spec.cp_idx)
+        prefix, level_counts = _staircase_terms(backend.probs, head, spec.ks, spec.cp_idx + 1)
+        # row by row: a matrix product's bits would depend on the block's row count
+        ball_cum = np.einsum("ik,ck->ic", prefix, level_counts)
     else:
         ball_cum = _own_ball_sums(spec, x0s) if spec.kind == "pure" else None
     return _records(spec, ids, x0s, counts.totals(), flags.totals(), ball_cum)
@@ -430,24 +432,24 @@ def _symbolic_self_hits(syms, head, ks):
     return hit
 
 
-def _symbolic_ball_sums(backend, head, ks, cp_idx):
-    """Exact own-ball measure sums for radius ladder 3^-k(n) on the Cantor set.
+def _staircase_terms(probs, head, ks, stops):
+    """Exact own-ball terms of the radius ladder 3^-ks[n] on the Cantor set.
 
     mu(B(x, 3^-k)) equals the mass of the depth-k cylinder containing x
     (the ball covers that cylinder and meets no other one), which is the
     product of the first k branch weights of the sample path; ``head`` holds
-    each row's first ``kmax`` symbols. Each row is reduced on its own (a
-    matrix product's bits depend on the row count), so a sample's sums do
-    not depend on the block it was computed in.
+    each row's first ``kmax`` symbols. Returns ``prefix``, each row's
+    cylinder masses at depths 0..kmax, and ``counts`` (float64), for each
+    stop, how many of the first ``stop`` steps have each level: a row's
+    own-ball sum over those steps is ``prefix[i] @ counts[c]``.
     """
-    probs = np.asarray(backend.probs)
     kmax = int(ks.max())
-    w = probs[np.asarray(head[:, :kmax], dtype=np.int64) - 1]
+    w = np.asarray(probs)[np.asarray(head[:, :kmax], dtype=np.int64) - 1]
     prefix = np.concatenate([np.ones((head.shape[0], 1)), np.cumprod(w, axis=1)], axis=1)
-    counts = np.zeros((cp_idx.size, kmax + 1))
-    for c, last in enumerate(cp_idx):
-        counts[c] = np.bincount(ks[: last + 1], minlength=kmax + 1)
-    return np.einsum("ik,ck->ic", prefix, counts)  # (samples, checkpoints)
+    counts = np.zeros((len(stops), kmax + 1))
+    for c, stop in enumerate(stops):
+        counts[c] = np.bincount(ks[:stop], minlength=kmax + 1)
+    return prefix, counts
 
 
 def _own_ball_sums(spec, x0s):
@@ -560,18 +562,19 @@ def _check_oracle_serves(kind, backend, radii, n_samples, ball_budget):
             )
 
 
-def _cantor_levels(kind, system, backend, radii) -> Optional[np.ndarray]:
-    """The levels ``k >= 0`` with ``psi(n) = 3^-k`` when the exact Cantor
-    prefix-agreement hit test applies: a pure run of a Bernoulli measure on
-    the ternary Cantor set whose radii are all such powers. Otherwise None."""
-    if kind != "pure":
-        return None
-    if not (isinstance(backend, BernoulliBackend) and _is_middle_third_cantor(system)):
-        return None
-    ks = np.rint(-np.log(radii) / _LN3)
-    if not np.all((ks >= 0) & (3.0 ** (-ks) == radii)):
-        return None
-    return ks.astype(np.int64)
+def _cantor_levels(radii: np.ndarray) -> Optional[np.ndarray]:
+    """The int16 levels ``k >= 0`` with ``radii = 3^-k`` (a positive double
+    3^-k has k <= 678), else None. The first radius is tried alone; the
+    N-long pass holds one float array, the levels and one bool per radius."""
+    for part in (radii[:1], radii):
+        work = np.log(part)
+        np.rint(np.divide(work, -_LN3, out=work), out=work)
+        ks = work.astype(np.int16)
+        np.power(3.0, np.negative(ks, out=ks), out=work)
+        np.negative(ks, out=ks)
+        if ks.min() < 0 or not np.array_equal(work, part):
+            return None
+    return ks
 
 
 def _canonical_targets(targets, N, dim):
@@ -625,7 +628,10 @@ def _run_counting(
     if np.any(radii <= 0.0):
         raise ValueError("radius function must be strictly positive")
     # the plan: the hit test follows from the run's kind, measure and radii
-    ks = _cantor_levels(kind, system, backend, radii)
+    ks = None
+    if (kind == "pure" and isinstance(backend, BernoulliBackend)
+            and _is_middle_third_cantor(system)):
+        ks = _cantor_levels(radii)
     if kind == "modified":
         mode = "mass"
     else:
@@ -858,9 +864,9 @@ def _pairwise_ball_mc(system, backend, event, a, b, kappa, mc_samples, seed):
     center = as_point(center, system.dim)
     depth = system.depth_for_diameter(max(radius, 1e-9) / 1000.0)
     block = sample_symbol_block(backend, seed, range(mc_samples), b + depth)
-    pos = project_windows(block, system, depth)
+    pos = project_windows(block[:, a:], system, depth)  # the points of steps a..b
     c = np.asarray(center.coords)
-    dist = _point_distances(pos[:, a : b + 1], c if system.dim > 1 else c[0])
+    dist = _point_distances(pos, c if system.dim > 1 else c[0])
     H = dist <= radius
     freqs = H.mean(axis=0)
     total = float(freqs.sum())
@@ -1212,8 +1218,10 @@ def _example_constant_radius(threads, seed, N=100_000, samples=200, mc_samples=2
     mc_ids = range(2_000_000, 2_000_000 + mc_samples)
     depth = system.depth_for_diameter(5.0 / 9.0 / 1000.0)
     mc_block = sample_symbol_block(backend, seed, mc_ids, 30 + depth)
-    mc_pos = project_windows(mc_block, system, depth)
-    mc_hit = np.abs(mc_pos[:, 30] - mc_pos[:, 0]) <= 5.0 / 9.0
+    # only the start and the step-30 point, each projected from its own window
+    mc_x0 = project_windows(mc_block[:, :depth], system, depth)[:, 0]
+    mc_x30 = project_windows(mc_block[:, 30:], system, depth)[:, 0]
+    mc_hit = np.abs(mc_x30 - mc_x0) <= 5.0 / 9.0
     est = float(mc_hit.mean())
     sigma = math.sqrt(0.625 * 0.375 / mc_samples)
     summary = summarize_records(records)
@@ -1357,24 +1365,15 @@ def _example_staircase(threads, seed, N=1_000_000, samples=200, quadrature_sampl
     finals = np.array([r.final.count for r in records])
     cps = [cp.N for cp in records[0].checkpoints]
     # quadrature over an independent sample set: mean own-ball sums
-    ns = np.arange(1, N + 1)
-    ks = np.rint(-np.log(psi.values(ns)) / _LN3).astype(np.int64)
-    kmax = int(ks.max())
+    ks = _cantor_levels(psi.values(np.arange(1, N + 1)))
     qids = range(1_000_000, 1_000_000 + quadrature_samples)
-    qblock = sample_symbol_block(backend, seed, qids, kmax)
-    w = np.asarray(probs)[np.asarray(qblock, dtype=np.int64) - 1]
-    prefix = np.concatenate(
-        [np.ones((quadrature_samples, 1)), np.cumprod(w, axis=1)], axis=1)
-    integral = []
-    for cpn in cps:
-        cnt = np.bincount(ks[:cpn], minlength=kmax + 1)
-        integral.append(float((prefix @ cnt).mean()))
-    # per-point tail probe: largest summand past the split, plus realized tails
+    qblock = sample_symbol_block(backend, seed, qids, int(ks.max()))
+    prefix, counts = _staircase_terms(probs, qblock, ks, cps + [tail_split])
+    integral = [float((prefix @ cnt).mean()) for cnt in counts[:-1]]
+    # per-point tail probe: largest summand past the split, realized tails
     k_split = int(math.floor(alpha * math.log(tail_split + 1)))
     tails_max = prefix[:tail_points, k_split]
-    n_lo = np.bincount(ks[:tail_split], minlength=kmax + 1)
-    n_hi = np.bincount(ks, minlength=kmax + 1)
-    realized = (prefix[:tail_points] @ (n_hi - n_lo))
+    realized = prefix[:tail_points] @ (counts[-2] - counts[-1])
     summary = summarize_records(records)
     return {
         "example": "ABB",

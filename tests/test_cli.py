@@ -329,6 +329,20 @@ PINNED_RUNS = {
         "990f46ebbf9f03344ff24edcb0c42b220ef9a3d2c1bfdf8449feadfd21ce9cc5",
         "5005bc29af6f8f9d6c5d068f2a5f65d42d2c421031a9bc74ee6b4fc9e8dbae4a",
     ),
+    # named analyses: ABB's integral_sum and tail_probe, 7.1's mc_step30
+    "named_7.1": (
+        {"experiment": {"kind": "named_example", "name": "7.1", "seed": 7101,
+                        "overrides": {"N": 20000, "samples": 40, "mc_samples": 20000}}},
+        "d0a7aa7a5de1ec3f200e15cee2a0961da2f6a09780d64be7789016ab4dc5b122",
+        "f4688bc682d2832703e6e20efdc0c7d3ec4780c87fe6110e814a781ebd9a3a85",
+    ),
+    "named_ABB": (
+        {"experiment": {"kind": "named_example", "name": "ABB", "seed": 311,
+                        "overrides": {"N": 50000, "samples": 20, "quadrature_samples": 1024,
+                                      "tail_points": 5, "tail_split": 10000}}},
+        "175c7ba823b0d5eba257c6fa1dada4cac0ac5578257e6790e26ddd61bdfdafc7",
+        "c342285d1dd7971f4a1e104af09bddd6dc9e2e9a1f51679bbd35e8c90dc33147",
+    ),
 }
 
 

@@ -47,6 +47,7 @@ from selfconformal.experiments import (
 from selfconformal.experiments import (
     _CheckpointCounts,
     _RunSpec,
+    _cantor_levels,
     _mass_quota_hits,
     _staircase_alpha_window,
 )
@@ -926,6 +927,29 @@ class TestCountingMemory:
         small, large = 10 ** 5, 10 ** 6
         growth = self._peak(lambda: run(large)) - self._peak(lambda: run(small))
         assert growth <= self.STEP_WORDS * 8 * (large - small) + self.SLACK
+
+
+class TestCantorLevels:
+    def test_levels_exact_and_pass_memory(self):
+        """The levels k with psi(n) = 3^-k, or None; at N = 10^6 the pass
+        holds at most 12 bytes per radius above the radii themselves."""
+        N = 10 ** 6
+        ns = np.arange(1, N + 1)
+        alpha = 0.5 * sum(_staircase_alpha_window((0.2, 0.8)))
+        radii = PowerLogRadius(alpha).values(ns)
+        tracemalloc.start()
+        try:
+            ks = _cantor_levels(radii)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * N + 2 ** 16
+        assert ks.dtype == np.int16
+        np.testing.assert_array_equal(ks, np.floor(alpha * np.log(ns)))
+        for k in (0, 1, 5, 31):
+            np.testing.assert_array_equal(_cantor_levels(ConstantRadius(3.0 ** -k).values(ns)), k)
+        assert _cantor_levels(ConstantRadius(5.0 / 9.0).values(ns)) is None
+        assert _cantor_levels(PowerRadius(1.0, 0.5).values(ns)) is None
 
 
 def _record_with(counts_psi):
