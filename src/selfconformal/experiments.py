@@ -470,34 +470,27 @@ def _mass_quota_hits(spec, x0s, dist, radii):
     A step is a hit when the ball around the start point through the orbit
     point carries less measure than the step's quota ``psi(n)`` (equivalent
     to the distance lying below the measure-equalized radius, since the
-    radial mass is monotone and continuous). A step whose mass lies within
-    the oracle's modulus over ``2 prec`` of the quota is refined at
-    ``d -+ 2 prec`` and flagged when undecided. The run has checked that the
-    oracle has a closed form.
+    radial mass is monotone and continuous). Start and orbit points are each
+    known to ``prec``, so the step is a definite miss when the ball at
+    ``max(d - 2 prec, 0)`` carries at least the quota and a definite hit when
+    the ball at ``d + 2 prec`` carries less. The balls are taken lazily: every
+    step takes the inner ball, the steps it does not miss take the outer one,
+    and only the steps still open take the ball at ``d``, are flagged and
+    counted by its bracket midpoint. The run has checked that the oracle has
+    a closed form.
     """
+    backend, budget, slack = spec.backend, spec.ball_budget, 2.0 * spec.prec
+    center = np.asarray(x0s, dtype=float)[:, None]
     quota = np.broadcast_to(radii, dist.shape)
-    slack = 2.0 * spec.prec
-    x = np.repeat(np.asarray(x0s, dtype=float), dist.shape[1])
-    d = dist.reshape(-1)
-    q = quota.reshape(-1)
-    backend, budget = spec.backend, spec.ball_budget
-    mid_lo, mid_hi = _radial_mass(backend, x, d, budget)
-    mid = 0.5 * (mid_lo + mid_hi)
-    _, modulus = _closed_form(backend)
-    guard = modulus(2.0 * slack) + (mid_hi - mid_lo)
-    cand = np.abs(mid - q) <= guard
-    hit = mid < q
-    flag = np.zeros(d.shape, dtype=bool)
-    if cand.any():
-        xc, dc, qc = x[cand], d[cand], q[cand]
-        in_lo, _ = _radial_mass(backend, xc, np.maximum(dc - slack, 0.0), budget)
-        _, out_hi = _radial_mass(backend, xc, dc + slack, budget)
-        definite_hit = out_hi < qc
-        definite_miss = in_lo >= qc
-        sub_flag = ~(definite_hit | definite_miss)
-        flag[cand] = sub_flag
-        hit[cand] = np.where(sub_flag, mid[cand] < qc, definite_hit)
-    return hit.reshape(dist.shape), flag.reshape(dist.shape)
+    live = _radial_mass(backend, center, np.maximum(dist - slack, 0.0), budget)[0] < quota
+    centers = np.broadcast_to(center, dist.shape)
+    hit = np.zeros(dist.shape, dtype=bool)
+    out_hi = _radial_mass(backend, centers[live], dist[live] + slack, budget)[1]
+    hit[live] = out_hi < quota[live]
+    flag = live & ~hit
+    mid_lo, mid_hi = _radial_mass(backend, centers[flag], dist[flag], budget)
+    hit[flag] = 0.5 * (mid_lo + mid_hi) < quota[flag]
+    return hit, flag
 
 
 def _shared_psi_sums(kind, backend, targets, radii, cp_idx, ball_budget):
@@ -762,14 +755,14 @@ def recurrence_modified_run(
     is exactly ``psi(n)`` (radius capped at the attractor diameter when
     ``psi(n) >= 1``), so ``psi_sum`` is the exact expected count
     ``sum psi(n)``. A step is a hit when the radial mass through the orbit
-    point lies below the quota, decided the same way for every backend: one
-    oracle pass at the observed distance ``d``, a screen that settles every
-    step farther from the quota than the oracle's certified modulus over the
-    position uncertainty ``2 prec``, and a refinement with the balls at
-    ``d -+ 2 prec`` only near the quota; a step neither ball decides is
-    flagged and counted by the midpoint rule. The comparison needs a
-    closed-form CDF (density or weighted ternary-Cantor backends); other
-    backends raise ``CertificationError`` before sampling.
+    point lies below the quota, decided the same way for every backend by
+    two oracle balls around the start point that cover the position
+    uncertainty ``2 prec`` of the observed distance ``d``: the step misses
+    when the ball at ``max(d - 2 prec, 0)`` carries at least the quota and
+    hits when the ball at ``d + 2 prec`` carries less; a step neither ball
+    decides is flagged and counted by the midpoint rule at ``d``. The
+    comparison needs a closed-form CDF (density or weighted ternary-Cantor
+    backends); other backends raise ``CertificationError`` before sampling.
     ``sample_ids`` replaces the default id range, with the same checks.
     """
     return _run_counting(system, backend, "modified", psi, N, samples, seed,
@@ -1353,7 +1346,15 @@ def _example_staircase(threads, seed, N=1_000_000, samples=200, quadrature_sampl
     per-sample counts stay bounded, that is finite for mu-almost every start
     point; no bound holds uniformly across samples, since each count tracks
     its own-ball sum and the largest count grows with the mean sum.
+    The tail probe reads the first ``tail_points`` quadrature samples past
+    step ``tail_split``, so it refuses ``tail_split >= N`` and
+    ``tail_points > quadrature_samples`` before any sampling.
     """
+    if tail_split >= N:
+        raise ValueError(f"tail_split {tail_split} must be below N {N}")
+    if tail_points > quadrature_samples:
+        raise ValueError(f"tail_points {tail_points} must be at most "
+                         f"quadrature_samples {quadrature_samples}")
     probs = (0.2, 0.8)
     system = builtin_system("middle_third_cantor")
     backend = BernoulliBackend(system, probs)

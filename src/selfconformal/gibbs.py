@@ -130,7 +130,6 @@ DENSITY_CATALOG = {
         "eigenvalue": 1.0,
         "tau": 1.0,
         "support": (0.0, 1.0),  # the interval where cdf and density hold
-        "sup_density": 1.0 / _LOG2,  # sup of the density on the support, at x = 0
     }
 }
 
@@ -273,7 +272,6 @@ class DensityBackend:
         _check_invariant(system, self.cdf, self._root, name)
         self.density = cat["density"]
         self.eigenvalue = cat["eigenvalue"]
-        self.sup_density = cat["sup_density"]
         self._tables = {}
 
     def word_interval(self, word: FiniteWord) -> Tuple[float, float]:

@@ -18,11 +18,10 @@ bounded chunks that carries only the live points from level to level: a
 point stops exactly when it lands in a removed gap, and NaN gets the vacuous
 bracket [0, 1].
 
-A closed form also states its certified modulus, which bounds the mass of
-two radial shells of a given total width.  A measure-equalized run decides
-every step with it: one oracle pass at the observed distance ``d``, a screen
-by the modulus, and a refinement at ``d -+ 2 prec`` only near the quota,
-where a step neither ball decides is flagged.
+A measure-equalized run decides each step by two oracle balls around its
+start point, at ``max(d - 2 prec, 0)`` and ``d + 2 prec`` for the observed
+distance ``d``; a step neither ball decides takes the ball at ``d`` and is
+flagged.
 
 ``t_n_radius`` inverts r |-> mu(B(x, r)) by bisection and terminates only when
 the measure bracket at the returned radius certifies the target value within
@@ -31,13 +30,13 @@ the requested measure tolerance.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .gibbs import BernoulliBackend, DensityBackend, MeasureBackend, SpectralBackend
+from .gibbs import (BernoulliBackend, DensityBackend, MeasureBackend, SpectralBackend,
+                    _check_table_level)
 from .ifs import (Affine1D, IfsSystem, _child_state, _distance_range, _initial_state,
                   _point_value, _state_boxes, _to_coords)
 from .symbolic import PointRd, as_point
@@ -300,9 +299,7 @@ def _descend(backend: MeasureBackend, classify, n: int, depth_budget: int):
     system = backend.system
     if depth_budget < 1:
         raise ValueError("depth_budget must be >= 1")
-    if isinstance(backend, SpectralBackend) and depth_budget > backend.max_depth:
-        raise ValueError(f"depth_budget {depth_budget} is beyond the spectral "
-                         f"table depth {backend.max_depth}")
+    _check_table_level(backend, depth_budget)
     lower, upper = np.zeros(n), np.zeros(n)
     if n == 0:
         return lower, upper
@@ -383,10 +380,6 @@ def region_measure(
 
 _CDF_WALK_LEVELS = 60
 _CDF_WALK_CHUNK = 1 << 15
-_LN3 = math.log(3.0)
-# a density oracle's rounding: two masses are four CDF values, each within a
-# few ulps of 1 at arguments in [0, 2], and two rounded differences
-_DENSITY_ROUNDING = 32 * float(np.finfo(float).eps)
 
 
 def _is_middle_third_cantor(system: IfsSystem) -> bool:
@@ -456,46 +449,30 @@ def _cantor_walk_chunk(p1: float, p2: float, y, lo, hi) -> None:
     hi[idx] = acc + w
 
 
-def _cantor_modulus(probs: Sequence[float], delta: float) -> float:
-    """Upper bound for the mass that two radial shells of total width
-    ``delta`` (or one interval of length ``delta``) can carry under a weighted
-    ternary Cantor measure, plus the residual of the
-    ``_CDF_WALK_LEVELS``-level CDF walk."""
-    if delta <= 0.0:
-        return 4.0 * max(probs) ** _CDF_WALK_LEVELS
-    pmax = max(probs)
-    k = int(math.floor(math.log(max(1.0 / delta, 1.0)) / _LN3))
-    k = min(max(k, 0), _CDF_WALK_LEVELS)
-    return 2.0 * pmax ** k + 4.0 * pmax ** _CDF_WALK_LEVELS
-
-
 def _closed_form(backend: MeasureBackend):
-    """The pair ``(cdf, modulus)`` of a backend with a closed form, or None.
+    """The CDF bracket of a backend with a closed form, or None.
 
-    ``cdf(y)`` brackets ``F(y) = mu((-inf, y])`` as ``(F_lo, F_hi)`` arrays.
-    ``modulus(delta)`` bounds the mass of two radial shells of total width
-    ``delta``, the residual and rounding of the brackets included.  A density
-    backend takes its catalog CDF clipped to the attractor interval and
-    ``delta * sup h`` plus rounding; a Bernoulli measure on the middle-third
-    Cantor set takes ``cantor_cdf_bracket`` and ``_cantor_modulus``.
+    The bracket maps ``y`` to ``(F_lo, F_hi)`` arrays around
+    ``F(y) = mu((-inf, y])``.  A density backend takes its catalog CDF clipped
+    to the attractor interval (both ends the same array); a Bernoulli measure
+    on the middle-third Cantor set takes ``cantor_cdf_bracket``.
     """
     if isinstance(backend, DensityBackend):
         lo, hi = backend.system.attractor_box.lo[0], backend.system.attractor_box.hi[0]
-        sup_h = backend.sup_density
-        return (lambda y: (backend.cdf(np.clip(y, lo, hi)),) * 2,
-                lambda delta: max(delta, 0.0) * sup_h + _DENSITY_ROUNDING)
+        return lambda y: (backend.cdf(np.clip(y, lo, hi)),) * 2
     if isinstance(backend, BernoulliBackend) and _is_middle_third_cantor(backend.system):
-        return (lambda y: cantor_cdf_bracket(backend.probs, y),
-                lambda delta: _cantor_modulus(backend.probs, delta))
+        return lambda y: cantor_cdf_bracket(backend.probs, y)
     return None
 
 
 def _radial_mass(backend: MeasureBackend, centers, radii, depth_budget: int):
     """Lower and upper arrays for ``mu(B(x_i, r_i))``: the one radial-mass oracle.
 
-    ``radii`` holds positive radii; ``centers`` broadcasts to their shape on
-    the line, and to their shape plus a trailing (x, y) axis in the plane
-    (the coordinates ``project_windows`` returns).  With a closed-form CDF
+    ``radii`` holds positive radii, or zeros where a closed form serves them
+    (the empty ball a measure-equalized step's inner ball can shrink to);
+    ``centers`` broadcasts to their shape on the line, and to their shape plus
+    a trailing (x, y) axis in the plane (the coordinates ``project_windows``
+    returns), so a broadcast view costs no copy.  With a closed-form CDF
     bracket ``F`` every ball costs one vectorized call:
     ``[F_lo(x+r) - F_hi(x-r), F_hi(x+r) - F_lo(x-r)]``, clipped at 0.  Otherwise
     one cylinder descent (``_descend``) brackets all the balls together to at
@@ -507,9 +484,8 @@ def _radial_mass(backend: MeasureBackend, centers, radii, depth_budget: int):
     dim = backend.system.dim
     shape = radii.shape if dim == 1 else radii.shape + (dim,)
     centers = np.broadcast_to(np.asarray(centers, dtype=float), shape)
-    form = _closed_form(backend)
-    if form is not None:
-        cdf, _ = form
+    cdf = _closed_form(backend)
+    if cdf is not None:
         flo, fhi = cdf(np.concatenate([(centers - radii).ravel(), (centers + radii).ravel()]))
         half = radii.size
         lo = np.maximum(flo[half:] - fhi[:half], 0.0)

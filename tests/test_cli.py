@@ -305,6 +305,17 @@ PINNED_RUNS = {
         "ca7af40c006c2a25c6cb633a0fefa622faf43eb0583a3aaee6f4b0ab3617e0ff",
         "68b23a3fe0845a9cd85ae78b7730b686eb135027262f5015908610995e2dd273",
     ),
+    "density_modified": (
+        {
+            "system": {"builtin": "moebius_interval_quartet"},
+            "potential": {"type": "density", "name": "reciprocal_log2"},
+            "experiment": {"kind": "recurrence_modified",
+                           "psi": {"type": "power", "c": 1.0, "beta": 0.5},
+                           "N": 1500, "samples": 5, "seed": 23},
+        },
+        "d6ab5fc9f9020007c5f5c02a2eccee7f6bf5ff722825cfb7ce2d67254e300672",
+        "2c80e89dc81159cb173f5c2b70431065515f02b2bbaf0ee834cfc618717dd02b",
+    ),
     # no closed form: target-ball and own-ball masses come from the pruner
     "pruner_shrink": (
         {
@@ -539,6 +550,14 @@ class TestShippedExamples:
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["kind"] == "config"
         assert hint in err["message"] and next(iter(overrides)) in err["message"]
+
+    def test_abb_tail_split_past_n_exit_2_no_artifacts(self, tmp_path, capsys):
+        cfg = {"experiment": {"kind": "named_example", "name": "ABB", "seed": 1,
+                              "overrides": {"N": 20000, "samples": 5}}}
+        out = tmp_path / "out"
+        assert run(write_config(tmp_path, cfg), str(out)) == EXIT_CONFIG
+        assert not out.exists()
+        assert "tail_split" in json.loads(capsys.readouterr().err)["error"]["message"]
 
     def test_fractional_override_exit_2_no_artifacts(self, tmp_path, capsys):
         cfg = {"experiment": {"kind": "named_example", "name": "7.1", "seed": 1,

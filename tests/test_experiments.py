@@ -52,7 +52,6 @@ from selfconformal.experiments import (
     _staircase_alpha_window,
 )
 from selfconformal.gibbs import (
-    DENSITY_CATALOG,
     BernoulliBackend,
     BernoulliPotential,
     ConformalPowerPotential,
@@ -69,10 +68,8 @@ from selfconformal.measure import (
     ConstantRadius,
     PowerLogRadius,
     PowerRadius,
-    _closed_form,
     _radial_mass,
     ball_measure,
-    cantor_cdf_bracket,
     region_measure,
 )
 from selfconformal.symbolic import FiniteWord, PointRd
@@ -430,36 +427,6 @@ class TestRunKeysRefused:
         assert [r.sample_id for r in recs] == [0, top]
 
 
-class TestIntervalMassBound:
-    """The oracle's modulus bounds the mass of any interval of its width."""
-
-    def test_bounds_actual_interval_masses(self, weighted):
-        probs = (0.3, 0.7)
-        _, modulus = _closed_form(weighted)
-        rng = np.random.default_rng(4)
-        for _ in range(200):
-            delta = 10.0 ** rng.uniform(-9, -0.5)
-            a = rng.uniform(-0.1, 1.1)
-            flo, fhi = cantor_cdf_bracket(probs, np.array([a, a + delta]))
-            mass = fhi[1] - flo[0]
-            assert mass <= modulus(delta) + 1e-12
-
-    def test_density_modulus_is_sup_density_times_width(self, density):
-        entry = DENSITY_CATALOG[density.name]
-        sup_h = entry["sup_density"]
-        grid = np.linspace(0.0, 1.0, 100_001)
-        assert np.all(entry["density"](grid) <= sup_h)
-        assert entry["density"](0.0) == pytest.approx(sup_h, rel=1e-15)
-        _, modulus = _closed_form(density)
-        rng = np.random.default_rng(5)
-        for _ in range(200):
-            delta = 10.0 ** rng.uniform(-13, -0.5)
-            a = rng.uniform(-0.1, 1.0)
-            mass = float(np.diff(entry["cdf"](np.clip([a, a + delta], 0.0, 1.0)))[0])
-            assert mass <= modulus(delta)
-            assert modulus(delta) - delta * sup_h < 1e-13
-
-
 # ---------------------------------------------------------------------------
 # shrinking-target runs
 # ---------------------------------------------------------------------------
@@ -775,6 +742,70 @@ class TestRecurrenceModified:
         assert flag.any() and (~flag).any()
         assert np.array_equal(flag, ref_flag)
         assert np.array_equal(hit, ref_hit)
+
+    @pytest.mark.parametrize("system_name, backend_name",
+                             [("cantor", "weighted"), ("quartet", "density")])
+    def test_each_ball_takes_only_the_steps_still_open(self, request, monkeypatch,
+                                                       system_name, backend_name):
+        # the inner ball takes every step, the outer ball the steps the inner
+        # one does not miss, the ball at d only the flagged steps
+        system = request.getfixturevalue(system_name)
+        backend = request.getfixturevalue(backend_name)
+        N, S = 400, 10
+        depth = system.depth_for_diameter(1e-12)
+        prec = system.diameter_bound(depth)
+        pos = project_windows(sample_symbol_block(backend, 11, range(S), N + depth),
+                              system, depth)
+        x0s, dist = pos[:, 0], np.abs(pos[:, 1:] - pos[:, [0]])
+        lo, hi = _radial_mass(backend, np.repeat(x0s, N), dist.reshape(-1), 45)
+        rng = np.random.default_rng(12)
+        eps = rng.choice([-1.0, 1.0], S * N) * 10.0 ** rng.uniform(-16, -3, S * N)
+        quota = (0.5 * (lo + hi) * (1.0 + eps)).reshape(S, N)
+        spec = _RunSpec(backend, "modified", 11, quota[0], np.array([N - 1]), "mass",
+                        depth, prec, N + depth, np.array([quota[0].sum()]), 45)
+        points = []
+
+        def counted(backend, centers, radii, depth_budget):
+            points.append(np.size(radii))
+            return _radial_mass(backend, centers, radii, depth_budget)
+
+        monkeypatch.setattr(experiments, "_radial_mass", counted)
+        hit, flag = _mass_quota_hits(spec, x0s, dist, quota)
+        in_lo, _ = _radial_mass(backend, x0s[:, None], np.maximum(dist - 2.0 * prec, 0.0), 45)
+        not_missed = int(np.count_nonzero(in_lo < quota))
+        assert points == [S * N, not_missed, int(np.count_nonzero(flag))]
+        assert S * N > not_missed > np.count_nonzero(flag) > 0
+
+    # a decision that took the ball at d for every step first, then screened
+    # the steps near the quota, peaked at 86.6 B per step on the weighted
+    # Cantor window and 64.0 on the quartet density one; this rule reads 78.6
+    # and 56.0
+    @pytest.mark.parametrize("system_name, backend_name, bytes_per_step",
+                             [("cantor", "weighted", 83), ("quartet", "density", 60)])
+    def test_window_decision_peak_memory(self, request, system_name, backend_name,
+                                         bytes_per_step):
+        system = request.getfixturevalue(system_name)
+        backend = request.getfixturevalue(backend_name)
+        rows = 50
+        width = dynamics._window_width(rows)
+        depth = system.depth_for_diameter(1e-12)
+        prec = system.diameter_bound(depth)
+        pos = project_windows(sample_symbol_block(backend, 3, range(rows), width + depth),
+                              system, depth)
+        x0s = pos[:, 0].copy()
+        dist = np.abs(pos[:, 1:] - x0s[:, None])
+        radii = PowerRadius(1.0, 0.5).values(np.arange(1, width + 1))
+        spec = _RunSpec(backend, "modified", 3, radii, np.array([width - 1]), "mass",
+                        depth, prec, width + depth, np.array([radii.sum()]), 45)
+        del pos
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _mass_quota_hits(spec, x0s, dist, radii)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= bytes_per_step * dist.size
 
     def test_ahlfors_sandwich_between_pure_and_equalized_hits(self, cantor, uniform):
         # on the uniform Cantor set  r^tau/2 <= mu(B(x,r)) <= 6 r^tau,  so
@@ -1307,6 +1338,20 @@ class TestNamedExamples:
         assert abs(rep["mc_step30"]["z"]) < 4.0
         assert len(rep["records"]) == 30
         json.dumps({k: v for k, v in rep.items() if k != "records"})
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"N": 20000, "samples": 5}, "tail_split 100000 must be below N 20000"),
+        ({"N": 50000, "samples": 3, "quadrature_samples": 16, "tail_points": 40,
+          "tail_split": 10000}, "tail_points 40 must be at most quadrature_samples 16"),
+    ])
+    def test_staircase_refuses_tail_probe_overrides_before_running(
+            self, monkeypatch, overrides, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran the recurrence before refusing the overrides")
+
+        monkeypatch.setattr(experiments, "recurrence_pure_run", refuse)
+        with pytest.raises(ValueError, match=message):
+            run_named_example("ABB", overrides)
 
     def test_staircase_alpha_window_matches_high_precision(self):
         from mpmath import mp, mpf, log as mlog

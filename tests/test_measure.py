@@ -425,6 +425,14 @@ class TestBallMeasureDensity:
                 quartet_spectral, BallRegion(as_point((0.5,), 1), 0.25), depth_budget=9
             )
 
+    def test_descent_past_the_table_takes_the_shared_refusal(self):
+        # the descent and the level tables refuse a level past the table alike
+        system = builtin_system("moebius_interval_quartet")
+        pot = ConformalPowerPotential(1.0)
+        shallow = SpectralBackend(system, eigen_solve(system, pot, depth=6), pot)
+        with pytest.raises(ValueError, match=r"^level 7 is beyond the spectral table depth 6$"):
+            region_measure(shallow, BallRegion(as_point(0.5), 0.25), depth_budget=7)
+
     @given(
         x=st.floats(min_value=-0.2, max_value=1.2),
         r=st.floats(min_value=0.02, max_value=1.0),
