@@ -15,6 +15,11 @@ output directory:
     The fully-resolved configuration (defaults materialized, seed and thread
     overrides applied). Re-running the echo reproduces the same artifacts.
 
+A config is valid when the shipped schema accepts it and it holds no
+non-finite number (Python's ``json`` reads ``NaN`` and ``Infinity``, JSON has
+neither). A small checker applies the schema; ``jsonschema`` is imported only
+to word a refusal, so a valid run starts without it.
+
 Exit codes: 0 on success, 2 for unreadable / malformed / schema-invalid
 configurations (nothing is written), 3 for numeric certification failures or
 a flagged fraction above the configured ``flag_budget`` (a machine-readable
@@ -27,12 +32,11 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import sys
 from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence
-
-import jsonschema
 
 from .experiments import (
     NAMED_EXAMPLES,
@@ -82,15 +86,130 @@ def load_schema() -> dict:
     return json.loads(text)
 
 
-def validate_config(config: dict) -> None:
-    """Raise :class:`ConfigError` when the config violates the shipped schema.
+def _non_finite(value, path=()):
+    """Path and value of the first non-finite float in ``value``, or ``None``."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return path, value
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        found = _non_finite(item, path + (key,))
+        if found is not None:
+            return found
+    return None
 
-    Reports the error ``jsonschema.validate`` would, without checking the
-    shipped schema against its metaschema on every call (the tests do that).
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "null": lambda v: v is None,
+    "number": _is_number,
+    "integer": lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()),
+}
+
+
+def _equal(a, b) -> bool:
+    """JSON equality: ``true`` is not ``1``, but ``1.0`` is."""
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_equal, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_equal(a[k], b[k]) for k in a)
+    return isinstance(a, bool) == isinstance(b, bool) and a == b
+
+
+def _ref(instance, ref, schema, root) -> bool:
+    if not ref.startswith("#/"):
+        raise ValueError(f"unsupported $ref {ref!r}")
+    target = root
+    for part in ref[2:].split("/"):
+        target = target[part]
+    return _conforms(instance, target, root)
+
+
+def _if(instance, condition, schema, root) -> bool:
+    branch = schema.get("then" if _conforms(instance, condition, root) else "else", True)
+    return _conforms(instance, branch, root)
+
+
+# keyword -> (the JSON type it constrains, None for every type; its check on
+# (instance, keyword value, enclosing schema, root schema))
+_KEYWORDS = {
+    "type": (None, lambda i, v, s, r: _TYPES[v](i)),
+    "const": (None, lambda i, v, s, r: _equal(i, v)),
+    "enum": (None, lambda i, v, s, r: any(_equal(i, e) for e in v)),
+    "$ref": (None, _ref),
+    "not": (None, lambda i, v, s, r: not _conforms(i, v, r)),
+    "allOf": (None, lambda i, v, s, r: all(_conforms(i, e, r) for e in v)),
+    "anyOf": (None, lambda i, v, s, r: any(_conforms(i, e, r) for e in v)),
+    "oneOf": (None, lambda i, v, s, r: sum(_conforms(i, e, r) for e in v) == 1),
+    "if": (None, _if),
+    "required": ("object", lambda i, v, s, r: all(k in i for k in v)),
+    "properties": ("object", lambda i, v, s, r: all(
+        _conforms(i[k], e, r) for k, e in v.items() if k in i)),
+    "additionalProperties": ("object", lambda i, v, s, r: all(
+        _conforms(e, v, r) for k, e in i.items() if k not in s.get("properties", {}))),
+    "items": ("array", lambda i, v, s, r: all(_conforms(e, v, r) for e in i)),
+    "minItems": ("array", lambda i, v, s, r: len(i) >= v),
+    "maxItems": ("array", lambda i, v, s, r: len(i) <= v),
+    "minimum": ("number", lambda i, v, s, r: i >= v),
+    "maximum": ("number", lambda i, v, s, r: i <= v),
+    "exclusiveMinimum": ("number", lambda i, v, s, r: i > v),
+    "exclusiveMaximum": ("number", lambda i, v, s, r: i < v),
+}
+# annotations, and the branches that "if" reads
+_SKIPPED = frozenset({"$schema", "$id", "title", "description", "$defs", "then", "else"})
+
+
+def _conforms(instance, schema, root=None) -> bool:
+    """Whether ``instance`` is valid under the draft 2020-12 ``schema``.
+
+    Reads only the keywords the shipped config schema uses (``_KEYWORDS``,
+    with local ``$ref``); any other keyword raises ``ValueError`` rather than
+    being ignored.
     """
+    if isinstance(schema, bool):
+        return schema
+    unknown = schema.keys() - _KEYWORDS.keys() - _SKIPPED
+    if unknown:
+        raise ValueError(f"unsupported schema keywords {sorted(unknown)}")
+    root = schema if root is None else root
+    for key, value in schema.items():
+        if key in _SKIPPED:
+            continue
+        applies, check = _KEYWORDS[key]
+        if (applies is None or _TYPES[applies](instance)) and not check(
+                instance, value, schema, root):
+            return False
+    return True
+
+
+def validate_config(config: dict) -> None:
+    """Raise :class:`ConfigError` when the config violates the shipped schema
+    or holds a non-finite number.
+
+    ``_conforms`` decides validity; only a refused config imports
+    ``jsonschema``, whose best-matching error words the message.
+    """
+    found = _non_finite(config)
+    if found is not None:
+        path, value = found
+        where = "/".join(str(p) for p in path) or "(root)"
+        raise ConfigError(f"schema violation at {where}: "
+                          f"{json.dumps(value)} is not a finite number")
+    schema = load_schema()
+    if _conforms(config, schema):
+        return
+    import jsonschema
+
     exc = jsonschema.exceptions.best_match(
-        jsonschema.Draft202012Validator(load_schema()).iter_errors(config))
-    if exc is None:
+        jsonschema.Draft202012Validator(schema).iter_errors(config))
+    if exc is None:  # jsonschema accepts what the checker refused: it decides
         return
     path = "/".join(str(p) for p in exc.absolute_path) or "(root)"
     message = exc.message

@@ -28,7 +28,6 @@ import inspect
 import itertools
 import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import List, Mapping, Optional, Sequence, Tuple
 
@@ -618,7 +617,7 @@ def _run_counting(
     if not ids:
         return []
     radii = psi.values(np.arange(1, N + 1))
-    if np.any(radii <= 0.0):
+    if not np.all(radii > 0.0):  # NaN fails too
         raise ValueError("radius function must be strictly positive")
     # the plan: the hit test follows from the run's kind, measure and radii
     ks = None
@@ -652,6 +651,9 @@ def _run_counting(
     if len(blocks) == 1:
         records = _counting_chunk(spec, ids)
     else:
+        # imported here: a run with one worker block never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
             parts = list(pool.map(_counting_chunk, itertools.repeat(spec), blocks))
         records = [r for part in parts for r in part]

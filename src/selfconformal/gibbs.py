@@ -80,7 +80,7 @@ class BernoulliPotential:
 
     def __post_init__(self):
         object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
-        if any(p <= 0 for p in self.probs):
+        if any(not p > 0 for p in self.probs):  # NaN fails too
             raise ValueError("weights must be positive")
         if abs(sum(self.probs) - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1")

@@ -1,14 +1,19 @@
 """Tests for the config-driven command line: artifacts, exit codes, closure."""
 
+import copy
 import hashlib
 import json
+import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from selfconformal import experiments, gibbs
 from selfconformal.cli import (
@@ -16,6 +21,7 @@ from selfconformal.cli import (
     EXIT_CERTIFICATION,
     EXIT_CONFIG,
     EXIT_OK,
+    _conforms,
     list_examples,
     load_schema,
     main,
@@ -123,6 +129,156 @@ class TestSchema:
         assert err["kind"] == "config"
         assert err["message"].startswith(f"schema violation at {path}: ")
         assert f"'{key}'" in err["message"]
+
+
+_BOUND_KEYWORDS = ("minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum")
+
+
+def _schema_words(schema, keys, strings, bounds):
+    """Collect the property names, string constants and numeric bounds a
+    schema names."""
+    if isinstance(schema, dict):
+        keys.update(schema.get("properties", {}))
+        keys.update(schema.get("required", ()))
+        for key in ("enum", "const"):
+            values = schema.get(key, [])
+            strings.update(v for v in (values if isinstance(values, list) else [values])
+                           if isinstance(v, str))
+        bounds.update(schema[key] for key in _BOUND_KEYWORDS if key in schema)
+        for value in schema.values():
+            _schema_words(value, keys, strings, bounds)
+    elif isinstance(schema, list):
+        for value in schema:
+            _schema_words(value, keys, strings, bounds)
+    return keys, strings, bounds
+
+
+_SCHEMA = load_schema()
+_KEYS, _STRINGS, _BOUNDS = _schema_words(_SCHEMA, set(), set(), set())
+_KEYS = sorted(_KEYS | {"surprise", "hit_test"})
+_BOUNDS = sorted(_BOUNDS)
+_VALUES = [
+    None, True, False,
+    0, 1, 2, -1, 3, 14, 15, 200, 201, 2 ** 64 - 1, 2 ** 64,
+    0.0, -0.0, 0.5, 1.0, 2.0, -0.5, 1.5, 1e300,
+    *sorted(_STRINGS), "x",
+    [], [0.5, 0.5], [0.0], [True, 0.5], [1, 2], [[0.1]], [[0.0, 0.0], [1.0, 1.0]],
+    [0.3, 0.7, 0.0], [{"type": "affine1d", "a": 0.5, "b": 0.0}] * 2,
+    {}, {"type": "constant", "c": 0.5}, {"type": "power", "c": 1.0, "beta": 0.5},
+    {"type": "power_log", "alpha": 1.0}, {"type": "density", "name": "reciprocal_log2"},
+    {"type": "spectral", "base": {"type": "conformal_power", "s": 1.0}, "depth": 6},
+    {"type": "spectral", "base": {"type": "bernoulli", "p": [0.5, 0.5]}, "depth": 3},
+    {"builtin": "sierpinski_triangle"}, {"ball": 6}, {"N": 5},
+    {"kind": "named_example", "name": "B.2", "seed": 1},
+]
+
+
+def _differential_seeds():
+    seeds = [read_config(str(shipped_example_path(name))) for name in sorted(NAMED_EXAMPLES)]
+    for name in sorted(BUILTIN_SYSTEMS):
+        cfg = small_config()
+        cfg["system"] = system_to_json(builtin_system(name))
+        seeds.append(cfg)
+    seeds += [small_config(kind=kind) for kind in
+              ("shrinking_target", "recurrence_pure", "recurrence_modified", "named_example")]
+    # numbers at the schema's bounds, so that a nudge crosses them
+    seeds.append(small_config(seed=2 ** 64 - 1, epsilon=1e-9, flag_budget=0,
+                              depth_budgets={"ball": 200}, checkpoints=[1]))
+    seeds.append({**small_config(), "threads": 1, "potential": {
+        "type": "spectral", "base": {"type": "bernoulli", "p": [1e-9, 0.999999999]},
+        "depth": 14}})
+    return seeds
+
+
+_SEEDS = _differential_seeds()
+_VALIDATOR = jsonschema.Draft202012Validator(_SCHEMA)
+
+
+def _paths(node, path=()):
+    """Every path into a JSON tree, the root's included."""
+    yield path
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, item in items:
+        yield from _paths(item, path + (key,))
+
+
+@st.composite
+def mutated_configs(draw):
+    """A seed config with one to three values replaced, keys deleted or added.
+
+    One seeded ``Random`` makes every choice, so paths and values are drawn
+    uniformly rather than with Hypothesis' bias toward the first ones. Half
+    the replaced numbers (and bools) take a bool, a value near the old one
+    (its negation, successor or float form) or one at a bound the schema
+    sets.
+    """
+    rng = draw(st.randoms(use_true_random=False))
+    config = copy.deepcopy(rng.choice(_SEEDS))
+    for _ in range(rng.randint(1, 3)):
+        path = rng.choice(list(_paths(config)))
+        parent = config
+        for key in path[:-1]:
+            parent = parent[key]
+        node = parent[path[-1]] if path else config
+        edit, value = rng.choice(["replace", "delete", "add"]), copy.deepcopy(rng.choice(_VALUES))
+        if edit == "add" and isinstance(node, dict):
+            node[rng.choice(_KEYS)] = value
+        elif edit == "add" and isinstance(node, list):
+            node.append(value)
+        elif edit == "delete" and path:
+            del parent[path[-1]]
+        elif path:
+            leaf, bound = parent[path[-1]], rng.choice(_BOUNDS)
+            if isinstance(leaf, (int, float)) and rng.random() < 0.5:
+                value = rng.choice([True, False, float(leaf), -leaf, leaf + 1,
+                                    bound, float(bound), bound - 1, bound + 1])
+            parent[path[-1]] = value
+    return config
+
+
+class TestSchemaChecker:
+    """``_conforms`` decides validity; it must agree with jsonschema everywhere."""
+
+    @settings(derandomize=True, max_examples=1200, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(mutated_configs())
+    def test_agrees_with_jsonschema_on_mutated_configs(self, config):
+        assert _conforms(config, _SCHEMA) == _VALIDATOR.is_valid(config)
+
+    def test_agrees_with_jsonschema_on_the_seeds(self):
+        assert [_conforms(c, _SCHEMA) for c in _SEEDS] == [_VALIDATOR.is_valid(c) for c in _SEEDS]
+
+    @pytest.mark.parametrize("instance, schema, want", [
+        (True, {"type": "number"}, False),
+        (False, {"type": "integer"}, False),
+        (1.0, {"type": "integer"}, True),
+        (1.5, {"type": "integer"}, False),
+        (2 ** 64, {"type": "integer", "maximum": 2 ** 64 - 1}, False),
+        (True, {"const": 1}, False),
+        (1, {"const": True}, False),
+        (1.0, {"enum": [1, 2]}, True),
+        ([True], {"const": [1]}, False),
+        (True, {"minimum": 5}, True),
+        (-0.0, {"exclusiveMinimum": 0}, False),
+        ({"a": 1}, {"additionalProperties": {"type": "string"}}, False),
+        ([1, 2, 3], {"minItems": 1, "maxItems": 2}, False),
+        (3, {"oneOf": [{"type": "integer"}, {"type": "number"}]}, False),
+        (3, {"if": {"type": "integer"}, "else": False}, True),
+        ([0.0], {"$defs": {"pt": {"items": {"type": "number"}}}, "$ref": "#/$defs/pt"}, True),
+    ])
+    def test_json_schema_rules(self, instance, schema, want):
+        assert _conforms(instance, schema) == want
+        assert jsonschema.Draft202012Validator(schema).is_valid(instance) == want
+
+    @pytest.mark.parametrize("schema", [
+        {"type": "string", "pattern": "^a"},
+        {"properties": {"x": {"uniqueItems": True}}},
+        {"$ref": "https://example.invalid/schema.json"},
+    ])
+    def test_unsupported_keyword_raises(self, schema):
+        with pytest.raises(ValueError, match="unsupported"):
+            _conforms({"x": ["a"]}, schema)
 
 
 _NAMED = {"kind": "named_example", "name": "B.2", "seed": 1}
@@ -584,6 +740,68 @@ class TestShippedExamples:
         assert run(str(out / "config_echo.json"), str(tmp_path / "b")) == EXIT_OK
         assert (out / "results.csv").read_bytes() == (
             tmp_path / "b" / "results.csv").read_bytes()
+
+
+class TestNonFiniteNumbers:
+    """Python's json reads NaN and Infinity; a config holding one exits 2."""
+
+    @pytest.mark.parametrize("edit, path, word", [
+        (lambda c: c["potential"].update(p=[math.nan, 0.5]), "potential/p/0", "NaN"),
+        (lambda c: (c.update(system={"builtin": "moebius_interval_pair"}),
+                    c["experiment"].update(kind="shrinking_target", targets=[math.inf])),
+         "experiment/targets/0", "Infinity"),
+        (lambda c: c["experiment"].update(psi={"type": "power", "c": math.nan, "beta": 0.5}),
+         "experiment/psi/c", "NaN"),
+        (lambda c: c["experiment"].update(psi={"type": "power", "c": 1.0, "beta": math.nan}),
+         "experiment/psi/beta", "NaN"),
+        (lambda c: c["experiment"].update(epsilon=-math.inf), "experiment/epsilon", "-Infinity"),
+    ], ids=["bernoulli_p", "targets", "psi_c", "psi_beta", "epsilon"])
+    def test_exit_2_names_the_key_and_writes_nothing(self, tmp_path, capsys, edit, path, word):
+        config = small_config(N=200, samples=2)
+        edit(config)
+        cfg = write_config(tmp_path, config)
+        assert word in (tmp_path / "cfg.json").read_text()  # json.dumps writes the literal
+        out = tmp_path / "out"
+        assert main(["run", cfg, str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["kind"] == "config"
+        assert err["message"] == f"schema violation at {path}: {word} is not a finite number"
+
+
+# a fresh interpreter: run the CLI, then report what it loaded
+_COLD_START = """
+import json, sys
+from selfconformal import cli
+code = cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "loaded": sorted(
+    m for m in ("jsonschema", "concurrent.futures.process") if m in sys.modules)}))
+"""
+
+
+def _cold_run(*args):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", _COLD_START, *args],
+                          capture_output=True, text=True, env=env)
+    assert proc.stdout, proc.stderr
+    return json.loads(proc.stdout), proc.stderr
+
+
+class TestColdStart:
+    def test_valid_run_loads_neither_jsonschema_nor_the_pool(self, tmp_path):
+        cfg = write_config(tmp_path, small_config(N=200, samples=2, flag_budget=0.05))
+        report, stderr = _cold_run("run", cfg, str(tmp_path / "out"))
+        assert report == {"code": EXIT_OK, "loaded": []}, stderr
+        assert (tmp_path / "out" / "results.csv").is_file()
+
+    def test_refusal_is_worded_by_jsonschema(self, tmp_path):
+        cfg = small_config()
+        del cfg["experiment"]["seed"]
+        report, stderr = _cold_run("run", write_config(tmp_path, cfg), str(tmp_path / "out"))
+        assert report == {"code": EXIT_CONFIG, "loaded": ["jsonschema"]}
+        assert json.loads(stderr)["error"]["message"] == (
+            "schema violation at experiment: 'seed' is a required property")
+        assert not (tmp_path / "out").exists()
 
 
 class TestMainEntry:

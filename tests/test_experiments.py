@@ -8,6 +8,7 @@ high-precision mpmath for the staircase exponent window. Monte-Carlo
 consistency checks run at full stated scale with fixed seeds.
 """
 
+import concurrent.futures
 import csv
 import json
 import math
@@ -420,6 +421,14 @@ class TestRunKeysRefused:
             else:
                 recurrence_modified_run(*args, **kw)
 
+    @pytest.mark.parametrize("psi", [ConstantRadius(math.nan), PowerRadius(math.nan, 0.5),
+                                     PowerRadius(0.5, math.nan)])
+    @pytest.mark.parametrize("kind", ["pure", "modified"])
+    def test_nan_radii_refused_before_setup(self, no_setup, cantor, weighted, kind, psi):
+        run = recurrence_pure_run if kind == "pure" else recurrence_modified_run
+        with pytest.raises(ValueError, match="radius function must be strictly positive"):
+            run(cantor, weighted, psi, 50, 2, 1)
+
     def test_largest_ids_run(self, cantor, weighted):
         top = 2 ** 64 - 1
         recs = recurrence_pure_run(cantor, weighted, ConstantRadius(0.1), 50, 0, top,
@@ -667,7 +676,8 @@ class TestRecurrencePure:
                 opened.append((self.max_workers, len(blocks)))
                 return [fn(spec, block) for spec, block in zip(specs, blocks)]
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        # the engine imports the pool from concurrent.futures only when it opens one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
 
         def run(**kw):
             return recurrence_pure_run(cantor, uniform, ConstantRadius(1 / 3), 100, 2, 5, **kw)

@@ -201,6 +201,13 @@ def test_bernoulli_validation(cantor):
         BernoulliBackend(cantor, (0.5, 0.5, 0.0))
 
 
+@pytest.mark.parametrize("probs", [(math.nan, 0.5), (0.5, math.nan), (math.nan, math.nan)])
+def test_bernoulli_weights_refuse_nan(probs):
+    # NaN passes both `p <= 0` and `abs(sum - 1) > tol` unless the test is negated
+    with pytest.raises(ValueError, match="weights must be positive"):
+        BernoulliPotential(probs)
+
+
 # ---------------------------------------------------------------------------
 # cell-average weights
 # ---------------------------------------------------------------------------
