@@ -31,8 +31,8 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 
 from .gibbs import BernoulliBackend, MeasureBackend, _over_alphabet, _pair_mass
-from .ifs import (IfsSystem, _children, _distance_range, _initial_state, _moebius_apply,
-                  _point_value, _state_boxes, _to_coords, _value_point)
+from .ifs import (IfsSystem, _children, _distance_range, _initial_state, _invert_map,
+                  _map_points, _point_value, _state_boxes, _to_coords)
 from .symbolic import FiniteWord, PointRd, as_point
 
 __all__ = [
@@ -47,15 +47,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # the induced expanding map
 # ---------------------------------------------------------------------------
-
-def _invert_map(system: IfsSystem, j: int, x: PointRd) -> PointRd:
-    """phi_j^{-1}(x) for branch j."""
-    m = system.maps[j - 1]
-    p, q, r, s = m.matrix
-    # adjugate matrix; projective scale is irrelevant
-    z = _moebius_apply((s, -q, -r, p), _point_value(x))
-    return _value_point(z.conjugate() if m.reflect else z)
-
 
 def t_apply(system: IfsSystem, x, depth_hint: int = 1, tol: float = 1e-9) -> PointRd:
     """One step of the induced expanding map: phi_j^{-1} on branch j's piece.
@@ -97,13 +88,12 @@ def project_windows(symbols: np.ndarray, system: IfsSystem, depth: int) -> np.nd
     shape ``(cols - depth + 1,)`` or ``(rows, cols - depth + 1)``, with a
     trailing coordinate axis for plane systems.  Maps are applied
     innermost-first so the contractions damp rounding instead of amplifying
-    it; each step gathers the per-symbol coefficients from the system's
-    table, in the system's field (complex in the plane).  A block with no
-    rows gives an empty result; a symbol outside ``1..m`` raises.  Each point
-    is computed from its own window alone, elementwise, so column windows of
-    a block that overlap by ``depth - 1`` symbols project to the block's
-    points bit for bit: the counting engine projects a time axis that way,
-    one window of the sampler at a time.
+    it, a chunk of windows at a time in place (``ifs._map_points``).  A block
+    with no rows gives an empty result; a symbol outside ``1..m`` raises.
+    Each point is computed from its own window alone, elementwise, so column
+    windows of a block that overlap by ``depth - 1`` symbols project to the
+    block's points bit for bit: the counting engine projects a time axis
+    that way, one window of the sampler at a time.
     """
     syms = np.asarray(symbols)
     if depth < 1 or syms.ndim not in (1, 2) or syms.shape[-1] < depth:
@@ -112,11 +102,6 @@ def project_windows(symbols: np.ndarray, system: IfsSystem, depth: int) -> np.nd
         raise ValueError(f"symbols must lie in 1..{system.m}")
     count = syms.shape[-1] - depth + 1
     rows = syms.reshape(-1, syms.shape[-1])
-    # a leading dummy entry makes the 1-based symbols direct table indices
-    coeffs = [np.concatenate([c[:1], c]) for c in system._coeffs]
-    flips = system._flips
-    if flips is not None:
-        flips = np.concatenate([flips[:1], flips])
     base = _point_value(system.base_point())
     out = np.empty((rows.shape[0], count), dtype=system.dtype)
     width = max(1, _WINDOW_CHUNK // max(rows.shape[0], 1))
@@ -125,18 +110,7 @@ def project_windows(symbols: np.ndarray, system: IfsSystem, depth: int) -> np.nd
         X = out[:, c0:c1]
         X[...] = base
         for j in range(depth - 1, -1, -1):
-            s = rows[:, c0 + j : c1 + j]
-            if flips is not None:
-                X[...] = np.where(flips[s], X.conjugate(), X)
-            if len(coeffs) == 2:
-                X *= coeffs[0][s]
-                X += coeffs[1][s]
-            else:
-                num = coeffs[0][s] * X
-                num += coeffs[1][s]
-                den = coeffs[2][s] * X
-                den += coeffs[3][s]
-                np.divide(num, den, out=X)
+            _map_points(system, rows[:, c0 + j : c1 + j], X)
     return _to_coords(out.reshape(syms.shape[:-1] + (count,)))
 
 

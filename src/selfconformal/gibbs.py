@@ -46,7 +46,9 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .ifs import IfsSystem, _MOEBIUS_ID, _moebius_apply, _moebius_compose, _moebius_det
+from .ifs import (IfsSystem, _abs_det, _avg_weight, _child_state, _compose_states,
+                  _denominators, _images, _initial_state, _rescaled_state,
+                  _state_apply, _state_boxes, _word_state)
 from .symbolic import FiniteWord
 
 __all__ = [
@@ -234,10 +236,8 @@ def _check_invariant(system: IfsSystem, cdf, root: Tuple[float, float], name: st
     """
     a0, b0 = root
     y = np.linspace(a0, b0, _INVARIANCE_GRID)
-    images = sum(
-        np.abs(cdf(_moebius_apply(m.matrix, y)) - cdf(_moebius_apply(m.matrix, a0)))
-        for m in system.maps
-    )
+    f = cdf(_images(system, np.append(a0, y))).reshape(system.m, -1)  # phi(a0), then phi(y)
+    images = np.abs(f[:, 1:] - f[:, :1]).sum(axis=0)
     residual = float(np.max(np.abs(images - (cdf(y) - cdf(a0)))))
     if residual > _INVARIANCE_ULPS * (system.m + 1) * np.finfo(float).eps:
         raise ValueError(
@@ -274,15 +274,11 @@ class DensityBackend:
         self.eigenvalue = cat["eigenvalue"]
         self._tables = {}
 
-    def word_interval(self, word: FiniteWord) -> Tuple[float, float]:
-        mat, _ = self.system.word_map(word)
-        a = _moebius_apply(mat, self._root[0])
-        b = _moebius_apply(mat, self._root[1])
-        return (a, b) if a <= b else (b, a)
-
     def cylinder_measure(self, word: FiniteWord) -> float:
-        a, b = self.word_interval(_over_alphabet(word, self.system.m))
-        return float(self.cdf(b) - self.cdf(a))
+        system = self.system
+        state = _word_state(system, _over_alphabet(word, system.m))
+        lo, hi = _state_boxes(system, state, system.attractor_box)
+        return float(self.cdf(hi[0, 0]) - self.cdf(lo[0, 0]))
 
     def level_table(self, k: int) -> np.ndarray:
         if k not in self._tables:
@@ -318,45 +314,14 @@ class EigenReport:
 
 
 def _cell_arrays(system: IfsSystem, depth: int):
-    """Endpoint and anchor arrays for all depth-k cells of a 1-D system, in
-    lexicographic word order (first symbol most significant)."""
-    lo = np.array([system.attractor_box.lo[0]])
-    hi = np.array([system.attractor_box.hi[0]])
-    anchor = np.array([system.base_point().x])
+    """Endpoint and anchor arrays for all depth-k cells (k >= 1) of a 1-D
+    system, in lexicographic word order (first symbol most significant): the
+    images of the attractor interval's ends and of the base point."""
+    box = system.attractor_box
+    a, b, anchor = np.array([box.lo[0]]), np.array([box.hi[0]]), np.array([system.base_point().x])
     for _ in range(depth):
-        n = lo.size
-        nxt = [np.empty(system.m * n) for _ in range(3)]
-        for j, m in enumerate(system.maps):
-            mat = m.matrix
-            cells = slice(j * n, (j + 1) * n)
-            a = _moebius_apply(mat, lo)
-            b = _moebius_apply(mat, hi)
-            np.minimum(a, b, out=nxt[0][cells])
-            np.maximum(a, b, out=nxt[1][cells])
-            nxt[2][cells] = _moebius_apply(mat, anchor)
-        lo, hi, anchor = nxt
-    return lo, hi, anchor
-
-
-def _avg_weight(m, tau: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact Lebesgue cell average of |phi'|^tau over [a, b] per cell."""
-    p, q, r, s = m.matrix
-    det = abs(p * s - q * r)
-    if r == 0.0:
-        return np.full(a.shape, (det / s ** 2) ** tau)
-    ua, ub = r * a + s, r * b + s
-    if np.any(ua * ub <= 0):
-        raise ValueError("Moebius pole inside a cell")
-    sign = np.sign(ua)
-    ua, ub = np.abs(ua), np.abs(ub)
-    if abs(tau - 0.5) < 1e-15:
-        anti = np.log(ub) - np.log(ua)
-        integral = det ** tau * sign * anti / r
-    else:
-        e = 1.0 - 2.0 * tau
-        anti = (ub ** e - ua ** e) / e
-        integral = det ** tau * sign * anti / r
-    return integral / (b - a)
+        a, b, anchor = _images(system, a), _images(system, b), _images(system, anchor)
+    return np.minimum(a, b), np.maximum(a, b, out=b), anchor
 
 
 _EIGEN_TOL = 1e-13  # stop once an iteration moves h and nu by less than this
@@ -658,8 +623,9 @@ _DENSITY_LINEAR_CUTOVER = 1e-8
 class _DensityChain:
     """Conditional chain for closed-form interval densities.
 
-    Each row carries the running word's composition matrix (rescaled every
-    step, which is projectively harmless).  Child masses are exact CDF
+    Each row carries the running word's cylinder state (rescaled every step,
+    which is projectively harmless); ``maps`` holds the maps as ``(m, 1)``
+    state columns, ``dets`` their ``|det|``.  Child masses are exact CDF
     differences while the running cell is wide enough for float subtraction;
     once the cell mass falls below ``1e-8`` the chain switches to the
     length-ratio limit ``|det phi_j| / |denom_j| / density-weight``, whose
@@ -667,42 +633,34 @@ class _DensityChain:
     """
 
     def __init__(self, backend: DensityBackend, n_rows: int):
-        maps = backend.system.maps
+        system = self.system = backend.system
         self.cdf = backend.cdf
         self.density = backend.density
         self.root = backend._root
-        self.child_mats = np.array([m.matrix for m in maps]).T  # (4, m)
-        self.child_dets = np.array([abs(_moebius_det(m.matrix)) for m in maps])
-        self.mats = np.repeat(np.array(_MOEBIUS_ID)[:, None], n_rows, axis=1)
+        root = _initial_state(system)
+        self.maps = _child_state(system, root, np.arange(1, system.m + 1)[:, None])
+        self.dets = _abs_det(system, self.maps)
+        self.state = [np.repeat(c, n_rows) for c in root]
 
     def rows(self) -> np.ndarray:
         a0, b0 = self.root
-        # every row's running map composed with every branch: (m, rows) arrays
-        kids = _moebius_compose(self.mats[:, None, :], self.child_mats[:, :, None])
-        cr, cs = kids[2], kids[3]
-        e1 = _moebius_apply(kids, a0)
-        e2 = _moebius_apply(kids, b0)
-        lo = np.minimum(e1, e2)
-        hi = np.maximum(e1, e2)
+        # every row's running word followed by every symbol: (m, rows) columns
+        kids = _compose_states(self.system, self.state, self.maps)
+        e1, e2 = _state_apply(self.system, kids, a0), _state_apply(self.system, kids, b0)
+        lo, hi = np.minimum(e1, e2), np.maximum(e1, e2)
         diffs = np.maximum(self.cdf(hi) - self.cdf(lo), 0.0)
         # child length ratio: |det(M phi_j)| (b0-a0) / |d1 d2| with the
         # row-common factors |det M| and (b0-a0) dropped, weighted by the
         # local density value
-        linear = (
-            self.child_dets[:, None] / np.abs((cr * a0 + cs) * (cr * b0 + cs))
-            * self.density(lo)
-        )
-        rows = np.where(
-            diffs.sum(axis=0, keepdims=True) < _DENSITY_LINEAR_CUTOVER, linear, diffs
-        )
-        return rows.T
+        linear = self.dets / np.abs(_denominators(self.system, kids, a0, b0)) * self.density(lo)
+        narrow = diffs.sum(axis=0, keepdims=True) < _DENSITY_LINEAR_CUTOVER
+        return np.where(narrow, linear, diffs).T
 
     def cum_rows(self) -> np.ndarray:
         return _normalized_cumsum(self.rows())
 
     def advance(self, symbols: np.ndarray) -> None:
-        self.mats = np.array(_moebius_compose(self.mats, self.child_mats[:, symbols - 1]))
-        self.mats /= np.abs(self.mats).max(axis=0)
+        self.state = _rescaled_state(self.system, _child_state(self.system, self.state, symbols))
 
 
 class _SpectralChain:
@@ -813,6 +771,8 @@ def verify_gibbs_property(backend: MeasureBackend, depth: int) -> dict:
     system = backend.system
     if system.dim != 1:
         raise ValueError("the verification walk is implemented for 1-D systems")
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     tau = _potential_tau(backend.potential)
     R = 1.0 if isinstance(backend, BernoulliBackend) else backend.eigenvalue
     if tau is not None:
@@ -821,20 +781,15 @@ def verify_gibbs_property(backend: MeasureBackend, depth: int) -> dict:
     x, w = np.array([base]), np.array([1.0])  # each word's tail anchor and weight
     ratios = []
     for ell in range(1, depth + 1):
-        n = x.size
-        x_next, w_next = np.empty(system.m * n), np.empty(system.m * n)
-        for j, mp in enumerate(system.maps):
-            cells = slice(j * n, (j + 1) * n)
-            fx = _moebius_apply(mp.matrix, x)
-            if tau is None:
-                gtilde = backend.potential.probs[j] / R
-            else:
-                p, q, r, s = mp.matrix
-                g = (abs(p * s - q * r) / (r * x + s) ** 2) ** tau
-                gtilde = g * h(fx) / (R * h(x))
-            np.multiply(w, gtilde, out=w_next[cells])
-            x_next[cells] = fx
-        x, w = x_next, w_next
+        fx = _images(system, x)
+        j = np.repeat(np.arange(1, system.m + 1), x.size)  # the symbol each word starts with
+        if tau is None:
+            gtilde = (np.array(backend.potential.probs) / R)[j - 1]
+        else:
+            x, maps = np.tile(x, system.m), _child_state(system, _initial_state(system), j)
+            g = _abs_det(system, maps) / _denominators(system, maps, x, x)
+            gtilde = g ** tau * h(fx) / (R * h(x))
+        x, w = fx, np.tile(w, system.m) * gtilde
         ratios.append(backend.level_table(ell) / w)
     ratios = np.concatenate(ratios)
     return {

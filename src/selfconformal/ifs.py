@@ -19,13 +19,19 @@ analysis of (r*x+s)^2), not by sampling.
 
 One batched kernel carries words and their attractor pieces K_I: a cylinder
 state holds the composed coefficients and reflect bits of many words as
-columns (``_initial_state``, ``_child_state``, ``_children``), and bounds
-their pieces by the boxes of the mapped corners of a given box
-(``_state_boxes``) or by diameters (``_state_diameters``).  The contraction
-check, the empirical contraction constants, adaptive stopping families, the
-open-set check, ``IfsSystem.word_map``, the induced map and the cylinder-tree
-pruner all run on it, a whole level of words at a time.  The module also
-provides a JSON round-trip for system specifications.
+columns (``_initial_state``, ``_compose_states``, ``_child_state``,
+``_children``) and bounds their pieces by mapped box corners
+(``_state_boxes``), diameters (``_state_diameters``) or ``|phi'|``
+(``_deriv_range``).  The contraction check, the contraction constants,
+stopping families, the open-set check, ``IfsSystem.word_map``, the induced
+map, the pruner and the density backend's cylinders and sampling chain run
+on it, a whole level of words at a time.  Points go through the maps in
+place (``_map_points``, ``_images``): the window projection, ``apply_word``,
+the attractor spread, the density invariance check, the eigensolver's cells
+and the Gibbs check's anchors.  The eigensolver's weights (``_avg_weight``)
+and the induced map's inverse branches (``_invert_map``) are here too: no
+other module reads a map's coefficients.  The module also provides a JSON
+round-trip for system specifications.
 """
 
 from __future__ import annotations
@@ -153,11 +159,8 @@ def _moebius_apply(mat, x, reflect=False):
 
 
 def _moebius_compose(m1, m2):
-    """Coefficient matrix of map1 composed after map2 (apply m2 first).
-
-    When map1 reflects, the caller passes map2's conjugated coefficients; the
-    composite reflects when exactly one factor does.
-    """
+    """Coefficient matrix of map1 composed after map2 (apply m2 first); when
+    map1 reflects, the caller passes map2's conjugated coefficients."""
     if len(m1) == 2:
         (a1, b1), (a2, b2) = m1, m2
         return (a1 * a2, a1 * b2 + b1)
@@ -169,34 +172,6 @@ def _moebius_compose(m1, m2):
         r1 * p2 + s1 * r2,
         r1 * q2 + s1 * s2,
     )
-
-
-_MOEBIUS_ID = (1.0, 0.0, 0.0, 1.0)
-
-
-def _moebius_det(mat):
-    p, q, r, s = mat
-    return p * s - q * r
-
-
-def _moebius_sup_inf_deriv(mat, box: "Box"):
-    """Exact (sup, inf) of |map'| on a box (pole outside it), elementwise over
-    array coefficients.
-
-    An affine pair (a, b) has the constant |a|; otherwise the coefficients are
-    real, the box is an interval, and |map'| = |det| / (r*x + s)^2 is monotone
-    on it, so its extremes sit at the endpoints.
-    """
-    if len(mat) == 2:
-        v = np.abs(mat[0])
-        return v, v
-    r, s = mat[2], mat[3]
-    d = np.abs(_moebius_det(mat))
-    ua, ub = r * box.lo[0] + s, r * box.hi[0] + s
-    if np.any(ua * ub <= 0):
-        raise ValueError("Moebius pole inside evaluation interval")
-    va, vb = ua * ua, ub * ub
-    return d / np.minimum(va, vb), d / np.maximum(va, vb)
 
 
 # -- points as field values ----------------------------------------------------
@@ -320,24 +295,47 @@ def _initial_state(system: "IfsSystem"):
     return state
 
 
-def _child_state(system: "IfsSystem", state, j: int):
-    """Every row's word followed by symbol ``j``; a reflecting word
-    conjugates the coefficients of the map it composes after it."""
-    mat = tuple(c[j - 1] for c in system._coeffs)
-    k = len(mat)
-    if len(state) == k:
-        return list(_moebius_compose(state, mat))
-    flip = state[k]
-    mat = tuple(np.where(flip, c.conjugate(), c) for c in mat)
-    return [*_moebius_compose(state[:k], mat), flip != system.maps[j - 1].reflect]
+def _word_state(system: "IfsSystem", I):
+    """The one-row state of a word, composed from the root."""
+    return functools.reduce(functools.partial(_child_state, system), I, _initial_state(system))
+
+
+def _compose_states(system: "IfsSystem", first, then):
+    """Each row's word of ``first`` followed by its word of ``then``, rows
+    broadcast (``then`` of an ``(m, 1)`` column gives ``(m, rows)`` columns);
+    a reflecting first word conjugates the coefficients composed after it,
+    and the composite reflects when exactly one of the two words does."""
+    k = len(system._coeffs)
+    if len(first) == k:
+        return list(_moebius_compose(first, then))
+    flip = first[k]
+    mat = [np.where(flip, c.conjugate(), c) for c in then[:k]]
+    return [*_moebius_compose(first[:k], mat), flip != then[k]]
+
+
+def _child_state(system: "IfsSystem", state, j):
+    """Every row's word followed by symbol ``j``: one symbol, one per row, or
+    the ``(m, 1)`` column of all symbols, which gives ``(m, rows)`` columns."""
+    flips = [] if system._flips is None else [system._flips[j]]
+    return _compose_states(system, state, [*system._coeffs[:, j], *flips])
+
+
+def _rescaled_state(system: "IfsSystem", state):
+    """The same maps (a Moebius matrix acts projectively) with each row's
+    largest coefficient modulus 1; affine pairs, denominator 1, stay as is."""
+    if len(system._coeffs) == 2:
+        return state
+    mats = np.array(state[:4])
+    mats /= np.abs(mats).max(axis=0)
+    return [*mats, *state[4:]]
 
 
 def _children(system: "IfsSystem", state):
     """All ``m`` children of every row, in word order: row ``p * m + j - 1``
     holds row ``p``'s word followed by ``j``.  Applied ``k`` times to the
     root it gives every depth-k word in lexicographic order."""
-    kids = [_child_state(system, state, j) for j in range(1, system.m + 1)]
-    return [np.stack(cols, axis=1).reshape(-1) for cols in zip(*kids)]
+    kids = _child_state(system, state, np.arange(1, system.m + 1)[:, None])
+    return [c.T.reshape(-1) for c in kids]
 
 
 def _state_apply(system: "IfsSystem", state, z):
@@ -346,6 +344,34 @@ def _state_apply(system: "IfsSystem", state, z):
     if len(state) > k:
         z = np.where(state[k], z.conjugate(), z)
     return _moebius_apply(state[:k], z)
+
+
+def _abs_det(system: "IfsSystem", state):
+    """``|det|`` of each row's map, ``|a|`` for an affine pair."""
+    if len(system._coeffs) == 2:
+        return np.abs(state[0])
+    p, q, r, s = state[:4]
+    return np.abs(p * s - q * r)
+
+
+def _denominators(system: "IfsSystem", state, a, b):
+    """``(r*a + s)(r*b + s)`` of each row's map on the line, 1 if affine:
+    ``|phi(b) - phi(a)| / |b - a| = |det| / |(r*a + s)(r*b + s)|``."""
+    if len(system._coeffs) == 2:
+        return 1.0
+    r, s = state[2], state[3]
+    return (r * a + s) * (r * b + s)
+
+
+def _deriv_range(system: "IfsSystem", state, box: Box):
+    """Exact (sup, inf) of ``|phi'| = |det| / (r*x + s)^2`` on a box for each
+    row's map: monotone on an interval (pole outside it), constant if affine."""
+    lo, hi = box.lo[0], box.hi[0]
+    if np.any(_denominators(system, state, lo, hi) <= 0):
+        raise ValueError("Moebius pole inside evaluation interval")
+    d = _abs_det(system, state)
+    va, vb = _denominators(system, state, lo, lo), _denominators(system, state, hi, hi)
+    return d / np.minimum(va, vb), d / np.maximum(va, vb)
 
 
 def _state_boxes(system: "IfsSystem", state, box: Box):
@@ -372,10 +398,9 @@ def _attractor_spread(system: "IfsSystem") -> float:
     base point lies from one of its extreme points, with k the smallest level
     of at least 64 words.  The base point (the first map's fixed point) and
     all its images lie in K, so this is a distance between two points of K."""
-    state = _initial_state(system)
-    while len(state[0]) < 64:
-        state = _children(system, state)
-    z = _state_apply(system, state, _point_value(system.base_point()))
+    z = np.array([_point_value(system.base_point())], dtype=system.dtype)
+    while len(z) < 64:
+        z = _images(system, z)
     ends = {z.real.argmin(), z.real.argmax(), z.imag.argmin(), z.imag.argmax()}
     return float(max(np.abs(z - z[e]).max() for e in ends))
 
@@ -387,6 +412,62 @@ def _distance_range(c: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     min_d = np.sqrt((gap ** 2).sum(axis=1))
     max_d = np.sqrt((np.maximum(c - lo, hi - c) ** 2).sum(axis=1))
     return min_d, max_d
+
+
+# -- points through maps ------------------------------------------------------
+
+def _map_points(system: "IfsSystem", j, z: np.ndarray) -> np.ndarray:
+    """Map the field values ``z`` in place, each through the map of symbol
+    ``j`` (one symbol, or an integer array shaped like ``z``), and return ``z``."""
+    if system._flips is not None:
+        z[...] = np.where(system._flips[j], z.conjugate(), z)
+    c = system._coeffs  # gathered one at a time, so few temporaries live at once
+    if len(c) == 2:
+        return np.add(np.multiply(z, c[0][j], out=z), c[1][j], out=z)
+    num = c[0][j] * z
+    num += c[1][j]
+    den = c[2][j] * z
+    den += c[3][j]
+    return np.divide(num, den, out=z)
+
+
+def _images(system: "IfsSystem", z: np.ndarray) -> np.ndarray:
+    """Each map's images of the field values ``z``, map after map; applied k
+    times, ``z[p]``'s image under the depth-k word of index ``w`` is at ``w * len(z) + p``."""
+    out = np.tile(z, system.m)
+    for j, block in enumerate(out.reshape(system.m, -1), 1):
+        _map_points(system, j, block)
+    return out
+
+
+def _invert_map(system: "IfsSystem", j: int, x: PointRd) -> PointRd:
+    """phi_j^{-1}(x) for branch j."""
+    m = system.maps[j - 1]
+    p, q, r, s = m.matrix
+    # adjugate matrix; projective scale is irrelevant
+    z = _moebius_apply((s, -q, -r, p), _point_value(x))
+    return _value_point(z.conjugate() if m.reflect else z)
+
+
+def _avg_weight(m: "ConformalMap", tau: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact Lebesgue cell average of |phi'|^tau over [a, b] per cell."""
+    p, q, r, s = m.matrix
+    det = abs(p * s - q * r)
+    if r == 0.0:
+        return np.full(a.shape, (det / s ** 2) ** tau)
+    ua, ub = r * a + s, r * b + s
+    if np.any(ua * ub <= 0):
+        raise ValueError("Moebius pole inside a cell")
+    sign = np.sign(ua)
+    ua, ub = np.abs(ua), np.abs(ub)
+    if abs(tau - 0.5) < 1e-15:
+        anti = np.log(ub) - np.log(ua)
+        integral = det ** tau * sign * anti / r
+    else:
+        e = 1.0 - 2.0 * tau
+        anti = (ub ** e - ua ** e) / e
+        integral = det ** tau * sign * anti / r
+    return integral / (b - a)
 
 
 # ---------------------------------------------------------------------------
@@ -426,13 +507,14 @@ class IfsSystem:
                 raise ValueError(f"{m.dim}-D map in a {self.dim}-D system")
         if self.attractor_diameter is None:
             self.attractor_diameter = (0.0, self.attractor_box.diameter())
-        # per-map coefficient columns for the batched kernels: (a, b) when
-        # every map is affine, else (p, q, r, s); reflect bits when any map
-        # reflects, else None
-        mats = np.array([m.matrix for m in self.maps], dtype=self.dtype)
+        # the maps' coefficients for the batched kernels, a row per
+        # coefficient, (a, b) when every map is affine, else (p, q, r, s), and
+        # reflect bits when any map reflects, else None; column j holds the
+        # map of symbol j, and column 0 repeats map 1, so symbols index directly
+        mats = np.array([m.matrix for m in self.maps[:1] + self.maps], dtype=self.dtype)
         affine = not mats[:, 2].any() and (mats[:, 3] == 1.0).all()
-        self._coeffs = tuple(mats[:, :2].T.copy() if affine else mats.T.copy())
-        flips = np.array([m.reflect for m in self.maps])
+        self._coeffs = mats[:, :2].T.copy() if affine else mats.T.copy()
+        flips = np.array([m.reflect for m in self.maps[:1] + self.maps])
         self._flips = flips if flips.any() else None
         self._validate_contraction()
         self._validate_diameter()
@@ -467,11 +549,10 @@ class IfsSystem:
 
     def _validate_contraction(self):
         """Find the smallest contracting composition power (<= 8)."""
-        k = len(self._coeffs)
         state = _initial_state(self)
         for n0 in range(1, 9):
             state = _children(self, state)
-            worst = float(_moebius_sup_inf_deriv(state[:k], self.domain)[0].max())
+            worst = float(_deriv_range(self, state, self.domain)[0].max())
             if n0 == 1:
                 self._kappa = worst
             if worst < 1.0:
@@ -532,9 +613,7 @@ class IfsSystem:
     def word_map(self, I: FiniteWord):
         """The composed map of a word: its coefficient matrix ((a, b) when
         every map is affine) and reflect bit."""
-        state = _initial_state(self)
-        for sym in I:
-            state = _child_state(self, state, sym)
+        state = _word_state(self, I)
         k = len(self._coeffs)
         return tuple(c[0] for c in state[:k]), len(state) > k and bool(state[k][0])
 
@@ -548,11 +627,10 @@ def apply_word(system: IfsSystem, I: FiniteWord, x) -> PointRd:
     pt = as_point(x, system.dim)
     if not system.domain.contains(pt, slack=1e-9):
         raise ValueError(f"point {pt} outside system domain")
-    z = _point_value(pt)
+    z = np.array([_point_value(pt)], dtype=system.dtype)
     for sym in reversed(I.symbols):
-        m = system.maps[sym - 1]
-        z = _moebius_apply(m.matrix, z, m.reflect)
-    return _value_point(z)
+        _map_points(system, sym, z)
+    return _value_point(z[0].item())
 
 
 def contraction_constants(system: IfsSystem, probe_depth: int) -> dict:
@@ -579,14 +657,13 @@ def contraction_constants(system: IfsSystem, probe_depth: int) -> dict:
     corners = _box_corners(box)
     lo, hi = corners[0].item(), corners[-1].item()
     diam = abs(hi - lo)
-    k = len(system._coeffs)
     c1 = c2 = c3 = 0.0
     # lengths[d - 1] holds |K_I| of every depth-d word, in word order
     lengths = []
     state = _initial_state(system)
     for depth in range(1, probe_depth + 1):
         state = _children(system, state)
-        sup_d, inf_d = _moebius_sup_inf_deriv(state[:k], box)
+        sup_d, inf_d = _deriv_range(system, state, box)
         length = np.abs(_state_apply(system, state, hi) - _state_apply(system, state, lo))
         lengths.append(length)
         c1 = max(c1, float((sup_d / inf_d).max()))
@@ -740,6 +817,13 @@ def system_from_json(d: dict) -> IfsSystem:
 # ---------------------------------------------------------------------------
 # built-in systems
 # ---------------------------------------------------------------------------
+
+def _is_middle_third_cantor(system: IfsSystem) -> bool:
+    """Whether the maps are the ``Affine1D`` x/3 and x/3 + 2/3, to 1e-15."""
+    cantor = [[1.0 / 3.0, 1.0 / 3.0], [0.0, 2.0 / 3.0]]  # the (a, b) columns
+    return (system.m == 2 and all(isinstance(m, Affine1D) for m in system.maps)
+            and bool(np.abs(np.subtract(system._coeffs[:, 1:], cantor)).max() < 1e-15))
+
 
 def middle_third_cantor() -> IfsSystem:
     """{x/3, x/3 + 2/3} on [0,1]: the middle-third Cantor set."""

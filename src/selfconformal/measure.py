@@ -37,7 +37,7 @@ import numpy as np
 
 from .gibbs import (BernoulliBackend, DensityBackend, MeasureBackend, SpectralBackend,
                     _check_table_level)
-from .ifs import (Affine1D, IfsSystem, _child_state, _distance_range, _initial_state,
+from .ifs import (_child_state, _distance_range, _initial_state, _is_middle_third_cantor,
                   _point_value, _state_boxes, _to_coords)
 from .symbolic import PointRd, as_point
 
@@ -382,20 +382,6 @@ _CDF_WALK_LEVELS = 60
 _CDF_WALK_CHUNK = 1 << 15
 
 
-def _is_middle_third_cantor(system: IfsSystem) -> bool:
-    if system.dim != 1 or system.m != 2:
-        return False
-    m1, m2 = system.maps
-    return (
-        isinstance(m1, Affine1D)
-        and isinstance(m2, Affine1D)
-        and abs(m1.a - 1.0 / 3.0) < 1e-15
-        and abs(m1.b) < 1e-15
-        and abs(m2.a - 1.0 / 3.0) < 1e-15
-        and abs(m2.b - 2.0 / 3.0) < 1e-15
-    )
-
-
 def cantor_cdf_bracket(probs: Sequence[float], y) -> Tuple[np.ndarray, np.ndarray]:
     """Bracket F(y) = mu([0, y]) for the (p1, p2) middle-third Cantor measure.
 
@@ -564,10 +550,10 @@ def t_n_radius(
     the offending bracket is raised.  Targets at or above the total mass
     return the attractor diameter.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if target <= 0:
-        raise ValueError("target must be positive")
+    if not 0.0 < tol < np.inf:  # NaN fails too
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    if not target > 0.0:
+        raise ValueError(f"target must be positive, got {target!r}")
     x = as_point(x, backend.system.dim)
     diam = backend.system.attractor_diameter[1]
     if target >= 1.0:

@@ -769,6 +769,22 @@ class TestNonFiniteNumbers:
         assert err["message"] == f"schema violation at {path}: {word} is not a finite number"
 
 
+    @pytest.mark.parametrize("kind", ["recurrence_pure", "recurrence_modified",
+                                      "shrinking_target"])
+    def test_overflowing_radius_exits_2_and_writes_nothing(self, tmp_path, capsys, kind):
+        # finite in the config, infinite from n = 3 on: psi(n) = n^1000
+        config = small_config(N=200, samples=2, kind=kind,
+                              psi={"type": "power", "c": 1.0, "beta": -1000})
+        if kind == "shrinking_target":
+            config["experiment"]["targets"] = [0.0]
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, config), str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["kind"] == "config"
+        assert err["message"] == "radius function must be strictly positive and finite"
+
+
 # a fresh interpreter: run the CLI, then report what it loaded
 _COLD_START = """
 import json, sys

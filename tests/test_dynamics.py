@@ -12,6 +12,7 @@ Oracles:
   draws one symbol per step from its own Philox generator.
 """
 
+import hashlib
 import itertools
 import math
 
@@ -382,6 +383,23 @@ class TestSampling:
         avg = float((syms == 1).mean())
         slack = 3.0 * math.sqrt(0.3 * 0.7 / 100_000) * 10.0
         assert abs(avg - 0.3) <= slack
+
+    @pytest.mark.parametrize("name, rows, length, digest", [
+        ("moebius_interval_quartet", 3, 5000,
+         "3e6fa2a7bb29d1cade7c82bda425a1db7a70180f64c08cb76d403917658b193c"),
+        ("moebius_interval_quartet", 200, 300,
+         "f8e8d08147309af95593f0841a7a550af9f3c7cdb057a413fbd1a2d6a4f00b3c"),
+        ("moebius_interval_pair", 3, 5000,
+         "eaf302f73d761c46068367111daf7bff9fc9e2f61ef92cc2b399648735603a2f"),
+        ("moebius_interval_pair", 200, 300,
+         "6a6bc90283d6e3644f8832d770774450bab05a5a3e10a2d38fc6838224b1571d"),
+    ])
+    def test_density_symbols_are_pinned(self, name, rows, length, digest):
+        """The density chain's symbols bit for bit: 5000 steps run far past
+        the cell mass where it switches to its length-ratio law."""
+        backend = DensityBackend(builtin_system(name), "reciprocal_log2")
+        block = sample_symbol_block(backend, 2024, range(rows), length)
+        assert hashlib.sha256(block.tobytes()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

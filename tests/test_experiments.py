@@ -429,6 +429,18 @@ class TestRunKeysRefused:
         with pytest.raises(ValueError, match="radius function must be strictly positive"):
             run(cantor, weighted, psi, 50, 2, 1)
 
+    @pytest.mark.parametrize("kind", ["shrink", "pure", "modified"])
+    def test_infinite_radii_refused_before_setup(self, no_setup, cantor, uniform, kind):
+        # psi(n) = n^1000 overflows to infinity from n = 3 on
+        psi = PowerRadius(1.0, -1000.0)
+        with pytest.raises(ValueError, match="strictly positive and finite"):
+            if kind == "shrink":
+                shrinking_target_run(cantor, uniform, 0.0, psi, 50, 2, 1)
+            elif kind == "pure":
+                recurrence_pure_run(cantor, uniform, psi, 50, 2, 1)
+            else:
+                recurrence_modified_run(cantor, uniform, psi, 50, 2, 1)
+
     def test_largest_ids_run(self, cantor, weighted):
         top = 2 ** 64 - 1
         recs = recurrence_pure_run(cantor, weighted, ConstantRadius(0.1), 50, 0, top,

@@ -28,10 +28,9 @@ from selfconformal.gibbs import (
     mixing_coeff_cylinders,
     verify_gibbs_property,
     word_index,
-    _avg_weight,
     _cell_arrays,
 )
-from selfconformal.ifs import Affine1D, Box, IfsSystem, _moebius_apply, builtin_system
+from selfconformal.ifs import Affine1D, Box, IfsSystem, _avg_weight, _moebius_apply, builtin_system
 from selfconformal.symbolic import word
 
 LOG2 = math.log(2.0)
@@ -508,6 +507,31 @@ def test_spectral_extension_bits_are_pinned(name, pot, digest):
     assert hashlib.sha256(masses.tobytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("name, digest", [
+    ("moebius_interval_quartet", "395128f93b35b9b243cf6d2ac67df8c3f690d8871b490c181d1c200b1023d9ce"),
+    ("moebius_interval_pair", "51d7adc45b18974af9d4210972931328dbc311bc0835dbb9a4064781303b4531"),
+])
+def test_density_conditional_after_a_long_word_is_pinned(name, digest):
+    backend = DensityBackend(builtin_system(name), "reciprocal_log2")
+    m = backend.system.m
+    w = word(tuple((i * i + 3 * i) % m + 1 for i in range(40)), m)
+    assert hashlib.sha256(conditional_next(backend, w).tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("moebius_interval_quartet", "2b832defc14425b071195bdaea4eb1fd30c453559eb3175aab93de12de166b0f"),
+    ("moebius_interval_pair", "5c95c27eab726391b4a5713ba54f2d2c5114b53d98ab5c8d5573f72f792f497c"),
+])
+def test_density_cylinder_masses_are_pinned(name, digest):
+    backend = DensityBackend(builtin_system(name), "reciprocal_log2")
+    m = backend.system.m
+    masses = np.array([
+        backend.cylinder_measure(word(tuple((i * k + L) % m + 1 for i in range(L)), m))
+        for L in range(1, 40) for k in range(1, 5)
+    ])
+    assert hashlib.sha256(masses.tobytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("kind", ["bernoulli", "density", "spectral"])
 def test_words_over_another_alphabet_rejected(quartet, density_backend, spectral_quartet, kind):
     backend = {
@@ -604,6 +628,13 @@ GIBBS_PINS = {
         6: (1.0000000000000007, 1.0, 126),
     },
 }
+
+
+@pytest.mark.parametrize("depth", [0, -1])
+def test_verify_gibbs_property_refuses_depth_below_one(depth):
+    backend = BernoulliBackend(builtin_system("middle_third_cantor"), (0.3, 0.7))
+    with pytest.raises(ValueError, match="depth must be >= 1"):
+        verify_gibbs_property(backend, depth)
 
 
 @pytest.mark.parametrize("name", sorted(GIBBS_PINS))

@@ -1,5 +1,6 @@
 """Conformal map families, the cylinder-state kernel, constants, stopping families."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -510,3 +511,46 @@ def test_level_boxes_hold_their_words_and_meet_the_diameter_bound(case):
     assert (lo[0] - slack <= x.coords).all() and (np.array(x.coords) <= hi[0] + slack).all()
     ulps = 8.0 * np.finfo(float).eps
     assert _state_diameters(sys_, state)[0] <= sys_.diameter_bound(len(symbols)) + ulps
+
+
+def _pin_system(name):
+    return system_from_json(_ROTREF_SPEC) if name == "rotref" else builtin_system(name)
+
+
+def _digest(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name, block_digest, row_digest", [
+    ("moebius_interval_quartet",
+     "29e69f75b75dcd599f99279ae81f0cf214694397ee325af8c38c7245f2852c60",
+     "a10e18bcbf9029b9e8b6f34890a566c5a0a740bcccc13dcc85e34c1be38abe25"),
+    ("middle_third_cantor",
+     "6e976a6c1c6d06915fe082d5ab49f55e5cdd5e58d432690a0d0903b5c0de5ea1",
+     "a7f323e2c0a6b7c08b5f487ab366f1f9e12cee61af331076867749fe157708c6"),
+    ("rotref",
+     "af88074d0a600319eb6b7b0a2dd7ec311986ff56d9142cf9e3a9774f23a31fe9",
+     "ec8d628344fb3d58c728e9427669dd58ea819d4aac6c468ef1ddadbf6b2b01f9"),
+])
+def test_window_projection_is_pinned(name, block_digest, row_digest):
+    from selfconformal.dynamics import project_windows
+
+    sys_ = _pin_system(name)
+    syms = np.random.default_rng(7).integers(1, sys_.m + 1, size=(5, 300)).astype(np.int8)
+    assert _digest(project_windows(syms, sys_, 40)) == block_digest
+    assert _digest(project_windows(syms[0], sys_, 25)) == row_digest
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("moebius_interval_quartet", "22c45eedbb558eebdb5349a21c3c2137b45a910f9ae466a9da8a2c04d8c908e9"),
+    ("moebius_interval_pair", "e29190fe82549884787427e2d9e9395a535e81be74061ac57a80a7de8c69ece3"),
+    ("middle_third_cantor", "8476222eed165e52d194548babb35ad8bcf074f5f6b0bb863ed62c0ad087108e"),
+    ("rotref", "417e3daaeabc7efe6529468ded3fc5ec20d1df9eb725cde026f3413a77044b7f"),
+])
+def test_apply_word_is_pinned(name, digest):
+    sys_ = _pin_system(name)
+    m = sys_.m
+    pts = [apply_word(sys_, FiniteWord(tuple((i * k + L) % m + 1 for i in range(L)), m),
+                      PointRd((x,) if sys_.dim == 1 else (x, -x / 2))).coords
+           for L in range(0, 30, 3) for k in range(1, 4) for x in (0.0, 0.3, 1.0)]
+    assert _digest(np.array(pts)) == digest

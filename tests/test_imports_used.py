@@ -1,5 +1,6 @@
 """Every name a package module imports is read somewhere in that module,
-and every private module-level name is read somewhere in the package.
+every private module-level name is read somewhere in the package, and only
+``ifs`` reads the format of a map.
 
 A name counts as used when the module loads it (including inside string
 annotations) or lists it in ``__all__``.  A deliberate re-export that the
@@ -102,3 +103,44 @@ def test_every_private_definition_is_read(path):
     unread = [f"{name} (line {line})" for name, line in
               _private_definitions(ast.parse(path.read_text())) if name not in read]
     assert not unread, f"{path.name} defines private names nothing reads: {', '.join(unread)}"
+
+
+# The map format: a map's coefficient matrix and reflect bit, the system's
+# coefficient columns, and the Moebius helpers and map classes that know them.
+_FORMAT_ATTRIBUTES = {"matrix", "reflect", "_coeffs", "_flips"}
+_MAP_CLASSES = {"Affine1D", "Moebius1D", "Similarity2D"}
+
+
+def _is_format_name(name: str) -> bool:
+    return name.startswith(("_moebius_", "_MOEBIUS_")) or name in _MAP_CLASSES
+
+
+def _format_reads(tree: ast.Module, reexports: bool):
+    """(scope, line, what) for every read of the map format: an attribute
+    above, or an import or load of a format name.  ``reexports`` allows the
+    imports (the package's re-exports of the map classes)."""
+    scopes = [(n.lineno, n.end_lineno, n.name) for n in ast.walk(tree)
+              if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+
+    def scope(line):
+        inner = sorted(s for s in scopes if s[0] <= line <= s[1])
+        return ".".join(s[2] for s in inner) or "<module>"
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in _FORMAT_ATTRIBUTES:
+            yield scope(node.lineno), node.lineno, f".{node.attr}"
+        elif isinstance(node, ast.Name) and _is_format_name(node.id):
+            yield scope(node.lineno), node.lineno, node.id
+        elif isinstance(node, ast.ImportFrom) and not reexports:
+            for alias in node.names:
+                if _is_format_name(alias.name):
+                    yield scope(node.lineno), node.lineno, f"import {alias.name}"
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "ifs.py"],
+                         ids=[p.name for p in MODULES if p.name != "ifs.py"])
+def test_only_ifs_reads_the_map_format(path):
+    tree = ast.parse(path.read_text())
+    reads = [f"{where} (line {line}): {what}"
+             for where, line, what in _format_reads(tree, path.name == "__init__.py")]
+    assert not reads, f"{path.name} reads the map format outside ifs: {'; '.join(reads)}"

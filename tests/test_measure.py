@@ -590,6 +590,18 @@ class TestInverseRadius:
         with pytest.raises(ValueError):
             t_n_radius(cantor_uniform, 0.0, -0.5, tol=1e-6)
 
+    @pytest.mark.parametrize("target, tol, bad", [
+        (math.nan, 1e-6, "target"), (0.5, math.nan, "tol"), (0.5, math.inf, "tol"),
+    ])
+    def test_non_finite_inputs_refused_before_bisection(self, cantor_uniform, monkeypatch,
+                                                        target, tol, bad):
+        def refuse(*args, **kwargs):
+            raise AssertionError("bisected before refusing the input")
+
+        monkeypatch.setattr(measure, "ball_measure", refuse)
+        with pytest.raises(ValueError, match=bad):
+            t_n_radius(cantor_uniform, 0.0, target, tol=tol)
+
 
 # ---------------------------------------------------------------------------
 # derived series and probes
