@@ -17,10 +17,12 @@ adjoint and the leading eigenvalue is 1 to machine precision.  Cells are in
 lexicographic word order, so the m cells that share a parent word are one
 contiguous block and branch j maps them all into cell j.parent.  The weights
 are stored once, branch-major: ``G[j, l, p]`` is the weight of branch j on
-cell ``p * m + l``.  Both operators run over blocks of ``_EIGEN_BLOCK``
-prefixes, where every product and sum is one contiguous row of G against a
-block-long scratch row, so the power loop holds G, two (h, nu) pairs and
-scratch that fits in L2, with no index gather and no full-size temporary.
+cell ``p * m + l`` (a broadcast of p_j, holding no cell array, for constant
+weights).  Both operators run over blocks of ``_EIGEN_BLOCK`` prefixes, where
+every product and sum is one contiguous row of G against a block-long scratch
+row, so the power loop holds G, h, nu, one spare cell array and scratch that
+fits in L2, with no index gather and no full-size temporary.  The report
+builds its cell geometry only when it is read.
 
 Each backend's next-symbol law is written once, as the vectorized chain that
 ``backend.chain(n_rows)`` returns: ``rows()`` gives each row's next-symbol
@@ -41,7 +43,8 @@ measures give exactly zero for every positive separation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -93,6 +96,10 @@ class ConformalPowerPotential:
     """Weight |phi_j'(x)|^tau."""
 
     tau: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.tau):
+            raise ValueError(f"tau must be finite, got {self.tau}")
 
 
 @dataclass(frozen=True)
@@ -283,7 +290,7 @@ class DensityBackend:
     def level_table(self, k: int) -> np.ndarray:
         if k not in self._tables:
             _check_level_size(self.system.m, k)
-            lo, hi, _ = _cell_arrays(self.system, k)
+            lo, hi = _cell_arrays(self.system, k, anchors=False)
             self._tables[k] = self.cdf(hi) - self.cdf(lo)
         return self._tables[k]
 
@@ -297,7 +304,13 @@ class DensityBackend:
 
 @dataclass
 class EigenReport:
-    """Discretized eigendata of the transfer operator at a cylinder depth."""
+    """Discretized eigendata of the transfer operator at a cylinder depth.
+
+    The solve holds no cell geometry: ``cell_lo``, ``cell_hi`` and
+    ``cell_anchor`` (the cells' ends and anchors, in ``_cell_arrays`` word
+    order) are each built on first read, by their own walk of ``system``'s
+    maps, and then kept.
+    """
 
     eigenvalue: float
     depth: int
@@ -308,20 +321,45 @@ class EigenReport:
     adjoint_residual: float
     iterations: int
     converged: bool
-    cell_lo: np.ndarray
-    cell_hi: np.ndarray
-    cell_anchor: np.ndarray
+    system: IfsSystem = field(repr=False)
+
+    @cached_property
+    def cell_lo(self) -> np.ndarray:
+        return _cell_arrays(self.system, self.depth, anchors=False)[0]
+
+    @cached_property
+    def cell_hi(self) -> np.ndarray:
+        return _cell_arrays(self.system, self.depth, anchors=False)[1]
+
+    @cached_property
+    def cell_anchor(self) -> np.ndarray:
+        return _cell_arrays(self.system, self.depth, ends=False)[0]
 
 
-def _cell_arrays(system: IfsSystem, depth: int):
+def _cell_arrays(system: IfsSystem, depth: int, ends: bool = True, anchors: bool = True) -> tuple:
     """Endpoint and anchor arrays for all depth-k cells (k >= 1) of a 1-D
     system, in lexicographic word order (first symbol most significant): the
-    images of the attractor interval's ends and of the base point."""
-    box = system.attractor_box
-    a, b, anchor = np.array([box.lo[0]]), np.array([box.hi[0]]), np.array([system.base_point().x])
-    for _ in range(depth):
-        a, b, anchor = _images(system, a), _images(system, b), _images(system, anchor)
-    return np.minimum(a, b), np.maximum(a, b, out=b), anchor
+    images of the attractor interval's ends and of the base point.
+
+    Returns ``(lo, hi)`` if ``ends``, then ``anchor`` if ``anchors``; each
+    point is walked on its own, so a part left out costs nothing.
+    """
+
+    def walk(x: float) -> np.ndarray:
+        z = np.array([x])
+        for _ in range(depth):
+            z = _images(system, z)
+        return z
+
+    cells = ()
+    if ends:
+        box = system.attractor_box
+        a, b = walk(box.lo[0]), walk(box.hi[0])
+        cells = (np.minimum(a, b), np.maximum(a, b, out=b))
+        del a, b
+    if anchors:
+        cells += (walk(system.base_point().x),)
+    return cells
 
 
 _EIGEN_TOL = 1e-13  # stop once an iteration moves h and nu by less than this
@@ -338,12 +376,17 @@ class _BranchMajorOperator:
     per (j, l) pair, and every product and sum runs over such rows.  Each
     cell keeps the operation order of the plain operators: forward adds the
     branches in order, adjoint adds the columns left to right for m < 8 and
-    takes numpy's pairwise row sum from 8 on.
+    takes numpy's pairwise row sum from 8 on.  Constant weights ``probs``
+    make G a read-only broadcast of ``p_j`` that holds no cell array;
+    otherwise G is m cell arrays that the caller fills.
     """
 
-    def __init__(self, mm: int, n_prefix: int):
+    def __init__(self, mm: int, n_prefix: int, probs: Optional[Sequence[float]] = None):
         self.mm, self.n_prefix = mm, n_prefix
-        self.G = np.empty((mm, mm, n_prefix))  # filled by the caller
+        if probs is None:
+            self.G = np.empty((mm, mm, n_prefix))
+        else:
+            self.G = np.broadcast_to(np.asarray(probs)[:, None, None], (mm, mm, n_prefix))
         block = min(_EIGEN_BLOCK, n_prefix)
         self.spans = [(p0, min(p0 + block, self.n_prefix))
                       for p0 in range(0, self.n_prefix, block)]
@@ -398,11 +441,51 @@ class _BranchMajorOperator:
                     np.multiply(G[j, :, p0:p1].T, w_blk, out=prod)
                     prod.sum(axis=1, out=out[j * n_prefix + p0 : j * n_prefix + p1])
 
+    def rescaled_move(self, new: np.ndarray, scale: float, old: np.ndarray) -> float:
+        """Divides ``new`` by ``scale`` in place; returns ``max |new - old|``."""
+        peaks = []
+        for c, d in self.cells():
+            nc = new[c]
+            nc /= scale
+            peaks.append(np.abs(np.subtract(nc, old[c], out=d), out=d).max())
+        return float(np.max(peaks))
+
     def max_residual(self, image: np.ndarray, lam: float, f: np.ndarray) -> float:
         """``max |image - lam * f|``."""
         peaks = [np.abs(np.subtract(image[c], np.multiply(f[c], lam, out=d), out=d), out=d).max()
                  for c, d in self.cells()]
         return float(np.max(peaks))
+
+
+def _fill_weights(op: _BranchMajorOperator, system: IfsSystem, tau: float,
+                  lo: np.ndarray, hi: np.ndarray, depth: int) -> None:
+    """Fill ``op.G`` with the cell averages of |phi_j'|^tau, one block of
+    prefixes at a time, and refuse a block that float64 cannot hold: a
+    weight that is not a finite, normal, positive number (an overflow, or an
+    underflow to a subnormal or 0) leaves the power loop nothing to converge
+    on."""
+    mm = system.m
+    lo2, hi2 = lo.reshape(-1, mm), hi.reshape(-1, mm)
+    tiny, top = np.finfo(float).tiny, np.finfo(float).max
+
+    def refuse(detail: str) -> ValueError:
+        return ValueError(
+            f"the branch weights |phi_j'|^s at s = {tau} do not fit float64 on the "
+            f"depth-{depth} cells ({detail}); use an s of smaller magnitude"
+        )
+
+    with np.errstate(all="ignore"):  # the block check below names what went wrong
+        for p0, p1 in op.spans:
+            for j, m in enumerate(system.maps):
+                for l in range(mm):
+                    try:
+                        op.G[j, l, p0:p1] = _avg_weight(m, tau, lo2[p0:p1, l], hi2[p0:p1, l])
+                    except OverflowError:
+                        raise refuse("a weight overflows") from None
+            block = op.G[:, :, p0:p1]
+            least, most = block.min(), block.max()
+            if not (least >= tiny and most <= top):
+                raise refuse(f"weights from {least:.3g} to {most:.3g}")
 
 
 def eigen_solve(
@@ -416,7 +499,8 @@ def eigen_solve(
     exactly (Lebesgue) over each cell, the forward operator updates the
     density values h and the adjoint updates the cell weights nu.  Output is
     normalized so sum(nu) = 1 and sum(h * nu) = 1; ``mu_table`` = h * nu is
-    the induced cylinder-mass table at the chosen depth.
+    the induced cylinder-mass table at the chosen depth.  A branch weight
+    that float64 cannot hold is refused before the power loop.
     """
     if system.dim != 1:
         raise ValueError("the eigensolver operates on 1-D systems")
@@ -429,64 +513,48 @@ def eigen_solve(
     mm = system.m
     n_cells = mm ** depth
     n_prefix = n_cells // mm
-    lo, hi = _cell_arrays(system, depth)[:2]
-    nu = np.subtract(hi, lo)  # the cell lengths, then the first weights
-    if np.any(nu <= 0):
+    lo, hi = _cell_arrays(system, depth, anchors=False)
+    if np.any(hi <= lo):
         raise ValueError("degenerate cells; system cylinders must have length")
+    op = _BranchMajorOperator(mm, n_prefix, potential.probs if tau is None else None)
+    if tau is not None:
+        _fill_weights(op, system, tau, lo, hi, depth)
+    nu = np.subtract(hi, lo, out=lo)  # the cell lengths, then the first weights
+    del lo, hi
     nu /= nu.sum()
 
-    op = _BranchMajorOperator(mm, n_prefix)
-    if tau is None:
-        for j, p in enumerate(potential.probs):
-            op.G[j].fill(p)
-    else:
-        lo2, hi2 = lo.reshape(n_prefix, mm), hi.reshape(n_prefix, mm)
-        for p0, p1 in op.spans:
-            for j, m in enumerate(system.maps):
-                for l in range(mm):
-                    op.G[j, l, p0:p1] = _avg_weight(m, tau, lo2[p0:p1, l], hi2[p0:p1, l])
-        del lo2, hi2
-    del lo, hi  # the loop never reads the cells; the report rebuilds them
-
-    # the power loop holds G (m cell arrays), two (h, nu) pairs it ping-pongs
-    # and block scratch; each iteration normalizes the new pair and measures
-    # its move in one blocked pass
-    h, h_new, nu_new = np.ones(n_cells), np.empty(n_cells), np.empty(n_cells)
-    d_h, d_nu = np.empty(len(op.chunks)), np.empty(len(op.chunks))
+    # the power loop holds G (m cell arrays, none for constant weights), h,
+    # nu, one spare cell array and block scratch.  The forward image goes
+    # into the spare; once it is normalized and its move from h measured, the
+    # old h is dead and the adjoint image goes into it
+    h, spare = np.ones(n_cells), np.empty(n_cells)
     iterations = 0
     converged = False
     for it in range(1, _EIGEN_MAX_ITER + 1):
         iterations = it
-        h_peak = op.forward(h, h_new)
-        op.adjoint(nu, nu_new)
-        lam_nu = nu_new.sum()
-        for i, (c, d) in enumerate(op.cells()):
-            hc, nc = h_new[c], nu_new[c]
-            hc /= h_peak
-            nc /= lam_nu
-            d_h[i] = np.abs(np.subtract(hc, h[c], out=d), out=d).max()
-            d_nu[i] = np.abs(np.subtract(nc, nu[c], out=d), out=d).max()
-        delta = max(d_h.max(), d_nu.max())
-        h, h_new = h_new, h
-        nu, nu_new = nu_new, nu
-        if delta < _EIGEN_TOL:
+        h_peak = op.forward(h, spare)
+        d_h = op.rescaled_move(spare, h_peak, h)
+        h, spare = spare, h
+        op.adjoint(nu, spare)
+        d_nu = op.rescaled_move(spare, spare.sum(), nu)
+        nu, spare = spare, nu
+        if max(d_h, d_nu) < _EIGEN_TOL:
             converged = True
             break
 
-    # Rayleigh eigenvalue and normalization, in the spare pair
+    # Rayleigh eigenvalue and normalization, in the spare array
     denom = float(h @ nu)
-    op.forward(h, h_new)
-    lam = float((h_new @ nu) / denom)
+    op.forward(h, spare)
+    lam = float((spare @ nu) / denom)
     nu /= nu.sum()
     h /= float(h @ nu)
-    op.forward(h, h_new)
-    residual = op.max_residual(h_new, lam, h)
-    op.adjoint(nu, nu_new)
-    adjoint_residual = op.max_residual(nu_new, lam, nu)
-    del op, nu_new
-    mu_table = np.multiply(h, nu, out=h_new)
+    op.forward(h, spare)
+    residual = op.max_residual(spare, lam, h)
+    op.adjoint(nu, spare)
+    adjoint_residual = op.max_residual(spare, lam, nu)
+    del op
+    mu_table = np.multiply(h, nu, out=spare)
     mu_table /= mu_table.sum()
-    lo, hi, anchor = _cell_arrays(system, depth)
     return EigenReport(
         eigenvalue=lam,
         depth=depth,
@@ -497,9 +565,7 @@ def eigen_solve(
         adjoint_residual=adjoint_residual,
         iterations=iterations,
         converged=converged,
-        cell_lo=lo,
-        cell_hi=hi,
-        cell_anchor=anchor,
+        system=system,
     )
 
 
@@ -519,11 +585,17 @@ class SpectralBackend:
     mixing coefficients refuse any level past the table.  ``potential`` is the
     one ``report`` was solved for; :func:`verify_gibbs_property` reads its
     branch weights.  The backend keeps only the report's mass table,
-    eigenvalue and density values, so the cell arrays are freed with the
-    report.
+    eigenvalue and density values, and reads none of its cell arrays, so it
+    never makes the report build them.  A report whose power loop did not
+    converge is refused.
     """
 
     def __init__(self, system: IfsSystem, report: EigenReport, potential: PotentialSpec):
+        if not report.converged:
+            raise ValueError(
+                f"the depth-{report.depth} eigen solve did not converge in "
+                f"{report.iterations} iterations; its mass table is not the measure's"
+            )
         self.system = system
         self.potential = potential
         self.max_depth = report.depth
@@ -573,11 +645,11 @@ class SpectralBackend:
 
         Cells are in word order, which is not position order on systems with
         orientation-reversing maps, so the lookup runs on the cells sorted by
-        left endpoint.  The first call rebuilds the left endpoints, which are
-        the report's bit for bit.
+        left endpoint.  The first call builds the cells' ends and keeps the
+        left ones, which are the report's ``cell_lo`` bit for bit.
         """
         if not hasattr(self, "_by_position"):
-            cell_lo = _cell_arrays(self.system, self.max_depth)[0]
+            cell_lo = _cell_arrays(self.system, self.max_depth, anchors=False)[0]
             order = np.argsort(cell_lo, kind="stable")
             self._by_position = (cell_lo[order], order)
         starts, order = self._by_position

@@ -496,6 +496,20 @@ PINNED_RUNS = {
         "990f46ebbf9f03344ff24edcb0c42b220ef9a3d2c1bfdf8449feadfd21ce9cc5",
         "5005bc29af6f8f9d6c5d068f2a5f65d42d2c421031a9bc74ee6b4fc9e8dbae4a",
     ),
+    # constant branch weights: the power loop runs on a broadcast of p_j
+    "bernoulli_spectral_pure": (
+        {
+            "system": {"builtin": "moebius_interval_quartet"},
+            "potential": {"type": "spectral", "base": {"type": "bernoulli",
+                                                       "p": [0.1, 0.2, 0.3, 0.4]},
+                          "depth": 6},
+            "experiment": {"kind": "recurrence_pure", "psi": {"type": "constant", "c": 0.05},
+                           "N": 600, "samples": 4, "seed": 29, "checkpoints": [1, 60, 600],
+                           "depth_budgets": {"ball": 6}},
+        },
+        "bfba30bc3e03690ef78950d48051f8186b8dd47aee00a2d2533b31c92537fce5",
+        "faa036d95ecb018a54e9eab4cad0eaace40bddc8d668126580e53b63b371b202",
+    ),
     # named analyses: ABB's integral_sum and tail_probe, 7.1's mc_step30
     "named_7.1": (
         {"experiment": {"kind": "named_example", "name": "7.1", "seed": 7101,
@@ -663,6 +677,25 @@ class TestExitCodes:
         assert not out.exists()
         message = json.loads(capsys.readouterr().err)["error"]["message"]
         assert "2 weights" in message and "4 maps" in message
+
+    @pytest.mark.parametrize("s", [1e6, 1000.0, 400.0])
+    def test_spectral_weights_out_of_float64_exit_2_before_the_power_loop(
+            self, tmp_path, capsys, monkeypatch, s):
+        # 1e6 overflows det ** s, 1000 underflows every weight to 0, and 400
+        # leaves weights at 0 and subnormal
+        def refuse(*args):
+            raise AssertionError("entered the power loop")
+
+        monkeypatch.setattr(gibbs._BranchMajorOperator, "forward", refuse)
+        cfg = small_config(psi={"type": "constant", "c": 0.05}, N=200, samples=2)
+        cfg["system"] = {"builtin": "moebius_interval_quartet"}
+        cfg["potential"] = {"type": "spectral",
+                            "base": {"type": "conformal_power", "s": s}, "depth": 10}
+        out = tmp_path / "out"
+        assert run(write_config(tmp_path, cfg), str(out)) == EXIT_CONFIG
+        assert not out.exists()
+        message = json.loads(capsys.readouterr().err)["error"]["message"]
+        assert f"s = {s}" in message and "depth-10" in message
 
     def test_spectral_depth_1_pure_recurrence_runs(self, tmp_path):
         # seed 1 gives sample ids 3 and 4 a first symbol other than 1, so the

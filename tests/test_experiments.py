@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selfconformal import dynamics, experiments
+from selfconformal import dynamics, experiments, gibbs
 from selfconformal.dynamics import correlation, project_windows, sample_symbol_block
 from selfconformal.experiments import (
     Checkpoint,
@@ -531,6 +531,20 @@ class TestShrinkingTarget:
 
 
 class TestRecurrencePure:
+    def test_spectral_run_never_builds_the_report_cells(self, quartet, monkeypatch):
+        pot = ConformalPowerPotential(1.0)
+        rep = eigen_solve(quartet, pot, 6)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built the report's cell arrays")
+
+        monkeypatch.setattr(gibbs, "_cell_arrays", refuse)
+        backend = SpectralBackend(quartet, rep, pot)
+        recs = recurrence_pure_run(quartet, backend, ConstantRadius(0.05), 300, 3, 11,
+                                   ball_budget=6)
+        assert len(recs) == 3
+        assert not {"cell_lo", "cell_hi", "cell_anchor"} & set(vars(rep))
+
     def test_ball_covering_attractor_counts_every_step(self, cantor, uniform):
         # radius 1 = 3^0 takes the exact prefix test; radius 3 (k = -1) must not
         for c in (2.0, 1.0, 3.0):

@@ -407,18 +407,68 @@ def test_unsupported_potential_is_a_type_error(quartet):
             call()
 
 
-def test_eigen_solve_peak_memory(quartet):
-    # the power loop holds only the weights G (m = 4 cell arrays), two
-    # (h, nu) pairs and block-sized scratch: about 8.1 cell arrays at depth 9
-    depth = 9
-    array_bytes = 4 ** depth * 8
+def _solve_peak_arrays(system, potential, depth):
+    """``eigen_solve``'s traced peak, in depth-k cell arrays."""
     tracemalloc.start()
     try:
-        eigen_solve(quartet, ConformalPowerPotential(1.0), depth)
+        eigen_solve(system, potential, depth)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 9 * array_bytes
+    return peak / (system.m ** depth * 8)
+
+
+def test_eigen_solve_peak_memory(quartet):
+    # the power loop holds only the weights G (m = 4 cell arrays), h, nu, one
+    # spare array and block-sized scratch: about 7.1 cell arrays at depth 9
+    assert _solve_peak_arrays(quartet, ConformalPowerPotential(1.0), 9) <= 7.25
+
+
+def test_eigen_solve_peak_memory_bernoulli(quartet):
+    # constant weights hold no G: the cell ends, then h, nu and the spare
+    # array, about 3.1 cell arrays at depth 9
+    assert _solve_peak_arrays(quartet, BernoulliPotential((0.1, 0.2, 0.3, 0.4)), 9) <= 3.75
+
+
+@pytest.mark.parametrize("name", ["moebius_interval_quartet", "moebius_interval_pair"])
+def test_report_cells_are_built_on_read_and_match_cell_arrays(name):
+    system = builtin_system(name)
+    rep = eigen_solve(system, ConformalPowerPotential(1.0), depth=6)
+    fields = ("cell_lo", "cell_hi", "cell_anchor")
+    assert not set(fields) & set(vars(rep))  # the solve holds no cell geometry
+    for field, ref in zip(fields, _cell_arrays(system, 6)):
+        got = getattr(rep, field)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref), field
+        assert getattr(rep, field) is got  # built once
+
+
+@pytest.mark.parametrize("s, detail", [
+    (1e6, "overflows"),        # det ** s leaves float range
+    (1000.0, r"from -?0 to -?0\)"),  # every weight underflows
+    (400.0, "from -?0 to [1-9]"),  # weights at 0 and subnormal
+])
+def test_eigen_solve_refuses_weights_float64_cannot_hold(quartet, monkeypatch, s, detail):
+    def refuse(*args):
+        raise AssertionError("entered the power loop")
+
+    monkeypatch.setattr(gibbs._BranchMajorOperator, "forward", refuse)
+    with pytest.raises(ValueError, match=f"s = {s}.*depth-10 cells.*{detail}"):
+        eigen_solve(quartet, ConformalPowerPotential(s), depth=10)
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+def test_conformal_power_refuses_a_non_finite_exponent(tau):
+    with pytest.raises(ValueError, match="tau must be finite"):
+        ConformalPowerPotential(tau)
+
+
+def test_spectral_backend_refuses_an_unconverged_report(quartet, monkeypatch):
+    monkeypatch.setattr(gibbs, "_EIGEN_MAX_ITER", 3)
+    pot = ConformalPowerPotential(1.0)
+    rep = eigen_solve(quartet, pot, depth=6)
+    assert not rep.converged and rep.iterations == 3
+    with pytest.raises(ValueError, match="depth-6 .* 3 iterations"):
+        SpectralBackend(quartet, rep, pot)
 
 
 # ---------------------------------------------------------------------------
