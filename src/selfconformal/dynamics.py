@@ -20,7 +20,8 @@ next-symbol law is read from the backend's chain (``backend.chain(n_rows)``,
 defined with the backends in :mod:`selfconformal.gibbs`): each step picks a
 symbol per row from the chain's cumulative rows, then advances the chain.
 I.i.d. (Bernoulli) symbols skip the stepping: a whole window of uniforms is
-mapped through the one cumulative row at once.
+mapped through the one cumulative row at once, by the same pick rule
+(:func:`_pick_symbols`).
 """
 
 from __future__ import annotations
@@ -173,17 +174,15 @@ def _stream_uniforms(
     gen.random(out=out)
 
 
-def _pick_symbols(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Map uniforms to 1-based symbols through cumulative-probability rows."""
-    idx = (u[:, None] >= cum_rows).sum(axis=1)
-    return np.minimum(idx, cum_rows.shape[1] - 1) + 1
-
-
-def _draw(chain, u: np.ndarray) -> np.ndarray:
-    """One sampling step: pick each row's next symbol, then advance the chain."""
-    symbols = _pick_symbols(chain.cum_rows(), u)
-    chain.advance(symbols)
-    return symbols
+def _pick_symbols(cum: np.ndarray, u: np.ndarray, out: np.ndarray) -> None:
+    """Write into the int8 ``out`` the symbol each uniform of ``u`` picks: one
+    plus the number of inner cumulative weights at or below it.  ``cum`` is one
+    row for all uniforms (an i.i.d. window) or one row per uniform (a chain
+    step).  Its last entry, the total, is never compared, so a sum that rounds
+    below 1 gives the last symbol to the uniforms past it."""
+    out[...] = 1
+    for j in range(cum.shape[-1] - 1):
+        out += u >= cum[..., j]
 
 
 class SymbolSource:
@@ -225,24 +224,20 @@ class SymbolSource:
                 _stream_uniforms(gen, self.master_seed, sid, self.drawn, np.empty(0))
         out = np.empty((len(ids), width), dtype=np.int8)
         if isinstance(self.backend, BernoulliBackend):
-            # i.i.d. symbols: the one cumulative row maps a batch of rows at
-            # once; on a nondecreasing row, searchsorted counts the entries
-            # <= u exactly as _pick_symbols does
+            # i.i.d. symbols: the one cumulative row maps a batch of rows at once
             cum = self._chain.cum_rows()[0]
             batch = max(1, _DRAW_CELLS // max(width, 1))
             U = np.empty((min(batch, len(ids)), width))
             for r0 in range(0, len(ids), batch):
                 u = U[: len(ids[r0 : r0 + batch])]
                 self._fill(u, r0)
-                idx = np.searchsorted(cum, u, side="right")
-                np.minimum(idx, cum.size - 1, out=idx)
-                idx += 1
-                out[r0 : r0 + u.shape[0]] = idx
+                _pick_symbols(cum, u, out[r0 : r0 + u.shape[0]])
         else:
             u = np.empty((len(ids), width))
             self._fill(u, 0)
             for t in range(width):
-                out[:, t] = _draw(self._chain, u[:, t])
+                _pick_symbols(self._chain.cum_rows(), u[:, t], out[:, t])
+                self._chain.advance(out[:, t])
         self.drawn += width
         return out
 
@@ -265,11 +260,10 @@ def sample_symbol_block(
     ``[0, 2**64)``, the ids without repeats.
 
     The block is the concatenation of the windows of a :class:`SymbolSource`,
-    ``_window_width(len(sample_ids))`` columns each (Bernoulli rows, which
-    need no chain step, are drawn whole, a batch of rows at a time).  Given an
-    open ``source`` for the same backend, seed and ids, the block is that
-    source's next ``length`` columns: the counting engine draws a worker
-    block's time axis this way, one window per call.
+    ``_window_width(len(sample_ids))`` columns each.  Given an open
+    ``source`` for the same backend, seed and ids, the block is that source's
+    next ``length`` columns: the counting engine draws a worker block's time
+    axis this way, one window per call.
     """
     if source is None:
         source = SymbolSource(backend, master_seed, sample_ids)
@@ -277,11 +271,9 @@ def sample_symbol_block(
           or source.sample_ids != list(sample_ids)):
         raise ValueError("source was opened for a different backend, seed or ids")
     out = np.empty((len(source.sample_ids), length), dtype=np.int8)
-    # Bernoulli rows need no chain step: the source draws them whole
-    width = length if isinstance(backend, BernoulliBackend) else _window_width(out.shape[0])
-    for c0 in range(0, length, max(width, 1)):
-        c1 = min(c0 + width, length)
-        out[:, c0:c1] = source.draw(c1 - c0)
+    width = _window_width(out.shape[0])
+    for c0 in range(0, length, width):
+        out[:, c0 : c0 + width] = source.draw(min(width, length - c0))
     return out
 
 

@@ -570,10 +570,14 @@ def _cantor_levels(radii: np.ndarray) -> Optional[np.ndarray]:
 
 def _canonical_targets(targets, N, dim):
     """Normalize a target spec (point, PointRd, or per-step array) to per-step
-    centers in window coordinates: shape (N,) on the line, (N, dim) in the plane."""
+    centers in window coordinates: shape (N,) on the line, (N, dim) in the plane.
+    A NaN or infinite coordinate is refused: its balls would hold everything
+    or nothing."""
     if isinstance(targets, PointRd):
         targets = targets.coords
     t = np.asarray(targets, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise ValueError("targets must be finite")
     if t.ndim == 0:
         t = t.reshape(1)
     if t.ndim == 1:

@@ -586,11 +586,13 @@ class SpectralBackend:
     one ``report`` was solved for; :func:`verify_gibbs_property` reads its
     branch weights.  The backend keeps only the report's mass table,
     eigenvalue and density values, and reads none of its cell arrays, so it
-    never makes the report build them.  A report whose power loop did not
-    converge is refused.
+    never makes the report build them.  A report solved for another system,
+    or whose power loop did not converge, is refused.
     """
 
     def __init__(self, system: IfsSystem, report: EigenReport, potential: PotentialSpec):
+        if report.system is not system:
+            raise ValueError("report was solved for a different system")
         if not report.converged:
             raise ValueError(
                 f"the depth-{report.depth} eigen solve did not converge in "

@@ -155,7 +155,7 @@ class BallRegion:
     """Open ball; classification errs toward 'straddle'."""
 
     def __init__(self, center: PointRd, r: float):
-        if r <= 0:
+        if not r > 0:  # NaN fails too
             raise ValueError("radius must be positive")
         self.center = center
         self.r = r
@@ -168,7 +168,7 @@ class AnnulusRegion:
     """Open annulus r - rho < |y - x| < r + rho."""
 
     def __init__(self, center: PointRd, r: float, rho: float):
-        if r <= 0 or rho <= 0:
+        if not (r > 0 and rho > 0):  # NaN fails too
             raise ValueError("r and rho must be positive")
         self.center = center
         self.r = r
@@ -189,7 +189,7 @@ class StripRegion:
     def __init__(self, normal: Sequence[float], offset: float, rho: float):
         v = np.asarray(normal, dtype=float)
         n = np.linalg.norm(v)
-        if n == 0 or rho <= 0:
+        if not (n > 0 and rho > 0):  # NaN fails too
             raise ValueError("need a nonzero normal and positive rho")
         self.normal = v / n
         self.offset = float(offset) / n
@@ -477,7 +477,7 @@ def _radial_mass(backend: MeasureBackend, centers, radii, depth_budget: int):
         lo = np.maximum(flo[half:] - fhi[:half], 0.0)
         hi = np.maximum(fhi[half:] - flo[:half], 0.0)
     else:
-        if np.any(radii <= 0.0):
+        if not np.all(radii > 0.0):  # NaN fails too
             raise ValueError("radius must be positive")
         c, r = centers.reshape(radii.size, dim), radii.reshape(-1)
         lo, hi = _descend(backend, lambda blo, bhi, owner: _classify_balls(
@@ -492,7 +492,7 @@ def ball_measure(
     depth_budget: int = 40,
 ) -> MeasureBracket:
     """Bracket mu(B(x, r)) (open ball) with the radial-mass oracle."""
-    if r <= 0:
+    if not r > 0:  # NaN fails too
         raise ValueError("radius must be positive")
     x = as_point(x, backend.system.dim)
     lo, hi = _radial_mass(backend, _to_coords(_point_value(x)), np.array([r]), depth_budget)
@@ -511,7 +511,7 @@ def annulus_measure(
     A backend with a closed-form CDF takes the difference of two oracle
     balls; otherwise the pruner classifies the annulus itself.
     """
-    if r <= 0 or rho <= 0:
+    if not (r > 0 and rho > 0):  # NaN fails too
         raise ValueError("r and rho must be positive")
     x = as_point(x, backend.system.dim)
     if _closed_form(backend) is not None:
@@ -603,6 +603,8 @@ def density_ratio_series(
     x = as_point(x, backend.system.dim)
     ns = np.arange(1, N + 1)
     radii = psi.values(ns)
+    if not np.all(radii > 0.0):  # NaN fails too
+        raise ValueError("radius must be positive")
     uniq, inverse = np.unique(radii, return_inverse=True)
     lo, hi = _radial_mass(backend, _to_coords(_point_value(x)), uniq, depth_budget)
     mid = 0.5 * (lo + hi)

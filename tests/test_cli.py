@@ -510,6 +510,19 @@ PINNED_RUNS = {
         "bfba30bc3e03690ef78950d48051f8186b8dd47aee00a2d2533b31c92537fce5",
         "faa036d95ecb018a54e9eab4cad0eaace40bddc8d668126580e53b63b371b202",
     ),
+    # planar: gasket target at a vertex, Cantor-staircase radii 1, 1/3, 1/9,
+    # 1/27 whose target balls come from the pruner
+    "planar_shrink": (
+        {
+            "system": {"builtin": "sierpinski_triangle"},
+            "potential": {"type": "bernoulli", "p": [0.2, 0.3, 0.5]},
+            "experiment": {"kind": "shrinking_target", "targets": [0.0, 0.0],
+                           "psi": {"type": "power_log", "alpha": 0.5},
+                           "N": 2000, "samples": 5, "seed": 3, "checkpoints": [1, 100, 2000]},
+        },
+        "c1950dc2733c532a8c08080339e00c930152b2061843384176959eaca01e9a09",
+        "e3487a96e5ffab4d05c78c93db61778d40a20e55764342a18be95b3a0b1d683e",
+    ),
     # named analyses: ABB's integral_sum and tail_probe, 7.1's mc_step30
     "named_7.1": (
         {"experiment": {"kind": "named_example", "name": "7.1", "seed": 7101,

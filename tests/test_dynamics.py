@@ -239,29 +239,31 @@ class TestSampling:
 
     @pytest.mark.parametrize(
         "backend_name",
-        ["bernoulli", "bernoulli_m3", "bernoulli_short_sum", "density", "spectral",
-         "spectral_depth1"],
+        ["bernoulli", "bernoulli_m3", "bernoulli_m4", "bernoulli_short_sum", "density",
+         "spectral", "spectral_depth1"],
     )
     def test_block_matches_streams(
-        self, backend_name, monkeypatch, cantor, gasket, cantor_weighted,
+        self, backend_name, monkeypatch, cantor, gasket, quartet, cantor_weighted,
         quartet_density, cantor_spectral, quartet_spectral_depth1,
     ):
         # a weight row whose cumulative sum ends at 0.5: half the uniforms
-        # land past it and both samplers clamp them to the last symbol
+        # land past it and both samplers give them the last symbol
         short_sum = BernoulliBackend(cantor, (0.3, 0.7))
         short_sum.probs = np.array([0.2, 0.3])
         backend = {
             "bernoulli": cantor_weighted,
             "bernoulli_m3": BernoulliBackend(gasket, (0.2, 0.3, 0.5)),
+            "bernoulli_m4": BernoulliBackend(quartet, (0.1, 0.2, 0.3, 0.4)),
             "bernoulli_short_sum": short_sum,
             "density": quartet_density,
             "spectral": cantor_spectral,
             "spectral_depth1": quartet_spectral_depth1,
         }[backend_name]
-        # chain windows of 7 // 3 = 2 columns then start at uniforms 2, 4, 6,
-        # ...: inside a Philox block; Bernoulli rows go one or a few at a time
+        # windows of 7 // 3 = 2 columns then start at uniforms 2, 4, 6, ...:
+        # inside a Philox block; a 2-column Bernoulli window maps its rows in
+        # batches of 5 // 2 = 2, the last one partial
         monkeypatch.setattr(dynamics, "_WINDOW_CELLS", 7)
-        monkeypatch.setattr(dynamics, "_DRAW_CELLS", 7)
+        monkeypatch.setattr(dynamics, "_DRAW_CELLS", 5)
         ids = [5, 0, 2]  # unsorted
         for length in (1, 3, 4, 5, 60, dynamics._WINDOW_CELLS + 1):
             expected = {sid: _reference_row(backend, 42, sid, length) for sid in set(ids)}
@@ -398,6 +400,29 @@ class TestSampling:
         """The density chain's symbols bit for bit: 5000 steps run far past
         the cell mass where it switches to its length-ratio law."""
         backend = DensityBackend(builtin_system(name), "reciprocal_log2")
+        block = sample_symbol_block(backend, 2024, range(rows), length)
+        assert hashlib.sha256(block.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("name, probs, rows, length, digest", [
+        ("middle_third_cantor", (0.3, 0.7), 3, 100_000,
+         "475f81ebc0bde376f1c175cd795f0ed9d5cc3af22e08b8afa1f3cadad499fc76"),
+        ("middle_third_cantor", (0.3, 0.7), 1000, 300,
+         "bc763a36f8fa9f16830e8416d070781b68e1d5f4da2be818df4552dc3beedb56"),
+        ("sierpinski_triangle", (0.2, 0.3, 0.5), 3, 100_000,
+         "572e06a54df87c24c6d621be129db53d7e2a0fb34f822d8397234e7dcd2be1a2"),
+        ("sierpinski_triangle", (0.2, 0.3, 0.5), 1000, 300,
+         "ead5b82f53bda50739f4f42cb651dbb7e8e9ba09fc4af6a7c162e530368e2144"),
+        ("moebius_interval_quartet", (0.1, 0.2, 0.3, 0.4), 3, 100_000,
+         "515777bfec2343b61b340d2c19fd8de98233ef0e6142fb96fa2c5c758f853063"),
+        ("moebius_interval_quartet", (0.1, 0.2, 0.3, 0.4), 1000, 300,
+         "221329b367c325e21da67ba220ad1eafb8adbe4612b4bb060bd476e8ca04f0e4"),
+    ])
+    def test_bernoulli_symbols_are_pinned(self, name, probs, rows, length, digest):
+        """The i.i.d. symbols bit for bit: 3 long rows span several windows,
+        1000 short rows more than one row batch of a window."""
+        assert length > dynamics._window_width(rows) or (
+            rows > dynamics._DRAW_CELLS // dynamics._window_width(rows))
+        backend = BernoulliBackend(builtin_system(name), probs)
         block = sample_symbol_block(backend, 2024, range(rows), length)
         assert hashlib.sha256(block.tobytes()).hexdigest() == digest
 

@@ -429,6 +429,20 @@ class TestRunKeysRefused:
         with pytest.raises(ValueError, match="radius function must be strictly positive"):
             run(cantor, weighted, psi, 50, 2, 1)
 
+    @pytest.mark.parametrize("target", [
+        math.nan, math.inf, -math.inf, np.where(np.arange(200) == 77, math.nan, 0.25),
+        (0.5, math.nan),
+    ], ids=["nan", "inf", "-inf", "per_step_nan", "planar_nan"])
+    def test_non_finite_targets_refused_before_setup(self, no_setup, cantor, weighted, target):
+        # a NaN center makes every target ball the vacuous [0, 1] (psi_sum
+        # 100 at N = 200), an infinite one makes it empty (psi_sum 0)
+        system, backend = cantor, weighted
+        if np.size(target) == 2:
+            system = builtin_system("sierpinski_triangle")
+            backend = BernoulliBackend(system, (0.2, 0.3, 0.5))
+        with pytest.raises(ValueError, match="targets must be finite"):
+            shrinking_target_run(system, backend, target, PowerRadius(0.5, 0.5), 200, 2, 1)
+
     @pytest.mark.parametrize("kind", ["shrink", "pure", "modified"])
     def test_infinite_radii_refused_before_setup(self, no_setup, cantor, uniform, kind):
         # psi(n) = n^1000 overflows to infinity from n = 3 on

@@ -471,6 +471,16 @@ def test_spectral_backend_refuses_an_unconverged_report(quartet, monkeypatch):
         SpectralBackend(quartet, rep, pot)
 
 
+def test_spectral_backend_refuses_a_report_of_another_system(quartet):
+    # the quartet's 256-cell table would otherwise answer the pair's level-1
+    # masses and feed the pair's sampler
+    pot = ConformalPowerPotential(1.0)
+    rep = eigen_solve(quartet, pot, depth=4)
+    pair = builtin_system("moebius_interval_pair")
+    with pytest.raises(ValueError, match="report was solved for a different system"):
+        SpectralBackend(pair, rep, pot)
+
+
 # ---------------------------------------------------------------------------
 # spectral backend
 # ---------------------------------------------------------------------------

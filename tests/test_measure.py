@@ -148,6 +148,28 @@ def _one_box(lo, hi):
     return np.atleast_2d(np.asarray(lo, float)), np.atleast_2d(np.asarray(hi, float))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda b: ball_measure(b, 0.2, math.nan), "radius must be positive"),
+    (lambda b: doubling_ratio(b, 0.2, math.nan), "radius must be positive"),
+    (lambda b: annulus_measure(b, 0.2, math.nan, 0.1), "r and rho must be positive"),
+    (lambda b: annulus_measure(b, 0.2, 0.1, math.nan), "r and rho must be positive"),
+    (lambda b: region_measure(b, BallRegion(as_point(0.2, 1), math.nan)),
+     "radius must be positive"),
+    (lambda b: AnnulusRegion(as_point(0.2, 1), math.nan, 0.1), "r and rho must be positive"),
+    (lambda b: StripRegion((1.0,), 0.2, math.nan), "positive rho"),
+    (lambda b: density_ratio_series(b, 0.2, ConstantRadius(math.nan), 1.0, 5),
+     "radius must be positive"),
+])
+@pytest.mark.parametrize("system", ["middle_third_cantor", "moebius_interval_pair"])
+def test_nan_radii_refused(call, message, system):
+    # a NaN radius compares false against every box, so it would read as the
+    # vacuous ball [0, 1]; the Cantor backend has a closed form, the pair
+    # system goes through the pruner
+    backend = BernoulliBackend(builtin_system(system), (0.3, 0.7))
+    with pytest.raises(ValueError, match=message):
+        call(backend)
+
+
 class TestRegionClassify:
     def test_ball_inside_straddle_outside(self):
         from selfconformal.symbolic import as_point
@@ -787,3 +809,5 @@ class TestBatchedDescent:
         backend = BernoulliBackend(builtin_system("moebius_interval_pair"), (0.5, 0.5))
         with pytest.raises(ValueError, match="radius must be positive"):
             measure._radial_mass(backend, np.array([0.3, 0.4]), np.array([0.1, 0.0]), 45)
+        with pytest.raises(ValueError, match="radius must be positive"):
+            measure._radial_mass(backend, np.array([0.3, 0.4]), np.array([0.1, np.nan]), 45)
