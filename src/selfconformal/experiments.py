@@ -1250,6 +1250,9 @@ def _example_constant_radius(threads, seed, N=100_000, samples=200, mc_samples=2
     }
 
 
+_DENSITY_GRID = 1025  # points of [0, 1] where 7.2 reads the density error
+
+
 def _example_interval_quartet(threads, seed, N=100_000, samples=100, eigen_depth=10,
                               mixing_depth=8):
     """Four-branch interval system: spectral cross-check plus recurrence limits.
@@ -1260,14 +1263,9 @@ def _example_interval_quartet(threads, seed, N=100_000, samples=100, eigen_depth
     """
     system = builtin_system("moebius_interval_quartet")
     report = eigen_solve(system, ConformalPowerPotential(1.0), eigen_depth)
-    # sup |h - 1/(ln 2 (1 + x))| over the cell anchors, in one scratch array
-    err = np.add(1.0, report.cell_anchor)
-    err *= math.log(2.0)
-    np.divide(1.0, err, out=err)
-    np.subtract(report.h_values, err, out=err)
-    h_err = float(np.abs(err, out=err).max())
-    eigenvalue = report.eigenvalue
-    del report, err  # the cell arrays are not needed while sampling
+    # sup |h - 1/(ln 2 (1 + x))| on a fixed grid; the mass table is never read
+    grid = np.linspace(0.0, 1.0, _DENSITY_GRID)
+    h_err = float(np.max(np.abs(report.h_at(grid) - 1.0 / (math.log(2.0) * (1.0 + grid)))))
     backend = DensityBackend(system, "reciprocal_log2")
     psi = PowerRadius(1.0, 0.5)
     records = recurrence_pure_run(system, backend, psi, N, samples, seed,
@@ -1299,8 +1297,9 @@ def _example_interval_quartet(threads, seed, N=100_000, samples=100, eigen_depth
         "samples": samples,
         "eigen": {
             "depth": eigen_depth,
-            "eigenvalue": eigenvalue,
-            "eigenvalue_gap": abs(eigenvalue - 1.0),
+            "nodes": report.nodes,
+            "eigenvalue": report.eigenvalue,
+            "eigenvalue_gap": abs(report.eigenvalue - 1.0),
             "density_sup_error": h_err,
             "density_form": "1/(ln2 * (1+x))",
         },

@@ -7,22 +7,19 @@ tables, next-symbol laws):
 * ``DensityBackend``     -- measures with a closed-form distribution function
                             (catalog: ``reciprocal_log2``, the invariant
                             density 1/(log2 * (1+x)) on [0,1]);
-* ``SpectralBackend``    -- piecewise-constant eigendata of the transfer
-                            operator at a chosen cylinder depth.
+* ``SpectralBackend``    -- the cylinder-mass table of the transfer
+                            operator's eigendata at a chosen depth.
 
-``eigen_solve`` discretizes the operator L f = sum_j |phi_j'|^tau (f o phi_j)
-on depth-k cells with exact Lebesgue cell averages of the weight, so for
-tau = 1 in one dimension the cell-length vector is an exact fixed point of the
-adjoint and the leading eigenvalue is 1 to machine precision.  Cells are in
-lexicographic word order, so the m cells that share a parent word are one
-contiguous block and branch j maps them all into cell j.parent.  The weights
-are stored once, branch-major: ``G[j, l, p]`` is the weight of branch j on
-cell ``p * m + l`` (a broadcast of p_j, holding no cell array, for constant
-weights).  Both operators run over blocks of ``_EIGEN_BLOCK`` prefixes, where
-every product and sum is one contiguous row of G against a block-long scratch
-row, so the power loop holds G, h, nu, one spare cell array and scratch that
-fits in L2, with no index gather and no full-size temporary.  The report
-builds its cell geometry only when it is read.
+``eigen_solve`` collocates the operator L f = sum_j w_j (f o phi_j), with
+w_j = |phi_j'|^tau or a constant p_j, at n Chebyshev points of the root
+interval: the n x n matrix ``M[k, l] = sum_j w_j(x_k) ell_l(phi_j(x_k))``,
+with ell_l the barycentric Lagrange basis.  Every 1-D map is Moebius, hence
+analytic, so the eigendata converge exponentially in n; n is the first size
+on a fixed doubling ladder at which the eigenvalue and a check-grid residual
+stop moving.  h and the conformal measure nu are M's right and left
+eigenvectors, and the mass of a word a_1 ... a_d is
+``u . A_{a_d} ... A_{a_1} h`` with ``A_j = diag(w_j(x)) B_j / lambda``; the
+report builds that table on its first read, from both ends of the word.
 
 Each backend's next-symbol law is written once, as the vectorized chain that
 ``backend.chain(n_rows)`` returns: ``rows()`` gives each row's next-symbol
@@ -49,7 +46,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .ifs import (IfsSystem, _abs_det, _avg_weight, _child_state, _compose_states,
+from .ifs import (IfsSystem, _abs_det, _child_state, _compose_states,
                   _denominators, _images, _initial_state, _rescaled_state,
                   _state_apply, _state_boxes, _word_state)
 from .symbolic import FiniteWord
@@ -167,6 +164,11 @@ def _over_alphabet(word, m: int) -> FiniteWord:
     return word
 
 
+def _root(system: IfsSystem) -> Tuple[float, float]:
+    """The attractor interval of a 1-D system."""
+    return system.attractor_box.lo[0], system.attractor_box.hi[0]
+
+
 def _check_level_size(m: int, k: int):
     if m ** k > _LEVEL_TABLE_CAP:
         raise ValueError(f"level table of size {m}^{k} exceeds the cap")
@@ -270,7 +272,7 @@ class DensityBackend:
         self.potential = ClosedFormDensityPotential(name)
         self.name = name
         cat = DENSITY_CATALOG[name]
-        self._root = (system.attractor_box.lo[0], system.attractor_box.hi[0])
+        self._root = _root(system)
         lo, hi = cat["support"]
         if self._root[0] < lo or self._root[1] > hi:
             raise ValueError(f"attractor box {self._root} leaves the support "
@@ -290,7 +292,7 @@ class DensityBackend:
     def level_table(self, k: int) -> np.ndarray:
         if k not in self._tables:
             _check_level_size(self.system.m, k)
-            lo, hi = _cell_arrays(self.system, k, anchors=False)
+            lo, hi = _cell_arrays(self.system, k)
             self._tables[k] = self.cdf(hi) - self.cdf(lo)
         return self._tables[k]
 
@@ -298,194 +300,151 @@ class DensityBackend:
         return _DensityChain(self, n_rows)
 
 
+def _cell_arrays(system: IfsSystem, depth: int) -> tuple:
+    """``(lo, hi)``: the ends of all depth-k cells (k >= 1) of a 1-D system,
+    in lexicographic word order (first symbol most significant), the images
+    of the attractor interval's ends."""
+    ends = []
+    for x in _root(system):
+        z = np.array([x])
+        for _ in range(depth):
+            z = _images(system, z)
+        ends.append(z)
+    a, b = ends
+    return np.minimum(a, b), np.maximum(a, b, out=b)
+
+
 # ---------------------------------------------------------------------------
 # eigen-solver
 # ---------------------------------------------------------------------------
 
+_NODE_LADDER = (8, 16, 32, 64, 128, 256)  # collocation sizes, tried in this order
+_SETTLE = 1e-12  # a move of lambda and of the residual, relative to lambda, that counts as none
+_CHECK_POINTS = 129  # evenly spaced points of the residual's check grid
+
+
+def _chebyshev(system: IfsSystem, n: int) -> np.ndarray:
+    """The n Chebyshev points of the second kind on the root interval."""
+    a, b = _root(system)
+    return 0.5 * (a + b) + 0.5 * (b - a) * np.cos(np.pi * np.arange(n) / (n - 1))
+
+
+def _lagrange(system: IfsSystem, n: int, y: np.ndarray) -> np.ndarray:
+    """``B[i, l] = ell_l(y_i)``, the barycentric Lagrange basis of the n
+    Chebyshev points at the points y: ``B @ f`` interpolates the nodal
+    values f (J.-P. Berrut & L. N. Trefethen, SIAM Review 46, 2004)."""
+    weights = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    weights[[0, -1]] *= 0.5
+    d = np.subtract.outer(y, _chebyshev(system, n))
+    hit = d == 0.0
+    d[hit] = 1.0
+    basis = weights / d
+    on_node = hit.any(axis=1)
+    basis[on_node] = hit[on_node]  # a point on a node reads that node's value
+    basis /= basis.sum(axis=1, keepdims=True)
+    return basis
+
+
+def _interpolate(system: IfsSystem, values: np.ndarray, x):
+    """The interpolant of nodal values at a point, or at each point of an array."""
+    out = _lagrange(system, len(values), np.ravel(np.asarray(x, dtype=float))) @ values
+    return float(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x))
+
+
+def _derivatives(system: IfsSystem, y: np.ndarray) -> np.ndarray:
+    """``|phi_j'(y_i)|`` at row j - 1, column i, from the maps' states."""
+    maps = _child_state(system, _initial_state(system), np.arange(1, system.m + 1)[:, None])
+    return np.broadcast_to(_abs_det(system, maps) / _denominators(system, maps, y, y),
+                           (system.m, y.size))
+
+
+def _branch_weights(system: IfsSystem, potential: PotentialSpec, y: np.ndarray) -> np.ndarray:
+    """Branch j's weight at each point y, at row j - 1: the constant p_j of a
+    Bernoulli potential, else |phi_j'|^tau.  A weight that is not a finite,
+    normal, positive float64 (an overflow, or an underflow to a subnormal or
+    0) is refused: the operator would lose the branch."""
+    tau = _potential_tau(potential)
+    if tau is None:
+        return np.repeat(np.asarray(potential.probs)[:, None], y.size, axis=1)
+    with np.errstate(all="ignore"):  # the range check below names what went wrong
+        weights = _derivatives(system, y) ** tau
+    least, most = weights.min(), weights.max()
+    if not (least >= np.finfo(float).tiny and most <= np.finfo(float).max):
+        raise ValueError(
+            f"the branch weights |phi_j'|^s at s = {tau} do not fit float64 on "
+            f"{list(_root(system))} (weights from {least:.3g} to {most:.3g}); use an s "
+            "of smaller magnitude"
+        )
+    return weights
+
+
+def _collocate(system: IfsSystem, potential: PotentialSpec, n: int) -> tuple:
+    """The operator at n nodes x_k: ``(lambda, h, u, ops)``.
+
+    ``ops[j - 1, k, l] = w_j(x_k) ell_l(phi_j(x_k)) / lambda`` is branch j's
+    part of the matrix ``M = lambda * sum_j ops[j - 1]``, which maps nodal
+    values f to those of L f.  lambda is M's leading eigenvalue, h its right
+    eigenvector and u its left one, scaled so that ``u . 1 = u . h = 1``.
+    """
+    x = _chebyshev(system, n)
+    ops = _lagrange(system, n, _images(system, x)).reshape(system.m, n, n)
+    ops *= _branch_weights(system, potential, x)[:, :, None]
+    matrix = ops.sum(axis=0)
+    values, right = np.linalg.eig(matrix)
+    lead = np.argmax(values.real)
+    lam, h = float(values[lead].real), right[:, lead].real
+    values, left = np.linalg.eig(matrix.T)
+    u = left[:, np.argmax(values.real)].real
+    u /= u.sum()
+    h /= u @ h
+    ops /= lam
+    return lam, h, u, ops
+
+
 @dataclass
 class EigenReport:
-    """Discretized eigendata of the transfer operator at a cylinder depth.
+    """Leading eigendata of the transfer operator, collocated at ``nodes``
+    Chebyshev points of the root interval.
 
-    The solve holds no cell geometry: ``cell_lo``, ``cell_hi`` and
-    ``cell_anchor`` (the cells' ends and anchors, in ``_cell_arrays`` word
-    order) are each built on first read, by their own walk of ``system``'s
-    maps, and then kept.
+    ``h_values`` are h's values at the nodes (``h_at`` interpolates them) and
+    ``nu_weights`` the weights u of the conformal measure, nu(f) ~ u . f at the
+    nodes; ``residual`` is ``max |(L h)/h - lambda|`` on a check grid and
+    ``iterations`` the number of solves tried on the node ladder.
+    ``operators`` holds the m branch matrices ``A_j`` of ``_collocate``, so
+    that ``mu_table``, the cylinder masses of every depth-``depth`` word in
+    word order, is built on its first read and then kept.
     """
 
     eigenvalue: float
     depth: int
+    nodes: int
     h_values: np.ndarray
     nu_weights: np.ndarray
-    mu_table: np.ndarray
     residual: float
-    adjoint_residual: float
     iterations: int
     converged: bool
     system: IfsSystem = field(repr=False)
+    operators: np.ndarray = field(repr=False)
+
+    def h_at(self, x):
+        """The density's interpolant at a point, or at each point of an array."""
+        return _interpolate(self.system, self.h_values, x)
 
     @cached_property
-    def cell_lo(self) -> np.ndarray:
-        return _cell_arrays(self.system, self.depth, anchors=False)[0]
-
-    @cached_property
-    def cell_hi(self) -> np.ndarray:
-        return _cell_arrays(self.system, self.depth, anchors=False)[1]
-
-    @cached_property
-    def cell_anchor(self) -> np.ndarray:
-        return _cell_arrays(self.system, self.depth, ends=False)[0]
-
-
-def _cell_arrays(system: IfsSystem, depth: int, ends: bool = True, anchors: bool = True) -> tuple:
-    """Endpoint and anchor arrays for all depth-k cells (k >= 1) of a 1-D
-    system, in lexicographic word order (first symbol most significant): the
-    images of the attractor interval's ends and of the base point.
-
-    Returns ``(lo, hi)`` if ``ends``, then ``anchor`` if ``anchors``; each
-    point is walked on its own, so a part left out costs nothing.
-    """
-
-    def walk(x: float) -> np.ndarray:
-        z = np.array([x])
-        for _ in range(depth):
-            z = _images(system, z)
-        return z
-
-    cells = ()
-    if ends:
-        box = system.attractor_box
-        a, b = walk(box.lo[0]), walk(box.hi[0])
-        cells = (np.minimum(a, b), np.maximum(a, b, out=b))
-        del a, b
-    if anchors:
-        cells += (walk(system.base_point().x),)
-    return cells
-
-
-_EIGEN_TOL = 1e-13  # stop once an iteration moves h and nu by less than this
-_EIGEN_MAX_ITER = 500
-_EIGEN_BLOCK = 2 ** 14  # prefixes per operator pass: a block's rows stay in L2
-
-
-class _BranchMajorOperator:
-    """The discretized transfer operator, applied one block of prefixes at a time.
-
-    ``G[j, l, p]`` is the averaged weight of branch j on cell ``p * m + l``
-    (prefix p, last symbol l), which branch j maps into cell
-    ``j * n_prefix + p``.  A block of prefixes reads one contiguous row of G
-    per (j, l) pair, and every product and sum runs over such rows.  Each
-    cell keeps the operation order of the plain operators: forward adds the
-    branches in order, adjoint adds the columns left to right for m < 8 and
-    takes numpy's pairwise row sum from 8 on.  Constant weights ``probs``
-    make G a read-only broadcast of ``p_j`` that holds no cell array;
-    otherwise G is m cell arrays that the caller fills.
-    """
-
-    def __init__(self, mm: int, n_prefix: int, probs: Optional[Sequence[float]] = None):
-        self.mm, self.n_prefix = mm, n_prefix
-        if probs is None:
-            self.G = np.empty((mm, mm, n_prefix))
-        else:
-            self.G = np.broadcast_to(np.asarray(probs)[:, None, None], (mm, mm, n_prefix))
-        block = min(_EIGEN_BLOCK, n_prefix)
-        self.spans = [(p0, min(p0 + block, self.n_prefix))
-                      for p0 in range(0, self.n_prefix, block)]
-        self.row, self.prod = np.empty(block), np.empty(block)
-        n_cells = self.mm * self.n_prefix
-        self.chunks = [slice(c0, min(c0 + block, n_cells)) for c0 in range(0, n_cells, block)]
-
-    def cells(self):
-        """Slices of at most a block's length that cover the cells, each with
-        a scratch row as long as it."""
-        for c in self.chunks:
-            yield c, self.row[: c.stop - c.start]
-
-    def forward(self, f: np.ndarray, out: np.ndarray) -> float:
-        """``out = L f``; returns ``max |out|``."""
-        G, mm, n_prefix = self.G, self.mm, self.n_prefix
-        peaks = np.empty((len(self.spans), mm))
-        for i, (p0, p1) in enumerate(self.spans):
-            acc, prod = self.row[: p1 - p0], self.prod[: p1 - p0]
-            out_blk = out[p0 * mm : p1 * mm].reshape(p1 - p0, mm)
-            for l in range(mm):
-                np.multiply(G[0, l, p0:p1], f[p0:p1], out=acc)
-                for j in range(1, mm):
-                    q0 = j * n_prefix + p0
-                    acc += np.multiply(G[j, l, p0:p1], f[q0 : q0 + p1 - p0], out=prod)
-                out_blk[:, l] = acc
-                peaks[i, l] = np.abs(acc, out=acc).max()
-        return peaks.max()
-
-    def adjoint(self, w: np.ndarray, out: np.ndarray) -> None:
-        """``out = L* w``."""
-        G, mm, n_prefix = self.G, self.mm, self.n_prefix
-        if mm >= 8:
-            rows = np.empty((len(self.row), mm))
-        for p0, p1 in self.spans:
-            w_blk = w[p0 * mm : p1 * mm].reshape(p1 - p0, mm)
-            if mm < 8:
-                # numpy's row sum adds fewer than 8 terms left to right, so
-                # adding the columns in order gives its bits
-                col, prod = self.row[: p1 - p0], self.prod[: p1 - p0]
-                for l in range(mm):
-                    col[...] = w_blk[:, l]
-                    for j in range(mm):
-                        o = out[j * n_prefix + p0 : j * n_prefix + p1]
-                        if l == 0:
-                            np.multiply(G[j, 0, p0:p1], col, out=o)
-                        else:
-                            o += np.multiply(G[j, l, p0:p1], col, out=prod)
-            else:  # 8 or more terms numpy adds pairwise
-                prod = rows[: p1 - p0]
-                for j in range(mm):
-                    np.multiply(G[j, :, p0:p1].T, w_blk, out=prod)
-                    prod.sum(axis=1, out=out[j * n_prefix + p0 : j * n_prefix + p1])
-
-    def rescaled_move(self, new: np.ndarray, scale: float, old: np.ndarray) -> float:
-        """Divides ``new`` by ``scale`` in place; returns ``max |new - old|``."""
-        peaks = []
-        for c, d in self.cells():
-            nc = new[c]
-            nc /= scale
-            peaks.append(np.abs(np.subtract(nc, old[c], out=d), out=d).max())
-        return float(np.max(peaks))
-
-    def max_residual(self, image: np.ndarray, lam: float, f: np.ndarray) -> float:
-        """``max |image - lam * f|``."""
-        peaks = [np.abs(np.subtract(image[c], np.multiply(f[c], lam, out=d), out=d), out=d).max()
-                 for c, d in self.cells()]
-        return float(np.max(peaks))
-
-
-def _fill_weights(op: _BranchMajorOperator, system: IfsSystem, tau: float,
-                  lo: np.ndarray, hi: np.ndarray, depth: int) -> None:
-    """Fill ``op.G`` with the cell averages of |phi_j'|^tau, one block of
-    prefixes at a time, and refuse a block that float64 cannot hold: a
-    weight that is not a finite, normal, positive number (an overflow, or an
-    underflow to a subnormal or 0) leaves the power loop nothing to converge
-    on."""
-    mm = system.m
-    lo2, hi2 = lo.reshape(-1, mm), hi.reshape(-1, mm)
-    tiny, top = np.finfo(float).tiny, np.finfo(float).max
-
-    def refuse(detail: str) -> ValueError:
-        return ValueError(
-            f"the branch weights |phi_j'|^s at s = {tau} do not fit float64 on the "
-            f"depth-{depth} cells ({detail}); use an s of smaller magnitude"
-        )
-
-    with np.errstate(all="ignore"):  # the block check below names what went wrong
-        for p0, p1 in op.spans:
-            for j, m in enumerate(system.maps):
-                for l in range(mm):
-                    try:
-                        op.G[j, l, p0:p1] = _avg_weight(m, tau, lo2[p0:p1, l], hi2[p0:p1, l])
-                    except OverflowError:
-                        raise refuse("a weight overflows") from None
-            block = op.G[:, :, p0:p1]
-            least, most = block.min(), block.max()
-            if not (least >= tiny and most <= top):
-                raise refuse(f"weights from {least:.3g} to {most:.3g}")
+    def mu_table(self) -> np.ndarray:
+        """``mu[a_1 ... a_d] = u . A_{a_d} ... A_{a_1} h``, built from both ends:
+        ``head[w]`` holds ``A_{w_k} ... A_{w_1} h`` for the first half of the
+        symbols (``head[w.j] = A_j head[w]``), ``tail[v]`` holds
+        ``u . A_{v_k} ... A_{v_1}`` for the rest (``tail[j.v] = tail[v] A_j``),
+        and the table is their one product, so the build holds the table and
+        two arrays of about ``m^(d/2)`` nodal rows."""
+        n = self.nodes
+        head, tail = self.h_values[None, :], self.nu_weights[None, :]
+        for _ in range(self.depth - self.depth // 2):  # (m, words, n), then word-major
+            head = (head @ self.operators.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(-1, n)
+        for _ in range(self.depth // 2):  # (m, words, n) is already symbol-major
+            tail = (tail @ self.operators).reshape(-1, n)
+        return (head @ tail.T).ravel()
 
 
 def eigen_solve(
@@ -493,79 +452,49 @@ def eigen_solve(
     potential: PotentialSpec,
     depth: int,
 ) -> EigenReport:
-    """Leading eigendata of the transfer operator on depth-k cells.
+    """Leading eigendata of L f = sum_j w_j (f o phi_j), w_j = |phi_j'|^tau
+    or p_j, and the depth-``depth`` cylinder masses of its Gibbs measure.
 
-    Piecewise-constant Galerkin scheme: the weight of branch j is averaged
-    exactly (Lebesgue) over each cell, the forward operator updates the
-    density values h and the adjoint updates the cell weights nu.  Output is
-    normalized so sum(nu) = 1 and sum(h * nu) = 1; ``mu_table`` = h * nu is
-    the induced cylinder-mass table at the chosen depth.  A branch weight
-    that float64 cannot hold is refused before the power loop.
+    Chebyshev collocation (O. F. Bandtlow & J. Slipantschuk, "Lagrange
+    approximation of transfer operators associated with holomorphic data",
+    2020): L is read at n nodes of the root interval, which for analytic maps
+    converges exponentially in n.  n is the first size on ``_NODE_LADDER``
+    whose eigenvalue and check-grid residual moved by at most ``_SETTLE``
+    (relative) from the size before; ``converged`` is false when the ladder
+    ends first.  A branch weight that float64 cannot hold is refused before
+    any solve.
     """
     if system.dim != 1:
         raise ValueError("the eigensolver operates on 1-D systems")
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    tau = _potential_tau(potential)
-    if tau is None:
+    if _potential_tau(potential) is None:
         _check_weight_count(system, potential.probs)
     _check_level_size(system.m, depth)
-    mm = system.m
-    n_cells = mm ** depth
-    n_prefix = n_cells // mm
-    lo, hi = _cell_arrays(system, depth, anchors=False)
-    if np.any(hi <= lo):
-        raise ValueError("degenerate cells; system cylinders must have length")
-    op = _BranchMajorOperator(mm, n_prefix, potential.probs if tau is None else None)
-    if tau is not None:
-        _fill_weights(op, system, tau, lo, hi, depth)
-    nu = np.subtract(hi, lo, out=lo)  # the cell lengths, then the first weights
-    del lo, hi
-    nu /= nu.sum()
-
-    # the power loop holds G (m cell arrays, none for constant weights), h,
-    # nu, one spare cell array and block scratch.  The forward image goes
-    # into the spare; once it is normalized and its move from h measured, the
-    # old h is dead and the adjoint image goes into it
-    h, spare = np.ones(n_cells), np.empty(n_cells)
-    iterations = 0
-    converged = False
-    for it in range(1, _EIGEN_MAX_ITER + 1):
-        iterations = it
-        h_peak = op.forward(h, spare)
-        d_h = op.rescaled_move(spare, h_peak, h)
-        h, spare = spare, h
-        op.adjoint(nu, spare)
-        d_nu = op.rescaled_move(spare, spare.sum(), nu)
-        nu, spare = spare, nu
-        if max(d_h, d_nu) < _EIGEN_TOL:
-            converged = True
+    grid = np.linspace(*_root(system), _CHECK_POINTS)
+    grid_weights = _branch_weights(system, potential, grid)
+    grid_images = _images(system, grid)
+    previous = None
+    for iterations, n in enumerate(_NODE_LADDER, 1):
+        lam, h, u, ops = _collocate(system, potential, n)
+        image = (grid_weights * _interpolate(system, h, grid_images).reshape(system.m, -1)).sum(0)
+        residual = float(np.max(np.abs(image / _interpolate(system, h, grid) - lam)))
+        converged = previous is not None and max(abs(lam - previous[0]),
+                                                 abs(residual - previous[1])) <= _SETTLE * lam
+        if converged:
             break
-
-    # Rayleigh eigenvalue and normalization, in the spare array
-    denom = float(h @ nu)
-    op.forward(h, spare)
-    lam = float((spare @ nu) / denom)
-    nu /= nu.sum()
-    h /= float(h @ nu)
-    op.forward(h, spare)
-    residual = op.max_residual(spare, lam, h)
-    op.adjoint(nu, spare)
-    adjoint_residual = op.max_residual(spare, lam, nu)
-    del op
-    mu_table = np.multiply(h, nu, out=spare)
-    mu_table /= mu_table.sum()
+        previous = lam, residual
     return EigenReport(
         eigenvalue=lam,
         depth=depth,
+        nodes=n,
         h_values=h,
-        nu_weights=nu,
-        mu_table=mu_table,
+        nu_weights=u,
         residual=residual,
-        adjoint_residual=adjoint_residual,
         iterations=iterations,
         converged=converged,
         system=system,
+        operators=ops,
     )
 
 
@@ -585,9 +514,8 @@ class SpectralBackend:
     mixing coefficients refuse any level past the table.  ``potential`` is the
     one ``report`` was solved for; :func:`verify_gibbs_property` reads its
     branch weights.  The backend keeps only the report's mass table,
-    eigenvalue and density values, and reads none of its cell arrays, so it
-    never makes the report build them.  A report solved for another system,
-    or whose power loop did not converge, is refused.
+    eigenvalue and nodal density values, not the report.  A report solved for
+    another system, or whose node ladder ended before it settled, is refused.
     """
 
     def __init__(self, system: IfsSystem, report: EigenReport, potential: PotentialSpec):
@@ -595,8 +523,8 @@ class SpectralBackend:
             raise ValueError("report was solved for a different system")
         if not report.converged:
             raise ValueError(
-                f"the depth-{report.depth} eigen solve did not converge in "
-                f"{report.iterations} iterations; its mass table is not the measure's"
+                f"the depth-{report.depth} eigen solve did not settle in {report.iterations} "
+                f"solves, up to {report.nodes} nodes; its mass table is not the measure's"
             )
         self.system = system
         self.potential = potential
@@ -642,22 +570,8 @@ class SpectralBackend:
         return float(self.level_table(depth)[head] * picked.prod())
 
     def h_at(self, x):
-        """Piecewise-constant density value at a point, or at each point of an
-        array: the value of the rightmost cell that starts at or left of it.
-
-        Cells are in word order, which is not position order on systems with
-        orientation-reversing maps, so the lookup runs on the cells sorted by
-        left endpoint.  The first call builds the cells' ends and keeps the
-        left ones, which are the report's ``cell_lo`` bit for bit.
-        """
-        if not hasattr(self, "_by_position"):
-            cell_lo = _cell_arrays(self.system, self.max_depth, anchors=False)[0]
-            order = np.argsort(cell_lo, kind="stable")
-            self._by_position = (cell_lo[order], order)
-        starts, order = self._by_position
-        idx = np.clip(np.searchsorted(starts, x, side="right") - 1, 0, len(order) - 1)
-        values = self.h_values[order[idx]]
-        return float(values) if np.ndim(x) == 0 else values
+        """The density's interpolant at a point, or at each point of an array."""
+        return _interpolate(self.system, self.h_values, x)
 
 
 # ---------------------------------------------------------------------------
@@ -839,8 +753,8 @@ def verify_gibbs_property(backend: MeasureBackend, depth: int) -> dict:
     density backend, and the solved eigenvalue with ``h_at`` for a spectral
     one.  The product along a word, evaluated at nested anchor points with
     tail 1^infinity, approximates the cylinder mass up to bounded distortion.
-    Each level is one array in ``_cell_arrays`` word order.  Returns the
-    extreme mass/weight ratios over all words of length <= depth.
+    Each level is one array in word order.  Returns the extreme mass/weight
+    ratios over all words of length <= depth.
     """
     system = backend.system
     if system.dim != 1:
@@ -856,13 +770,11 @@ def verify_gibbs_property(backend: MeasureBackend, depth: int) -> dict:
     ratios = []
     for ell in range(1, depth + 1):
         fx = _images(system, x)
-        j = np.repeat(np.arange(1, system.m + 1), x.size)  # the symbol each word starts with
+        # word j.I sits at (j - 1) * x.size + index(I): the first symbol is most significant
         if tau is None:
-            gtilde = (np.array(backend.potential.probs) / R)[j - 1]
+            gtilde = np.repeat(np.array(backend.potential.probs) / R, x.size)
         else:
-            x, maps = np.tile(x, system.m), _child_state(system, _initial_state(system), j)
-            g = _abs_det(system, maps) / _denominators(system, maps, x, x)
-            gtilde = g ** tau * h(fx) / (R * h(x))
+            gtilde = _derivatives(system, x).ravel() ** tau * h(fx) / (R * h(np.tile(x, system.m)))
         x, w = fx, np.tile(w, system.m) * gtilde
         ratios.append(backend.level_table(ell) / w)
     ratios = np.concatenate(ratios)

@@ -27,11 +27,12 @@ stopping families, the open-set check, ``IfsSystem.word_map``, the induced
 map, the pruner and the density backend's cylinders and sampling chain run
 on it, a whole level of words at a time.  Points go through the maps in
 place (``_map_points``, ``_images``): the window projection, ``apply_word``,
-the attractor spread, the density invariance check, the eigensolver's cells
-and the Gibbs check's anchors.  The eigensolver's weights (``_avg_weight``)
-and the induced map's inverse branches (``_invert_map``) are here too: no
-other module reads a map's coefficients.  The module also provides a JSON
-round-trip for system specifications.
+the attractor spread, the density invariance check, the density backend's
+cells, the eigensolver's collocation nodes and the Gibbs check's anchors.
+The branch derivatives ``|phi_j'|`` behind the eigensolver's weights
+(``_abs_det``, ``_denominators``) and the induced map's inverse branches
+(``_invert_map``) are here too: no other module reads a map's coefficients.
+The module also provides a JSON round-trip for system specifications.
 """
 
 from __future__ import annotations
@@ -447,27 +448,6 @@ def _invert_map(system: "IfsSystem", j: int, x: PointRd) -> PointRd:
     # adjugate matrix; projective scale is irrelevant
     z = _moebius_apply((s, -q, -r, p), _point_value(x))
     return _value_point(z.conjugate() if m.reflect else z)
-
-
-def _avg_weight(m: "ConformalMap", tau: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact Lebesgue cell average of |phi'|^tau over [a, b] per cell."""
-    p, q, r, s = m.matrix
-    det = abs(p * s - q * r)
-    if r == 0.0:
-        return np.full(a.shape, (det / s ** 2) ** tau)
-    ua, ub = r * a + s, r * b + s
-    if np.any(ua * ub <= 0):
-        raise ValueError("Moebius pole inside a cell")
-    sign = np.sign(ua)
-    ua, ub = np.abs(ua), np.abs(ub)
-    if abs(tau - 0.5) < 1e-15:
-        anti = np.log(ub) - np.log(ua)
-        integral = det ** tau * sign * anti / r
-    else:
-        e = 1.0 - 2.0 * tau
-        anti = (ub ** e - ua ** e) / e
-        integral = det ** tau * sign * anti / r
-    return integral / (b - a)
 
 
 # ---------------------------------------------------------------------------

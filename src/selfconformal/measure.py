@@ -191,6 +191,8 @@ class StripRegion:
         n = np.linalg.norm(v)
         if not (n > 0 and rho > 0):  # NaN fails too
             raise ValueError("need a nonzero normal and positive rho")
+        if not abs(offset) < np.inf:  # a NaN offset would classify every box as straddling
+            raise ValueError(f"need a finite offset, got {offset}")
         self.normal = v / n
         self.offset = float(offset) / n
         self.rho = rho

@@ -493,10 +493,10 @@ PINNED_RUNS = {
                            "N": 600, "samples": 4, "seed": 17, "checkpoints": [1, 60, 600],
                            "depth_budgets": {"ball": 6}},
         },
-        "990f46ebbf9f03344ff24edcb0c42b220ef9a3d2c1bfdf8449feadfd21ce9cc5",
-        "5005bc29af6f8f9d6c5d068f2a5f65d42d2c421031a9bc74ee6b4fc9e8dbae4a",
+        "4657631c8908192c6d51c2f45f0f9ee3912d443e02e5252cf7f3697fb89fc99d",
+        "c5090c692f64784fd6fa2d6edc217376f0a67d2d5c08be748df8d29bbf386401",
     ),
-    # constant branch weights: the power loop runs on a broadcast of p_j
+    # constant branch weights: the collocated eigenfunction is h = 1
     "bernoulli_spectral_pure": (
         {
             "system": {"builtin": "moebius_interval_quartet"},
@@ -507,8 +507,8 @@ PINNED_RUNS = {
                            "N": 600, "samples": 4, "seed": 29, "checkpoints": [1, 60, 600],
                            "depth_budgets": {"ball": 6}},
         },
-        "bfba30bc3e03690ef78950d48051f8186b8dd47aee00a2d2533b31c92537fce5",
-        "faa036d95ecb018a54e9eab4cad0eaace40bddc8d668126580e53b63b371b202",
+        "1648621bde21a1114caa73afcbbe6f4c73160acfbd7438b45e14bfd16d54d950",
+        "a05515ca76f13e64947abbb6fed1121ba176dc653832ac53558597b83aead906",
     ),
     # planar: gasket target at a vertex, Cantor-staircase radii 1, 1/3, 1/9,
     # 1/27 whose target balls come from the pruner
@@ -678,9 +678,9 @@ class TestExitCodes:
     def test_spectral_weight_count_off_the_system_exit_2_before_solving(
             self, tmp_path, capsys, monkeypatch):
         def refuse(*args):
-            raise AssertionError("built the cells before checking the weights")
+            raise AssertionError("computed branch weights before checking their count")
 
-        monkeypatch.setattr(gibbs, "_cell_arrays", refuse)
+        monkeypatch.setattr(gibbs, "_branch_weights", refuse)
         cfg = small_config()
         cfg["system"] = {"builtin": "moebius_interval_quartet"}
         cfg["potential"] = {"type": "spectral",
@@ -692,14 +692,13 @@ class TestExitCodes:
         assert "2 weights" in message and "4 maps" in message
 
     @pytest.mark.parametrize("s", [1e6, 1000.0, 400.0])
-    def test_spectral_weights_out_of_float64_exit_2_before_the_power_loop(
+    def test_spectral_weights_out_of_float64_exit_2_before_collocating(
             self, tmp_path, capsys, monkeypatch, s):
-        # 1e6 overflows det ** s, 1000 underflows every weight to 0, and 400
-        # leaves weights at 0 and subnormal
+        # 1e6 underflows every weight to 0, and 1000 and 400 leave some at 0
         def refuse(*args):
-            raise AssertionError("entered the power loop")
+            raise AssertionError("collocated the operator")
 
-        monkeypatch.setattr(gibbs._BranchMajorOperator, "forward", refuse)
+        monkeypatch.setattr(gibbs, "_collocate", refuse)
         cfg = small_config(psi={"type": "constant", "c": 0.05}, N=200, samples=2)
         cfg["system"] = {"builtin": "moebius_interval_quartet"}
         cfg["potential"] = {"type": "spectral",
@@ -708,7 +707,7 @@ class TestExitCodes:
         assert run(write_config(tmp_path, cfg), str(out)) == EXIT_CONFIG
         assert not out.exists()
         message = json.loads(capsys.readouterr().err)["error"]["message"]
-        assert f"s = {s}" in message and "depth-10" in message
+        assert f"s = {s}" in message and "weights from 0 to" in message
 
     def test_spectral_depth_1_pure_recurrence_runs(self, tmp_path):
         # seed 1 gives sample ids 3 and 4 a first symbol other than 1, so the

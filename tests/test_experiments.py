@@ -545,19 +545,20 @@ class TestShrinkingTarget:
 
 
 class TestRecurrencePure:
-    def test_spectral_run_never_builds_the_report_cells(self, quartet, monkeypatch):
+    def test_spectral_run_reads_only_the_backend_table(self, quartet, monkeypatch):
+        # the backend reads the report's table once; the run neither solves
+        # nor interpolates again
         pot = ConformalPowerPotential(1.0)
-        rep = eigen_solve(quartet, pot, 6)
+        backend = SpectralBackend(quartet, eigen_solve(quartet, pot, 6), pot)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("built the report's cell arrays")
+            raise AssertionError("went back to the collocated operator")
 
-        monkeypatch.setattr(gibbs, "_cell_arrays", refuse)
-        backend = SpectralBackend(quartet, rep, pot)
+        for name in ("_collocate", "_lagrange"):
+            monkeypatch.setattr(gibbs, name, refuse)
         recs = recurrence_pure_run(quartet, backend, ConstantRadius(0.05), 300, 3, 11,
                                    ball_budget=6)
         assert len(recs) == 3
-        assert not {"cell_lo", "cell_hi", "cell_anchor"} & set(vars(rep))
 
     def test_ball_covering_attractor_counts_every_step(self, cantor, uniform):
         # radius 1 = 3^0 takes the exact prefix test; radius 3 (k = -1) must not
@@ -1427,14 +1428,22 @@ class TestNamedExamples:
         assert len(rep["hyperplane"]["series"]) == 8
         json.dumps({k: v for k, v in rep.items() if k != "records"})
 
-    # the sup sits on one cell, so one depth can miss a reordered expression
+    # 7.2 reads only lambda and h, on a fixed grid, so the table depth changes
+    # nothing but the recorded depth, and no table is built
     @pytest.mark.parametrize("depth", [4, 5, 8])
-    def test_interval_eigen_fields_match_the_full_array_expression(self, quartet, depth):
-        rep = run_named_example("7.2", {"eigen_depth": depth, "N": 200, "samples": 4})
+    def test_interval_eigen_fields_match_the_grid_expression(self, quartet, monkeypatch, depth):
+        def refuse(self):
+            raise AssertionError("built the mass table")
+
         ref = eigen_solve(quartet, ConformalPowerPotential(1.0), depth)
-        target_h = 1.0 / (math.log(2.0) * (1.0 + ref.cell_anchor))
+        grid = np.linspace(0.0, 1.0, 1025)
+        target_h = 1.0 / (math.log(2.0) * (1.0 + grid))
+        monkeypatch.setattr(gibbs.EigenReport, "mu_table", property(refuse))
+        rep = run_named_example("7.2", {"eigen_depth": depth, "N": 200, "samples": 4})
+        assert rep["eigen"]["depth"] == depth and rep["eigen"]["nodes"] == ref.nodes
         assert rep["eigen"]["eigenvalue"] == ref.eigenvalue
-        assert rep["eigen"]["density_sup_error"] == float(np.max(np.abs(ref.h_values - target_h)))
+        assert rep["eigen"]["density_sup_error"] == float(np.max(np.abs(ref.h_at(grid) - target_h)))
+        assert rep["eigen"]["density_sup_error"] < 1e-12
 
     def test_reports_deterministic(self):
         small = {"N": 2000, "samples": 10, "mc_samples": 500}

@@ -30,7 +30,7 @@ from selfconformal.gibbs import (
     word_index,
     _cell_arrays,
 )
-from selfconformal.ifs import Affine1D, Box, IfsSystem, _avg_weight, _moebius_apply, builtin_system
+from selfconformal.ifs import Affine1D, Box, IfsSystem, Moebius1D, _moebius_apply, builtin_system
 from selfconformal.symbolic import word
 
 LOG2 = math.log(2.0)
@@ -208,22 +208,22 @@ def test_bernoulli_weights_refuse_nan(probs):
 
 
 # ---------------------------------------------------------------------------
-# cell-average weights
+# branch weights
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("tau", [1.0, 0.5, 0.73])
-def test_avg_weight_matches_quadrature(quartet, tau):
-    m = quartet.maps[1]  # 1/(2(1+x)), derivative magnitude 1/(2(1+x)^2)
-    a, b = 0.2, 0.45
-    got = _avg_weight(m, tau, np.array([a]), np.array([b]))[0]
-    exact = mpmath.quad(lambda x: (1 / (2 * (1 + x) ** 2)) ** tau, [a, b]) / (b - a)
-    assert abs(got - float(exact)) < 1e-12
+def test_branch_weights_match_the_derivative(quartet, tau):
+    y = np.array([0.0, 0.2, 0.45, 1.0])
+    got = gibbs._branch_weights(quartet, ConformalPowerPotential(tau), y)
+    for row, m in zip(got, quartet.maps):
+        p, q, r, s = m.matrix
+        exact = [abs(mpmath.diff(lambda t: (p * t + q) / (r * t + s), v)) ** tau for v in y]
+        assert np.max(np.abs(row - np.array(exact, dtype=float))) < 1e-14, m
 
 
-def test_avg_weight_affine(quartet):
-    m = quartet.maps[0]
-    got = _avg_weight(m, 0.9, np.array([0.1]), np.array([0.7]))[0]
-    assert abs(got - 0.25 ** 0.9) < 1e-15
+def test_branch_weights_affine(quartet):
+    got = gibbs._branch_weights(quartet, ConformalPowerPotential(0.9), np.array([0.1, 0.7]))[0]
+    assert np.max(np.abs(got - 0.25 ** 0.9)) < 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -245,14 +245,36 @@ def test_eigen_solve_quartet_leading_eigenvalue(quartet):
     assert rep.converged
 
 
-def test_eigen_solve_quartet_density_values(quartet):
+def test_eigen_solve_quartet_is_exact(quartet):
+    # the Galerkin solve on depth-6 cells missed the catalog masses by up to 7.4e-5
+    # (relative); collocation leaves only the catalog's own rounding
     rep = eigen_solve(quartet, ConformalPowerPotential(1.0), depth=6)
-    anchors = rep.cell_anchor
-    target = 1.0 / (LOG2 * (1.0 + anchors))
-    assert np.max(np.abs(rep.h_values - target)) < 5e-2  # depth-6 cells
-    # mass table vs the closed-form measure
+    assert abs(rep.eigenvalue - 1.0) <= 1e-13
     exact = DensityBackend(quartet, "reciprocal_log2").level_table(6)
-    assert np.max(np.abs(rep.mu_table - exact)) < 1e-4
+    assert np.max(np.abs(rep.mu_table / exact - 1.0)) <= 1e-10
+
+
+def _e2():
+    """The continued-fraction set with digits 1 and 2: x -> 1/(1+x), 1/(2+x)."""
+    unit = Box((0.0,), (1.0,))
+    return IfsSystem(maps=[Moebius1D(0.0, 1.0, 1.0, 1.0), Moebius1D(0.0, 1.0, 1.0, 2.0)],
+                     dim=1, domain=unit, attractor_box=unit)
+
+
+def test_eigen_solve_e2_eigenvalue_is_one_at_its_dimension():
+    # the pressure of E2 vanishes at its Hausdorff dimension (Jenkinson &
+    # Pollicott); the depth-12 Galerkin solve missed 1 by 5.4e-8
+    rep = eigen_solve(_e2(), ConformalPowerPotential(0.5312805062772051), depth=4)
+    assert rep.converged
+    assert abs(rep.eigenvalue - 1.0) <= 1e-13
+
+
+def test_eigen_solve_cantor_bernoulli_is_the_product_measure(cantor):
+    rep = eigen_solve(cantor, BernoulliPotential((0.3, 0.7)), depth=12)
+    assert np.max(np.abs(rep.h_values - 1.0)) <= 1e-12
+    assert np.max(np.abs(rep.h_at(np.linspace(0.0, 1.0, 101)) - 1.0)) <= 1e-12
+    exact = BernoulliBackend(cantor, (0.3, 0.7)).level_table(12)
+    assert np.max(np.abs(rep.mu_table / exact - 1.0)) <= 1e-12
 
 
 def test_eigen_solve_pair_system_power_two():
@@ -268,14 +290,11 @@ def _concatenated_cell_arrays(system, depth):
     the previous level, joined in map order."""
     lo = np.array([system.attractor_box.lo[0]])
     hi = np.array([system.attractor_box.hi[0]])
-    anchor = np.array([system.base_point().x])
     for _ in range(depth):
-        images = [(_moebius_apply(m.matrix, lo), _moebius_apply(m.matrix, hi),
-                   _moebius_apply(m.matrix, anchor)) for m in system.maps]
-        lo = np.concatenate([np.minimum(a, b) for a, b, _ in images])
-        hi = np.concatenate([np.maximum(a, b) for a, b, _ in images])
-        anchor = np.concatenate([anc for _, _, anc in images])
-    return lo, hi, anchor
+        images = [(_moebius_apply(m.matrix, lo), _moebius_apply(m.matrix, hi)) for m in system.maps]
+        lo = np.concatenate([np.minimum(a, b) for a, b in images])
+        hi = np.concatenate([np.maximum(a, b) for a, b in images])
+    return lo, hi
 
 
 @pytest.mark.parametrize("name, depth", [
@@ -290,53 +309,6 @@ def test_cell_arrays_bit_identical_to_concatenated_levels(name, depth):
         assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
 
-def _gathered_power_iteration(system, potential, depth, tol=1e-13, max_iter=500):
-    """``eigen_solve``'s power iteration with the operators written plainly:
-    forward gathers each branch's parent cell, adjoint sums reshaped rows."""
-    mm, n = system.m, system.m ** depth
-    lo, hi, _ = _cell_arrays(system, depth)
-    if isinstance(potential, BernoulliPotential):
-        g = np.repeat(np.asarray(potential.probs)[:, None], n, axis=1)
-    else:
-        tau = (potential.tau if isinstance(potential, ConformalPowerPotential)
-               else DENSITY_CATALOG[potential.name]["tau"])
-        g = np.stack([_avg_weight(m, tau, lo, hi) for m in system.maps])
-    n_prefix, parent = n // mm, np.arange(n) // mm
-
-    def forward(f):
-        out = np.zeros(n)
-        for j in range(mm):
-            out += g[j] * f[j * n_prefix + parent]
-        return out
-
-    def adjoint(w):
-        return np.concatenate([(g[j] * w).reshape(n_prefix, mm).sum(axis=1) for j in range(mm)])
-
-    h, nu = np.ones(n), (hi - lo) / (hi - lo).sum()
-    for it in range(1, max_iter + 1):
-        h_new = forward(h)
-        h_new = h_new / np.max(np.abs(h_new))
-        nu_new = adjoint(nu)
-        nu_new = nu_new / nu_new.sum()
-        delta = max(np.max(np.abs(h_new - h)), np.max(np.abs(nu_new - nu)))
-        h, nu = h_new, nu_new
-        if delta < tol:
-            break
-    lam = float((forward(h) @ nu) / float(h @ nu))
-    nu = nu / nu.sum()
-    h = h / float(h @ nu)
-    mu = h * nu
-    return {
-        "eigenvalue": lam,
-        "h_values": h,
-        "nu_weights": nu,
-        "mu_table": mu / mu.sum(),
-        "residual": float(np.max(np.abs(forward(h) - lam * h))),
-        "adjoint_residual": float(np.max(np.abs(adjoint(nu) - lam * nu))),
-        "iterations": it,
-    }
-
-
 def _nine_map_system():
     maps = [Affine1D(0.1, 0.11 * k) for k in range(9)]
     unit = Box((0.0,), (1.0,))
@@ -349,22 +321,34 @@ def _nine_map_system():
     pytest.param("cantor", BernoulliPotential((0.3, 0.7)), 8, id="cantor-bernoulli"),
     pytest.param("quartet", ClosedFormDensityPotential("reciprocal_log2"), 5,
                  id="quartet-reciprocal_log2"),
-    # nine branches: numpy adds the adjoint's rows pairwise; the last two
-    # cases round differently when the rows are added left to right
     pytest.param("nine", BernoulliPotential((0.1,) * 8 + (0.2,)), 3, id="nine-bernoulli"),
     pytest.param("nine", BernoulliPotential((0.05, 0.07, 0.09, 0.11, 0.13, 0.15, 0.12, 0.18, 0.10)),
                  3, id="nine-bernoulli-distinct"),
     pytest.param("nine", ConformalPowerPotential(0.7), 3, id="nine-tau0.7"),
 ])
-def test_eigen_solve_bit_identical_to_gathered_operators(quartet, cantor, system, potential, depth):
+def test_eigen_solve_table_matches_word_by_word_products(quartet, cantor, system, potential,
+                                                         depth):
+    """The table against ``u . A_{a_d} ... A_{a_1} h`` written plainly, one
+    word and one branch matrix at a time, and the eigenpair against the
+    branch matrices: ``sum_j A_j`` fixes h on the right and u on the left."""
     system = {"quartet": quartet, "cantor": cantor, "nine": _nine_map_system()}[system]
     rep = eigen_solve(system, potential, depth)
-    ref = _gathered_power_iteration(system, potential, depth)
-    for name, value in ref.items():
-        assert np.array_equal(getattr(rep, name), value), name
+    assert rep.converged
+    h, u, ops = rep.h_values, rep.nu_weights, rep.operators
+    assert ops.shape == (system.m, rep.nodes, rep.nodes)
+    assert abs(u.sum() - 1.0) < 1e-14 and abs(u @ h - 1.0) < 1e-14
+    assert np.max(np.abs(ops.sum(axis=0) @ h - h)) < 1e-13 * np.max(np.abs(h))
+    assert np.max(np.abs(u @ ops.sum(axis=0) - u)) < 1e-13 * np.max(np.abs(u))
+    expected = []
+    for w in itertools.product(range(system.m), repeat=depth):
+        v = h
+        for a in w:
+            v = ops[a] @ v
+        expected.append(u @ v)
+    np.testing.assert_allclose(rep.mu_table, expected, rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("block", [1, 7])
+@pytest.mark.parametrize("level", ["first", "last"])
 @pytest.mark.parametrize("system, potential, depth", [
     pytest.param("quartet", ConformalPowerPotential(1.0), 4, id="quartet-tau1"),
     pytest.param("quartet", ConformalPowerPotential(0.7), 4, id="quartet-tau0.7"),
@@ -373,26 +357,24 @@ def test_eigen_solve_bit_identical_to_gathered_operators(quartet, cantor, system
                  3, id="nine-bernoulli-distinct"),
     pytest.param("nine", ConformalPowerPotential(0.7), 3, id="nine-tau0.7"),
 ])
-def test_eigen_solve_bits_do_not_depend_on_the_block(quartet, monkeypatch, system, potential,
-                                                     depth, block):
-    # blocks of 7 prefixes leave a short last block (of 64 and of 81
-    # prefixes), blocks of 1 give each prefix its own; the normalization
-    # passes run over a block's length of cells, so each prefix block's
-    # cells span several of them
+def test_eigen_solve_tables_of_two_depths_agree(quartet, system, potential, depth, level):
+    # the table is built from both ends of a word, split at half its length,
+    # so a shallower table splits its words elsewhere; its masses are still
+    # the deeper table's marginals, to rounding
     system = {"quartet": quartet, "nine": _nine_map_system()}[system]
-    monkeypatch.setattr(gibbs, "_EIGEN_BLOCK", block)
-    rep = eigen_solve(system, potential, depth)
-    ref = _gathered_power_iteration(system, potential, depth)
-    for name, value in ref.items():
-        assert np.array_equal(getattr(rep, name), value), name
+    k = 1 if level == "first" else depth - 1
+    deep = eigen_solve(system, potential, depth).mu_table
+    shallow = eigen_solve(system, potential, k).mu_table
+    np.testing.assert_allclose(deep.reshape(system.m ** k, -1).sum(axis=1), shallow,
+                               rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("probs", [(0.5, 0.5), (0.2,) * 5])
 def test_eigen_solve_refuses_a_weight_count_before_allocating(quartet, monkeypatch, probs):
     def refuse(*args):
-        raise AssertionError("built the cells before checking the weights")
+        raise AssertionError("computed branch weights before checking their count")
 
-    monkeypatch.setattr(gibbs, "_cell_arrays", refuse)
+    monkeypatch.setattr(gibbs, "_branch_weights", refuse)
     with pytest.raises(ValueError, match=f"got {len(probs)} weights for 4 maps"):
         eigen_solve(quartet, BernoulliPotential(probs), depth=10)
 
@@ -407,11 +389,12 @@ def test_unsupported_potential_is_a_type_error(quartet):
             call()
 
 
-def _solve_peak_arrays(system, potential, depth):
-    """``eigen_solve``'s traced peak, in depth-k cell arrays."""
+def _solve_peak_tables(system, potential, depth):
+    """The traced peak of ``eigen_solve`` and a read of its mass table, in
+    depth-k tables."""
     tracemalloc.start()
     try:
-        eigen_solve(system, potential, depth)
+        eigen_solve(system, potential, depth).mu_table
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -419,40 +402,37 @@ def _solve_peak_arrays(system, potential, depth):
 
 
 def test_eigen_solve_peak_memory(quartet):
-    # the power loop holds only the weights G (m = 4 cell arrays), h, nu, one
-    # spare array and block-sized scratch: about 7.1 cell arrays at depth 9
-    assert _solve_peak_arrays(quartet, ConformalPowerPotential(1.0), 9) <= 7.25
+    # the table, then its two halves of 4^5 and 4^4 nodal rows: about 1.2
+    # tables at depth 9 (the Galerkin solve held about 7.1)
+    assert _solve_peak_tables(quartet, ConformalPowerPotential(1.0), 9) <= 1.5
 
 
 def test_eigen_solve_peak_memory_bernoulli(quartet):
-    # constant weights hold no G: the cell ends, then h, nu and the spare
-    # array, about 3.1 cell arrays at depth 9
-    assert _solve_peak_arrays(quartet, BernoulliPotential((0.1, 0.2, 0.3, 0.4)), 9) <= 3.75
+    assert _solve_peak_tables(quartet, BernoulliPotential((0.1, 0.2, 0.3, 0.4)), 9) <= 1.5
 
 
 @pytest.mark.parametrize("name", ["moebius_interval_quartet", "moebius_interval_pair"])
-def test_report_cells_are_built_on_read_and_match_cell_arrays(name):
+def test_mu_table_is_built_on_first_read(name):
     system = builtin_system(name)
     rep = eigen_solve(system, ConformalPowerPotential(1.0), depth=6)
-    fields = ("cell_lo", "cell_hi", "cell_anchor")
-    assert not set(fields) & set(vars(rep))  # the solve holds no cell geometry
-    for field, ref in zip(fields, _cell_arrays(system, 6)):
-        got = getattr(rep, field)
-        assert got.dtype == ref.dtype and np.array_equal(got, ref), field
-        assert getattr(rep, field) is got  # built once
+    assert "mu_table" not in vars(rep)  # the solve builds no table
+    table = rep.mu_table
+    assert rep.mu_table is table  # built once
+    exact = DensityBackend(system, "reciprocal_log2").level_table(6)
+    assert np.max(np.abs(table / exact - 1.0)) <= 1e-10
 
 
 @pytest.mark.parametrize("s, detail", [
-    (1e6, "overflows"),        # det ** s leaves float range
-    (1000.0, r"from -?0 to -?0\)"),  # every weight underflows
-    (400.0, "from -?0 to [1-9]"),  # weights at 0 and subnormal
+    (1e6, r"from 0 to 0\)"),  # every weight underflows
+    (400.0, "from 0 to [1-9]"),  # some weights underflow
+    (-1e6, r"to inf\)"),  # every weight overflows
 ])
 def test_eigen_solve_refuses_weights_float64_cannot_hold(quartet, monkeypatch, s, detail):
     def refuse(*args):
-        raise AssertionError("entered the power loop")
+        raise AssertionError("collocated the operator")
 
-    monkeypatch.setattr(gibbs._BranchMajorOperator, "forward", refuse)
-    with pytest.raises(ValueError, match=f"s = {s}.*depth-10 cells.*{detail}"):
+    monkeypatch.setattr(gibbs, "_collocate", refuse)
+    with pytest.raises(ValueError, match=rf"s = {s} .*\[0.0, 1.0\].*{detail}"):
         eigen_solve(quartet, ConformalPowerPotential(s), depth=10)
 
 
@@ -463,11 +443,12 @@ def test_conformal_power_refuses_a_non_finite_exponent(tau):
 
 
 def test_spectral_backend_refuses_an_unconverged_report(quartet, monkeypatch):
-    monkeypatch.setattr(gibbs, "_EIGEN_MAX_ITER", 3)
+    # 4 and 8 nodes leave lambda moving by 1e-6: the ladder ends first
+    monkeypatch.setattr(gibbs, "_NODE_LADDER", (4, 8))
     pot = ConformalPowerPotential(1.0)
     rep = eigen_solve(quartet, pot, depth=6)
-    assert not rep.converged and rep.iterations == 3
-    with pytest.raises(ValueError, match="depth-6 .* 3 iterations"):
+    assert not rep.converged and rep.iterations == 2 and rep.nodes == 8
+    with pytest.raises(ValueError, match="depth-6 .* 2 solves, up to 8 nodes"):
         SpectralBackend(quartet, rep, pot)
 
 
@@ -551,9 +532,9 @@ def test_skewed_weights_keep_relative_precision(cantor):
 
 @pytest.mark.parametrize("name, pot, digest", [
     ("moebius_interval_quartet", ConformalPowerPotential(1.0),
-     "1eaedb447421da1c6deed8d565abeb7ea355c4e4bdd675d95b4328f7aa50e940"),
+     "eaf2ced432a73a57dee32c2d15ec361b2de771fa820c7d071963e85c558dfe01"),
     ("middle_third_cantor", BernoulliPotential((1 - 1e-9, 1e-9)),
-     "1608d1b3934a295868bfe499f16ed01103f85b6a6a2c668b71e39ca80492db81"),
+     "4a8ff6413dfb29fc94b97b09d0a4bff9fe6ed5f52136e4f06c172a778bd13324"),
 ])
 def test_spectral_extension_bits_are_pinned(name, pot, digest):
     """Masses of words of length 5-15 past a depth-4 table, bit for bit."""
@@ -634,13 +615,13 @@ def test_verify_gibbs_spectral_bounded_distortion(quartet, density_backend):
     sb = SpectralBackend(quartet, eigen_solve(quartet, pot, depth=6), pot)
     rep = verify_gibbs_property(sb, depth=6)
     assert rep["count"] == sum(4 ** k for k in range(1, 7))
-    # the cell-constant density differs from the exact one by a depth-6
-    # cell's variation, so both extreme ratios track the exact density's
+    # the collocated density and masses are the exact ones to rounding, so
+    # both extreme ratios are the exact density's
     assert 0.2 < rep["min_ratio"] <= 1.0
     assert 1.0 <= rep["max_ratio"] < 5.0
     exact = verify_gibbs_property(density_backend, depth=6)
-    assert abs(rep["min_ratio"] - exact["min_ratio"]) < 1e-3
-    assert abs(rep["max_ratio"] - exact["max_ratio"]) < 1e-3
+    assert abs(rep["min_ratio"] - exact["min_ratio"]) < 1e-10
+    assert abs(rep["max_ratio"] - exact["max_ratio"]) < 1e-10
 
 
 def _gibbs_pin_backend(name):
@@ -675,17 +656,18 @@ GIBBS_PINS = {
         4: (1.3994054600054304, 0.7421594417277568, 30),
         6: (1.4315400338210886, 0.7268681088899644, 126),
     },
+    # collocated eigendata: the quartet's ratios are the density's to 3e-15
     "spectral_quartet": {
-        4: (1.4398846241930223, 0.7227490967910791, 340),
-        6: (1.4425186053517483, 0.7214355835199535, 5460),
+        4: (1.4398845936327973, 0.7227491035895048, 340),
+        6: (1.4425189593130054, 0.7214355469075657, 5460),
     },
     "spectral_pair": {
-        4: (1.2673812945607315, 0.8062968686322429, 30),
-        6: (1.2869456176747343, 0.7940999553681494, 126),
+        4: (1.2673840607980162, 0.8062845103559504, 30),
+        6: (1.286944636013467, 0.7940921431382244, 126),
     },
     "spectral_cantor": {
-        4: (1.0000000000000004, 1.0, 30),
-        6: (1.0000000000000007, 1.0, 126),
+        4: (1.0000000000000093, 1.000000000000004, 30),
+        6: (1.0000000000000093, 1.0000000000000007, 126),
     },
 }
 
@@ -706,15 +688,16 @@ def test_verify_gibbs_property_is_pinned(name):
 
 
 @pytest.mark.parametrize("name", ["moebius_interval_quartet", "moebius_interval_pair"])
-def test_spectral_h_at_reads_the_cell_holding_the_point(name):
-    # both systems reverse orientation, so word order is not position order
+def test_spectral_h_at_is_the_density(name):
     system = builtin_system(name)
     pot = ConformalPowerPotential(1.0)
-    rep = eigen_solve(system, pot, depth=4)
-    sb = SpectralBackend(system, rep, pot)
-    for x in np.linspace(rep.cell_lo.min(), rep.cell_hi.max(), 1999):
-        holding = rep.h_values[(rep.cell_lo <= x) & (x <= rep.cell_hi)]
-        assert sb.h_at(x) in holding, x
+    sb = SpectralBackend(system, eigen_solve(system, pot, depth=4), pot)
+    xs = np.linspace(0.0, 1.0, 1999)
+    assert np.max(np.abs(sb.h_at(xs) - 1.0 / (LOG2 * (1.0 + xs)))) <= 1e-12
+    assert np.max(np.abs(sb.h_at(xs.reshape(-1, 1))[:, 0] - sb.h_at(xs))) <= 1e-15
+    for x in xs[::97]:
+        value = sb.h_at(x)
+        assert isinstance(value, float) and abs(value - 1.0 / (LOG2 * (1.0 + x))) <= 1e-12
 
 
 @pytest.mark.parametrize("name", ["moebius_interval_quartet", "moebius_interval_pair"])
@@ -723,17 +706,13 @@ def test_spectral_backend_frees_the_report_and_keeps_h_at(name):
     pot = ConformalPowerPotential(1.0)
     rep = eigen_solve(system, pot, depth=5)
     xs = np.linspace(0.0, 1.0, 257)
-    # the lookup on the report's own cells: the rightmost cell starting at or
-    # left of x, among the cells sorted by left endpoint
-    order = np.argsort(rep.cell_lo, kind="stable")
-    idx = np.clip(np.searchsorted(rep.cell_lo[order], xs, side="right") - 1, 0, len(order) - 1)
-    expected = rep.h_values[order[idx]]
+    expected = rep.h_at(xs)
     sb = SpectralBackend(system, rep, pot)
     alive = weakref.ref(rep)
     del rep
     gc.collect()
     assert alive() is None
-    assert np.array_equal([sb.h_at(x) for x in xs], expected)
+    assert np.array_equal(sb.h_at(xs), expected)
 
 
 # ---------------------------------------------------------------------------

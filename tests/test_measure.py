@@ -157,6 +157,7 @@ def _one_box(lo, hi):
      "radius must be positive"),
     (lambda b: AnnulusRegion(as_point(0.2, 1), math.nan, 0.1), "r and rho must be positive"),
     (lambda b: StripRegion((1.0,), 0.2, math.nan), "positive rho"),
+    (lambda b: region_measure(b, StripRegion((1.0,), math.nan, 0.1)), "finite offset"),
     (lambda b: density_ratio_series(b, 0.2, ConstantRadius(math.nan), 1.0, 5),
      "radius must be positive"),
 ])
