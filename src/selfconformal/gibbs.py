@@ -27,7 +27,8 @@ weights (proportional to the conditional law), ``cum_rows()`` their cumulative
 sums, which the samplers pick from, and ``advance(symbols)`` appends one
 symbol per row.  The samplers in :mod:`selfconformal.dynamics` and
 :func:`conditional_next` read the law through it, and the spectral cylinder
-masses past the table depth read its deepest conditional rows.
+masses past the table depth read its deepest conditional rows: the rows of
+the deepest table, each divided by its own sum as it is gathered.
 
 Exact joint masses ``mu([I] intersect sigma^-n[J])`` are read off level tables
 (``_joint_masses``, ``_pair_mass``), and never past a spectral table.
@@ -47,8 +48,8 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .ifs import (IfsSystem, _abs_det, _child_state, _compose_states,
-                  _denominators, _images, _initial_state, _rescaled_state,
-                  _state_apply, _state_boxes, _word_state)
+                  _denominators, _end_images, _images, _initial_state,
+                  _rescaled_state, _state_boxes, _word_state)
 from .symbolic import FiniteWord
 
 __all__ = [
@@ -514,7 +515,9 @@ class SpectralBackend:
     mixing coefficients refuse any level past the table.  ``potential`` is the
     one ``report`` was solved for; :func:`verify_gibbs_property` reads its
     branch weights.  The backend keeps only the report's mass table,
-    eigenvalue and nodal density values, not the report.  A report solved for
+    eigenvalue and nodal density values, not the report, and beside them only
+    the level tables below the table depth: the deepest conditionals are the
+    table's rows, divided by their sums as they are read.  A report solved for
     another system, or whose node ladder ended before it settled, is refused.
     """
 
@@ -542,11 +545,13 @@ class SpectralBackend:
         return self._tables[k]
 
     def _law_tables(self):
-        """Level tables 0..depth and the deepest next-symbol conditionals."""
+        """Level tables 0..depth and the deepest one as a view of ``m``-symbol
+        rows, row ``c`` the table's masses of the context word ``c`` followed
+        by each symbol; the rows past the table are normalized as they are
+        gathered (``_conditional_rows``), so no normalized copy is kept."""
         if not hasattr(self, "_law"):
             tables = [self.level_table(k) for k in range(self.max_depth + 1)]
-            deep = tables[-1].reshape(-1, self.system.m)
-            self._law = (tables, deep / deep.sum(axis=1, keepdims=True))
+            self._law = (tables, tables[-1].reshape(-1, self.system.m))
         return self._law
 
     def chain(self, n_rows: int) -> _SpectralChain:
@@ -564,7 +569,7 @@ class SpectralBackend:
         ctx = np.zeros(k - depth, dtype=np.int64)
         for j in range(1, depth):
             ctx = ctx * m + s[j : j + k - depth]
-        rows = self._law_tables()[1][ctx]
+        rows = _conditional_rows(self._law_tables()[1], ctx)
         picked = rows[np.arange(k - depth), s[depth:]] / rows.sum(axis=1)
         head = word_index(FiniteWord(word.symbols[:depth], m))
         return float(self.level_table(depth)[head] * picked.prod())
@@ -577,6 +582,14 @@ class SpectralBackend:
 # ---------------------------------------------------------------------------
 # next-symbol laws: one vectorized chain per backend (rows = concurrent words)
 # ---------------------------------------------------------------------------
+
+def _conditional_rows(deep: np.ndarray, ctx: np.ndarray) -> np.ndarray:
+    """The deepest tabled next-symbol conditionals of the contexts ``ctx``:
+    their rows of the depth table, each divided by its own sum."""
+    rows = deep[ctx]
+    rows /= rows.sum(axis=1, keepdims=True)
+    return rows
+
 
 def _normalized_cumsum(rows: np.ndarray) -> np.ndarray:
     cum = np.cumsum(rows, axis=1)
@@ -604,7 +617,8 @@ class _BernoulliChain:
 
 # Below this conditional cell mass, CDF differences cancel in float64; the
 # conditional law is then within O(cell length) of the child-length ratio,
-# which has a cancellation-free projective formula.
+# which has a cancellation-free projective formula.  A chain whose rows all
+# fall below half of it keeps the ratio law for good (``_DensityChain.rows``).
 _DENSITY_LINEAR_CUTOVER = 1e-8
 
 
@@ -613,11 +627,14 @@ class _DensityChain:
 
     Each row carries the running word's cylinder state (rescaled every step,
     which is projectively harmless); ``maps`` holds the maps as ``(m, 1)``
-    state columns, ``dets`` their ``|det|``.  Child masses are exact CDF
-    differences while the running cell is wide enough for float subtraction;
-    once the cell mass falls below ``1e-8`` the chain switches to the
-    length-ratio limit ``|det phi_j| / |denom_j| / density-weight``, whose
-    terms stay O(1) for arbitrarily long chains.
+    state columns, ``dets`` their ``|det|``.  ``rows()`` composes every row's
+    m children into one stacked buffer, and ``advance`` gathers each row's
+    chosen child from it (a chain advanced without ``rows()``, as in
+    :func:`conditional_next`, composes the chosen child alone).  Child masses
+    are exact CDF differences while the running cell is wide enough for
+    float subtraction; once the cell mass falls below ``1e-8`` the chain
+    switches to the length-ratio limit ``|det phi_j| / |denom_j| /
+    density-weight``, whose terms stay O(1) for arbitrarily long chains.
     """
 
     def __init__(self, backend: DensityBackend, n_rows: int):
@@ -629,26 +646,44 @@ class _DensityChain:
         self.maps = _child_state(system, root, np.arange(1, system.m + 1)[:, None])
         self.dets = _abs_det(system, self.maps)
         self.state = [np.repeat(c, n_rows) for c in root]
+        self._kids = np.empty((len(root), system.m, n_rows), dtype=system.dtype)
+        self._composed = False  # whether _kids holds the children of state
+        self._narrow = False  # whether every row keeps the length-ratio law
+        self._cols = np.arange(n_rows)
 
     def rows(self) -> np.ndarray:
         a0, b0 = self.root
         # every row's running word followed by every symbol: (m, rows) columns
-        kids = _compose_states(self.system, self.state, self.maps)
-        e1, e2 = _state_apply(self.system, kids, a0), _state_apply(self.system, kids, b0)
-        lo, hi = np.minimum(e1, e2), np.maximum(e1, e2)
-        diffs = np.maximum(self.cdf(hi) - self.cdf(lo), 0.0)
+        kids = _compose_states(self.system, self.state, self.maps, out=self._kids)
+        self._composed = True
+        e1, e2, den = _end_images(self.system, kids, a0, b0)
+        lo = np.minimum(e1, e2)
         # child length ratio: |det(M phi_j)| (b0-a0) / |d1 d2| with the
         # row-common factors |det M| and (b0-a0) dropped, weighted by the
         # local density value
-        linear = self.dets / np.abs(_denominators(self.system, kids, a0, b0)) * self.density(lo)
-        narrow = diffs.sum(axis=0, keepdims=True) < _DENSITY_LINEAR_CUTOVER
-        return np.where(narrow, linear, diffs).T
+        linear = self.dets / np.abs(den) * self.density(lo)
+        if self._narrow:
+            return linear.T
+        diffs = np.maximum(self.cdf(np.maximum(e1, e2)) - self.cdf(lo), 0.0)
+        totals = diffs.sum(axis=0, keepdims=True)
+        # A child cell lies inside its parent, so a row's true children total
+        # never grows; the computed totals carry rounding of about 1e-15, far
+        # inside the factor-2 margin.  Once every total is below half the
+        # cutover, every later step would pick the length-ratio law anyway,
+        # and the CDF differences are no longer computed.
+        self._narrow = bool((totals < 0.5 * _DENSITY_LINEAR_CUTOVER).all())
+        return np.where(totals < _DENSITY_LINEAR_CUTOVER, linear, diffs).T
 
     def cum_rows(self) -> np.ndarray:
         return _normalized_cumsum(self.rows())
 
     def advance(self, symbols: np.ndarray) -> None:
-        self.state = _rescaled_state(self.system, _child_state(self.system, self.state, symbols))
+        if self._composed:
+            state = self._kids[:, symbols - 1, self._cols]
+        else:
+            state = _child_state(self.system, self.state, symbols)
+        self._composed = False
+        self.state = _rescaled_state(self.system, state)
 
 
 class _SpectralChain:
@@ -662,7 +697,7 @@ class _SpectralChain:
     def __init__(self, backend: SpectralBackend, n_rows: int):
         self.m = backend.system.m
         self.depth = backend.max_depth
-        self.tables, self.cond = backend._law_tables()
+        self.tables, self.deep = backend._law_tables()
         self.ctx_mod = self.m ** (self.depth - 1)
         self.t = 0
         self.idx = np.zeros(n_rows, dtype=np.int64)
@@ -673,7 +708,7 @@ class _SpectralChain:
             parent = self.tables[self.t]
             rows = child[self.idx[:, None] * self.m + np.arange(self.m)]
             return rows / parent[self.idx][:, None]
-        return self.cond[self.idx]
+        return _conditional_rows(self.deep, self.idx)
 
     def cum_rows(self) -> np.ndarray:
         return _normalized_cumsum(self.rows())

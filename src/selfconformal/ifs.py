@@ -29,8 +29,9 @@ on it, a whole level of words at a time.  Points go through the maps in
 place (``_map_points``, ``_images``): the window projection, ``apply_word``,
 the attractor spread, the density invariance check, the density backend's
 cells, the eigensolver's collocation nodes and the Gibbs check's anchors.
-The branch derivatives ``|phi_j'|`` behind the eigensolver's weights
-(``_abs_det``, ``_denominators``) and the induced map's inverse branches
+The branch derivatives ``|phi_j'|`` behind the eigensolver's weights and
+the density chain's child cells and length ratios (``_abs_det``,
+``_denominators``, ``_end_images``) and the induced map's inverse branches
 (``_invert_map``) are here too: no other module reads a map's coefficients.
 The module also provides a JSON round-trip for system specifications.
 """
@@ -159,20 +160,26 @@ def _moebius_apply(mat, x, reflect=False):
     return (p * x + q) / (r * x + s)
 
 
-def _moebius_compose(m1, m2):
+def _moebius_compose(m1, m2, out=None):
     """Coefficient matrix of map1 composed after map2 (apply m2 first); when
-    map1 reflects, the caller passes map2's conjugated coefficients."""
+    map1 reflects, the caller passes map2's conjugated coefficients.  ``out``,
+    a stacked array with one slot per coefficient, receives the same values
+    in place of new arrays."""
     if len(m1) == 2:
         (a1, b1), (a2, b2) = m1, m2
-        return (a1 * a2, a1 * b2 + b1)
+        if out is None:
+            return (a1 * a2, a1 * b2 + b1)
+        np.multiply(a1, a2, out=out[0])
+        np.add(np.multiply(a1, b2, out=out[1]), b1, out=out[1])
+        return out
     p1, q1, r1, s1 = m1
     p2, q2, r2, s2 = m2
-    return (
-        p1 * p2 + q1 * r2,
-        p1 * q2 + q1 * s2,
-        r1 * p2 + s1 * r2,
-        r1 * q2 + s1 * s2,
-    )
+    terms = ((p1, p2, q1, r2), (p1, q2, q1, s2), (r1, p2, s1, r2), (r1, q2, s1, s2))
+    if out is None:
+        return tuple(w * x + y * z for w, x, y, z in terms)
+    for slot, (w, x, y, z) in zip(out, terms):
+        np.add(np.multiply(w, x, out=slot), y * z, out=slot)
+    return out
 
 
 # -- points as field values ----------------------------------------------------
@@ -301,17 +308,19 @@ def _word_state(system: "IfsSystem", I):
     return functools.reduce(functools.partial(_child_state, system), I, _initial_state(system))
 
 
-def _compose_states(system: "IfsSystem", first, then):
+def _compose_states(system: "IfsSystem", first, then, out=None):
     """Each row's word of ``first`` followed by its word of ``then``, rows
     broadcast (``then`` of an ``(m, 1)`` column gives ``(m, rows)`` columns);
     a reflecting first word conjugates the coefficients composed after it,
-    and the composite reflects when exactly one of the two words does."""
+    and the composite reflects when exactly one of the two words does.
+    ``out``, an array of one slot per coefficient shaped like the composed
+    columns, receives the coefficients in place."""
     k = len(system._coeffs)
     if len(first) == k:
-        return list(_moebius_compose(first, then))
+        return list(_moebius_compose(first, then, out))
     flip = first[k]
     mat = [np.where(flip, c.conjugate(), c) for c in then[:k]]
-    return [*_moebius_compose(first[:k], mat), flip != then[k]]
+    return [*_moebius_compose(first[:k], mat, out), flip != then[k]]
 
 
 def _child_state(system: "IfsSystem", state, j):
@@ -362,6 +371,17 @@ def _denominators(system: "IfsSystem", state, a, b):
         return 1.0
     r, s = state[2], state[3]
     return (r * a + s) * (r * b + s)
+
+
+def _end_images(system: "IfsSystem", state, a, b):
+    """Each row's images of the line points ``a`` and ``b``, and the row's
+    ``_denominators(system, state, a, b)``, the same values from one
+    evaluation of ``r*a + s`` and ``r*b + s`` (no map on the line reflects)."""
+    if len(system._coeffs) == 2:
+        return _state_apply(system, state, a), _state_apply(system, state, b), 1.0
+    p, q, r, s = state[:4]
+    da, db = r * a + s, r * b + s
+    return (p * a + q) / da, (p * b + q) / db, da * db
 
 
 def _deriv_range(system: "IfsSystem", state, box: Box):

@@ -836,7 +836,7 @@ import json, sys
 from selfconformal import cli
 code = cli.main(sys.argv[1:])
 print(json.dumps({"code": code, "loaded": sorted(
-    m for m in ("jsonschema", "concurrent.futures.process") if m in sys.modules)}))
+    m for m in ("jsonschema", "concurrent.futures.process", "numpy.ma") if m in sys.modules)}))
 """
 
 
@@ -854,6 +854,13 @@ class TestColdStart:
         report, stderr = _cold_run("run", cfg, str(tmp_path / "out"))
         assert report == {"code": EXIT_OK, "loaded": []}, stderr
         assert (tmp_path / "out" / "results.csv").is_file()
+
+    def test_pruner_run_loads_no_masked_arrays(self, tmp_path):
+        # no closed-form CDF: the run counts its distinct radii before sampling
+        cfg = small_config(N=200, samples=2, flag_budget=1.0)
+        cfg["system"] = {"builtin": "moebius_interval_pair"}
+        report, stderr = _cold_run("run", write_config(tmp_path, cfg), str(tmp_path / "out"))
+        assert report == {"code": EXIT_OK, "loaded": []}, stderr
 
     def test_refusal_is_worded_by_jsonschema(self, tmp_path):
         cfg = small_config()

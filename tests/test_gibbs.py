@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from selfconformal import gibbs
+from selfconformal.dynamics import _pick_symbols
 from selfconformal.gibbs import (
     DENSITY_CATALOG,
     BernoulliBackend,
@@ -30,7 +31,9 @@ from selfconformal.gibbs import (
     word_index,
     _cell_arrays,
 )
-from selfconformal.ifs import Affine1D, Box, IfsSystem, Moebius1D, _moebius_apply, builtin_system
+from selfconformal.ifs import (Affine1D, Box, IfsSystem, Moebius1D, _abs_det, _child_state,
+                               _compose_states, _denominators, _initial_state, _moebius_apply,
+                               _rescaled_state, _state_apply, builtin_system)
 from selfconformal.symbolic import word
 
 LOG2 = math.log(2.0)
@@ -556,7 +559,137 @@ def test_density_conditional_after_a_long_word_is_pinned(name, digest):
     backend = DensityBackend(builtin_system(name), "reciprocal_log2")
     m = backend.system.m
     w = word(tuple((i * i + 3 * i) % m + 1 for i in range(40)), m)
-    assert hashlib.sha256(conditional_next(backend, w).tobytes()).hexdigest() == digest
+    got = conditional_next(backend, w)
+    assert hashlib.sha256(got.tobytes()).hexdigest() == digest
+    # the same law from the reference chain, and from a chain that reads its
+    # rows before every step and so gathers each child
+    reference, gathered = _ReferenceDensityChain(backend, 1), backend.chain(1)
+    for s in w:
+        gathered.rows()
+        for chain in (reference, gathered):
+            chain.advance(np.array([s]))
+    for chain in (reference, gathered):
+        row = chain.rows()[0]
+        assert np.array_equal(row / row.sum(), got)
+
+
+# ---------------------------------------------------------------------------
+# the chains against their straightforward forms
+# ---------------------------------------------------------------------------
+
+class _ReferenceDensityChain:
+    """The density chain recomposed at every step: the two-regime law from
+    the children of each row, then the chosen child composed anew."""
+
+    def __init__(self, backend, n_rows):
+        system = self.system = backend.system
+        self.cdf, self.density, self.root = backend.cdf, backend.density, backend._root
+        root = _initial_state(system)
+        self.maps = _child_state(system, root, np.arange(1, system.m + 1)[:, None])
+        self.dets = _abs_det(system, self.maps)
+        self.state = [np.repeat(c, n_rows) for c in root]
+
+    def rows(self):
+        a0, b0 = self.root
+        kids = _compose_states(self.system, self.state, self.maps)
+        e1, e2 = _state_apply(self.system, kids, a0), _state_apply(self.system, kids, b0)
+        lo, hi = np.minimum(e1, e2), np.maximum(e1, e2)
+        diffs = np.maximum(self.cdf(hi) - self.cdf(lo), 0.0)
+        linear = self.dets / np.abs(_denominators(self.system, kids, a0, b0)) * self.density(lo)
+        narrow = diffs.sum(axis=0, keepdims=True) < gibbs._DENSITY_LINEAR_CUTOVER
+        return np.where(narrow, linear, diffs).T
+
+    def cum_rows(self):
+        return gibbs._normalized_cumsum(self.rows())
+
+    def advance(self, symbols):
+        self.state = _rescaled_state(self.system, _child_state(self.system, self.state, symbols))
+
+
+class _ReferenceSpectralChain:
+    """The spectral chain on a normalized copy of the deepest table."""
+
+    def __init__(self, backend, n_rows):
+        self.m, self.depth = backend.system.m, backend.max_depth
+        self.tables = [backend.level_table(k) for k in range(self.depth + 1)]
+        deep = self.tables[-1].reshape(-1, self.m)
+        self.cond = deep / deep.sum(axis=1, keepdims=True)
+        self.t, self.idx = 0, np.zeros(n_rows, dtype=np.int64)
+
+    def cum_rows(self):
+        if self.t < self.depth:
+            child, parent = self.tables[self.t + 1], self.tables[self.t]
+            rows = child[self.idx[:, None] * self.m + np.arange(self.m)] / parent[self.idx][:, None]
+        else:
+            rows = self.cond[self.idx]
+        return gibbs._normalized_cumsum(rows)
+
+    def advance(self, symbols):
+        self.idx = self.idx * self.m + (symbols - 1)
+        self.t += 1
+        if self.t >= self.depth:
+            self.idx %= self.m ** (self.depth - 1)
+
+
+def _step_alike(chain, reference, n_rows, steps, seed):
+    """Step both chains on the same symbols, drawn from the chain's law, and
+    check their cumulative rows bit for bit at every step."""
+    rng = np.random.default_rng(seed)
+    symbols = np.empty(n_rows, dtype=np.int8)
+    for _ in range(steps):
+        cum = chain.cum_rows()
+        assert np.array_equal(cum, reference.cum_rows())
+        _pick_symbols(cum, rng.random(n_rows), symbols)
+        chain.advance(symbols)
+        reference.advance(symbols)
+
+
+@pytest.mark.parametrize("name", ["moebius_interval_quartet", "moebius_interval_pair"])
+def test_density_chain_matches_its_reference_across_the_cutover(name):
+    backend = DensityBackend(builtin_system(name), "reciprocal_log2")
+    chain = backend.chain(3)
+    assert not chain._narrow
+    _step_alike(chain, _ReferenceDensityChain(backend, 3), 3, 2000, seed=5)
+    assert chain._narrow  # the CDF law was retired on the way
+
+
+def test_density_advance_gathers_the_composed_child(density_backend, monkeypatch):
+    chain = density_backend.chain(3)
+    chain.rows()
+
+    def composes(*args, **kwargs):
+        raise AssertionError("advance composed a child after rows()")
+
+    monkeypatch.setattr(gibbs, "_child_state", composes)
+    monkeypatch.setattr(gibbs, "_compose_states", composes)
+    chain.advance(np.array([1, 4, 2], dtype=np.int8))
+
+
+def test_spectral_chain_matches_its_reference_past_the_table(quartet):
+    pot = ConformalPowerPotential(1.0)
+    backend = SpectralBackend(quartet, eigen_solve(quartet, pot, depth=4), pot)
+    _step_alike(backend.chain(3), _ReferenceSpectralChain(backend, 3), 3, 204, seed=6)
+
+
+def test_spectral_law_keeps_no_copy_of_the_table(quartet):
+    """The table, its level tables and a sampler's and a deep mass's working
+    set fit in 2 MiB beyond the two: no normalized copy of the table."""
+    pot = ConformalPowerPotential(1.0)
+    report = eigen_solve(quartet, pot, depth=10)
+    tracemalloc.start()
+    try:
+        backend = SpectralBackend(quartet, report, pot)
+        chain = backend.chain(20)
+        for t in range(12):
+            chain.cum_rows()
+            chain.advance((np.arange(20) + t) % 4 + 1)
+        backend.cylinder_measure(word(tuple(i % 4 + 1 for i in range(14)), 4))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    table = 4 ** 10 * 8
+    levels = sum(4 ** k for k in range(10)) * 8
+    assert peak <= table + levels + 2 * 2 ** 20
 
 
 @pytest.mark.parametrize("name, digest", [
