@@ -322,7 +322,7 @@ def _execute_resolved(resolved: dict):
     epsilon = exp["epsilon"]
     common = {
         "checkpoints": exp.get("checkpoints"),
-        "ball_budget": exp["depth_budgets"]["ball"],
+        "ball_budget": int(exp["depth_budgets"]["ball"]),  # the schema passes 45.0 as an integer
         "threads": threads,
     }
     if exp["kind"] == "shrinking_target":

@@ -398,9 +398,17 @@ def _deriv_range(system: "IfsSystem", state, box: Box):
 def _state_boxes(system: "IfsSystem", state, box: Box):
     """Boxes (lo, hi), shape (rows, dim), bounding each row's images of the
     vertices of ``box``: a hull of the word's image of ``box``, exact for
-    monotone 1-D maps and for similarities whose rotation is axis-aligned."""
-    pts = [_to_coords(_state_apply(system, state, z)) for z in _box_corners(box)]
-    lo, hi = functools.reduce(np.minimum, pts), functools.reduce(np.maximum, pts)
+    monotone 1-D maps and for similarities whose rotation is axis-aligned.
+    Each vertex image is folded into ``lo`` and ``hi`` as it is made, in
+    vertex order, so one image lives at a time."""
+    first, *rest = _box_corners(box)
+    lo = _to_coords(_state_apply(system, state, first))
+    hi = lo.copy()
+    for z in rest:
+        pt = _to_coords(_state_apply(system, state, z))
+        np.minimum(lo, pt, out=lo)
+        np.maximum(hi, pt, out=hi)
+        del pt  # before the next image is made
     return lo.reshape(len(lo), system.dim), hi.reshape(len(hi), system.dim)
 
 

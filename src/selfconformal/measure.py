@@ -281,26 +281,97 @@ def _group_cut(owner: np.ndarray) -> int:
     return int(starts[np.argmin(np.abs(starts - owner.size // 2))])
 
 
+def _classify_branch(backend: MeasureBackend, classify, frontier, level: int, j: int, inside):
+    """The mask of the rows whose child ``j`` straddles and those children's
+    masses; the inside children's masses are added to ``inside`` per owner.
+    The children's states and boxes are dropped on return."""
+    system = backend.system
+    *state, masses, idx, owner = frontier
+    lo, hi = _state_boxes(system, _child_state(system, state, j), system.attractor_box)
+    cm = _child_masses(backend, masses, idx * system.m + (j - 1), level, j, lo, hi)
+    cls = classify(lo, hi, owner)
+    ins = cls == INSIDE
+    if ins.any():
+        ids, _, sums = _segment_sums(cm[ins], owner[ins])
+        inside[ids] += sums
+    keep = cls == STRADDLE
+    return keep, cm[keep]
+
+
+def _refine(backend: MeasureBackend, classify, frontier, level: int, last: bool, tally):
+    """Take one group of regions down to ``level``: the next frontier, or
+    None when every region of the group retires there.
+
+    ``tally`` holds the per-region arrays ``(lower, upper, inside, straddle,
+    count, retired)``; ``last`` marks the depth budget's level.
+    """
+    system = backend.system
+    lower, upper, inside, straddle, count, retired = tally
+    *state, _, idx, owner = frontier
+    prev = owner[_owner_starts(owner)]
+    # classify: per branch, only a straddle mask and the straddlers' masses are kept
+    keeps, masses = zip(*(_classify_branch(backend, classify, frontier, level, j, inside)
+                          for j in range(1, system.m + 1)))
+    syms = np.repeat(np.arange(1, system.m + 1), [cm.size for cm in masses])
+    rows = np.concatenate([np.flatnonzero(keep) for keep in keeps])
+    masses = np.concatenate(masses)
+    owner = owner[rows]
+    if prev.size > 1 and np.any(owner[1:] < owner[:-1]):
+        order = np.argsort(owner, kind="stable")
+        rows, syms, masses, owner = rows[order], syms[order], masses[order], owner[order]
+    # retire: each owner's straddle sum runs over its rows in branch-major order
+    straddle[prev] = 0.0
+    count[prev] = 0
+    if owner.size:
+        ids, counts, sums = _segment_sums(masses, owner)
+        straddle[ids] = sums
+        count[ids] = counts
+    done = prev[(count[prev] > _NODE_CAP) | (straddle[prev] < 1e-18) | last]
+    hi_done = np.clip(inside[done] + straddle[done], 0.0, 1.0)
+    upper[done] = hi_done
+    lower[done] = np.minimum(np.clip(inside[done], 0.0, 1.0), hi_done)
+    if done.size == prev.size:
+        return None
+    if done.size:
+        retired[done] = True
+        live = ~retired[owner]
+        rows, syms, masses, owner = rows[live], syms[live], masses[live], owner[live]
+    # build: each child that goes on is composed again from its parent row
+    return [*_child_state(system, _select_rows(state, rows), syms), masses,
+            idx[rows] * system.m + (syms - 1), owner]
+
+
+def _check_budget(depth_budget) -> None:
+    """Refuse a depth budget that is not an integer >= 1 (``True`` included),
+    on every backend, before any work."""
+    if isinstance(depth_budget, bool) or not isinstance(depth_budget, (int, np.integer)):
+        raise ValueError(f"depth_budget: {depth_budget!r} is not an integer")
+    if depth_budget < 1:
+        raise ValueError("depth_budget must be >= 1")
+
+
 def _descend(backend: MeasureBackend, classify, n: int, depth_budget: int):
     """Lower and upper mass arrays for ``n`` open regions, by one cylinder descent.
 
     ``classify(lo, hi, owner)`` sorts boxes against the regions named by
     ``owner`` into INSIDE, STRADDLE and OUTSIDE. Every frontier row carries
-    its owner next to its cylinder state, mass and index, and one numpy pass
-    per level and branch refines all rows; rows stay sorted by owner, in
-    branch-major order within each owner. A region accumulates the mass of
-    its inside cylinders and stops with the bracket
-    ``[inside, inside + straddle]``, clipped to [0, 1], at the first of: an
-    empty frontier, a straddle mass below 1e-18, a frontier of more than
-    ``_NODE_CAP`` rows, or level ``depth_budget``. Regions descend in groups
-    of at most ``_NODE_CAP`` rows; a group is cut in two at an owner boundary
-    when its next level could pass that. Every sum runs over one owner's
-    rows, so a region's bracket does not depend on the others or on the
-    grouping.
+    its owner next to its cylinder state, mass and index; rows stay sorted by
+    owner, in branch-major order within each owner. A level (``_refine``)
+    takes three steps. It classifies: one numpy pass per branch composes,
+    bounds and classifies all rows' children, adds the inside masses, and
+    keeps only the straddle mask and the straddlers' masses. It retires: each
+    region sums its straddle mass over its rows in that order and stops with
+    the bracket ``[inside, inside + straddle]``, clipped to [0, 1], at the
+    first of: no straddlers, a straddle mass below 1e-18, more than
+    ``_NODE_CAP`` straddlers, or level ``depth_budget``. It builds: the
+    straddlers of the regions that go on are composed again from their
+    parent rows into the next frontier, so the level a region retires at is
+    never built. Regions descend in groups of at most ``_NODE_CAP`` rows; a
+    group is cut in two at an owner boundary when its next level could pass
+    that. Every sum runs over one owner's rows, so a region's bracket does
+    not depend on the others or on the grouping.
     """
     system = backend.system
-    if depth_budget < 1:
-        raise ValueError("depth_budget must be >= 1")
     _check_table_level(backend, depth_budget)
     lower, upper = np.zeros(n), np.zeros(n)
     if n == 0:
@@ -311,49 +382,22 @@ def _descend(backend: MeasureBackend, classify, n: int, depth_budget: int):
     cls = classify(np.repeat(lo, n, axis=0), np.repeat(hi, n, axis=0), owner)
     lower[cls == INSIDE] = upper[cls == INSIDE] = 1.0
     owner = owner[cls == STRADDLE]
-    inside, straddle, count = np.zeros(n), np.zeros(n), np.zeros(n, dtype=np.int64)
+    tally = (lower, upper, np.zeros(n), np.zeros(n), np.zeros(n, dtype=np.int64),
+             np.zeros(n, dtype=bool))
     # a frontier is a list of row columns: the cylinder state, mass, index, owner
     groups = [([*(np.repeat(c, owner.size) for c in root), np.ones(owner.size),
-                np.zeros(owner.size, dtype=np.int64), owner], 0)]
+                np.zeros(owner.size, dtype=np.int64), owner], 0)] if owner.size else []
     while groups:
         frontier, level = groups.pop()
-        while frontier[-1].size:
-            *state, masses, idx, owner = frontier
+        while frontier is not None:
+            owner = frontier[-1]
             if system.m * owner.size > _NODE_CAP and owner[0] != owner[-1]:
                 cut = _group_cut(owner)
                 groups.append((_select_rows(frontier, slice(cut, None)), level))
                 frontier = _select_rows(frontier, slice(cut))
                 continue
             level += 1
-            prev = owner[_owner_starts(owner)]
-            parts = []
-            for j in range(1, system.m + 1):
-                cs = _child_state(system, state, j)
-                ci = idx * system.m + (j - 1)
-                lo, hi = _state_boxes(system, cs, system.attractor_box)
-                cm = _child_masses(backend, masses, ci, level, j, lo, hi)
-                cls = classify(lo, hi, owner)
-                ins = cls == INSIDE
-                if ins.any():
-                    ids, _, sums = _segment_sums(cm[ins], owner[ins])
-                    inside[ids] += sums
-                parts.append(_select_rows([*cs, cm, ci, owner], cls == STRADDLE))
-            frontier = [np.concatenate(cols) for cols in zip(*parts)]
-            frontier = _select_rows(frontier, np.argsort(frontier[-1], kind="stable"))
-            masses, owner = frontier[-3], frontier[-1]
-            straddle[prev] = 0.0
-            count[prev] = 0
-            if owner.size:
-                ids, counts, sums = _segment_sums(masses, owner)
-                straddle[ids] = sums
-                count[ids] = counts
-            done = prev[(count[prev] > _NODE_CAP) | (straddle[prev] < 1e-18)
-                        | (level >= depth_budget)]
-            hi_done = np.clip(inside[done] + straddle[done], 0.0, 1.0)
-            upper[done] = hi_done
-            lower[done] = np.minimum(np.clip(inside[done], 0.0, 1.0), hi_done)
-            if done.size:
-                frontier = _select_rows(frontier, ~np.isin(owner, done))
+            frontier = _refine(backend, classify, frontier, level, level >= depth_budget, tally)
     return lower, upper
 
 
@@ -372,6 +416,7 @@ def region_measure(
     ``[inside, inside + straddle]``: the cap ends the descent with a wider
     bracket that still contains the true mass, not with an error.
     """
+    _check_budget(depth_budget)
     lo, hi = _descend(backend, lambda lo, hi, owner: region.classify(lo, hi), 1, depth_budget)
     return MeasureBracket(float(lo[0]), float(hi[0]))
 
@@ -468,6 +513,7 @@ def _radial_mass(backend: MeasureBackend, centers, radii, depth_budget: int):
     distinct ball once; each ball's bracket is the one ``region_measure``
     gives it alone.
     """
+    _check_budget(depth_budget)
     radii = np.asarray(radii, dtype=float)
     dim = backend.system.dim
     shape = radii.shape if dim == 1 else radii.shape + (dim,)

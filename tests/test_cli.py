@@ -411,6 +411,19 @@ class TestRunArtifacts:
             mid = ball_measure(backend, rec.x0, 0.3, 8).midpoint
             assert ball_sums[rec.sample_id] == np.cumsum(np.full(50, mid))[-1]
 
+    def test_integral_float_ball_budget_runs_as_the_integer(self, tmp_path):
+        # the schema reads 8.0 as an integer; the pruner refuses a float budget
+        outputs = []
+        for budget in (8, 8.0):
+            cfg = small_config(psi={"type": "constant", "c": 0.3}, N=50, samples=2, seed=1,
+                               depth_budgets={"ball": budget})
+            cfg["system"] = {"builtin": "sierpinski_triangle"}
+            cfg["potential"] = {"type": "bernoulli", "p": [0.2, 0.3, 0.5]}
+            out = tmp_path / str(budget)
+            assert run(write_config(tmp_path, cfg), str(out)) == EXIT_OK
+            outputs.append([(out / name).read_bytes() for name in ("results.csv", "summary.json")])
+        assert outputs[0] == outputs[1]
+
     def test_planar_shrinking_target_at_the_default_ball_budget(self, tmp_path):
         # the target ball's straddle frontier passes the pruner's node cap,
         # which ends the descent with the certified bracket it holds

@@ -12,6 +12,7 @@ Oracle values are hand-derived:
   bounds the measure from above.
 """
 
+import functools
 import math
 import tracemalloc
 
@@ -29,11 +30,13 @@ from selfconformal.gibbs import (
     SpectralBackend,
     eigen_solve,
 )
-from selfconformal.ifs import _child_state, _initial_state, _state_boxes, builtin_system
+from selfconformal.ifs import (_box_corners, _child_state, _initial_state, _state_apply,
+                               _state_boxes, _to_coords, builtin_system, system_from_json)
 from selfconformal.measure import (
     INSIDE,
     OUTSIDE,
     STRADDLE,
+    _classify_balls,
     AnnulusRegion,
     BallRegion,
     CertificationError,
@@ -54,6 +57,7 @@ from selfconformal.measure import (
     t_n_radius,
 )
 from selfconformal.symbolic import as_point
+from test_ifs import _ROTREF_SPEC
 
 LOG2 = math.log(2.0)
 
@@ -746,6 +750,102 @@ def _random_balls(system, n, seed):
     return (centers[:, 0] if system.dim == 1 else centers), radii
 
 
+def _reference_hull(system, state, box):
+    """Each row's hull from all corner images at once: the hull before the
+    corners were folded into ``lo`` and ``hi`` one at a time."""
+    pts = [_to_coords(_state_apply(system, state, z)) for z in _box_corners(box)]
+    lo, hi = functools.reduce(np.minimum, pts), functools.reduce(np.maximum, pts)
+    return lo.reshape(len(lo), system.dim), hi.reshape(len(hi), system.dim)
+
+
+def _reference_descend(backend, classify, n, depth_budget, log=None):
+    """The descent that built each level whole before it retired regions:
+    every branch's straddlers join one frontier, which is argsorted by
+    owner, summed per owner and then cut to the regions that go on.  Its
+    brackets are the reference bits.  ``log`` receives, per level, the rows
+    built, the rows kept and the number of regions over the node cap."""
+    system = backend.system
+    lower, upper = np.zeros(n), np.zeros(n)
+    root = _initial_state(system)
+    lo, hi = _reference_hull(system, root, system.attractor_box)
+    owner = np.arange(n)
+    cls = classify(np.repeat(lo, n, axis=0), np.repeat(hi, n, axis=0), owner)
+    lower[cls == INSIDE] = upper[cls == INSIDE] = 1.0
+    owner = owner[cls == STRADDLE]
+    inside, straddle, count = np.zeros(n), np.zeros(n), np.zeros(n, dtype=np.int64)
+    select = measure._select_rows
+    groups = [([*(np.repeat(c, owner.size) for c in root), np.ones(owner.size),
+                np.zeros(owner.size, dtype=np.int64), owner], 0)]
+    while groups:
+        frontier, level = groups.pop()
+        while frontier[-1].size:
+            *state, masses, idx, owner = frontier
+            if system.m * owner.size > measure._NODE_CAP and owner[0] != owner[-1]:
+                cut = measure._group_cut(owner)
+                groups.append((select(frontier, slice(cut, None)), level))
+                frontier = select(frontier, slice(cut))
+                continue
+            level += 1
+            prev = owner[measure._owner_starts(owner)]
+            parts = []
+            for j in range(1, system.m + 1):
+                cs = _child_state(system, state, j)
+                ci = idx * system.m + (j - 1)
+                lo, hi = _reference_hull(system, cs, system.attractor_box)
+                cm = measure._child_masses(backend, masses, ci, level, j, lo, hi)
+                cls = classify(lo, hi, owner)
+                ins = cls == INSIDE
+                if ins.any():
+                    ids, _, sums = measure._segment_sums(cm[ins], owner[ins])
+                    inside[ids] += sums
+                parts.append(select([*cs, cm, ci, owner], cls == STRADDLE))
+            frontier = [np.concatenate(cols) for cols in zip(*parts)]
+            frontier = select(frontier, np.argsort(frontier[-1], kind="stable"))
+            masses, owner = frontier[-3], frontier[-1]
+            straddle[prev] = 0.0
+            count[prev] = 0
+            if owner.size:
+                ids, counts, sums = measure._segment_sums(masses, owner)
+                straddle[ids] = sums
+                count[ids] = counts
+            capped = count[prev] > measure._NODE_CAP
+            done = prev[capped | (straddle[prev] < 1e-18) | (level >= depth_budget)]
+            hi_done = np.clip(inside[done] + straddle[done], 0.0, 1.0)
+            upper[done] = hi_done
+            lower[done] = np.minimum(np.clip(inside[done], 0.0, 1.0), hi_done)
+            built = owner.size
+            if done.size:
+                frontier = select(frontier, ~np.isin(owner, done))
+            if log is not None:
+                log.append((built, frontier[-1].size, int(capped.sum())))
+    return lower, upper
+
+
+def _balls(centers, radii):
+    """``classify(lo, hi, owner)`` of the radial-mass oracle's balls."""
+    c = np.asarray(centers, dtype=float).reshape(len(radii), -1)
+    return lambda lo, hi, owner: _classify_balls(c[owner], radii[owner], lo, hi)
+
+
+def _regions(regions):
+    """``classify(lo, hi, owner)`` that sorts each owner's rows against its own region."""
+    def classify(lo, hi, owner):
+        out = np.empty(owner.size, dtype=np.int8)
+        for k in np.unique(owner):
+            rows = owner == k
+            out[rows] = regions[k].classify(lo[rows], hi[rows])
+        return out
+    return classify
+
+
+def _capped_gasket_ball():
+    """The ball of ``test_capped_gasket_ball_keeps_a_certified_bracket``: its
+    frontier passes the node cap before level 40."""
+    row = experiments.gasket_tangency_doubling_bracket((0.1, 0.8, 0.1), 2)
+    backend = BernoulliBackend(builtin_system("sierpinski_triangle"), (0.1, 0.8, 0.1))
+    return backend, _balls(row["center"], np.array([row["radius"]]))
+
+
 class TestBatchedDescent:
     @pytest.fixture(scope="class")
     def line_backends(self, quartet_spectral):
@@ -812,3 +912,128 @@ class TestBatchedDescent:
             measure._radial_mass(backend, np.array([0.3, 0.4]), np.array([0.1, 0.0]), 45)
         with pytest.raises(ValueError, match="radius must be positive"):
             measure._radial_mass(backend, np.array([0.3, 0.4]), np.array([0.1, np.nan]), 45)
+
+
+class TestDescentMatchesReference:
+    """The descent classifies a level, retires its regions and builds only
+    what goes on; every bracket keeps the bits of ``_reference_descend``."""
+
+    @pytest.fixture(scope="class")
+    def cases(self, quartet_spectral, quartet_density):
+        gasket = BernoulliBackend(builtin_system("sierpinski_triangle"), (0.2, 0.3, 0.5))
+        reflecting = system_from_json(_ROTREF_SPEC)
+        mirror = BernoulliBackend(reflecting, (0.5, 0.3, 0.2))
+        pair = BernoulliBackend(builtin_system("moebius_interval_pair"), (0.3, 0.7))
+        strip = StripRegion((1.0, 0.5), 0.4, 0.05)
+        shapes = [BallRegion(as_point((0.5, 0.2), 2), 0.15),
+                  AnnulusRegion(as_point((0.3, 0.1), 2), 0.2, 0.03), strip,
+                  IntersectRegion([strip, BallRegion(as_point((0.5, 0.0), 2), 0.3)])]
+        cases = {"gasket_shapes": (gasket, _regions(shapes), len(shapes), 12),
+                 "reflecting_shapes": (mirror, _regions(
+                     [BallRegion(as_point((0.2, -0.3), 2), 0.6),
+                      AnnulusRegion(as_point((0.0, 0.0), 2), 1.0, 0.2)]), 2, 9)}
+        for k, region in enumerate(shapes):
+            cases[f"gasket_shape_{k}"] = (gasket, _regions([region]), 1, 12)
+        for name, backend, budget in [("gasket", gasket, 12), ("reflecting", mirror, 9),
+                                      ("pair", pair, 45), ("density", quartet_density, 20),
+                                      ("spectral", quartet_spectral, 8)]:
+            centers, radii = _random_balls(backend.system, 40, 53)
+            cases[f"{name}_balls"] = (backend, _balls(centers, radii), radii.size, budget)
+        return cases
+
+    @pytest.mark.parametrize("name", [
+        "gasket_shapes", "reflecting_shapes", *(f"gasket_shape_{k}" for k in range(4)),
+        "gasket_balls", "reflecting_balls", "pair_balls", "density_balls", "spectral_balls"])
+    def test_brackets_match(self, cases, name):
+        backend, classify, n, budget = cases[name]
+        lo, hi = measure._descend(backend, classify, n, budget)
+        ref_lo, ref_hi = _reference_descend(backend, classify, n, budget)
+        assert np.array_equal(lo, ref_lo) and np.array_equal(hi, ref_hi)
+
+    @pytest.mark.parametrize("name, budget, hits_cap", [("moebius_interval_pair", 45, False),
+                                                        ("sierpinski_triangle", 16, True)])
+    def test_capped_batch_matches_and_builds_only_what_goes_on(self, name, budget, hits_cap,
+                                                               monkeypatch):
+        # a small cap cuts the batch into groups; on the gasket it stops
+        # some balls too
+        system = builtin_system(name)
+        backend = BernoulliBackend(system, np.full(system.m, 1.0 / system.m))
+        centers, radii = _random_balls(system, 500, 43)
+        monkeypatch.setattr(measure, "_NODE_CAP", 1 << 9)
+        log = []
+        ref_lo, ref_hi = _reference_descend(backend, _balls(centers, radii), 500, budget, log)
+        built = _record_builds(monkeypatch)
+        lo, hi = measure._descend(backend, _balls(centers, radii), 500, budget)
+        assert np.array_equal(lo, ref_lo) and np.array_equal(hi, ref_hi)
+        assert (sum(capped for _, _, capped in log) > 0) == hits_cap
+        assert sum(built) == sum(kept for _, kept, _ in log) < sum(rows for rows, _, _ in log)
+
+    def test_capped_ball_matches_and_builds_no_capped_level(self, monkeypatch):
+        backend, classify = _capped_gasket_ball()
+        log = []
+        ref_lo, ref_hi = _reference_descend(backend, classify, 1, 45, log)
+        built = _record_builds(monkeypatch)
+        lo, hi = measure._descend(backend, classify, 1, 45)
+        assert np.array_equal(lo, ref_lo) and np.array_equal(hi, ref_hi)
+        *levels, (rows, kept, capped) = log
+        assert rows > measure._NODE_CAP and kept == 0 and capped == 1
+        # every level before the cap is built once; the capped level never is
+        assert built == [kept for _, kept, _ in levels]
+
+    def test_capped_ball_traced_peak(self):
+        # the gasket_shrink ball: a level past the node cap is classified
+        # branch by branch and never built, so the descent holds one frontier
+        backend = BernoulliBackend(builtin_system("sierpinski_triangle"), (1 / 3, 1 / 3, 1 / 3))
+        tracemalloc.start()
+        try:
+            measure._radial_mass(backend, np.array([0.5, 0.0]), np.array([0.1]), 45)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * 2 ** 20
+
+    @pytest.mark.parametrize("budget", [2.5, 3.0, True, "3", None, 0])
+    @pytest.mark.parametrize("system, call", [
+        pytest.param("sierpinski_triangle",
+                     lambda b, d: ball_measure(b, (0.5, 0.0), 0.1, d), id="gasket-ball"),
+        pytest.param("sierpinski_triangle",
+                     lambda b, d: annulus_measure(b, (0.5, 0.0), 0.2, 0.05, d),
+                     id="gasket-annulus"),
+        pytest.param("sierpinski_triangle",
+                     lambda b, d: region_measure(b, StripRegion((1.0, 0.0), 0.5, 0.1), d),
+                     id="gasket-strip"),
+        # the Cantor CDF walk never reads the budget; the oracle refuses it anyway
+        pytest.param("middle_third_cantor", lambda b, d: ball_measure(b, 0.5, 0.1, d),
+                     id="cantor-ball"),
+        pytest.param("middle_third_cantor",
+                     lambda b, d: annulus_measure(b, 0.5, 0.2, 0.05, d), id="cantor-annulus"),
+        pytest.param("middle_third_cantor",
+                     lambda b, d: region_measure(b, BallRegion(as_point(0.5, 1), 0.1), d),
+                     id="cantor-region"),
+    ])
+    def test_non_integer_budget_refused_before_any_work(self, system, call, budget,
+                                                        monkeypatch):
+        weights = {"sierpinski_triangle": (0.2, 0.3, 0.5), "middle_third_cantor": (0.3, 0.7)}
+        backend = BernoulliBackend(builtin_system(system), weights[system])
+        built = _record_builds(monkeypatch)
+        monkeypatch.setattr(measure, "_initial_state", None)  # any work would fail on this
+        monkeypatch.setattr(measure, "cantor_cdf_bracket", None)
+        message = "must be >= 1" if budget == 0 else "is not an integer"
+        with pytest.raises(ValueError, match="depth_budget.*" + message):
+            call(backend, budget)
+        assert built == []
+
+
+def _record_builds(monkeypatch):
+    """The row counts of every next frontier ``measure`` builds: a
+    ``_child_state`` call with one symbol per row."""
+    built = []
+    child_state = measure._child_state
+
+    def recording(system, state, j):
+        if np.ndim(j):
+            built.append(np.size(j))
+        return child_state(system, state, j)
+
+    monkeypatch.setattr(measure, "_child_state", recording)
+    return built
