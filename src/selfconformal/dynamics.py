@@ -33,7 +33,7 @@ import numpy as np
 
 from .gibbs import BernoulliBackend, MeasureBackend, _over_alphabet, _pair_mass
 from .ifs import (IfsSystem, _children, _distance_range, _initial_state, _invert_map,
-                  _map_points, _point_value, _state_boxes, _to_coords)
+                  _state_boxes, _to_coords, _window_images)
 from .symbolic import FiniteWord, PointRd, as_point
 
 __all__ = [
@@ -77,7 +77,10 @@ def t_apply(system: IfsSystem, x, depth_hint: int = 1, tol: float = 1e-9) -> Poi
 # symbolic orbits: shift then project through a composition window
 # ---------------------------------------------------------------------------
 
-_WINDOW_CHUNK = 1 << 16  # windows projected per pass; bounds the temporaries
+# 8-byte words of temporaries a projection pass may hold: its gathered map
+# columns and their index, its points, and a Moebius map's numerator and
+# denominator (``ifs._window_images`` sizes the passes)
+_WINDOW_CHUNK = 1 << 16
 
 
 def project_windows(symbols: np.ndarray, system: IfsSystem, depth: int) -> np.ndarray:
@@ -89,30 +92,21 @@ def project_windows(symbols: np.ndarray, system: IfsSystem, depth: int) -> np.nd
     shape ``(cols - depth + 1,)`` or ``(rows, cols - depth + 1)``, with a
     trailing coordinate axis for plane systems.  Maps are applied
     innermost-first so the contractions damp rounding instead of amplifying
-    it, a chunk of windows at a time in place (``ifs._map_points``).  A block
+    it, a pass of rows and windows at a time in place, each pass gathering
+    its symbols' map coefficients once (``ifs._window_images``).  A block
     with no rows gives an empty result; a symbol outside ``1..m`` raises.
     Each point is computed from its own window alone, elementwise, so column
-    windows of a block that overlap by ``depth - 1`` symbols project to the
-    block's points bit for bit: the counting engine projects a time axis
-    that way, one window of the sampler at a time.
+    windows of a block that overlap by ``depth - 1`` symbols, a lone window
+    among them, project to the block's points bit for bit: the counting
+    engine projects a time axis that way, one window of the sampler at a time.
     """
     syms = np.asarray(symbols)
     if depth < 1 or syms.ndim not in (1, 2) or syms.shape[-1] < depth:
         raise ValueError("need at least `depth` symbols")
     if syms.size and (syms.min() < 1 or syms.max() > system.m):
         raise ValueError(f"symbols must lie in 1..{system.m}")
-    count = syms.shape[-1] - depth + 1
-    rows = syms.reshape(-1, syms.shape[-1])
-    base = _point_value(system.base_point())
-    out = np.empty((rows.shape[0], count), dtype=system.dtype)
-    width = max(1, _WINDOW_CHUNK // max(rows.shape[0], 1))
-    for c0 in range(0, count, width):
-        c1 = min(c0 + width, count)
-        X = out[:, c0:c1]
-        X[...] = base
-        for j in range(depth - 1, -1, -1):
-            _map_points(system, rows[:, c0 + j : c1 + j], X)
-    return _to_coords(out.reshape(syms.shape[:-1] + (count,)))
+    out = _window_images(system, syms.reshape(-1, syms.shape[-1]), depth, 8 * _WINDOW_CHUNK)
+    return _to_coords(out.reshape(syms.shape[:-1] + out.shape[-1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -592,7 +592,7 @@ def _conditional_rows(deep: np.ndarray, ctx: np.ndarray) -> np.ndarray:
 
 
 def _normalized_cumsum(rows: np.ndarray) -> np.ndarray:
-    cum = np.cumsum(rows, axis=1)
+    cum = np.add.accumulate(rows, axis=1)  # np.cumsum, without its dispatch
     cum /= cum[:, -1:]
     return cum
 
@@ -625,10 +625,11 @@ _DENSITY_LINEAR_CUTOVER = 1e-8
 class _DensityChain:
     """Conditional chain for closed-form interval densities.
 
-    Each row carries the running word's cylinder state (rescaled every step,
-    which is projectively harmless); ``maps`` holds the maps as ``(m, 1)``
-    state columns, ``dets`` their ``|det|``.  ``rows()`` composes every row's
-    m children into one stacked buffer, and ``advance`` gathers each row's
+    Each row carries the running word's cylinder state, a column of one
+    stacked coefficient array (rescaled in place every step, which is
+    projectively harmless); ``maps`` holds the maps as ``(m, 1)`` state
+    columns, ``dets`` their ``|det|``.  ``rows()`` composes every row's m
+    children into one stacked buffer, and ``advance`` gathers each row's
     chosen child from it (a chain advanced without ``rows()``, as in
     :func:`conditional_next`, composes the chosen child alone).  Child masses
     are exact CDF differences while the running cell is wide enough for
@@ -642,21 +643,22 @@ class _DensityChain:
         self.cdf = backend.cdf
         self.density = backend.density
         self.root = backend._root
-        root = _initial_state(system)
-        self.maps = _child_state(system, root, np.arange(1, system.m + 1)[:, None])
+        root = _initial_state(system)  # a line system: no reflect bits
+        self.maps = np.array(_child_state(system, root, np.arange(1, system.m + 1)[:, None]))
         self.dets = _abs_det(system, self.maps)
-        self.state = [np.repeat(c, n_rows) for c in root]
+        self.state = np.repeat(np.array(root), n_rows, axis=1)
         self._kids = np.empty((len(root), system.m, n_rows), dtype=system.dtype)
         self._composed = False  # whether _kids holds the children of state
         self._narrow = False  # whether every row keeps the length-ratio law
-        self._cols = np.arange(n_rows)
+        # row i's child j sits at flat column (j - 1) * rows + i of _kids
+        self._offsets = np.arange(n_rows) - n_rows
 
     def rows(self) -> np.ndarray:
         a0, b0 = self.root
         # every row's running word followed by every symbol: (m, rows) columns
-        kids = _compose_states(self.system, self.state, self.maps, out=self._kids)
+        _compose_states(self.system, self.state, self.maps, out=self._kids)
         self._composed = True
-        e1, e2, den = _end_images(self.system, kids, a0, b0)
+        e1, e2, den = _end_images(self.system, self._kids, a0, b0)
         lo = np.minimum(e1, e2)
         # child length ratio: |det(M phi_j)| (b0-a0) / |d1 d2| with the
         # row-common factors |det M| and (b0-a0) dropped, weighted by the
@@ -679,7 +681,12 @@ class _DensityChain:
 
     def advance(self, symbols: np.ndarray) -> None:
         if self._composed:
-            state = self._kids[:, symbols - 1, self._cols]
+            # a take from the flattened buffer keeps the state C-ordered (a
+            # fancy index over its middle axis would not), so the next
+            # composition reshapes it without a copy
+            cols = np.multiply(symbols, len(self._offsets), dtype=np.intp)
+            cols += self._offsets
+            state = np.take(self._kids.reshape(len(self._kids), -1), cols, axis=1)
         else:
             state = _child_state(self.system, self.state, symbols)
         self._composed = False

@@ -26,9 +26,11 @@ columns (``_initial_state``, ``_compose_states``, ``_child_state``,
 stopping families, the open-set check, ``IfsSystem.word_map``, the induced
 map, the pruner and the density backend's cylinders and sampling chain run
 on it, a whole level of words at a time.  Points go through the maps in
-place (``_map_points``, ``_images``): the window projection, ``apply_word``,
-the attractor spread, the density invariance check, the density backend's
-cells, the eigensolver's collocation nodes and the Gibbs check's anchors.
+place: the window projection's a pass of windows at a time, each pass
+gathering its symbols' coefficients once (``_window_images``), and one map
+at a time (``_map_points``, ``_images``) those of ``apply_word``, the
+attractor spread, the density invariance check, the density backend's cells,
+the eigensolver's collocation nodes and the Gibbs check's anchors.
 The branch derivatives ``|phi_j'|`` behind the eigensolver's weights and
 the density chain's child cells and length ratios (``_abs_det``,
 ``_denominators``, ``_end_images``) and the induced map's inverse branches
@@ -172,13 +174,20 @@ def _moebius_compose(m1, m2, out=None):
         np.multiply(a1, a2, out=out[0])
         np.add(np.multiply(a1, b2, out=out[1]), b1, out=out[1])
         return out
-    p1, q1, r1, s1 = m1
-    p2, q2, r2, s2 = m2
-    terms = ((p1, p2, q1, r2), (p1, q2, q1, s2), (r1, p2, s1, r2), (r1, q2, s1, s2))
     if out is None:
+        p1, q1, r1, s1 = m1
+        p2, q2, r2, s2 = m2
+        terms = ((p1, p2, q1, r2), (p1, q2, q1, s2), (r1, p2, s1, r2), (r1, q2, s1, s2))
         return tuple(w * x + y * z for w, x, y, z in terms)
-    for slot, (w, x, y, z) in zip(out, terms):
-        np.add(np.multiply(w, x, out=slot), y * z, out=slot)
+    # as 2x2 matrices [[p, q], [r, s]] the composite is their product,
+    # out[i, k] = m1[i, 0] * m2[0, k] + m1[i, 1] * m2[1, k]: the same w*x + y*z
+    # of every slot as above, from two broadcast products and one add
+    A, B = np.asarray(m1), np.asarray(m2)
+    A = A.reshape((2, 2) + (1,) * (out.ndim - A.ndim) + A.shape[1:])
+    B = B.reshape((2, 2) + (1,) * (out.ndim - B.ndim) + B.shape[1:])
+    M = out.reshape((2, 2) + out.shape[1:])
+    np.multiply(A[:, :1], B[:1], out=M)
+    M += A[:, 1:] * B[1:]
     return out
 
 
@@ -332,12 +341,14 @@ def _child_state(system: "IfsSystem", state, j):
 
 def _rescaled_state(system: "IfsSystem", state):
     """The same maps (a Moebius matrix acts projectively) with each row's
-    largest coefficient modulus 1; affine pairs, denominator 1, stay as is."""
+    largest coefficient modulus 1, as one stacked array: a state that is one
+    is rescaled in place (Moebius maps are on the line and never reflect).
+    Affine pairs, denominator 1, stay as is."""
     if len(system._coeffs) == 2:
         return state
-    mats = np.array(state[:4])
+    mats = np.asarray(state)
     mats /= np.abs(mats).max(axis=0)
-    return [*mats, *state[4:]]
+    return mats
 
 
 def _children(system: "IfsSystem", state):
@@ -379,9 +390,12 @@ def _end_images(system: "IfsSystem", state, a, b):
     evaluation of ``r*a + s`` and ``r*b + s`` (no map on the line reflects)."""
     if len(system._coeffs) == 2:
         return _state_apply(system, state, a), _state_apply(system, state, b), 1.0
-    p, q, r, s = state[:4]
-    da, db = r * a + s, r * b + s
-    return (p * a + q) / da, (p * b + q) / db, da * db
+    mats = np.asarray(state[:4])
+    # (a, b) * (p, r) + (q, s): both ends' numerators and denominators at once
+    nd = np.array((a, b)).reshape((2,) + (1,) * mats.ndim) * mats[0::2]
+    nd += mats[1::2]
+    e = nd[:, 0] / nd[:, 1]
+    return e[0], e[1], nd[0, 1] * nd[1, 1]
 
 
 def _deriv_range(system: "IfsSystem", state, box: Box):
@@ -445,19 +459,96 @@ def _distance_range(c: np.ndarray, lo: np.ndarray, hi: np.ndarray):
 
 # -- points through maps ------------------------------------------------------
 
-def _map_points(system: "IfsSystem", j, z: np.ndarray) -> np.ndarray:
-    """Map the field values ``z`` in place, each through the map of symbol
-    ``j`` (one symbol, or an integer array shaped like ``z``), and return ``z``."""
-    if system._flips is not None:
-        z[...] = np.where(system._flips[j], z.conjugate(), z)
-    c = system._coeffs  # gathered one at a time, so few temporaries live at once
+def _map_points(system: "IfsSystem", j: int, z: np.ndarray) -> np.ndarray:
+    """Map the field values ``z`` in place through the map of symbol ``j``
+    and return ``z``."""
+    if system._flips is not None and system._flips[j]:
+        np.conjugate(z, out=z)
+    c = system._coeffs[:, j]
     if len(c) == 2:
-        return np.add(np.multiply(z, c[0][j], out=z), c[1][j], out=z)
-    num = c[0][j] * z
-    num += c[1][j]
-    den = c[2][j] * z
-    den += c[3][j]
+        return np.add(np.multiply(z, c[0], out=z), c[1], out=z)
+    num = c[0] * z
+    num += c[1]
+    den = c[2] * z
+    den += c[3]
     return np.divide(num, den, out=z)
+
+
+def _spans(total: int, size: int) -> List[slice]:
+    """``range(total)`` cut into slices of ``size``, a last slice of one merged
+    into the one before it."""
+    cuts = [*range(0, total, size), total]
+    if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
+        del cuts[-2]
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+
+
+def _window_pass(system: "IfsSystem", block: np.ndarray, X: np.ndarray) -> None:
+    """Map the ``(rows, w)`` field values ``X`` in place through the windows of
+    the ``(rows, w + depth - 1)`` symbol ``block``, point ``n`` of a row through
+    ``phi_{s_n} o ... o phi_{s_{n+depth-1}}``, innermost map first.  Every
+    coefficient column of the block's symbols is gathered once, and the
+    reflect bits when a map reflects; map ``j`` of every window is then read
+    as a column slice of them."""
+    c, flips = system._coeffs, system._flips
+    cols = np.take(c, block, axis=1)
+    reflects = None if flips is None else np.take(flips, block)
+    if len(c) == 4:
+        num, den = np.empty_like(X), np.empty_like(X)
+    for j in range(block.shape[1] - X.shape[1], -1, -1):
+        at = np.s_[:, j : j + X.shape[1]]
+        if reflects is not None:
+            np.conjugate(X, out=X, where=reflects[at])
+        if len(c) == 2:
+            np.add(np.multiply(X, cols[0][at], out=X), cols[1][at], out=X)
+        else:
+            np.add(np.multiply(cols[0][at], X, out=num), cols[1][at], out=num)
+            np.add(np.multiply(cols[2][at], X, out=den), cols[3][at], out=den)
+            np.divide(num, den, out=X)
+
+
+def _window_images(system: "IfsSystem", syms: np.ndarray, depth: int, budget: int) -> np.ndarray:
+    """The base point's image under every length-``depth`` window of each row
+    of the ``(rows, cols)`` symbol block, ``phi_{s_n} o ... o phi_{s_{n+depth-1}}``
+    for ``n = 0..cols-depth``: field values of shape ``(rows, cols - depth + 1)``.
+
+    The block goes through ``_window_pass`` a rectangle of rows and windows at
+    a time in a contiguous buffer, each pass's points, gathered columns and
+    their index, and a Moebius map's numerator and denominator counted in
+    bytes against ``budget`` (a pass of two rows, or of ``depth`` windows a
+    row, may exceed it).  Each point is computed from its own window alone,
+    elementwise, so the cut into passes leaves its bits alone, with one
+    exception: numpy computes a lone point in place by another rounding path.
+    A pass therefore never holds one point, and a block of one window is
+    projected beside a copy of itself.
+    """
+    n_rows, count = syms.shape[0], syms.shape[1] - depth + 1
+    if n_rows * count == 1:
+        return _window_images(system, np.repeat(syms, 2, axis=0), depth, budget)[:1]
+    size = np.dtype(system.dtype).itemsize
+    k = len(system._coeffs)
+    cell = k * size + 8 + (system._flips is not None)  # a symbol's columns, index and reflect bit
+    point = (3 if k == 4 else 1) * size  # a window's point, numerator and denominator
+
+    def cost(r, w):
+        return r * ((w + depth - 1) * cell + w * point)
+
+    # windows a row: all where every row's fit, else the row's share of the
+    # budget but at least `depth` (the depth - 1 symbols that a pass's windows
+    # share then cost no more than the windows); then as many rows as fit
+    w = min(count, max(depth, (budget // max(n_rows, 1) - (depth - 1) * cell) // (cell + point)))
+    r = max(min(n_rows, 2), budget // cost(1, w))
+    if r == 1:
+        w = max(w, 2)
+    out = np.empty((n_rows, count), dtype=system.dtype)
+    base = _point_value(system.base_point())
+    for rs in _spans(n_rows, r):
+        for cs in _spans(count, w):
+            # a contiguous pass: numpy copies a strided view that a ufunc writes in place
+            X = np.full((rs.stop - rs.start, cs.stop - cs.start), base, dtype=system.dtype)
+            _window_pass(system, syms[rs, cs.start : cs.stop + depth - 1], X)
+            out[rs, cs] = X
+    return out
 
 
 def _images(system: "IfsSystem", z: np.ndarray) -> np.ndarray:
@@ -631,7 +722,12 @@ class IfsSystem:
 # ---------------------------------------------------------------------------
 
 def apply_word(system: IfsSystem, I: FiniteWord, x) -> PointRd:
-    """Apply the composition phi_{i1} o ... o phi_{in} (rightmost map first)."""
+    """Apply the composition phi_{i1} o ... o phi_{in} (rightmost map first).
+
+    The point goes through ``_map_points`` as a one-element array, which
+    numpy maps by its scalar rounding path: on a rotating plane system the
+    result can differ in its last bits from the word's point in a
+    ``dynamics.project_windows`` block, which never maps a lone point."""
     pt = as_point(x, system.dim)
     if not system.domain.contains(pt, slack=1e-9):
         raise ValueError(f"point {pt} outside system domain")

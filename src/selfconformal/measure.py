@@ -459,25 +459,27 @@ def _cantor_walk_chunk(p1: float, p2: float, y, lo, hi) -> None:
     idx = np.flatnonzero((y > 0.0) & (y < 1.0))
     y = y[idx]
     a = np.zeros(idx.size)
-    s = np.ones(idx.size)
+    s = 1.0  # the cell width, one for every live point
     w = np.ones(idx.size)
     acc = np.zeros(idx.size)
     for _ in range(_CDF_WALK_LEVELS):
         if not idx.size:
             break
-        rel = (y - a) / s
+        rel = np.subtract(y, a)
+        rel /= s
         right = rel >= 2.0 / 3.0
         not_left = rel >= 1.0 / 3.0
-        acc = np.where(not_left, acc + w * p1, acc)
+        del rel
+        np.add(acc, w * p1, out=acc, where=not_left)
         gap = not_left & ~right
         if gap.any():  # retire the points that landed in a gap
             lo[idx[gap]] = hi[idx[gap]] = acc[gap]
             live = ~gap
-            idx, y, a, s, w, acc, right = (
-                v[live] for v in (idx, y, a, s, w, acc, right))
-        a = np.where(right, a + 2.0 / 3.0 * s, a)
-        w = np.where(right, w * p2, w * p1)
-        s = s / 3.0
+            idx, y, a, w, acc, right = (v[live] for v in (idx, y, a, w, acc, right))
+        # the right third moves a; every point takes its branch's weight
+        np.add(a, 2.0 / 3.0 * s, out=a, where=right)
+        w *= np.where(right, p2, p1)
+        s /= 3.0
     lo[idx] = acc
     hi[idx] = acc + w
 
@@ -506,8 +508,11 @@ def _radial_mass(backend: MeasureBackend, centers, radii, depth_budget: int):
     ``centers`` broadcasts to their shape on the line, and to their shape plus
     a trailing (x, y) axis in the plane (the coordinates ``project_windows``
     returns), so a broadcast view costs no copy.  With a closed-form CDF
-    bracket ``F`` every ball costs one vectorized call:
-    ``[F_lo(x+r) - F_hi(x-r), F_hi(x+r) - F_lo(x-r)]``, clipped at 0.  Otherwise
+    bracket ``F`` a ball's bracket is
+    ``[F_lo(x+r) - F_hi(x-r), F_hi(x+r) - F_lo(x-r)]``, clipped at 0, from
+    vectorized calls on blocks of half a walk chunk of points (``F`` at
+    ``x - r`` and ``x + r`` of ``_CDF_WALK_CHUNK // 4`` balls), so the
+    temporaries stay bounded whatever the number of balls.  Otherwise
     one cylinder descent (``_descend``) brackets all the balls together to at
     most ``depth_budget`` levels, one entry at a time, so callers pass each
     distinct ball once; each ball's bracket is the one ``region_measure``
@@ -520,10 +525,19 @@ def _radial_mass(backend: MeasureBackend, centers, radii, depth_budget: int):
     centers = np.broadcast_to(np.asarray(centers, dtype=float), shape)
     cdf = _closed_form(backend)
     if cdf is not None:
-        flo, fhi = cdf(np.concatenate([(centers - radii).ravel(), (centers + radii).ravel()]))
-        half = radii.size
-        lo = np.maximum(flo[half:] - fhi[:half], 0.0)
-        hi = np.maximum(fhi[half:] - flo[:half], 0.0)
+        # a buffered iterator hands out the balls in C order, a block of
+        # centers and radii at a time (reshaping a broadcast view would copy it)
+        lo, hi = np.empty(radii.size), np.empty(radii.size)
+        blocks = np.nditer([centers, radii], flags=["external_loop", "buffered", "zerosize_ok"],
+                           order="C", buffersize=_CDF_WALK_CHUNK // 4)
+        start = 0
+        for x, r in blocks:
+            flo, fhi = cdf(np.concatenate([x - r, x + r]))
+            n = len(r)
+            part = slice(start, start + n)
+            np.maximum(flo[n:] - fhi[:n], 0.0, out=lo[part])
+            np.maximum(fhi[n:] - flo[:n], 0.0, out=hi[part])
+            start += n
     else:
         if not np.all(radii > 0.0):  # NaN fails too
             raise ValueError("radius must be positive")

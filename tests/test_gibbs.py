@@ -653,6 +653,36 @@ def test_density_chain_matches_its_reference_across_the_cutover(name):
     assert chain._narrow  # the CDF law was retired on the way
 
 
+@pytest.mark.parametrize("name", ["moebius_interval_quartet", "moebius_interval_pair"])
+def test_density_chain_matches_its_reference_at_sampler_scale(name):
+    """100 rows over 3000 steps: the chain that reads its rows every step, and
+    one advanced without them (``conditional_next``'s way), hold the
+    reference's states bit for bit."""
+    backend = DensityBackend(builtin_system(name), "reciprocal_log2")
+    rows = 100
+    chain, blind = backend.chain(rows), backend.chain(rows)
+    reference = _ReferenceDensityChain(backend, rows)
+
+    def advance(symbols):  # the child composed anew, then a copy rescaled
+        mats = np.array(_child_state(reference.system, reference.state, symbols))
+        mats /= np.abs(mats).max(axis=0)
+        reference.state = list(mats)
+
+    reference.advance = advance
+    rng = np.random.default_rng(12)
+    symbols = np.empty(rows, dtype=np.int8)
+    for _ in range(3000):
+        cum = chain.cum_rows()
+        assert np.array_equal(cum, reference.cum_rows())
+        _pick_symbols(cum, rng.random(rows), symbols)
+        for c in (chain, blind, reference):
+            c.advance(symbols)
+        assert np.array_equal(chain.state, np.asarray(reference.state))
+        assert np.array_equal(blind.state, chain.state)
+    assert chain._narrow
+    assert np.array_equal(blind.cum_rows(), reference.cum_rows())
+
+
 def test_density_advance_gathers_the_composed_child(density_backend, monkeypatch):
     chain = density_backend.chain(3)
     chain.rows()

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,8 +20,10 @@ from selfconformal.ifs import (
     _child_state,
     _children,
     _initial_state,
+    _point_value,
     _state_boxes,
     _state_diameters,
+    _to_coords,
     apply_word,
     builtin_system,
     check_osc,
@@ -539,6 +542,101 @@ def test_window_projection_is_pinned(name, block_digest, row_digest):
     syms = np.random.default_rng(7).integers(1, sys_.m + 1, size=(5, 300)).astype(np.int8)
     assert _digest(project_windows(syms, sys_, 40)) == block_digest
     assert _digest(project_windows(syms[0], sys_, 25)) == row_digest
+
+
+def _reference_map_points(sys_, j, z):
+    """Map ``z`` in place through the maps of the symbols ``j``, one column
+    of coefficients gathered at a time."""
+    if sys_._flips is not None:
+        z[...] = np.where(sys_._flips[j], z.conjugate(), z)
+    c = sys_._coeffs
+    if len(c) == 2:
+        return np.add(np.multiply(z, c[0][j], out=z), c[1][j], out=z)
+    num = c[0][j] * z
+    num += c[1][j]
+    den = c[2][j] * z
+    den += c[3][j]
+    return np.divide(num, den, out=z)
+
+
+def _reference_projection(syms, sys_, depth):
+    """The block's window points in one pass, map by map innermost first,
+    every map's columns gathered anew; a block needs two points or more (a
+    lone point goes by another rounding path)."""
+    count = syms.shape[-1] - depth + 1
+    rows = syms.reshape(-1, syms.shape[-1])
+    assert rows.shape[0] * count >= 2
+    X = np.empty((rows.shape[0], count), dtype=sys_.dtype)
+    X[...] = _point_value(sys_.base_point())
+    for j in range(depth - 1, -1, -1):
+        _reference_map_points(sys_, rows[:, j : j + count], X)
+    return _to_coords(X.reshape(syms.shape[:-1] + (count,)))
+
+
+@pytest.mark.parametrize("chunk", [None, 5, 7, 64])
+@pytest.mark.parametrize("name", sorted(_kernel_systems()))
+def test_window_projection_matches_the_per_map_loop(name, chunk, monkeypatch):
+    from selfconformal import dynamics
+
+    if chunk is not None:  # passes of a few windows, cut across rows and windows
+        monkeypatch.setattr(dynamics, "_WINDOW_CHUNK", chunk)
+    sys_ = _kernel_systems()[name]
+    rng = np.random.default_rng(11)
+    for rows, cols, depth in [(6, 90, 20), (3, 40, 9), (1, 120, 25), (1, 26, 25),
+                              (4, 12, 12), (1, 7, 1)]:
+        syms = rng.integers(1, sys_.m + 1, size=(rows, cols)).astype(np.int8)
+        ref = _reference_projection(syms, sys_, depth)
+        assert np.array_equal(dynamics.project_windows(syms, sys_, depth), ref)
+        if rows == 1:
+            assert np.array_equal(dynamics.project_windows(syms[0], sys_, depth), ref[0])
+        # each column window alone, as the counting engine projects a time axis
+        for c0 in range(0, cols - depth + 1, 11):
+            part = dynamics.project_windows(syms[:, c0 : c0 + depth + 1], sys_, depth)
+            assert np.array_equal(part, ref[:, c0 : c0 + 2])
+
+
+@pytest.mark.parametrize("chunk", [None, 1])
+def test_a_lone_window_projects_as_inside_its_row(chunk, monkeypatch):
+    """One window in all (rows x windows = 1) and a single row cut into the
+    smallest passes give the row's points: no pass holds one point, not even
+    the last one of a row whose windows leave one over."""
+    from selfconformal import dynamics
+
+    if chunk is not None:
+        monkeypatch.setattr(dynamics, "_WINDOW_CHUNK", chunk)
+    sys_ = system_from_json(_ROTREF_SPEC)
+    depth = 20
+    row = np.random.default_rng(5).integers(1, 4, size=depth + 299).astype(np.int8)
+    ref = _reference_projection(row, sys_, depth)
+    assert np.array_equal(dynamics.project_windows(row, sys_, depth), ref)
+    for n in range(ref.shape[0]):
+        window = row[n : n + depth]
+        assert np.array_equal(dynamics.project_windows(window, sys_, depth)[0], ref[n])
+        assert np.array_equal(dynamics.project_windows(window[None], sys_, depth)[0, 0], ref[n])
+    # the smallest passes hold `depth` windows of a row, so these leave one over
+    for count in range(depth + 1, ref.shape[0], depth):
+        head = row[: count + depth - 1]
+        assert np.array_equal(dynamics.project_windows(head, sys_, depth), ref[:count])
+
+
+@pytest.mark.parametrize("name, rows, cols, depth, today_mib", [
+    ("moebius_interval_quartet", 100, 1342, 17, 1.56),
+    ("middle_third_cantor", 50, 2633, 12, 0.62),
+])
+def test_window_projection_peak_stays_within_the_per_map_loop(name, rows, cols, depth, today_mib):
+    """The traced peak above the output stays within that of the loop that
+    gathered each map's columns anew, 65536 windows a pass."""
+    from selfconformal.dynamics import project_windows
+
+    sys_ = builtin_system(name)
+    syms = np.random.default_rng(3).integers(1, sys_.m + 1, size=(rows, cols)).astype(np.int8)
+    tracemalloc.start()
+    try:
+        out = project_windows(syms, sys_, depth)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes <= today_mib * 2 ** 20
 
 
 @pytest.mark.parametrize("name, digest", [

@@ -371,6 +371,69 @@ class TestCantorCdfWalkBits:
         assert peak < 3 * y.nbytes
 
 
+def _reference_closed_form_mass(backend, centers, radii):
+    """Every ball's closed-form bracket from one CDF call on all the ends."""
+    radii = np.asarray(radii, dtype=float)
+    centers = np.broadcast_to(np.asarray(centers, dtype=float), radii.shape)
+    flo, fhi = measure._closed_form(backend)(
+        np.concatenate([(centers - radii).ravel(), (centers + radii).ravel()]))
+    half = radii.size
+    lo = np.maximum(flo[half:] - fhi[:half], 0.0)
+    hi = np.maximum(fhi[half:] - flo[:half], 0.0)
+    return lo.reshape(radii.shape), hi.reshape(radii.shape)
+
+
+def _window_balls(backend, rows=50, cols=2621):
+    """An engine-sized window's inner balls: each row's start point as the
+    center, the distances of its next ``cols`` orbit points as radii."""
+    depth = 20
+    pos = project_windows(sample_symbol_block(backend, 4, range(rows), cols + depth),
+                          backend.system, depth)
+    centers = pos[:, :1]
+    return centers, np.maximum(np.abs(pos[:, 1:] - centers) - 1e-9, 0.0)
+
+
+_ORACLE_BACKENDS = {
+    "cantor": lambda: BernoulliBackend(builtin_system("middle_third_cantor"), (0.3, 0.7)),
+    "density": lambda: DensityBackend(builtin_system("moebius_interval_quartet"),
+                                      "reciprocal_log2"),
+}
+
+
+class TestClosedFormOracleBlocks:
+    @pytest.mark.parametrize("name", sorted(_ORACLE_BACKENDS))
+    def test_brackets_match_one_call_on_all_ends(self, name):
+        backend = _ORACLE_BACKENDS[name]()
+        rng = np.random.default_rng(6)
+        centers, radii = _window_balls(backend, rows=7, cols=3 * _CDF_WALK_CHUNK // 4 + 5)
+        cases = [
+            (centers, radii),  # a broadcast column of centers over blocks and a tail
+            (centers[0, 0], radii[0]),  # one center for many balls
+            (rng.uniform(-0.1, 1.1, 300), rng.uniform(0.0, 0.4, 300)),
+            (0.5, np.array([0.0, 1e-15, 0.25, 2.0])),
+            (0.25, np.empty((0, 3))),
+        ]
+        for c, r in cases:
+            lo, hi = measure._radial_mass(backend, c, r, 40)
+            ref_lo, ref_hi = _reference_closed_form_mass(backend, c, r)
+            assert lo.shape == ref_lo.shape and hi.shape == ref_hi.shape
+            assert np.array_equal(lo, ref_lo) and np.array_equal(hi, ref_hi)
+
+    @pytest.mark.parametrize("name, one_call_mib", [("cantor", 6.70), ("density", 4.00)])
+    def test_window_temporaries_stay_within_half_of_one_call(self, name, one_call_mib):
+        """Traced above the two output arrays, an engine-sized window's balls
+        take at most half of what one CDF call on all their ends took."""
+        backend = _ORACLE_BACKENDS[name]()
+        centers, radii = _window_balls(backend)
+        tracemalloc.start()
+        try:
+            lo, hi = measure._radial_mass(backend, centers, radii, 40)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - lo.nbytes - hi.nbytes <= one_call_mib / 2 * 2 ** 20
+
+
 # ---------------------------------------------------------------------------
 # ball measures: gap-exact oracles through both routes
 # ---------------------------------------------------------------------------
