@@ -56,6 +56,7 @@ from .measure import (
     RadiusFunction,
     _closed_form,
     _radial_mass,
+    _radial_table,
     # the benchmark's span hook reads these two through this module
     ball_measure,
     cantor_cdf_bracket,  # noqa: F401
@@ -314,8 +315,10 @@ def _counting_chunk(spec: _RunSpec, ids: Sequence[int]) -> List[CountingRecord]:
             pos = project_windows(syms, backend.system, spec.depth)
             if point == 0:
                 x0s = pos[:, 0].copy()
+                tables = (_radial_table(backend, x0s, spec.prec, float(spec.radii.min()),
+                                        spec.depth) if spec.hit_mode == "mass" else None)
             if n_points > skip:
-                hit, flag = _step_hits(spec, pos[:, skip:], x0s, steps)
+                hit, flag = _step_hits(spec, pos[:, skip:], x0s, steps, tables)
                 counts.add(hit)
                 flags.add(flag)
         syms = syms[:, n_points:]
@@ -329,8 +332,9 @@ def _counting_chunk(spec: _RunSpec, ids: Sequence[int]) -> List[CountingRecord]:
     return _records(spec, ids, x0s, counts.totals(), flags.totals(), ball_cum)
 
 
-def _step_hits(spec, pos, x0s, steps):
-    """Hit and flag marks of the orbit points ``pos`` of one window of steps."""
+def _step_hits(spec, pos, x0s, steps, tables):
+    """Hit and flag marks of the orbit points ``pos`` of one window of steps;
+    ``tables`` holds a measure-equalized run's radial tables of the start points."""
     radii = spec.radii[steps]
     if spec.kind == "shrink":
         center = spec.targets[steps]  # per-step centers in window coordinates
@@ -338,7 +342,7 @@ def _step_hits(spec, pos, x0s, steps):
         center = x0s[:, None] if pos.ndim == 2 else x0s[:, None, :]
     dist = _point_distances(pos, center)
     if spec.hit_mode == "mass":  # mass comparison against the per-step measure quota
-        return _mass_quota_hits(spec, x0s, dist, radii)
+        return _mass_quota_hits(spec, x0s, dist, radii, tables)
     # a target center is exact; a start point is as uncertain as the orbit
     slack = spec.prec if spec.kind == "shrink" else 2.0 * spec.prec
     band = np.maximum(radii / _FLAG_DIVISOR, slack)
@@ -462,7 +466,7 @@ def _own_ball_sums(spec, x0s):
     return out
 
 
-def _mass_quota_hits(spec, x0s, dist, radii):
+def _mass_quota_hits(spec, x0s, dist, radii, tables=None):
     """Hit/flag marks of one window of steps of a measure-equalized run.
 
     A step is a hit when the ball around the start point through the orbit
@@ -471,23 +475,39 @@ def _mass_quota_hits(spec, x0s, dist, radii):
     radial mass is monotone and continuous). Start and orbit points are each
     known to ``prec``, so the step is a definite miss when the ball at
     ``max(d - 2 prec, 0)`` carries at least the quota and a definite hit when
-    the ball at ``d + 2 prec`` carries less. The balls are taken lazily: every
-    step takes the inner ball, the steps it does not miss take the outer one,
-    and only the steps still open take the ball at ``d``, are flagged and
-    counted by its bracket midpoint. The run has checked that the oracle has
-    a closed form.
+    the ball at ``d + 2 prec`` carries less. Each start point's radial table
+    (``tables``, built here when not given) decides most steps with one
+    ``searchsorted`` per test: a hit when ``F_hi(d + 2 prec)`` is below the
+    quota, a miss when ``F_lo(max(d - 2 prec, 0))`` reaches it. The oracle's
+    brackets lie inside the table's, so the steps the table leaves open take
+    the oracle's balls lazily and decide as if no table had screened them:
+    the inner ball, then the outer ball for the steps it does not miss, and
+    the ball at ``d`` for the steps still open, which are flagged and counted
+    by its bracket midpoint. The run has checked that the oracle has a closed
+    form.
     """
     backend, budget, slack = spec.backend, spec.ball_budget, 2.0 * spec.prec
-    center = np.asarray(x0s, dtype=float)[:, None]
     quota = np.broadcast_to(radii, dist.shape)
-    live = _radial_mass(backend, center, np.maximum(dist - slack, 0.0), budget)[0] < quota
-    centers = np.broadcast_to(center, dist.shape)
+    if tables is None:
+        tables = _radial_table(backend, x0s, spec.prec, float(np.min(radii)), spec.depth)
     hit = np.zeros(dist.shape, dtype=bool)
-    out_hi = _radial_mass(backend, centers[live], dist[live] + slack, budget)[1]
-    hit[live] = out_hi < quota[live]
-    flag = live & ~hit
-    mid_lo, mid_hi = _radial_mass(backend, centers[flag], dist[flag], budget)
-    hit[flag] = 0.5 * (mid_lo + mid_hi) < quota[flag]
+    still_open = np.zeros(dist.shape, dtype=bool)
+    for i, (dmin, f_hi, dmax, f_lo) in enumerate(tables):
+        d, q = dist[i], quota[i]
+        np.less_equal(d + slack, dmin[np.searchsorted(f_hi, q)], out=hit[i])
+        missed = np.maximum(d - slack, 0.0) >= dmax[np.searchsorted(f_lo, q)]
+        np.logical_not(hit[i] | missed, out=still_open[i])
+    rows, cols = np.nonzero(still_open)
+    x, d, q = np.asarray(x0s, dtype=float)[rows], dist[rows, cols], quota[rows, cols]
+    live = _radial_mass(backend, x, np.maximum(d - slack, 0.0), budget)[0] < q
+    decided = np.zeros(d.size, dtype=bool)
+    decided[live] = _radial_mass(backend, x[live], d[live] + slack, budget)[1] < q[live]
+    near = live & ~decided
+    mid_lo, mid_hi = _radial_mass(backend, x[near], d[near], budget)
+    decided[near] = 0.5 * (mid_lo + mid_hi) < q[near]
+    hit[rows, cols] = decided
+    flag = np.zeros(dist.shape, dtype=bool)
+    flag[rows, cols] = near
     return hit, flag
 
 
@@ -763,10 +783,13 @@ def recurrence_modified_run(
     ``psi(n) >= 1``), so ``psi_sum`` is the exact expected count
     ``sum psi(n)``. A step is a hit when the radial mass through the orbit
     point lies below the quota, decided the same way for every backend by
-    two oracle balls around the start point that cover the position
-    uncertainty ``2 prec`` of the observed distance ``d``: the step misses
-    when the ball at ``max(d - 2 prec, 0)`` carries at least the quota and
-    hits when the ball at ``d + 2 prec`` carries less; a step neither ball
+    two balls around the start point that cover the position uncertainty
+    ``2 prec`` of the observed distance ``d``: the step misses when the ball
+    at ``max(d - 2 prec, 0)`` carries at least the quota and hits when the
+    ball at ``d + 2 prec`` carries less. Each worker reads both balls first
+    from one radial table per start point, built once; only the steps the
+    table leaves open take the oracle's balls, whose brackets lie inside the
+    table's, so the decisions are the oracle's. A step neither oracle ball
     decides is flagged and counted by the midpoint rule at ``d``. The
     comparison needs a closed-form CDF (density or weighted ternary-Cantor
     backends); other backends raise ``CertificationError`` before sampling.

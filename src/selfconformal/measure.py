@@ -18,10 +18,12 @@ bounded chunks that carries only the live points from level to level: a
 point stops exactly when it lands in a removed gap, and NaN gets the vacuous
 bracket [0, 1].
 
-A measure-equalized run decides each step by two oracle balls around its
-start point, at ``max(d - 2 prec, 0)`` and ``d + 2 prec`` for the observed
-distance ``d``; a step neither ball decides takes the ball at ``d`` and is
-flagged.
+A measure-equalized run decides each step by two balls around its start
+point, at ``max(d - 2 prec, 0)`` and ``d + 2 prec`` for the observed distance
+``d``. One radial table per start point (``_radial_table``, a cylinder
+descent whose leaves bracket ``r |-> mu(B(x0, r))`` for every ``r``) decides
+most steps; only the steps it leaves open take the oracle's balls, and a step
+neither ball decides takes the ball at ``d`` and is flagged.
 
 ``t_n_radius`` inverts r |-> mu(B(x, r)) by bisection and terminates only when
 the measure bracket at the returned radius certifies the target value within
@@ -37,8 +39,8 @@ import numpy as np
 
 from .gibbs import (BernoulliBackend, DensityBackend, MeasureBackend, SpectralBackend,
                     _check_table_level)
-from .ifs import (_child_state, _distance_range, _initial_state, _is_middle_third_cantor,
-                  _point_value, _state_boxes, _to_coords)
+from .ifs import (_child_state, _children, _distance_range, _initial_state,
+                  _is_middle_third_cantor, _point_value, _state_boxes, _to_coords)
 from .symbolic import PointRd, as_point
 
 __all__ = [
@@ -399,6 +401,89 @@ def _descend(backend: MeasureBackend, classify, n: int, depth_budget: int):
             level += 1
             frontier = _refine(backend, classify, frontier, level, level >= depth_budget, tally)
     return lower, upper
+
+
+# a radial table's leaf is at most this thin against its distance from the
+# center, or this light against the least quota the table serves
+_TABLE_EPS = 1e-2
+# an absolute allowance on every cumulative table mass, above a closed-form
+# ball bracket's own rounding (two CDF values <= 1, each a sum of at most 60
+# rounded terms), so that the closed-form brackets lie inside the table's
+_TABLE_FLOOR = 2.0 ** -44
+
+
+def _radial_table(backend: MeasureBackend, centers, prec: float, least_quota: float,
+                  depth: int):
+    """Bracketed radial distribution functions ``r |-> mu(B(x_i, r))``, one per center.
+
+    One level-synchronous descent takes the cylinders of every center down
+    together, each row carrying its owner as the pruner's rows do. A child
+    becomes a leaf when its distance range from its center is thin,
+    ``dmax - dmin <= _TABLE_EPS * dmin``; when its mass is at most
+    ``_TABLE_EPS * least_quota``; at level ``depth``; or when its center's
+    frontier passes ``_NODE_CAP`` rows. A table cut short stays certified;
+    its brackets are only wider. Each leaf's ``[dmin, dmax]`` is widened by
+    ``prec``, the uncertainty of a projected center.
+
+    Center ``i``'s table is ``(dmin, f_hi, dmax, f_lo)``: its leaves' widened
+    ends, each sorted between -inf and inf, and the cumulative leaf masses in
+    those orders from 0. So ``F_hi(r) = f_hi[searchsorted(dmin, r) - 1]``
+    sums the leaves with ``dmin < r`` and ``F_lo(r) = f_lo[searchsorted(dmax,
+    r, "right") - 1]`` those with ``dmax <= r``, and ``F_lo(r) <= mu(B(x_i,
+    r)) <= F_hi(r)``. Read the other way, for a mass ``q`` the ball of radius
+    ``r`` weighs less than ``q`` when ``r <= dmin[searchsorted(f_hi, q)]``
+    and at least ``q`` when ``r >= dmax[searchsorted(f_lo, q)]``. Each sum of
+    ``k`` leaves is rounded outward by ``(k + depth + 2) u (S + k) +
+    _TABLE_FLOOR``: a leaf mass is at most 1 and within ``(depth + 2) u`` of
+    its cylinder's (a product of at most ``depth`` weights, or a difference of
+    two CDF values at box ends composed over at most ``depth`` maps), and the
+    sum adds ``k u S``. The lower sums then take their running maximum, so
+    both stay sorted.
+    """
+    system = backend.system
+    _check_table_level(backend, depth)
+    c = np.asarray(centers, dtype=float).reshape(-1, system.dim)
+    n, m = c.shape[0], system.m
+    floor = _TABLE_EPS * least_quota
+    frontier = [*(np.repeat(col, n) for col in _initial_state(system)), np.ones(n),
+                np.zeros(n, dtype=np.int64), np.arange(n)]
+    levels = []  # each level's leaves per owner, and their dmin, dmax and mass
+    level = 0
+    while frontier[-1].size:
+        level += 1
+        *state, masses, idx, owner = frontier
+        # all children of a row, in row-major order, keep the rows sorted by owner
+        state = _children(system, state)
+        j = np.tile(np.arange(1, m + 1), owner.size)
+        idx = np.repeat(idx * m, m) + (j - 1)
+        owner = np.repeat(owner, m)
+        lo, hi = _state_boxes(system, state, system.attractor_box)
+        masses = _child_masses(backend, np.repeat(masses, m), idx, level, j, lo, hi)
+        dmin, dmax = _distance_range(c[owner], lo, hi)
+        go = (dmax - dmin > _TABLE_EPS * dmin) & (masses > floor) & (level < depth)
+        go &= (np.bincount(owner[go], minlength=n) <= _NODE_CAP)[owner]
+        leaf = ~go
+        levels.append((np.bincount(owner[leaf], minlength=n), dmin[leaf], dmax[leaf],
+                       masses[leaf]))
+        frontier = [*_select_rows(state, go), masses[go], idx[go], owner[go]]
+    counts, *columns = zip(*levels)
+    ends = [np.cumsum(count) for count in counts]
+    u = np.finfo(float).eps / 2
+    tables = []
+    for i in range(n):
+        parts = [slice(end[i] - count[i], end[i]) for end, count in zip(ends, counts)]
+        dmin, dmax, masses = (np.concatenate([a[p] for a, p in zip(col, parts)])
+                              for col in columns)
+        k = np.arange(masses.size + 1)
+        sides = []
+        for key, sign in ((np.maximum(dmin - prec, 0.0), 1.0), (dmax + prec, -1.0)):
+            by = np.argsort(key)
+            total = np.concatenate([[0.0], np.cumsum(masses[by])])
+            total += sign * ((k + depth + 2) * u * (total + k) + _TABLE_FLOOR)
+            sides += [np.concatenate([[-np.inf], key[by], [np.inf]]),
+                      total if sign > 0 else np.maximum.accumulate(total)]
+        tables.append(tuple(sides))
+    return tables
 
 
 def region_measure(

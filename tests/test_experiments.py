@@ -70,10 +70,12 @@ from selfconformal.measure import (
     PowerLogRadius,
     PowerRadius,
     _radial_mass,
+    _radial_table,
     ball_measure,
     region_measure,
 )
 from selfconformal.symbolic import FiniteWord, PointRd
+from test_measure import table_mass
 
 LN2 = math.log(2.0)
 TAU = math.log(2.0) / math.log(3.0)
@@ -798,8 +800,9 @@ class TestRecurrenceModified:
                              [("cantor", "weighted"), ("quartet", "density")])
     def test_each_ball_takes_only_the_steps_still_open(self, request, monkeypatch,
                                                        system_name, backend_name):
-        # the inner ball takes every step, the outer ball the steps the inner
-        # one does not miss, the ball at d only the flagged steps
+        # the inner ball takes only the steps the start points' radial tables
+        # leave open, the outer ball those of them the inner one does not
+        # miss, the ball at d only the flagged steps
         system = request.getfixturevalue(system_name)
         backend = request.getfixturevalue(backend_name)
         N, S = 400, 10
@@ -822,10 +825,104 @@ class TestRecurrenceModified:
 
         monkeypatch.setattr(experiments, "_radial_mass", counted)
         hit, flag = _mass_quota_hits(spec, x0s, dist, quota)
+        tables = _radial_table(backend, x0s, prec, float(quota.min()), depth)
+        still_open = np.array([
+            (table_mass(table, dist[i] + 2.0 * prec)[1] >= quota[i])
+            & (table_mass(table, np.maximum(dist[i] - 2.0 * prec, 0.0))[0] < quota[i])
+            for i, table in enumerate(tables)])
         in_lo, _ = _radial_mass(backend, x0s[:, None], np.maximum(dist - 2.0 * prec, 0.0), 45)
-        not_missed = int(np.count_nonzero(in_lo < quota))
-        assert points == [S * N, not_missed, int(np.count_nonzero(flag))]
-        assert S * N > not_missed > np.count_nonzero(flag) > 0
+        not_missed = int(np.count_nonzero(still_open & (in_lo < quota)))
+        n_open = int(np.count_nonzero(still_open))
+        assert points == [n_open, not_missed, int(np.count_nonzero(flag))]
+        assert S * N > n_open > not_missed > np.count_nonzero(flag) > 0
+
+    @pytest.mark.parametrize("system_name, backend_name",
+                             [("cantor", "weighted"), ("cantor", "uniform"),
+                              ("quartet", "density")])
+    def test_table_screen_keeps_the_three_pass_decisions(self, request, monkeypatch,
+                                                         system_name, backend_name):
+        # quotas from 1e-16 to 1e0 relative to the observed masses: the table
+        # decides the steps far from their quota, the oracle the rest, and no
+        # decision or flag differs from the rule that takes every ball
+        system = request.getfixturevalue(system_name)
+        backend = request.getfixturevalue(backend_name)
+        N, S = 400, 10
+        depth = system.depth_for_diameter(1e-12)
+        prec = system.diameter_bound(depth)
+        pos = project_windows(sample_symbol_block(backend, 17, range(S), N + depth),
+                              system, depth)
+        x0s, dist = pos[:, 0], np.abs(pos[:, 1:] - pos[:, [0]])
+        lo, hi = _radial_mass(backend, np.repeat(x0s, N), dist.reshape(-1), 45)
+        rng = np.random.default_rng(18)
+        eps = rng.choice([-0.5, 1.0], S * N) * 10.0 ** rng.uniform(-16, 0, S * N)
+        quota = (0.5 * (lo + hi) * (1.0 + eps)).reshape(S, N)
+        spec = _RunSpec(backend, "modified", 17, quota[0], np.array([N - 1]), "mass",
+                        depth, prec, N + depth, np.array([quota[0].sum()]), 45)
+        points = []
+
+        def counted(backend, centers, radii, depth_budget):
+            points.append(np.size(radii))
+            return _radial_mass(backend, centers, radii, depth_budget)
+
+        monkeypatch.setattr(experiments, "_radial_mass", counted)
+        hit, flag = _mass_quota_hits(spec, x0s, dist, quota)
+        monkeypatch.undo()
+        ref_hit, ref_flag = _three_pass_quota_hits(spec, x0s, dist, quota)
+        assert 0 < points[0] < S * N  # table-decided and open steps both occur
+        assert flag.any()
+        assert np.array_equal(flag, ref_flag)
+        assert np.array_equal(hit, ref_hit)
+
+    def test_screen_reads_the_table_two_precisions_from_the_distance(self, monkeypatch,
+                                                                     weighted):
+        # one start point whose table holds two leaves of mass 1/2 with
+        # widened ends [0.1, 0.2] and [0.3, 0.4]: the table decides a step
+        # only when d + 2 prec, or max(d - 2 prec, 0), clears the leaf end
+        prec = 1e-6
+        table = (np.array([-np.inf, 0.1, 0.3, np.inf]), np.array([0.0, 0.5, 1.0]),
+                 np.array([-np.inf, 0.2, 0.4, np.inf]), np.array([0.0, 0.5, 1.0]))
+        dist = np.array([[0.3 - 3 * prec, 0.3 - prec, 0.2 + 3 * prec, 0.2 + prec]])
+        quota = np.array([0.6, 0.6, 0.4, 0.4])
+        spec = _RunSpec(weighted, "modified", 1, quota, np.array([3]), "mass", 13, prec, 17,
+                        np.array([quota.sum()]), 45)
+        radii = []
+
+        def counted(backend, centers, r, depth_budget):
+            radii.append(np.array(r, copy=True))
+            return _radial_mass(backend, centers, r, depth_budget)
+
+        monkeypatch.setattr(experiments, "_radial_mass", counted)
+        hit, flag = _mass_quota_hits(spec, np.array([0.5]), dist, quota, [table])
+        # F_hi(0.3 - prec) = 1/2 < 0.6 hits; F_lo(0.2 + prec) = 1/2 >= 0.4 misses
+        assert hit[0, 0] and not hit[0, 2] and not flag[0, [0, 2]].any()
+        # the others straddle a leaf end within 2 prec: the oracle's inner balls take them
+        assert np.array_equal(radii[0], dist[0, [1, 3]] - 2 * prec)
+
+    @pytest.mark.parametrize("psi, at_most_open", [
+        (PowerRadius(1.0, 0.5), 0.01), (ConstantRadius(1e-300), None),
+        (PowerRadius(1.0, 3.0), None)])
+    def test_table_work_is_bounded(self, monkeypatch, cantor, weighted, psi, at_most_open):
+        # counts, not timings, at cantor_modified's shape with N cut to 1000:
+        # the oracle takes under 1 % of the steps, and a table holds at most
+        # 2000 leaves a center however small the quotas
+        N, S = 1000, 50
+        points, leaves = [], []
+
+        def counted(backend, centers, radii, depth_budget):
+            points.append(np.size(radii))
+            return _radial_mass(backend, centers, radii, depth_budget)
+
+        def tables(*args):
+            built = _radial_table(*args)
+            leaves.extend(table[1].size - 1 for table in built)
+            return built
+
+        monkeypatch.setattr(experiments, "_radial_mass", counted)
+        monkeypatch.setattr(experiments, "_radial_table", tables)
+        recurrence_modified_run(cantor, weighted, psi, N, S, 1)
+        assert len(leaves) == S and max(leaves) <= 2000
+        if at_most_open is not None:
+            assert sum(points[::3]) < at_most_open * S * N  # each window's inner balls
 
     # a decision that took the ball at d for every step first, then screened
     # the steps near the quota, peaked at 86.6 B per step on the weighted
@@ -912,8 +1009,8 @@ class TestRecurrenceModified:
 
 
 _WINDOW_CASES = ("distance_line_pure", "distance_line_pure_every_step", "distance_line_shrink",
-                 "distance_plane_shrink", "mass_cantor", "mass_density", "symbolic_staircase",
-                 "density_chain", "spectral_chain")
+                 "distance_plane_shrink", "mass_cantor", "mass_uniform", "mass_density",
+                 "symbolic_staircase", "density_chain", "spectral_chain")
 # sparse checkpoints: some fall on window edges, and most segments span several
 _WINDOW_CPS = [1, 2, 3, 5, 8, 21, 22, 64, 65, 100, 101, 211]
 
@@ -923,7 +1020,7 @@ class TestWindowedEngine:
     ``dynamics._WINDOW_CELLS`` symbols; no record may depend on that size."""
 
     @pytest.fixture(scope="class")
-    def run_case(self, cantor, weighted, quartet, density):
+    def run_case(self, cantor, uniform, weighted, quartet, density):
         tri = builtin_system("sierpinski_triangle")
         thirds = BernoulliBackend(tri, (1 / 3, 1 / 3, 1 / 3))
         staircase = BernoulliBackend(cantor, (0.2, 0.8))
@@ -947,6 +1044,8 @@ class TestWindowedEngine:
                 threads=t),
             "mass_cantor": lambda t: recurrence_modified_run(
                 cantor, weighted, PowerRadius(1.0, 0.5), N, 3, 44, checkpoints=cps, threads=t),
+            "mass_uniform": lambda t: recurrence_modified_run(
+                cantor, uniform, PowerRadius(0.5, 0.5), N, 3, 49, checkpoints=cps, threads=t),
             "mass_density": lambda t: recurrence_modified_run(
                 quartet, density, PowerRadius(1.0, 0.5), N, 3, 45, checkpoints=cps, threads=t),
             "symbolic_staircase": lambda t: recurrence_pure_run(

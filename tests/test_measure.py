@@ -15,6 +15,8 @@ Oracle values are hand-derived:
 import functools
 import math
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,7 +33,8 @@ from selfconformal.gibbs import (
     eigen_solve,
 )
 from selfconformal.ifs import (_box_corners, _child_state, _initial_state, _state_apply,
-                               _state_boxes, _to_coords, builtin_system, system_from_json)
+                               _state_boxes, _to_coords, builtin_system, map_fixed_point,
+                               system_from_json)
 from selfconformal.measure import (
     INSIDE,
     OUTSIDE,
@@ -58,6 +61,8 @@ from selfconformal.measure import (
 )
 from selfconformal.symbolic import as_point
 from test_ifs import _ROTREF_SPEC
+
+import exact_refs
 
 LOG2 = math.log(2.0)
 
@@ -1100,3 +1105,129 @@ def _record_builds(monkeypatch):
 
     monkeypatch.setattr(measure, "_child_state", recording)
     return built
+
+
+# ---------------------------------------------------------------------------
+# radial tables
+# ---------------------------------------------------------------------------
+
+
+def table_mass(table, r):
+    """``(F_lo(r), F_hi(r))`` of one center's radial table at the radii ``r``."""
+    dmin, f_hi, dmax, f_lo = table
+    return f_lo[np.searchsorted(dmax, r, side="right") - 1], f_hi[np.searchsorted(dmin, r) - 1]
+
+
+def _run_precision(system):
+    """The projection depth and position precision of a measure-equalized run."""
+    depth = system.depth_for_diameter(1e-12)
+    return depth, system.diameter_bound(depth)
+
+
+def _within(x, prec):
+    """The center and the points ``prec`` to either side of it, exactly."""
+    return x, x - prec, x + prec
+
+
+_CANTOR_WEIGHTS = [(0.3, 0.7), (0.5, 0.5), (0.2, 0.8)]
+_TABLE_QUOTAS = [1e-300, 1e-6, 1e-2]
+
+
+class TestRadialTable:
+    """Every bracket of a start point's radial table holds the exact ball
+    mass (``tests/exact_refs.py``) around the point and around the points
+    ``prec`` to either side, where the true start point may lie, from radius
+    1e-1 down to the run's position precision."""
+
+    @staticmethod
+    def _check_cantor(probs, centers, radii, least_quota):
+        system = builtin_system("middle_third_cantor")
+        depth, prec = _run_precision(system)
+        radii = np.asarray(radii)
+        tables = measure._radial_table(BernoulliBackend(system, probs), np.asarray(centers),
+                                       prec, least_quota, depth)
+        for x, table in zip(centers, tables):
+            for y in _within(Fraction(x), Fraction(prec)):
+                for r, lo, hi in zip(radii, *table_mass(table, radii)):
+                    exact_lo, exact_hi = exact_refs.cantor_ball(probs, y, r)
+                    assert lo <= exact_lo and exact_hi <= hi, (probs, x, y - x, r)
+
+    @staticmethod
+    def _check_quartet(centers, radii, least_quota):
+        system = builtin_system("moebius_interval_quartet")
+        depth, prec = _run_precision(system)
+        radii = np.asarray(radii)
+        backend = DensityBackend(system, "reciprocal_log2")
+        tables = measure._radial_table(backend, np.asarray(centers), prec, least_quota, depth)
+        for x, table in zip(centers, tables):
+            for y in _within(Decimal(x), Decimal(prec)):
+                for r, lo, hi in zip(radii, *table_mass(table, radii)):
+                    exact = exact_refs.quartet_ball(y, r)
+                    assert Decimal(lo) <= exact <= Decimal(hi), (x, y - x, r)
+
+    @staticmethod
+    def _ladder(system):
+        return np.geomspace(1e-1, _run_precision(system)[1], 40)
+
+    @pytest.mark.parametrize("least_quota", _TABLE_QUOTAS)
+    @pytest.mark.parametrize("probs", _CANTOR_WEIGHTS)
+    def test_cantor_corners(self, probs, least_quota):
+        radii = self._ladder(builtin_system("middle_third_cantor"))
+        self._check_cantor(probs, [0.0, 0.25, 0.75, 1.0], radii, least_quota)
+
+    @pytest.mark.parametrize("least_quota", _TABLE_QUOTAS)
+    def test_quartet_fixed_points_and_corners(self, least_quota):
+        system = builtin_system("moebius_interval_quartet")
+        fixed = [map_fixed_point(m, system.attractor_box).coords[0] for m in system.maps]
+        self._check_quartet(fixed + [0.25, 0.75, 1.0], self._ladder(system), least_quota)
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(probs=st.sampled_from(_CANTOR_WEIGHTS),
+           x=st.floats(0.0, 1.0),
+           exps=st.lists(st.floats(math.log10(_run_precision(
+               builtin_system("middle_third_cantor"))[1]), -1.0), min_size=1, max_size=4),
+           least_quota=st.sampled_from(_TABLE_QUOTAS))
+    def test_cantor_drawn(self, probs, x, exps, least_quota):
+        self._check_cantor(probs, [x], 10.0 ** np.array(exps), least_quota)
+
+    @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @given(x=st.floats(0.0, 1.0),
+           exps=st.lists(st.floats(math.log10(_run_precision(
+               builtin_system("moebius_interval_quartet"))[1]), -1.0), min_size=1, max_size=4),
+           least_quota=st.sampled_from(_TABLE_QUOTAS))
+    def test_quartet_drawn(self, x, exps, least_quota):
+        self._check_quartet([x], 10.0 ** np.array(exps), least_quota)
+
+    def test_a_center_table_does_not_depend_on_the_others(self):
+        backend = BernoulliBackend(builtin_system("middle_third_cantor"), (0.3, 0.7))
+        depth, prec = _run_precision(backend.system)
+        centers = np.random.default_rng(4).uniform(0.0, 1.0, 7)
+        together = measure._radial_table(backend, centers, prec, 1e-3, depth)
+        for x, table in zip(centers, together):
+            alone, = measure._radial_table(backend, [x], prec, 1e-3, depth)
+            assert all(np.array_equal(a, b) for a, b in zip(table, alone))
+
+    @pytest.mark.parametrize("probs", [(0.1, 0.9), (0.02, 0.98)])
+    def test_every_column_is_sorted(self, probs):
+        # a step reads the sums with searchsorted, so they must not decrease;
+        # near the light end the leaves at the projection depth weigh less
+        # than the rounding allowance each of them adds to the lower sum
+        backend = BernoulliBackend(builtin_system("middle_third_cantor"), probs)
+        depth, prec = _run_precision(backend.system)
+        centers = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+        for table in measure._radial_table(backend, centers, prec, 1e-300, depth):
+            assert all((np.diff(column) >= 0).all() for column in table)
+
+    def test_node_cap_cuts_a_table_short_and_keeps_it_certified(self, monkeypatch):
+        probs = (0.3, 0.7)
+        system = builtin_system("middle_third_cantor")
+        depth, prec = _run_precision(system)
+        backend = BernoulliBackend(system, probs)
+        full, = measure._radial_table(backend, [0.25], prec, 1e-300, depth)
+        monkeypatch.setattr(measure, "_NODE_CAP", 4)
+        capped, = measure._radial_table(backend, [0.25], prec, 1e-300, depth)
+        assert capped[0].size < full[0].size
+        radii = self._ladder(system)
+        for r, lo, hi in zip(radii, *table_mass(capped, radii)):
+            exact_lo, exact_hi = exact_refs.cantor_ball(probs, 0.25, r)
+            assert lo <= exact_lo and exact_hi <= hi
