@@ -182,13 +182,13 @@ def fit_exponential_rate(series: Sequence[Tuple[float, float]]) -> RateFit:
     Parameters
     ----------
     series : sequence of (n, value)
-        At least four strictly positive values.
+        At least four strictly positive finite values.
     """
     pts = [(float(n), float(v)) for n, v in series]
     if len(pts) < 4:
         raise ValueError("need at least 4 points for a rate fit")
-    if any(v <= 0.0 for _, v in pts):
-        raise ValueError("rate fit requires strictly positive values")
+    if any(not 0.0 < v < math.inf for _, v in pts):  # NaN fails too
+        raise ValueError("rate fit requires strictly positive finite values")
     ns = np.array([n for n, _ in pts])
     logs = np.log(np.array([v for _, v in pts]))
     if np.allclose(logs, logs[0], rtol=0.0, atol=1e-15):
@@ -245,14 +245,15 @@ _FLAG_DIVISOR = 1000.0
 @dataclass(frozen=True)
 class _RunSpec:
     """A counting run's resolved plan: everything a worker needs to compute
-    records for a block of samples."""
+    records for a block of samples. The hit test follows from two fields:
+    ``ks`` set means the exact symbolic (Cantor) test, ``kind == "modified"``
+    the mass test, and any other run compares distances."""
 
     backend: MeasureBackend
     kind: str  # "shrink" | "pure" | "modified"
     seed: int
     radii: np.ndarray  # psi(1..N): step radii, or measure quotas
     cp_idx: np.ndarray  # step index of each checkpoint (N - 1)
-    hit_mode: str  # "distance" | "symbolic" | "mass"
     depth: int  # projection depth of the orbit windows
     prec: float  # certified position precision at that depth
     length: int  # symbols drawn per sample
@@ -279,8 +280,11 @@ def _counting_chunk(spec: _RunSpec, ids: Sequence[int]) -> List[CountingRecord]:
     The block's time axis is walked in windows of ``_window_width(rows)``
     columns. Each window's symbols continue one chain pass and one Philox
     stream per row (one ``sample_symbol_block`` call on the block's
-    :class:`SymbolSource`); its orbit points are projected, hit-tested and
-    added to the open checkpoint segments. Across windows only the symbols
+    :class:`SymbolSource`); its orbit points are hit-tested and added to the
+    open checkpoint segments. A run with ``ks`` compares symbols and projects
+    only the start points; every other run projects each window's points,
+    and a measure-equalized one (``kind == "modified"``) compares radial
+    masses where the rest compare distances. Across windows only the symbols
     the next points still read (``depth - 1``, or the symbolic test's
     lookahead), the start points, a symbolic run's first ``kmax`` symbols and
     the segment counts are carried, so memory is O(rows x width + N) for any
@@ -305,7 +309,7 @@ def _counting_chunk(spec: _RunSpec, ids: Sequence[int]) -> List[CountingRecord]:
             continue
         skip = 1 if point == 0 else 0  # point 0 is the start, not a step
         steps = slice(point + skip - 1, point + n_points - 1)
-        if spec.hit_mode == "symbolic":
+        if spec.ks is not None:
             if point == 0:
                 x0s = project_windows(syms[:, : spec.depth], backend.system, spec.depth)[:, 0]
                 head = syms[:, : int(spec.ks.max())].copy()
@@ -316,14 +320,14 @@ def _counting_chunk(spec: _RunSpec, ids: Sequence[int]) -> List[CountingRecord]:
             if point == 0:
                 x0s = pos[:, 0].copy()
                 tables = (_radial_table(backend, x0s, spec.prec, float(spec.radii.min()),
-                                        spec.depth) if spec.hit_mode == "mass" else None)
+                                        spec.depth) if spec.kind == "modified" else None)
             if n_points > skip:
                 hit, flag = _step_hits(spec, pos[:, skip:], x0s, steps, tables)
                 counts.add(hit)
                 flags.add(flag)
         syms = syms[:, n_points:]
         point += n_points
-    if spec.hit_mode == "symbolic":
+    if spec.ks is not None:
         prefix, level_counts = _staircase_terms(backend.probs, head, spec.ks, spec.cp_idx + 1)
         # row by row: a matrix product's bits would depend on the block's row count
         ball_cum = np.einsum("ik,ck->ic", prefix, level_counts)
@@ -341,7 +345,7 @@ def _step_hits(spec, pos, x0s, steps, tables):
     else:
         center = x0s[:, None] if pos.ndim == 2 else x0s[:, None, :]
     dist = _point_distances(pos, center)
-    if spec.hit_mode == "mass":  # mass comparison against the per-step measure quota
+    if spec.kind == "modified":  # mass comparison against the per-step measure quota
         return _mass_quota_hits(spec, x0s, dist, radii, tables)
     # a target center is exact; a start point is as uncertain as the orbit
     slack = spec.prec if spec.kind == "shrink" else 2.0 * spec.prec
@@ -649,11 +653,7 @@ def _run_counting(
     if (kind == "pure" and isinstance(backend, BernoulliBackend)
             and _is_middle_third_cantor(system)):
         ks = _cantor_levels(radii)
-    if kind == "modified":
-        mode = "mass"
-    else:
-        mode = "distance" if ks is None else "symbolic"
-    if mode == "distance":
+    if kind != "modified" and ks is None:  # the distance test
         # clamp the working precision to what float coordinates can certify;
         # per-step flag bands are floored at that precision downstream
         scale = max(system.attractor_diameter[1], 1.0)
@@ -670,8 +670,8 @@ def _run_counting(
         targets = _canonical_targets(targets, N, system.dim)
     cp_idx = np.asarray(cps, dtype=np.int64) - 1
     psi_sums = _shared_psi_sums(kind, backend, targets, radii, cp_idx, ball_budget)
-    spec = _RunSpec(backend, kind, int(seed), radii, cp_idx, mode, depth, prec, length,
-                    psi_sums, ball_budget, ks, targets)
+    spec = _RunSpec(backend, kind, int(seed), radii, cp_idx, depth, prec, length, psi_sums,
+                    ball_budget, ks, targets)
     blocks = _worker_blocks(ids, threads)
     if len(blocks) == 1:
         records = _counting_chunk(spec, ids)
@@ -811,7 +811,7 @@ def bc_residual(record: CountingRecord, epsilon: float = 0.1) -> List[Tuple[int,
     ``S`` is the checkpoint's ``ball_sum`` when present (own-ball runs) and
     ``psi_sum`` otherwise; checkpoints with ``S <= 1`` are skipped.
     """
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:  # NaN fails too
         raise ValueError("epsilon must be positive")
     out = []
     for cp in record.checkpoints:
@@ -850,11 +850,16 @@ def pairwise_independence_check(
     Events are pullbacks ``A_n = T^-n E_n``. ``event`` is a cylinder word
     (constant across ``n``), a callable ``n -> word``, or, with
     ``mc_samples`` set, a ``(center, radius)`` ball estimated by Monte Carlo
-    over that many sample orbits. Cylinder event masses and pair masses
-    ``mu(A_m inter A_n)`` are read off level tables (``gibbs._pair_mass``),
-    so on a spectral backend every event word and every pair must lie within
-    the table; a deeper level is refused. The returned dict carries both
-    sides, the error coefficient, and the verdict with the supplied ``kappa``.
+    over that many sample orbits; ``mc_samples < 1`` or a radius that is not
+    positive and finite raises ``ValueError`` before any sampling, and the
+    Monte-Carlo verdict allows ``4 / sqrt(mc_samples)`` for the sampling
+    error where the exact one allows ``1e-12``. Cylinder event masses and
+    pair masses ``mu(A_m inter A_n)`` are read off level tables
+    (``gibbs._pair_mass``), so on a spectral backend every event word and
+    every pair must lie within the table; a deeper level is refused. Both
+    reports carry the same seven keys (both sides, the error coefficient,
+    and the verdict with the supplied ``kappa``); the Monte-Carlo one adds
+    ``mc_samples``.
     """
     if not (1 <= a <= b):
         raise ValueError("need 1 <= a <= b")
@@ -869,21 +874,24 @@ def pairwise_independence_check(
     for m in range(a, b + 1):
         for n in range(m + 1, b + 1):
             lhs += 2.0 * _pair_mass(backend, words[m], words[n], n - m)
+    return _pairwise_report(lhs, total, kappa, a, b, 1e-12)
+
+
+def _pairwise_report(lhs, total, kappa, a, b, slack):
+    """Both sides of the inequality for event masses summing to ``total``;
+    ``slack`` is the verdict's allowance for the error in ``lhs``."""
     rhs_main = total * total
     bound = rhs_main + (2.0 * kappa + 1.0) * total
-    return {
-        "lhs": lhs,
-        "rhs_main": rhs_main,
-        "rhs_error": total,
-        "kappa": kappa,
-        "bound": bound,
-        "satisfied": lhs <= bound + 1e-12,
-        "pairs": (b - a + 1) ** 2,
-    }
+    return {"lhs": lhs, "rhs_main": rhs_main, "rhs_error": total, "kappa": kappa,
+            "bound": bound, "satisfied": lhs <= bound + slack, "pairs": (b - a + 1) ** 2}
 
 
 def _pairwise_ball_mc(system, backend, event, a, b, kappa, mc_samples, seed):
     center, radius = event
+    if mc_samples < 1:
+        raise ValueError("mc_samples must be >= 1")
+    if not 0.0 < radius < math.inf:  # NaN fails too
+        raise ValueError("ball radius must be positive and finite")
     center = as_point(center, system.dim)
     depth = system.depth_for_diameter(max(radius, 1e-9) / 1000.0)
     block = sample_symbol_block(backend, seed, range(mc_samples), b + depth)
@@ -895,18 +903,9 @@ def _pairwise_ball_mc(system, backend, event, a, b, kappa, mc_samples, seed):
     total = float(freqs.sum())
     joint = (H.astype(float).T @ H.astype(float)) / mc_samples
     lhs = float(joint.sum() - np.trace(joint) + freqs.sum())
-    rhs_main = total * total
-    bound = rhs_main + (2.0 * kappa + 1.0) * total
-    return {
-        "lhs": lhs,
-        "rhs_main": rhs_main,
-        "rhs_error": total,
-        "kappa": kappa,
-        "bound": bound,
-        "satisfied": lhs <= bound + 4.0 / math.sqrt(mc_samples),
-        "pairs": (b - a + 1) ** 2,
-        "mc_samples": mc_samples,
-    }
+    report = _pairwise_report(lhs, total, kappa, a, b, 4.0 / math.sqrt(mc_samples))
+    report["mc_samples"] = mc_samples
+    return report
 
 
 def cylinder_event_crosscheck(
@@ -1215,7 +1214,9 @@ def run_named_example(name: str, overrides: Optional[Mapping[str, float]] = None
     is JSON-serializable. ``overrides`` maps the example's own knobs (``N``,
     ``samples``, ``quadrature_samples``, ``tail_points``, ``mc_samples``,
     ...) to values that shrink the canonical configuration; a key the
-    example does not take raises ``ValueError`` naming the ones it does.
+    example does not take raises ``ValueError`` naming the ones it does, and
+    a value below 1 (every knob is a count or a depth) ``ValueError`` naming
+    the key.
     ``seed`` reseeds the sample orbits (B.2 draws none) and ``threads`` sizes
     the worker pool.
     """
@@ -1233,6 +1234,9 @@ def run_named_example(name: str, overrides: Optional[Mapping[str, float]] = None
             f"example {name} takes no override {', '.join(unknown)} "
             f"(accepted: {', '.join(knobs) or 'none'}){notes}"
         )
+    for key, value in overrides.items():
+        if value < 1:
+            raise ValueError(f"example {name} override {key} must be >= 1, got {value}")
     seed = default_seed if seed is None else int(seed)
     return example(threads, seed, **overrides)
 
@@ -1250,9 +1254,10 @@ def _example_constant_radius(threads, seed, N=100_000, samples=200, mc_samples=2
     psi = ConstantRadius(5.0 / 9.0)
     records = recurrence_pure_run(system, backend, psi, N, samples, seed,
                                   threads=threads)
-    # region of the start point from its first two branch choices
-    block = sample_symbol_block(backend, seed, range(samples), 2)
-    outer = (block[:, 0] == block[:, 1])  # branches 11 / 22 hug the endpoints
+    # branches 11 / 22 hug the endpoints; the gaps (1/9, 2/9) and (7/9, 8/9)
+    # part them from the inner depth-2 cylinders
+    x0 = np.array([r.x0.x for r in records])
+    outer = (x0 < 1.0 / 6.0) | (x0 > 5.0 / 6.0)
     norm = 0.625 * N
     ratios = np.array([r.final.count for r in records]) / norm
     mean_outer = float(ratios[outer].mean()) if outer.any() else float("nan")
@@ -1308,6 +1313,9 @@ def _example_interval_quartet(threads, seed, N=100_000, samples=100, eigen_depth
     per-sample count over sum of radii converges to twice the density at the
     start point, i.e. (2 ln 2 / (1 + x0)) after the (ln 2)^2 normalization.
     """
+    if mixing_depth < 7:
+        raise ValueError(f"example 7.2 override mixing_depth must be >= 7, got {mixing_depth}: "
+                         "the mixing fit splits it at separations 2..6, each before a tail")
     system = builtin_system("moebius_interval_quartet")
     report = eigen_solve(system, ConformalPowerPotential(1.0), eigen_depth)
     # sup |h - 1/(ln 2 (1 + x))| on a fixed grid; the mass table is never read

@@ -25,7 +25,9 @@ Each backend's next-symbol law is written once, as the vectorized chain that
 ``backend.chain(n_rows)`` returns: ``rows()`` gives each row's next-symbol
 weights (proportional to the conditional law), ``cum_rows()`` their cumulative
 sums, which the samplers pick from, and ``advance(symbols)`` appends one
-symbol per row.  The samplers in :mod:`selfconformal.dynamics` and
+symbol per row.  The Bernoulli chain's law does not move, so it holds one
+weight row and one cumulative row for any ``n_rows`` and its ``advance``
+does nothing.  The samplers in :mod:`selfconformal.dynamics` and
 :func:`conditional_next` read the law through it, and the spectral cylinder
 masses past the table depth read its deepest conditional rows: the rows of
 the deepest table, each divided by its own sum as it is gathered.
@@ -224,7 +226,7 @@ class BernoulliBackend:
         return self._tables[k]
 
     def chain(self, n_rows: int) -> _BernoulliChain:
-        return _BernoulliChain(self, n_rows)
+        return _BernoulliChain(self)
 
 
 # Rounding allowance of the invariance check, in units of the CDF's ulp at 1
@@ -598,12 +600,12 @@ def _normalized_cumsum(rows: np.ndarray) -> np.ndarray:
 
 
 class _BernoulliChain:
-    """i.i.d. symbols: every row is the cumulative weight vector."""
+    """i.i.d. symbols: one ``(1, m)`` weight row and its cumulative row serve
+    every sample row, whatever the block's size."""
 
-    def __init__(self, backend: BernoulliBackend, n_rows: int):
-        shape = (n_rows, len(backend.probs))
-        self._rows = np.broadcast_to(backend.probs, shape)
-        self._cum = np.broadcast_to(np.cumsum(backend.probs), shape)
+    def __init__(self, backend: BernoulliBackend):
+        self._rows = backend.probs[None, :]
+        self._cum = np.cumsum(backend.probs)[None, :]
 
     def rows(self) -> np.ndarray:
         return self._rows

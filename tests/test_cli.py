@@ -765,6 +765,24 @@ class TestShippedExamples:
         assert err["kind"] == "config"
         assert hint in err["message"] and next(iter(overrides)) in err["message"]
 
+    @pytest.mark.parametrize("name, overrides", [
+        ("7.1", {"samples": 0}),
+        ("7.1", {"mc_samples": 0}),
+        ("7.2", {"samples": 0}),
+        ("ABB", {"quadrature_samples": 0}),
+        ("7.2", {"mixing_depth": 6}),
+    ])
+    def test_override_below_its_floor_exit_2_no_artifacts(
+            self, tmp_path, capsys, name, overrides):
+        cfg = {"experiment": {"kind": "named_example", "name": name, "seed": 1,
+                              "overrides": overrides}}
+        out = tmp_path / "out"
+        assert run(write_config(tmp_path, cfg), str(out)) == EXIT_CONFIG
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["kind"] == "config"
+        assert next(iter(overrides)) in err["message"]
+
     def test_abb_tail_split_past_n_exit_2_no_artifacts(self, tmp_path, capsys):
         cfg = {"experiment": {"kind": "named_example", "name": "ABB", "seed": 1,
                               "overrides": {"N": 20000, "samples": 5}}}

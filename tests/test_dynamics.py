@@ -272,6 +272,16 @@ class TestSampling:
             for row, sid in zip(block, ids):
                 assert tuple(int(v) for v in row) == expected[sid], (length, sid)
 
+    @pytest.mark.parametrize("backend_name", ["bernoulli", "density", "spectral"])
+    def test_block_with_no_ids_is_empty(
+        self, backend_name, cantor_weighted, quartet_density, cantor_spectral
+    ):
+        backend = {"bernoulli": cantor_weighted, "density": quartet_density,
+                   "spectral": cantor_spectral}[backend_name]
+        for length in (0, 1, 7):
+            block = sample_symbol_block(backend, 42, [], length)
+            assert block.shape == (0, length) and block.dtype == np.int8
+
     def test_bernoulli_block_after_chain_block(self, cantor_weighted, quartet_density):
         sample_symbol_block(quartet_density, 42, [3, 1], 9)
         block = sample_symbol_block(cantor_weighted, 42, [1, 3], 9)

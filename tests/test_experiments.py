@@ -174,8 +174,9 @@ class TestRateFit:
             fit_exponential_rate([(1, 0.5), (2, 0.25), (3, 0.125)])
 
     def test_non_positive_values_rejected(self):
-        with pytest.raises(ValueError):
-            fit_exponential_rate([(1, 0.5), (2, 0.0), (3, 0.1), (4, 0.05)])
+        for bad in (0.0, -0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="strictly positive finite"):
+                fit_exponential_rate([(1, 0.5), (2, bad), (3, 0.1), (4, 0.05)])
 
     def test_rate_fit_validation(self):
         with pytest.raises(ValueError):
@@ -788,7 +789,7 @@ class TestRecurrenceModified:
         rng = np.random.default_rng(12)
         eps = rng.choice([-1.0, 1.0], S * N) * 10.0 ** rng.uniform(-16, -3, S * N)
         quota = (0.5 * (lo + hi) * (1.0 + eps)).reshape(S, N)
-        spec = _RunSpec(backend, "modified", 11, quota[0], np.array([N - 1]), "mass",
+        spec = _RunSpec(backend, "modified", 11, quota[0], np.array([N - 1]),
                         depth, prec, N + depth, np.array([quota[0].sum()]), 45)
         hit, flag = _mass_quota_hits(spec, x0s, dist, quota)
         ref_hit, ref_flag = _three_pass_quota_hits(spec, x0s, dist, quota)
@@ -815,7 +816,7 @@ class TestRecurrenceModified:
         rng = np.random.default_rng(12)
         eps = rng.choice([-1.0, 1.0], S * N) * 10.0 ** rng.uniform(-16, -3, S * N)
         quota = (0.5 * (lo + hi) * (1.0 + eps)).reshape(S, N)
-        spec = _RunSpec(backend, "modified", 11, quota[0], np.array([N - 1]), "mass",
+        spec = _RunSpec(backend, "modified", 11, quota[0], np.array([N - 1]),
                         depth, prec, N + depth, np.array([quota[0].sum()]), 45)
         points = []
 
@@ -856,7 +857,7 @@ class TestRecurrenceModified:
         rng = np.random.default_rng(18)
         eps = rng.choice([-0.5, 1.0], S * N) * 10.0 ** rng.uniform(-16, 0, S * N)
         quota = (0.5 * (lo + hi) * (1.0 + eps)).reshape(S, N)
-        spec = _RunSpec(backend, "modified", 17, quota[0], np.array([N - 1]), "mass",
+        spec = _RunSpec(backend, "modified", 17, quota[0], np.array([N - 1]),
                         depth, prec, N + depth, np.array([quota[0].sum()]), 45)
         points = []
 
@@ -883,7 +884,7 @@ class TestRecurrenceModified:
                  np.array([-np.inf, 0.2, 0.4, np.inf]), np.array([0.0, 0.5, 1.0]))
         dist = np.array([[0.3 - 3 * prec, 0.3 - prec, 0.2 + 3 * prec, 0.2 + prec]])
         quota = np.array([0.6, 0.6, 0.4, 0.4])
-        spec = _RunSpec(weighted, "modified", 1, quota, np.array([3]), "mass", 13, prec, 17,
+        spec = _RunSpec(weighted, "modified", 1, quota, np.array([3]), 13, prec, 17,
                         np.array([quota.sum()]), 45)
         radii = []
 
@@ -943,7 +944,7 @@ class TestRecurrenceModified:
         x0s = pos[:, 0].copy()
         dist = np.abs(pos[:, 1:] - x0s[:, None])
         radii = PowerRadius(1.0, 0.5).values(np.arange(1, width + 1))
-        spec = _RunSpec(backend, "modified", 3, radii, np.array([width - 1]), "mass",
+        spec = _RunSpec(backend, "modified", 3, radii, np.array([width - 1]),
                         depth, prec, width + depth, np.array([radii.sum()]), 45)
         del pos
         tracemalloc.start()
@@ -1164,8 +1165,9 @@ class TestBcResidual:
 
     def test_epsilon_validation(self):
         rec = _record_with([(100, 7, 8.0)])
-        with pytest.raises(ValueError):
-            bc_residual(rec, 0.0)
+        for bad in (0.0, -0.1, math.nan):
+            with pytest.raises(ValueError, match="epsilon must be positive"):
+                bc_residual(rec, bad)
 
     @given(st.integers(2, 10**6), st.floats(2.0, 10**5))
     @settings(max_examples=40, deadline=None)
@@ -1236,6 +1238,24 @@ class TestPairwiseIndependence:
         assert out["mc_samples"] == 4000
         assert out["satisfied"]
         assert out["lhs"] >= out["rhs_error"] - 0.1  # diagonal dominates the floor
+
+    @pytest.mark.parametrize("radius, mc_samples, message", [
+        (0.4, 0, "mc_samples"),
+        (0.4, -3, "mc_samples"),
+        (-0.4, 100, "radius"),
+        (0.0, 100, "radius"),
+        (math.nan, 100, "radius"),
+        (math.inf, 100, "radius"),
+    ])
+    def test_ball_events_monte_carlo_inputs_refused_before_sampling(
+            self, cantor, uniform, monkeypatch, radius, mc_samples, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled before refusing the inputs")
+
+        monkeypatch.setattr(experiments, "sample_symbol_block", refuse)
+        with pytest.raises(ValueError, match=message):
+            pairwise_independence_check(cantor, uniform, ((0.0,), radius), 2, 10,
+                                        mc_samples=mc_samples)
 
     def test_range_validation(self, cantor, uniform):
         with pytest.raises(ValueError):
@@ -1503,6 +1523,23 @@ class TestNamedExamples:
         with pytest.raises(ValueError, match=message):
             run_named_example("ABB", overrides)
 
+    @pytest.mark.parametrize("name, overrides", [
+        ("7.1", {"samples": 0}),
+        ("7.1", {"mc_samples": 0}),
+        ("7.2", {"samples": 0}),
+        ("ABB", {"quadrature_samples": 0}),
+        ("7.2", {"mixing_depth": 6}),
+    ])
+    def test_override_below_its_floor_refused_before_running(
+            self, monkeypatch, name, overrides):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran the recurrence before refusing the overrides")
+
+        monkeypatch.setattr(experiments, "recurrence_pure_run", refuse)
+        key, value = next(iter(overrides.items()))
+        with pytest.raises(ValueError, match=f"override {key} must be >= .*, got {value}"):
+            run_named_example(name, overrides)
+
     def test_staircase_alpha_window_matches_high_precision(self):
         from mpmath import mp, mpf, log as mlog
 
@@ -1583,7 +1620,7 @@ class TestMonteCarloConsistency:
         depth = cantor.depth_for_diameter(1e-12)
         prec = cantor.diameter_bound(depth)
         radii = psi.values(np.arange(1, N + 1))
-        spec = _RunSpec(weighted, "modified", 424242, radii, np.array([N - 1]), "mass",
+        spec = _RunSpec(weighted, "modified", 424242, radii, np.array([N - 1]),
                         depth, prec, N + depth, np.cumsum(radii)[[N - 1]], 45)
         freq = np.zeros(N)
         for i0 in range(0, S, 20_000):
