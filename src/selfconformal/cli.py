@@ -308,9 +308,7 @@ def _execute_resolved(resolved: dict):
     exp = resolved["experiment"]
     threads = resolved["threads"]
     if exp["kind"] == "named_example":
-        # every example knob is a count or a depth
-        overrides = {key: int(value) for key, value in exp.get("overrides", {}).items()}
-        report = run_named_example(exp["name"], overrides, seed=exp["seed"],
+        report = run_named_example(exp["name"], exp.get("overrides"), seed=exp["seed"],
                                    threads=threads)
         records = report.pop("records")
         report["summary"] = report.get("summary") or summarize_records(records)

@@ -29,6 +29,7 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -54,9 +55,11 @@ from .measure import (
     PowerLogRadius,
     PowerRadius,
     RadiusFunction,
+    _check_budget,
+    _check_quota_serves,
     _closed_form,
+    _quota_decider,
     _radial_mass,
-    _radial_table,
     # the benchmark's span hook reads these two through this module
     ball_measure,
     cantor_cdf_bracket,  # noqa: F401
@@ -282,10 +285,11 @@ def _counting_chunk(spec: _RunSpec, ids: Sequence[int]) -> List[CountingRecord]:
     stream per row (one ``sample_symbol_block`` call on the block's
     :class:`SymbolSource`); its orbit points are hit-tested and added to the
     open checkpoint segments. A run with ``ks`` compares symbols and projects
-    only the start points; every other run projects each window's points,
-    and a measure-equalized one (``kind == "modified"``) compares radial
-    masses where the rest compare distances. Across windows only the symbols
-    the next points still read (``depth - 1``, or the symbolic test's
+    only the start points; every other run projects each window's points and
+    decides their distances by one rule that the block builds from its start
+    points: ``measure._quota_decider`` for a measure-equalized run (``kind ==
+    "modified"``), ``_distance_hits`` for the rest. Across windows only the
+    symbols the next points still read (``depth - 1``, or the symbolic test's
     lookahead), the start points, a symbolic run's first ``kmax`` symbols and
     the segment counts are carried, so memory is O(rows x width + N) for any
     N. Every decision is elementwise and every count an integer, so the
@@ -319,10 +323,12 @@ def _counting_chunk(spec: _RunSpec, ids: Sequence[int]) -> List[CountingRecord]:
             pos = project_windows(syms, backend.system, spec.depth)
             if point == 0:
                 x0s = pos[:, 0].copy()
-                tables = (_radial_table(backend, x0s, spec.prec, float(spec.radii.min()),
-                                        spec.depth) if spec.kind == "modified" else None)
-            if n_points > skip:
-                hit, flag = _step_hits(spec, pos[:, skip:], x0s, steps, tables)
+                decide = (_quota_decider(backend, x0s, spec.prec, float(spec.radii.min()),
+                                         spec.depth, spec.ball_budget)
+                          if spec.kind == "modified" else partial(_distance_hits, spec))
+            if n_points > skip:  # a target is per step, a start point per row
+                center = spec.targets[steps] if spec.kind == "shrink" else x0s[:, None]
+                hit, flag = decide(_point_distances(pos[:, skip:], center), spec.radii[steps])
                 counts.add(hit)
                 flags.add(flag)
         syms = syms[:, n_points:]
@@ -336,17 +342,8 @@ def _counting_chunk(spec: _RunSpec, ids: Sequence[int]) -> List[CountingRecord]:
     return _records(spec, ids, x0s, counts.totals(), flags.totals(), ball_cum)
 
 
-def _step_hits(spec, pos, x0s, steps, tables):
-    """Hit and flag marks of the orbit points ``pos`` of one window of steps;
-    ``tables`` holds a measure-equalized run's radial tables of the start points."""
-    radii = spec.radii[steps]
-    if spec.kind == "shrink":
-        center = spec.targets[steps]  # per-step centers in window coordinates
-    else:
-        center = x0s[:, None] if pos.ndim == 2 else x0s[:, None, :]
-    dist = _point_distances(pos, center)
-    if spec.kind == "modified":  # mass comparison against the per-step measure quota
-        return _mass_quota_hits(spec, x0s, dist, radii, tables)
+def _distance_hits(spec, dist, radii):
+    """Hit and flag marks of one window of distances against the step radii."""
     # a target center is exact; a start point is as uncertain as the orbit
     slack = spec.prec if spec.kind == "shrink" else 2.0 * spec.prec
     band = np.maximum(radii / _FLAG_DIVISOR, slack)
@@ -470,51 +467,6 @@ def _own_ball_sums(spec, x0s):
     return out
 
 
-def _mass_quota_hits(spec, x0s, dist, radii, tables=None):
-    """Hit/flag marks of one window of steps of a measure-equalized run.
-
-    A step is a hit when the ball around the start point through the orbit
-    point carries less measure than the step's quota ``psi(n)`` (equivalent
-    to the distance lying below the measure-equalized radius, since the
-    radial mass is monotone and continuous). Start and orbit points are each
-    known to ``prec``, so the step is a definite miss when the ball at
-    ``max(d - 2 prec, 0)`` carries at least the quota and a definite hit when
-    the ball at ``d + 2 prec`` carries less. Each start point's radial table
-    (``tables``, built here when not given) decides most steps with one
-    ``searchsorted`` per test: a hit when ``F_hi(d + 2 prec)`` is below the
-    quota, a miss when ``F_lo(max(d - 2 prec, 0))`` reaches it. The oracle's
-    brackets lie inside the table's, so the steps the table leaves open take
-    the oracle's balls lazily and decide as if no table had screened them:
-    the inner ball, then the outer ball for the steps it does not miss, and
-    the ball at ``d`` for the steps still open, which are flagged and counted
-    by its bracket midpoint. The run has checked that the oracle has a closed
-    form.
-    """
-    backend, budget, slack = spec.backend, spec.ball_budget, 2.0 * spec.prec
-    quota = np.broadcast_to(radii, dist.shape)
-    if tables is None:
-        tables = _radial_table(backend, x0s, spec.prec, float(np.min(radii)), spec.depth)
-    hit = np.zeros(dist.shape, dtype=bool)
-    still_open = np.zeros(dist.shape, dtype=bool)
-    for i, (dmin, f_hi, dmax, f_lo) in enumerate(tables):
-        d, q = dist[i], quota[i]
-        np.less_equal(d + slack, dmin[np.searchsorted(f_hi, q)], out=hit[i])
-        missed = np.maximum(d - slack, 0.0) >= dmax[np.searchsorted(f_lo, q)]
-        np.logical_not(hit[i] | missed, out=still_open[i])
-    rows, cols = np.nonzero(still_open)
-    x, d, q = np.asarray(x0s, dtype=float)[rows], dist[rows, cols], quota[rows, cols]
-    live = _radial_mass(backend, x, np.maximum(d - slack, 0.0), budget)[0] < q
-    decided = np.zeros(d.size, dtype=bool)
-    decided[live] = _radial_mass(backend, x[live], d[live] + slack, budget)[1] < q[live]
-    near = live & ~decided
-    mid_lo, mid_hi = _radial_mass(backend, x[near], d[near], budget)
-    decided[near] = 0.5 * (mid_lo + mid_hi) < q[near]
-    hit[rows, cols] = decided
-    flag = np.zeros(dist.shape, dtype=bool)
-    flag[rows, cols] = near
-    return hit, flag
-
-
 def _shared_psi_sums(kind, backend, targets, radii, cp_idx, ball_budget):
     """Deterministic per-checkpoint normalizer shared by all samples."""
     if kind != "shrink":
@@ -548,19 +500,16 @@ _PRUNER_BALL_CAP = 20_000  # own-ball evaluations per run without a closed form
 def _check_oracle_serves(kind, backend, radii, n_samples, ball_budget):
     """Refuse, before any sampling, a run the radial-mass oracle cannot serve.
 
-    Without a closed-form CDF the oracle is the cylinder pruner. Measure-
-    equalized runs compare masses at every step and cannot use it. The other
-    runs can, to the table depth of a spectral backend; a pure run pays one
-    pruner call per sample and distinct radius, capped per run whatever the
-    chunking or worker count.
+    A measure-equalized run asks the quota rule's own check. Without a
+    closed-form CDF the other runs' oracle is the cylinder pruner, to the
+    table depth of a spectral backend; a pure run pays one pruner call per
+    sample and distinct radius, capped per run whatever the chunking or
+    worker count.
     """
+    if kind == "modified":
+        return _check_quota_serves(backend)
     if _closed_form(backend) is not None:
         return
-    if kind == "modified":
-        raise CertificationError(
-            "measure-equalized recurrence needs a closed-form radial mass; "
-            "use a Bernoulli ternary-Cantor or density backend"
-        )
     if isinstance(backend, SpectralBackend) and ball_budget > backend.max_depth:
         raise ValueError(
             f"ball budget {ball_budget} is beyond the spectral table depth "
@@ -617,6 +566,15 @@ def _canonical_targets(targets, N, dim):
     return (t[:, 0] if dim == 1 else t).copy()
 
 
+def _whole(value, name: str) -> int:
+    """``value`` as an int: an integer, or a float with an integral value (a
+    config's ``integer`` admits 1000.0); a bool or a fraction is refused."""
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) or (
+            isinstance(value, (float, np.floating)) and float(value).is_integer())):
+        raise ValueError(f"{name}: {value!r} is not an integer")
+    return int(value)
+
+
 def _run_counting(
     system,
     backend,
@@ -633,10 +591,11 @@ def _run_counting(
 ) -> List[CountingRecord]:
     if backend.system is not system:
         raise ValueError("backend was built for a different system")
+    N, samples = _whole(N, "N"), _whole(samples, "samples")
     if N < 0 or samples < 0:
         raise ValueError("N and samples must be >= 0")
-    N = int(N)
     _key_word(seed, "seed")
+    _check_budget(ball_budget)
     ids = _check_sample_ids(range(samples) if sample_ids is None else sample_ids)
     if N == 0:
         x0 = as_point(system.base_point(), system.dim)
@@ -716,8 +675,9 @@ def shrinking_target_run(
     ``sample_ids`` replaces the default id range ``0..samples-1`` (each id's
     symbol stream is fixed by ``seed`` alone, so id blocks computed
     separately concatenate to the full run). The seed and the ids must be
-    integers in ``[0, 2**64)``, the ids without repeats, else ``ValueError``
-    before any set-up.
+    integers in ``[0, 2**64)``, the ids without repeats, ``N`` and
+    ``samples`` integers >= 0 (an integral float is taken) and
+    ``ball_budget`` an integer >= 1, else ``ValueError`` before any set-up.
     """
     return _run_counting(system, backend, "shrink", psi, N, samples, seed,
                          targets=targets, checkpoints=checkpoints,
@@ -782,17 +742,11 @@ def recurrence_modified_run(
     is exactly ``psi(n)`` (radius capped at the attractor diameter when
     ``psi(n) >= 1``), so ``psi_sum`` is the exact expected count
     ``sum psi(n)``. A step is a hit when the radial mass through the orbit
-    point lies below the quota, decided the same way for every backend by
-    two balls around the start point that cover the position uncertainty
-    ``2 prec`` of the observed distance ``d``: the step misses when the ball
-    at ``max(d - 2 prec, 0)`` carries at least the quota and hits when the
-    ball at ``d + 2 prec`` carries less. Each worker reads both balls first
-    from one radial table per start point, built once; only the steps the
-    table leaves open take the oracle's balls, whose brackets lie inside the
-    table's, so the decisions are the oracle's. A step neither oracle ball
-    decides is flagged and counted by the midpoint rule at ``d``. The
-    comparison needs a closed-form CDF (density or weighted ternary-Cantor
-    backends); other backends raise ``CertificationError`` before sampling.
+    point lies below the quota; ``measure._quota_decider`` states how a step
+    is decided, and which steps are flagged, from balls around the start
+    point. The rule needs a closed-form CDF (density or weighted
+    ternary-Cantor backends); other backends raise ``CertificationError``
+    before sampling.
     ``sample_ids`` replaces the default id range, with the same checks.
     """
     return _run_counting(system, backend, "modified", psi, N, samples, seed,
@@ -1214,9 +1168,9 @@ def run_named_example(name: str, overrides: Optional[Mapping[str, float]] = None
     is JSON-serializable. ``overrides`` maps the example's own knobs (``N``,
     ``samples``, ``quadrature_samples``, ``tail_points``, ``mc_samples``,
     ...) to values that shrink the canonical configuration; a key the
-    example does not take raises ``ValueError`` naming the ones it does, and
-    a value below 1 (every knob is a count or a depth) ``ValueError`` naming
-    the key.
+    example does not take raises ``ValueError`` naming the ones it does.
+    Every knob is a count or a depth: a value is taken as an ``int``, and a
+    bool, a fraction or a value below 1 raises ``ValueError`` naming the key.
     ``seed`` reseeds the sample orbits (B.2 draws none) and ``threads`` sizes
     the worker pool.
     """
@@ -1234,11 +1188,13 @@ def run_named_example(name: str, overrides: Optional[Mapping[str, float]] = None
             f"example {name} takes no override {', '.join(unknown)} "
             f"(accepted: {', '.join(knobs) or 'none'}){notes}"
         )
-    for key, value in overrides.items():
+    counts = {key: _whole(value, f"example {name} override {key}")
+              for key, value in overrides.items()}
+    for key, value in counts.items():
         if value < 1:
             raise ValueError(f"example {name} override {key} must be >= 1, got {value}")
     seed = default_seed if seed is None else int(seed)
-    return example(threads, seed, **overrides)
+    return example(threads, seed, **counts)
 
 
 def _example_constant_radius(threads, seed, N=100_000, samples=200, mc_samples=20_000):

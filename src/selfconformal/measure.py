@@ -18,12 +18,10 @@ bounded chunks that carries only the live points from level to level: a
 point stops exactly when it lands in a removed gap, and NaN gets the vacuous
 bracket [0, 1].
 
-A measure-equalized run decides each step by two balls around its start
-point, at ``max(d - 2 prec, 0)`` and ``d + 2 prec`` for the observed distance
-``d``. One radial table per start point (``_radial_table``, a cylinder
-descent whose leaves bracket ``r |-> mu(B(x0, r))`` for every ``r``) decides
-most steps; only the steps it leaves open take the oracle's balls, and a step
-neither ball decides takes the ball at ``d`` and is flagged.
+The measure-equalized hit rule lives here, stated once in ``_quota_decider``:
+a worker builds it from its start points, with one radial table per start
+point (``_radial_table``, private to the rule), and the oracle's closed-form
+balls decide the steps the tables leave open.
 
 ``t_n_radius`` inverts r |-> mu(B(x, r)) by bisection and terminates only when
 the measure bracket at the returned radius certifies the target value within
@@ -589,7 +587,7 @@ def _radial_mass(backend: MeasureBackend, centers, radii, depth_budget: int):
     """Lower and upper arrays for ``mu(B(x_i, r_i))``: the one radial-mass oracle.
 
     ``radii`` holds positive radii, or zeros where a closed form serves them
-    (the empty ball a measure-equalized step's inner ball can shrink to);
+    (the empty ball the quota rule's inner ball can shrink to);
     ``centers`` broadcasts to their shape on the line, and to their shape plus
     a trailing (x, y) axis in the plane (the coordinates ``project_windows``
     returns), so a broadcast view costs no copy.  With a closed-form CDF
@@ -670,6 +668,65 @@ def annulus_measure(
         # measures make the closed/open distinction null
         return MeasureBracket(max(0.0, float(lo[0] - hi[1])), max(0.0, float(hi[0] - lo[1])))
     return region_measure(backend, AnnulusRegion(x, r, rho), depth_budget)
+
+
+def _check_quota_serves(backend: MeasureBackend) -> None:
+    """Refuse a backend without a closed-form radial mass: the steps that the
+    quota rule's tables leave open take closed-form balls."""
+    if _closed_form(backend) is None:
+        raise CertificationError("measure-equalized recurrence needs a closed-form radial "
+                                 "mass; use a Bernoulli ternary-Cantor or density backend")
+
+
+def _quota_decider(backend: MeasureBackend, centers, prec: float, least_quota: float,
+                   depth: int, ball_budget: int):
+    """The measure-equalized hit rule: ``decide(dist, quota)`` marks the hits
+    and flags of a ``(rows, steps)`` window of distances from ``centers``.
+
+    A step is a hit when the ball around the start point through the orbit
+    point carries less measure than the step's quota ``psi(n)`` (equivalent
+    to the distance lying below the measure-equalized radius, since the
+    radial mass is monotone and continuous). Start and orbit points are each
+    known to ``prec``, so the step is a definite miss when the ball at
+    ``max(d - 2 prec, 0)`` carries at least the quota and a definite hit when
+    the ball at ``d + 2 prec`` carries less. Each start point's radial table,
+    built here once (to ``depth``, for quotas down to ``least_quota``),
+    decides most steps with one ``searchsorted`` per test: a hit when
+    ``F_hi(d + 2 prec)`` is below the quota, a miss when
+    ``F_lo(max(d - 2 prec, 0))`` reaches it. The oracle's brackets lie inside
+    the table's, so the steps the table leaves open take the oracle's balls
+    (to ``ball_budget``) lazily and decide as if no table had screened them:
+    the inner ball, then the outer ball for the steps it does not miss, and
+    the ball at ``d`` for the steps still open, which are flagged and counted
+    by its bracket midpoint. Those balls need a closed form, which a run
+    checks with ``_check_quota_serves`` before any sampling.
+    """
+    tables = _radial_table(backend, centers, prec, least_quota, depth)
+    x0s, slack = np.asarray(centers, dtype=float), 2.0 * prec
+
+    def decide(dist, quota):
+        quota = np.broadcast_to(quota, dist.shape)
+        hit = np.zeros(dist.shape, dtype=bool)
+        still_open = np.zeros(dist.shape, dtype=bool)
+        for i, (dmin, f_hi, dmax, f_lo) in enumerate(tables):
+            d, q = dist[i], quota[i]
+            np.less_equal(d + slack, dmin[np.searchsorted(f_hi, q)], out=hit[i])
+            missed = np.maximum(d - slack, 0.0) >= dmax[np.searchsorted(f_lo, q)]
+            np.logical_not(hit[i] | missed, out=still_open[i])
+        rows, cols = np.nonzero(still_open)
+        x, d, q = x0s[rows], dist[rows, cols], quota[rows, cols]
+        live = _radial_mass(backend, x, np.maximum(d - slack, 0.0), ball_budget)[0] < q
+        decided = np.zeros(d.size, dtype=bool)
+        decided[live] = _radial_mass(backend, x[live], d[live] + slack, ball_budget)[1] < q[live]
+        near = live & ~decided
+        mid_lo, mid_hi = _radial_mass(backend, x[near], d[near], ball_budget)
+        decided[near] = 0.5 * (mid_lo + mid_hi) < q[near]
+        hit[rows, cols] = decided
+        flag = np.zeros(dist.shape, dtype=bool)
+        flag[rows, cols] = near
+        return hit, flag
+
+    return decide
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selfconformal import dynamics, experiments, gibbs
+from selfconformal import dynamics, experiments, gibbs, measure
 from selfconformal.dynamics import correlation, project_windows, sample_symbol_block
 from selfconformal.experiments import (
     Checkpoint,
@@ -47,9 +47,7 @@ from selfconformal.experiments import (
 )
 from selfconformal.experiments import (
     _CheckpointCounts,
-    _RunSpec,
     _cantor_levels,
-    _mass_quota_hits,
     _staircase_alpha_window,
 )
 from selfconformal.gibbs import (
@@ -69,6 +67,7 @@ from selfconformal.measure import (
     ConstantRadius,
     PowerLogRadius,
     PowerRadius,
+    _quota_decider,
     _radial_mass,
     _radial_table,
     ball_measure,
@@ -112,22 +111,21 @@ def per_step_hits(records):
     return np.diff(np.c_[np.zeros((len(records), 1), dtype=int), counts], axis=1).astype(bool)
 
 
-def _three_pass_quota_hits(spec, x0s, dist, radii):
+def _three_pass_quota_hits(backend, prec, x0s, dist, radii):
     """Reference measure-equalized decision: every step takes the oracle at
     ``d - slack``, ``d + slack`` and ``d``, with no screen."""
     S, N = dist.shape
     quota = np.broadcast_to(radii, dist.shape)
-    slack = 2.0 * spec.prec
+    slack = 2.0 * prec
     x = np.repeat(np.asarray(x0s, dtype=float), N)
     d = dist.reshape(-1)
     q = quota.reshape(-1)
-    backend, budget = spec.backend, spec.ball_budget
-    in_lo, in_hi = _radial_mass(backend, x, np.maximum(d - slack, 0.0), budget)
-    out_lo, out_hi = _radial_mass(backend, x, d + slack, budget)
+    in_lo, in_hi = _radial_mass(backend, x, np.maximum(d - slack, 0.0), 45)
+    out_lo, out_hi = _radial_mass(backend, x, d + slack, 45)
     definite_hit = out_hi < q
     definite_miss = in_lo >= q
     flag = ~(definite_hit | definite_miss)
-    mid_lo, mid_hi = _radial_mass(backend, x, d, budget)
+    mid_lo, mid_hi = _radial_mass(backend, x, d, 45)
     hit = np.where(flag, 0.5 * (mid_lo + mid_hi) < q, definite_hit)
     return hit.reshape(S, N), flag.reshape(S, N)
 
@@ -394,6 +392,19 @@ class TestOracleServesRun:
         with pytest.raises(CertificationError, match="closed-form radial mass"):
             recurrence_modified_run(cantor, spectral, PowerRadius(1.0, 0.5), 100, 2, 1)
 
+    @pytest.mark.parametrize("budget, message", [
+        (0, "depth_budget must be >= 1"), (-3, "depth_budget must be >= 1"),
+        (True, "not an integer"), (45.0, "not an integer")])
+    @pytest.mark.parametrize("kind, psi", [
+        ("pure", PowerRadius(1.0, 0.5)), ("pure", PowerLogRadius(1.0)),
+        ("modified", PowerRadius(1.0, 0.5))], ids=["pure", "symbolic", "modified"])
+    def test_bad_ball_budget_refused_before_sampling(self, cantor, weighted, no_sampling,
+                                                     kind, psi, budget, message):
+        # a symbolic pure run reads no ball, yet its budget is checked too
+        run = recurrence_pure_run if kind == "pure" else recurrence_modified_run
+        with pytest.raises(ValueError, match=message):
+            run(cantor, weighted, psi, 2000, 20, 1, ball_budget=budget)
+
 
 class TestRunKeysRefused:
     """Ids the Philox key cannot hold, or that repeat, are refused before any
@@ -457,6 +468,26 @@ class TestRunKeysRefused:
                 recurrence_pure_run(cantor, uniform, psi, 50, 2, 1)
             else:
                 recurrence_modified_run(cantor, uniform, psi, 50, 2, 1)
+
+    @pytest.mark.parametrize("kind", ["shrink", "pure", "modified"])
+    @pytest.mark.parametrize("N, samples, bad", [
+        (50.7, 2, "N"), (True, 2, "N"), ("50", 2, "N"), (50, 2.5, "samples"),
+        (50, True, "samples"), (50, math.nan, "samples")])
+    def test_counts_must_be_integers(self, no_setup, cantor, uniform, kind, N, samples, bad):
+        with pytest.raises(ValueError, match=f"^{bad}: .* is not an integer"):
+            if kind == "shrink":
+                shrinking_target_run(cantor, uniform, 0.0, PowerRadius(0.5, 0.5), N, samples, 1)
+            elif kind == "pure":
+                recurrence_pure_run(cantor, uniform, PowerRadius(0.5, 0.5), N, samples, 1)
+            else:
+                recurrence_modified_run(cantor, uniform, PowerRadius(0.5, 0.5), N, samples, 1)
+
+    def test_integral_float_counts_run(self, cantor, weighted):
+        # a config's integer admits 50.0; the run is the integer one's
+        psi = PowerRadius(0.5, 0.5)
+        floats = recurrence_pure_run(cantor, weighted, psi, 50.0, np.float64(3.0), 1)
+        assert floats == recurrence_pure_run(cantor, weighted, psi, 50, 3, 1)
+        assert floats[0].checkpoints[-1].N == 50
 
     def test_largest_ids_run(self, cantor, weighted):
         top = 2 ** 64 - 1
@@ -789,10 +820,8 @@ class TestRecurrenceModified:
         rng = np.random.default_rng(12)
         eps = rng.choice([-1.0, 1.0], S * N) * 10.0 ** rng.uniform(-16, -3, S * N)
         quota = (0.5 * (lo + hi) * (1.0 + eps)).reshape(S, N)
-        spec = _RunSpec(backend, "modified", 11, quota[0], np.array([N - 1]),
-                        depth, prec, N + depth, np.array([quota[0].sum()]), 45)
-        hit, flag = _mass_quota_hits(spec, x0s, dist, quota)
-        ref_hit, ref_flag = _three_pass_quota_hits(spec, x0s, dist, quota)
+        hit, flag = _quota_decider(backend, x0s, prec, float(quota.min()), depth, 45)(dist, quota)
+        ref_hit, ref_flag = _three_pass_quota_hits(backend, prec, x0s, dist, quota)
         assert flag.any() and (~flag).any()
         assert np.array_equal(flag, ref_flag)
         assert np.array_equal(hit, ref_hit)
@@ -816,16 +845,14 @@ class TestRecurrenceModified:
         rng = np.random.default_rng(12)
         eps = rng.choice([-1.0, 1.0], S * N) * 10.0 ** rng.uniform(-16, -3, S * N)
         quota = (0.5 * (lo + hi) * (1.0 + eps)).reshape(S, N)
-        spec = _RunSpec(backend, "modified", 11, quota[0], np.array([N - 1]),
-                        depth, prec, N + depth, np.array([quota[0].sum()]), 45)
         points = []
 
         def counted(backend, centers, radii, depth_budget):
             points.append(np.size(radii))
             return _radial_mass(backend, centers, radii, depth_budget)
 
-        monkeypatch.setattr(experiments, "_radial_mass", counted)
-        hit, flag = _mass_quota_hits(spec, x0s, dist, quota)
+        monkeypatch.setattr(measure, "_radial_mass", counted)
+        hit, flag = _quota_decider(backend, x0s, prec, float(quota.min()), depth, 45)(dist, quota)
         tables = _radial_table(backend, x0s, prec, float(quota.min()), depth)
         still_open = np.array([
             (table_mass(table, dist[i] + 2.0 * prec)[1] >= quota[i])
@@ -857,18 +884,16 @@ class TestRecurrenceModified:
         rng = np.random.default_rng(18)
         eps = rng.choice([-0.5, 1.0], S * N) * 10.0 ** rng.uniform(-16, 0, S * N)
         quota = (0.5 * (lo + hi) * (1.0 + eps)).reshape(S, N)
-        spec = _RunSpec(backend, "modified", 17, quota[0], np.array([N - 1]),
-                        depth, prec, N + depth, np.array([quota[0].sum()]), 45)
         points = []
 
         def counted(backend, centers, radii, depth_budget):
             points.append(np.size(radii))
             return _radial_mass(backend, centers, radii, depth_budget)
 
-        monkeypatch.setattr(experiments, "_radial_mass", counted)
-        hit, flag = _mass_quota_hits(spec, x0s, dist, quota)
+        monkeypatch.setattr(measure, "_radial_mass", counted)
+        hit, flag = _quota_decider(backend, x0s, prec, float(quota.min()), depth, 45)(dist, quota)
         monkeypatch.undo()
-        ref_hit, ref_flag = _three_pass_quota_hits(spec, x0s, dist, quota)
+        ref_hit, ref_flag = _three_pass_quota_hits(backend, prec, x0s, dist, quota)
         assert 0 < points[0] < S * N  # table-decided and open steps both occur
         assert flag.any()
         assert np.array_equal(flag, ref_flag)
@@ -884,16 +909,16 @@ class TestRecurrenceModified:
                  np.array([-np.inf, 0.2, 0.4, np.inf]), np.array([0.0, 0.5, 1.0]))
         dist = np.array([[0.3 - 3 * prec, 0.3 - prec, 0.2 + 3 * prec, 0.2 + prec]])
         quota = np.array([0.6, 0.6, 0.4, 0.4])
-        spec = _RunSpec(weighted, "modified", 1, quota, np.array([3]), 13, prec, 17,
-                        np.array([quota.sum()]), 45)
         radii = []
 
         def counted(backend, centers, r, depth_budget):
             radii.append(np.array(r, copy=True))
             return _radial_mass(backend, centers, r, depth_budget)
 
-        monkeypatch.setattr(experiments, "_radial_mass", counted)
-        hit, flag = _mass_quota_hits(spec, np.array([0.5]), dist, quota, [table])
+        monkeypatch.setattr(measure, "_radial_mass", counted)
+        monkeypatch.setattr(measure, "_radial_table", lambda *args: [table])
+        decide = _quota_decider(weighted, np.array([0.5]), prec, float(quota.min()), 13, 45)
+        hit, flag = decide(dist, quota)
         # F_hi(0.3 - prec) = 1/2 < 0.6 hits; F_lo(0.2 + prec) = 1/2 >= 0.4 misses
         assert hit[0, 0] and not hit[0, 2] and not flag[0, [0, 2]].any()
         # the others straddle a leaf end within 2 prec: the oracle's inner balls take them
@@ -918,8 +943,8 @@ class TestRecurrenceModified:
             leaves.extend(table[1].size - 1 for table in built)
             return built
 
-        monkeypatch.setattr(experiments, "_radial_mass", counted)
-        monkeypatch.setattr(experiments, "_radial_table", tables)
+        monkeypatch.setattr(measure, "_radial_mass", counted)
+        monkeypatch.setattr(measure, "_radial_table", tables)
         recurrence_modified_run(cantor, weighted, psi, N, S, 1)
         assert len(leaves) == S and max(leaves) <= 2000
         if at_most_open is not None:
@@ -944,13 +969,11 @@ class TestRecurrenceModified:
         x0s = pos[:, 0].copy()
         dist = np.abs(pos[:, 1:] - x0s[:, None])
         radii = PowerRadius(1.0, 0.5).values(np.arange(1, width + 1))
-        spec = _RunSpec(backend, "modified", 3, radii, np.array([width - 1]),
-                        depth, prec, width + depth, np.array([radii.sum()]), 45)
         del pos
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            _mass_quota_hits(spec, x0s, dist, radii)
+            _quota_decider(backend, x0s, prec, float(radii.min()), depth, 45)(dist, radii)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -1540,6 +1563,24 @@ class TestNamedExamples:
         with pytest.raises(ValueError, match=f"override {key} must be >= .*, got {value}"):
             run_named_example(name, overrides)
 
+    @pytest.mark.parametrize("overrides, key", [
+        ({"samples": True, "N": 100}, "samples"), ({"N": 100.5, "samples": 2}, "N"),
+        ({"samples": 2.5, "N": 100}, "samples"), ({"mc_samples": "20", "N": 100}, "mc_samples"),
+    ])
+    def test_non_integer_override_refused_by_key(self, monkeypatch, overrides, key):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran the recurrence before refusing the overrides")
+
+        monkeypatch.setattr(experiments, "recurrence_pure_run", refuse)
+        with pytest.raises(ValueError, match=f"example 7.1 override {key}: .* is not an integer"):
+            run_named_example("7.1", overrides)
+
+    def test_integral_float_override_taken_as_int(self):
+        rep = run_named_example("7.1", {"N": 100.0, "samples": 3.0, "mc_samples": 50.0})
+        assert (rep["N"], rep["samples"], rep["mc_step30"]["samples"]) == (100, 3, 50)
+        assert all(type(v) is int for v in (rep["N"], rep["samples"]))
+        assert len(rep["records"]) == 3
+
     def test_staircase_alpha_window_matches_high_precision(self):
         from mpmath import mp, mpf, log as mlog
 
@@ -1620,15 +1661,14 @@ class TestMonteCarloConsistency:
         depth = cantor.depth_for_diameter(1e-12)
         prec = cantor.diameter_bound(depth)
         radii = psi.values(np.arange(1, N + 1))
-        spec = _RunSpec(weighted, "modified", 424242, radii, np.array([N - 1]),
-                        depth, prec, N + depth, np.cumsum(radii)[[N - 1]], 45)
         freq = np.zeros(N)
         for i0 in range(0, S, 20_000):
             ids = range(i0, min(i0 + 20_000, S))
             block = sample_symbol_block(weighted, 424242, ids, N + depth)
             pos = project_windows(block, cantor, depth)
             dist = np.abs(pos[:, 1:] - pos[:, [0]])
-            hit, _ = _mass_quota_hits(spec, pos[:, 0], dist, radii)
+            hit, _ = _quota_decider(weighted, pos[:, 0], prec, float(radii.min()), depth,
+                                    45)(dist, radii)
             freq += hit.sum(axis=0)
         freq /= S
         for n in range(20, 61):

@@ -1,6 +1,7 @@
 """Every name a package module imports is read somewhere in that module,
-every private module-level name is read somewhere in the package, and only
-``ifs`` reads the format of a map.
+every private module-level name is read somewhere in the package, only
+``ifs`` reads the format of a map, and only ``measure`` names its radial
+table.
 
 A name counts as used when the module loads it (including inside string
 annotations) or lists it in ``__all__``.  A deliberate re-export that the
@@ -144,3 +145,23 @@ def test_only_ifs_reads_the_map_format(path):
     reads = [f"{where} (line {line}): {what}"
              for where, line, what in _format_reads(tree, path.name == "__init__.py")]
     assert not reads, f"{path.name} reads the map format outside ifs: {'; '.join(reads)}"
+
+
+# The measure-equalized quota rule: its radial tables are private to measure.
+_QUOTA_RULE_NAMES = {"_radial_table"}
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "measure.py"],
+                         ids=[p.name for p in MODULES if p.name != "measure.py"])
+def test_only_measure_names_the_radial_table(path):
+    names = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and node.id in _QUOTA_RULE_NAMES:
+            names.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute) and node.attr in _QUOTA_RULE_NAMES:
+            names.append((node.lineno, f".{node.attr}"))
+        elif isinstance(node, ast.ImportFrom):
+            names += [(node.lineno, f"import {a.name}") for a in node.names
+                      if a.name in _QUOTA_RULE_NAMES]
+    reads = [f"line {line}: {what}" for line, what in sorted(names)]
+    assert not reads, f"{path.name} names measure's radial table: {'; '.join(reads)}"
