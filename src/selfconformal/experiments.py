@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import inspect
 import itertools
-import logging
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -41,25 +40,25 @@ from .gibbs import (
     ConformalPowerPotential,
     DensityBackend,
     MeasureBackend,
-    SpectralBackend,
     _joint_masses,
     _pair_mass,
+    _whole,
     cylinder_measure,
     eigen_solve,
     mixing_coeff_cylinders,
 )
-from .ifs import IfsSystem, _is_middle_third_cantor, builtin_system
+from .ifs import IfsSystem, builtin_system
 from .measure import (
-    CertificationError,
     ConstantRadius,
     PowerLogRadius,
     PowerRadius,
     RadiusFunction,
+    _cantor_levels,
     _check_budget,
-    _check_quota_serves,
-    _closed_form,
+    _own_ball_sums,
+    _preflight,
     _quota_decider,
-    _radial_mass,
+    _target_ball_sums,
     # the benchmark's span hook reads these two through this module
     ball_measure,
     cantor_cdf_bracket,  # noqa: F401
@@ -92,10 +91,6 @@ __all__ = [
     "summarize_records",
     "CSV_HEADER",
 ]
-
-logger = logging.getLogger(__name__)
-
-_LN3 = math.log(3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +283,8 @@ def _counting_chunk(spec: _RunSpec, ids: Sequence[int]) -> List[CountingRecord]:
     only the start points; every other run projects each window's points and
     decides their distances by one rule that the block builds from its start
     points: ``measure._quota_decider`` for a measure-equalized run (``kind ==
-    "modified"``), ``_distance_hits`` for the rest. Across windows only the
+    "modified"``), ``_distance_hits`` for the rest; the ``measure`` module
+    docstring states what the oracle serves. Across windows only the
     symbols the next points still read (``depth - 1``, or the symbolic test's
     lookahead), the start points, a symbolic run's first ``kmax`` symbols and
     the segment counts are carried, so memory is O(rows x width + N) for any
@@ -338,7 +334,8 @@ def _counting_chunk(spec: _RunSpec, ids: Sequence[int]) -> List[CountingRecord]:
         # row by row: a matrix product's bits would depend on the block's row count
         ball_cum = np.einsum("ik,ck->ic", prefix, level_counts)
     else:
-        ball_cum = _own_ball_sums(spec, x0s) if spec.kind == "pure" else None
+        ball_cum = (_own_ball_sums(backend, x0s, spec.radii, spec.cp_idx, spec.ball_budget)
+                    if spec.kind == "pure" else None)
     return _records(spec, ids, x0s, counts.totals(), flags.totals(), ball_cum)
 
 
@@ -455,32 +452,12 @@ def _staircase_terms(probs, head, ks, stops):
     return prefix, counts
 
 
-def _own_ball_sums(spec, x0s):
-    """Cumulative own-ball measures sum_{n<=N} mu(B(x0, psi(n))) at checkpoints
-    (bracket midpoints), one oracle call per sample over the distinct radii."""
-    uniq, inverse = np.unique(spec.radii, return_inverse=True)
-    cp_idx = spec.cp_idx
-    out = np.empty((x0s.shape[0], cp_idx.size))
-    for i, x0 in enumerate(x0s):
-        lo, hi = _radial_mass(spec.backend, x0, uniq, spec.ball_budget)
-        out[i] = np.cumsum((0.5 * (lo + hi))[inverse])[cp_idx]
-    return out
-
-
 def _shared_psi_sums(kind, backend, targets, radii, cp_idx, ball_budget):
-    """Deterministic per-checkpoint normalizer shared by all samples."""
+    """Deterministic per-checkpoint normalizer shared by all samples (the
+    target balls' sums come from ``measure``; see its module docstring)."""
     if kind != "shrink":
         return np.cumsum(radii)[cp_idx]
-    # shrinking targets: sum of target-ball measures over the distinct balls
-    balls, inverse = np.unique(np.column_stack([targets.reshape(radii.size, -1), radii]),
-                               axis=0, return_inverse=True)
-    centers = balls[:, :-1].reshape((-1,) + targets.shape[1:])
-    lo, hi = _radial_mass(backend, centers, balls[:, -1], ball_budget)
-    mids = 0.5 * (lo + hi)
-    wide = int(np.count_nonzero(hi - lo > 0.1 * np.maximum(mids, 1e-300)))
-    if wide:
-        logger.warning("%d target balls had wide measure brackets; midpoints used", wide)
-    return np.cumsum(mids[inverse.reshape(-1)])[cp_idx]
+    return _target_ball_sums(backend, targets, radii, cp_idx, ball_budget)
 
 
 def _resolve_checkpoints(N, checkpoints):
@@ -492,54 +469,6 @@ def _resolve_checkpoints(N, checkpoints):
     if cps[-1] != N:
         cps.append(N)
     return tuple(cps)
-
-
-_PRUNER_BALL_CAP = 20_000  # own-ball evaluations per run without a closed form
-
-
-def _check_oracle_serves(kind, backend, radii, n_samples, ball_budget):
-    """Refuse, before any sampling, a run the radial-mass oracle cannot serve.
-
-    A measure-equalized run asks the quota rule's own check. Without a
-    closed-form CDF the other runs' oracle is the cylinder pruner, to the
-    table depth of a spectral backend; a pure run pays one pruner call per
-    sample and distinct radius, capped per run whatever the chunking or
-    worker count.
-    """
-    if kind == "modified":
-        return _check_quota_serves(backend)
-    if _closed_form(backend) is not None:
-        return
-    if isinstance(backend, SpectralBackend) and ball_budget > backend.max_depth:
-        raise ValueError(
-            f"ball budget {ball_budget} is beyond the spectral table depth "
-            f"{backend.max_depth}; set depth_budgets.ball to at most {backend.max_depth}"
-        )
-    if kind == "pure":
-        ordered = np.sort(radii, axis=None)  # np.unique would import numpy.ma
-        n_radii = int(np.count_nonzero(ordered[1:] != ordered[:-1])) + 1
-        if n_samples * n_radii > _PRUNER_BALL_CAP:
-            raise CertificationError(
-                f"own-ball sums through the cylinder pruner need {n_samples} samples x "
-                f"{n_radii} distinct radii = {n_samples * n_radii} ball evaluations, "
-                f"above the cap of {_PRUNER_BALL_CAP} per run; use fewer samples or "
-                "radii, or a Bernoulli ternary-Cantor or density backend"
-            )
-
-
-def _cantor_levels(radii: np.ndarray) -> Optional[np.ndarray]:
-    """The int16 levels ``k >= 0`` with ``radii = 3^-k`` (a positive double
-    3^-k has k <= 678), else None. The first radius is tried alone; the
-    N-long pass holds one float array, the levels and one bool per radius."""
-    for part in (radii[:1], radii):
-        work = np.log(part)
-        np.rint(np.divide(work, -_LN3, out=work), out=work)
-        ks = work.astype(np.int16)
-        np.power(3.0, np.negative(ks, out=ks), out=work)
-        np.negative(ks, out=ks)
-        if ks.min() < 0 or not np.array_equal(work, part):
-            return None
-    return ks
 
 
 def _canonical_targets(targets, N, dim):
@@ -566,15 +495,6 @@ def _canonical_targets(targets, N, dim):
     return (t[:, 0] if dim == 1 else t).copy()
 
 
-def _whole(value, name: str) -> int:
-    """``value`` as an int: an integer, or a float with an integral value (a
-    config's ``integer`` admits 1000.0); a bool or a fraction is refused."""
-    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) or (
-            isinstance(value, (float, np.floating)) and float(value).is_integer())):
-        raise ValueError(f"{name}: {value!r} is not an integer")
-    return int(value)
-
-
 def _run_counting(
     system,
     backend,
@@ -594,7 +514,7 @@ def _run_counting(
     N, samples = _whole(N, "N"), _whole(samples, "samples")
     if N < 0 or samples < 0:
         raise ValueError("N and samples must be >= 0")
-    _key_word(seed, "seed")
+    seed = _key_word(_whole(seed, "seed"), "seed")
     _check_budget(ball_budget)
     ids = _check_sample_ids(range(samples) if sample_ids is None else sample_ids)
     if N == 0:
@@ -608,10 +528,7 @@ def _run_counting(
     if not np.all((radii > 0.0) & (radii < np.inf)):  # NaN fails too
         raise ValueError("radius function must be strictly positive and finite")
     # the plan: the hit test follows from the run's kind, measure and radii
-    ks = None
-    if (kind == "pure" and isinstance(backend, BernoulliBackend)
-            and _is_middle_third_cantor(system)):
-        ks = _cantor_levels(radii)
+    ks = _cantor_levels(backend, radii) if kind == "pure" else None
     if kind != "modified" and ks is None:  # the distance test
         # clamp the working precision to what float coordinates can certify;
         # per-step flag bands are floored at that precision downstream
@@ -622,14 +539,14 @@ def _run_counting(
     depth = system.depth_for_diameter(band)
     prec = system.diameter_bound(depth)
     length = N + (depth if ks is None else max(int(ks.max()), depth))
-    _check_oracle_serves(kind, backend, radii, len(ids), ball_budget)
+    _preflight(kind, backend, radii, len(ids), ball_budget)
     if kind == "shrink":
         if targets is None:
             raise ValueError("shrinking-target runs need targets")
         targets = _canonical_targets(targets, N, system.dim)
     cp_idx = np.asarray(cps, dtype=np.int64) - 1
     psi_sums = _shared_psi_sums(kind, backend, targets, radii, cp_idx, ball_budget)
-    spec = _RunSpec(backend, kind, int(seed), radii, cp_idx, depth, prec, length, psi_sums,
+    spec = _RunSpec(backend, kind, seed, radii, cp_idx, depth, prec, length, psi_sums,
                     ball_budget, ks, targets)
     blocks = _worker_blocks(ids, threads)
     if len(blocks) == 1:
@@ -676,8 +593,9 @@ def shrinking_target_run(
     symbol stream is fixed by ``seed`` alone, so id blocks computed
     separately concatenate to the full run). The seed and the ids must be
     integers in ``[0, 2**64)``, the ids without repeats, ``N`` and
-    ``samples`` integers >= 0 (an integral float is taken) and
-    ``ball_budget`` an integer >= 1, else ``ValueError`` before any set-up.
+    ``samples`` integers >= 0 (an integral float seed, ``N`` or ``samples``
+    is taken) and ``ball_budget`` an integer >= 1, else ``ValueError``
+    before any set-up.
     """
     return _run_counting(system, backend, "shrink", psi, N, samples, seed,
                          targets=targets, checkpoints=checkpoints,
@@ -715,7 +633,8 @@ def recurrence_pure_run(
     each ball stopped at depth ``ball_budget`` or earlier at the node cap
     with its certified bracket: before any sampling, the run raises
     ``ValueError`` when a spectral table is shallower than ``ball_budget``,
-    and ``CertificationError`` when samples x distinct radii exceeds 20 000.
+    and ``CertificationError`` when samples x distinct radii exceeds 20 000
+    (the ``measure`` module docstring states what the oracle serves).
     ``sample_ids`` replaces the default id range, with the same checks.
     """
     return _run_counting(system, backend, "pure", psi, N, samples, seed,
@@ -745,8 +664,8 @@ def recurrence_modified_run(
     point lies below the quota; ``measure._quota_decider`` states how a step
     is decided, and which steps are flagged, from balls around the start
     point. The rule needs a closed-form CDF (density or weighted
-    ternary-Cantor backends); other backends raise ``CertificationError``
-    before sampling.
+    ternary-Cantor backends; the ``measure`` module docstring states what the
+    oracle serves), else ``CertificationError`` before sampling.
     ``sample_ids`` replaces the default id range, with the same checks.
     """
     return _run_counting(system, backend, "modified", psi, N, samples, seed,
@@ -813,8 +732,13 @@ def pairwise_independence_check(
     every pair must lie within the table; a deeper level is refused. Both
     reports carry the same seven keys (both sides, the error coefficient,
     and the verdict with the supplied ``kappa``); the Monte-Carlo one adds
-    ``mc_samples``.
+    ``mc_samples``. The counts ``a``, ``b`` and ``mc_samples`` are integers
+    (an integral float is taken); a bool or a fraction raises ``ValueError``
+    naming it.
     """
+    a, b = _whole(a, "a"), _whole(b, "b")
+    if mc_samples is not None:
+        mc_samples = _whole(mc_samples, "mc_samples")
     if not (1 <= a <= b):
         raise ValueError("need 1 <= a <= b")
     if backend.system is not system:
@@ -874,8 +798,11 @@ def cylinder_event_crosscheck(
 
     For each word the orbit hits the cylinder at step ``n`` exactly when the
     path symbols at offsets ``n..n+|word|-1`` match the word, so frequencies
-    are exact Bernoulli trials of the invariant cylinder mass.
+    are exact Bernoulli trials of the invariant cylinder mass. ``n`` and
+    ``samples`` are integers (an integral float is taken); a bool or a
+    fraction raises ``ValueError`` naming it.
     """
+    n, samples = _whole(n, "n"), _whole(samples, "samples")
     if not words:
         raise ValueError("words must name at least one cylinder")
     if samples < 1:
@@ -1172,7 +1099,9 @@ def run_named_example(name: str, overrides: Optional[Mapping[str, float]] = None
     Every knob is a count or a depth: a value is taken as an ``int``, and a
     bool, a fraction or a value below 1 raises ``ValueError`` naming the key.
     ``seed`` reseeds the sample orbits (B.2 draws none) and ``threads`` sizes
-    the worker pool.
+    the worker pool; the seed is checked as a counting run's is (an
+    integral float is taken; a bool, a fraction or a value outside
+    ``[0, 2**64)`` raises ``ValueError`` naming ``seed``).
     """
     if name not in NAMED_EXAMPLES:
         raise ValueError(f"unknown example {name!r}; known: {sorted(NAMED_EXAMPLES)}")
@@ -1193,7 +1122,7 @@ def run_named_example(name: str, overrides: Optional[Mapping[str, float]] = None
     for key, value in counts.items():
         if value < 1:
             raise ValueError(f"example {name} override {key} must be >= 1, got {value}")
-    seed = default_seed if seed is None else int(seed)
+    seed = default_seed if seed is None else _key_word(_whole(seed, "seed"), "seed")
     return example(threads, seed, **counts)
 
 
@@ -1382,7 +1311,7 @@ def _example_staircase(threads, seed, N=1_000_000, samples=200, quadrature_sampl
     finals = np.array([r.final.count for r in records])
     cps = [cp.N for cp in records[0].checkpoints]
     # quadrature over an independent sample set: mean own-ball sums
-    ks = _cantor_levels(psi.values(np.arange(1, N + 1)))
+    ks = _cantor_levels(backend, psi.values(np.arange(1, N + 1)))
     qids = range(1_000_000, 1_000_000 + quadrature_samples)
     qblock = sample_symbol_block(backend, seed, qids, int(ks.max()))
     prefix, counts = _staircase_terms(probs, qblock, ks, cps + [tail_split])

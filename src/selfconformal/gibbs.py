@@ -172,6 +172,24 @@ def _root(system: IfsSystem) -> Tuple[float, float]:
     return system.attractor_box.lo[0], system.attractor_box.hi[0]
 
 
+def _whole(value, name: str) -> int:
+    """``value`` as an int: an integer, or a float with an integral value (a
+    config's ``integer`` admits 1000.0); a bool or a fraction is refused."""
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) or (
+            isinstance(value, (float, np.floating)) and float(value).is_integer())):
+        raise ValueError(f"{name}: {value!r} is not an integer")
+    return int(value)
+
+
+def _check_level(k) -> int:
+    """A table level as an int >= 0 (an integral float is taken), else
+    ``ValueError`` naming it."""
+    k = _whole(k, "level")
+    if k < 0:
+        raise ValueError(f"level {k} is below 0")
+    return k
+
+
 def _check_level_size(m: int, k: int):
     if m ** k > _LEVEL_TABLE_CAP:
         raise ValueError(f"level table of size {m}^{k} exceeds the cap")
@@ -219,6 +237,7 @@ class BernoulliBackend:
         return float(out)
 
     def level_table(self, k: int) -> np.ndarray:
+        k = _check_level(k)
         if k not in self._tables:
             _check_level_size(self.system.m, k)
             prev = self.level_table(k - 1)
@@ -293,6 +312,7 @@ class DensityBackend:
         return float(self.cdf(hi[0, 0]) - self.cdf(lo[0, 0]))
 
     def level_table(self, k: int) -> np.ndarray:
+        k = _check_level(k)
         if k not in self._tables:
             _check_level_size(self.system.m, k)
             lo, hi = _cell_arrays(self.system, k)
@@ -465,12 +485,14 @@ def eigen_solve(
     whose eigenvalue and check-grid residual moved by at most ``_SETTLE``
     (relative) from the size before; ``converged`` is false when the ladder
     ends first.  A branch weight that float64 cannot hold is refused before
-    any solve.
+    any solve, as is a ``depth`` that is not an integer >= 1 (an integral
+    float is taken).
     """
     if system.dim != 1:
         raise ValueError("the eigensolver operates on 1-D systems")
+    depth = _whole(depth, "depth")
     if depth < 1:
-        raise ValueError("depth must be >= 1")
+        raise ValueError(f"depth must be >= 1, got {depth}")
     if _potential_tau(potential) is None:
         _check_weight_count(system, potential.probs)
     _check_level_size(system.m, depth)
@@ -539,6 +561,7 @@ class SpectralBackend:
         self._tables = {report.depth: report.mu_table}
 
     def level_table(self, k: int) -> np.ndarray:
+        k = _check_level(k)
         _check_table_level(self, k)
         if k not in self._tables:
             mm = self.system.m

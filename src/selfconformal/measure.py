@@ -18,10 +18,17 @@ bounded chunks that carries only the live points from level to level: a
 point stops exactly when it lands in a removed gap, and NaN gets the vacuous
 bracket [0, 1].
 
-The measure-equalized hit rule lives here, stated once in ``_quota_decider``:
-a worker builds it from its start points, with one radial table per start
-point (``_radial_table``, private to the rule), and the oracle's closed-form
-balls decide the steps the tables leave open.
+The counting engine in ``experiments`` asks the oracle for three things, and
+only this module decides how each is served; no other module names
+``_radial_mass``, ``_radial_table``, ``_closed_form`` or the Cantor test.
+The pre-flight, ``_preflight``, refuses before any sampling a
+measure-equalized run without a closed form, a pruner ball budget past a
+spectral table, and more pure-run own balls than ``_PRUNER_BALL_CAP``. The
+ball sums are the shrinking-target normalizer (``_target_ball_sums``), a
+pure run's own balls (``_own_ball_sums``) and the measure-equalized hit rule
+(``_quota_decider``, built per worker block with one radial table per start
+point, private to the rule). The exact levels, ``_cantor_levels``, are radii
+``3^-k`` on a Bernoulli Cantor measure, whose balls are exact cylinders.
 
 ``t_n_radius`` inverts r |-> mu(B(x, r)) by bisection and terminates only when
 the measure bracket at the returned radius certifies the target value within
@@ -30,13 +37,15 @@ the requested measure tolerance.
 
 from __future__ import annotations
 
+import logging
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .gibbs import (BernoulliBackend, DensityBackend, MeasureBackend, SpectralBackend,
-                    _check_table_level)
+                    _check_table_level, _whole)
 from .ifs import (_child_state, _children, _distance_range, _initial_state,
                   _is_middle_third_cantor, _point_value, _state_boxes, _to_coords)
 from .symbolic import PointRd, as_point
@@ -60,6 +69,8 @@ __all__ = [
     "doubling_ratio",
     "cantor_cdf_bracket",
 ]
+
+logger = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -670,14 +681,6 @@ def annulus_measure(
     return region_measure(backend, AnnulusRegion(x, r, rho), depth_budget)
 
 
-def _check_quota_serves(backend: MeasureBackend) -> None:
-    """Refuse a backend without a closed-form radial mass: the steps that the
-    quota rule's tables leave open take closed-form balls."""
-    if _closed_form(backend) is None:
-        raise CertificationError("measure-equalized recurrence needs a closed-form radial "
-                                 "mass; use a Bernoulli ternary-Cantor or density backend")
-
-
 def _quota_decider(backend: MeasureBackend, centers, prec: float, least_quota: float,
                    depth: int, ball_budget: int):
     """The measure-equalized hit rule: ``decide(dist, quota)`` marks the hits
@@ -699,7 +702,7 @@ def _quota_decider(backend: MeasureBackend, centers, prec: float, least_quota: f
     the inner ball, then the outer ball for the steps it does not miss, and
     the ball at ``d`` for the steps still open, which are flagged and counted
     by its bracket midpoint. Those balls need a closed form, which a run
-    checks with ``_check_quota_serves`` before any sampling.
+    checks with ``_preflight`` before any sampling.
     """
     tables = _radial_table(backend, centers, prec, least_quota, depth)
     x0s, slack = np.asarray(centers, dtype=float), 2.0 * prec
@@ -727,6 +730,79 @@ def _quota_decider(backend: MeasureBackend, centers, prec: float, least_quota: f
         return hit, flag
 
     return decide
+
+
+_PRUNER_BALL_CAP = 20_000  # own-ball evaluations per run without a closed form
+_LN3 = math.log(3.0)
+
+
+def _preflight(kind: str, backend: MeasureBackend, radii, n_samples: int, ball_budget: int):
+    """Refuse, before any sampling, a ``"shrink"``, ``"pure"`` or ``"modified"``
+    run the oracle cannot serve (see the module docstring); the pure-run cap
+    counts the whole run, whatever the chunking or worker count."""
+    if _closed_form(backend) is not None:
+        return
+    if kind == "modified":
+        raise CertificationError("measure-equalized recurrence needs a closed-form radial "
+                                 "mass; use a Bernoulli ternary-Cantor or density backend")
+    if backend.max_depth is not None and ball_budget > backend.max_depth:
+        raise ValueError(
+            f"ball budget {ball_budget} is beyond the spectral table depth "
+            f"{backend.max_depth}; set depth_budgets.ball to at most {backend.max_depth}"
+        )
+    if kind == "pure":
+        ordered = np.sort(radii, axis=None)  # np.unique would import numpy.ma
+        n_radii = int(np.count_nonzero(ordered[1:] != ordered[:-1])) + 1
+        if n_samples * n_radii > _PRUNER_BALL_CAP:
+            raise CertificationError(
+                f"own-ball sums through the cylinder pruner need {n_samples} samples x "
+                f"{n_radii} distinct radii = {n_samples * n_radii} ball evaluations, "
+                f"above the cap of {_PRUNER_BALL_CAP} per run; use fewer samples or "
+                "radii, or a Bernoulli ternary-Cantor or density backend"
+            )
+
+
+def _own_ball_sums(backend: MeasureBackend, x0s, radii, cp_idx, ball_budget: int):
+    """Cumulative own-ball measures sum_{n<=N} mu(B(x0, psi(n))) at checkpoints
+    (bracket midpoints), one oracle call per sample over the distinct radii."""
+    uniq, inverse = np.unique(radii, return_inverse=True)
+    out = np.empty((x0s.shape[0], cp_idx.size))
+    for i, x0 in enumerate(x0s):
+        lo, hi = _radial_mass(backend, x0, uniq, ball_budget)
+        out[i] = np.cumsum((0.5 * (lo + hi))[inverse])[cp_idx]
+    return out
+
+
+def _target_ball_sums(backend: MeasureBackend, targets, radii, cp_idx, ball_budget: int):
+    """Cumulative target-ball measures sum_{n<=N} mu(B(y_n, psi(n))) at
+    checkpoints (bracket midpoints), one oracle call over the distinct balls."""
+    balls, inverse = np.unique(np.column_stack([targets.reshape(radii.size, -1), radii]),
+                               axis=0, return_inverse=True)
+    centers = balls[:, :-1].reshape((-1,) + targets.shape[1:])
+    lo, hi = _radial_mass(backend, centers, balls[:, -1], ball_budget)
+    mids = 0.5 * (lo + hi)
+    wide = int(np.count_nonzero(hi - lo > 0.1 * np.maximum(mids, 1e-300)))
+    if wide:
+        logger.warning("%d target balls had wide measure brackets; midpoints used", wide)
+    return np.cumsum(mids[inverse.reshape(-1)])[cp_idx]
+
+
+def _cantor_levels(backend: MeasureBackend, radii: np.ndarray) -> Optional[np.ndarray]:
+    """On a Bernoulli Cantor measure, the int16 levels ``k >= 0`` with ``radii
+    = 3^-k`` (a positive double 3^-k has k <= 678), else None. The first radius
+    is tried alone; the N-long pass holds one float array, the levels and one
+    bool per radius."""
+    if not (isinstance(backend, BernoulliBackend) and _is_middle_third_cantor(backend.system)):
+        return None
+    for part in (radii[:1], radii):
+        work = np.log(part)
+        np.rint(np.divide(work, -_LN3, out=work), out=work)
+        ks = work.astype(np.int16)
+        np.power(3.0, np.negative(ks, out=ks), out=work)
+        np.negative(ks, out=ks)
+        if ks.min() < 0 or not np.array_equal(work, part):
+            return None
+    return ks
 
 
 # ---------------------------------------------------------------------------
@@ -803,7 +879,11 @@ def density_ratio_series(
     N: int,
     depth_budget: int = 45,
 ) -> dict:
-    """mu(B(x, psi(n))) / psi(n)^tau for n = 1..N with wide-bracket flags."""
+    """mu(B(x, psi(n))) / psi(n)^tau for n = 1..N with wide-bracket flags.
+
+    ``N`` is an integer (an integral float is taken); a bool or a fraction
+    raises ``ValueError``."""
+    N = _whole(N, "N")
     x = as_point(x, backend.system.dim)
     ns = np.arange(1, N + 1)
     radii = psi.values(ns)

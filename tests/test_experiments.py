@@ -47,7 +47,6 @@ from selfconformal.experiments import (
 )
 from selfconformal.experiments import (
     _CheckpointCounts,
-    _cantor_levels,
     _staircase_alpha_window,
 )
 from selfconformal.gibbs import (
@@ -67,6 +66,7 @@ from selfconformal.measure import (
     ConstantRadius,
     PowerLogRadius,
     PowerRadius,
+    _cantor_levels,
     _quota_decider,
     _radial_mass,
     _radial_table,
@@ -481,6 +481,13 @@ class TestRunKeysRefused:
                 recurrence_pure_run(cantor, uniform, PowerRadius(0.5, 0.5), N, samples, 1)
             else:
                 recurrence_modified_run(cantor, uniform, PowerRadius(0.5, 0.5), N, samples, 1)
+
+    @pytest.mark.parametrize("seed", [5.0, np.float64(5.0)])
+    def test_integral_float_seed_runs(self, cantor, weighted, seed):
+        # a named example's seed follows the same count rule
+        psi = PowerRadius(0.5, 0.5)
+        assert (recurrence_pure_run(cantor, weighted, psi, 50, 3, seed)
+                == recurrence_pure_run(cantor, weighted, psi, 50, 3, 5))
 
     def test_integral_float_counts_run(self, cantor, weighted):
         # a config's integer admits 50.0; the run is the integer one's
@@ -1135,7 +1142,7 @@ class TestCountingMemory:
 
 
 class TestCantorLevels:
-    def test_levels_exact_and_pass_memory(self):
+    def test_levels_exact_and_pass_memory(self, uniform):
         """The levels k with psi(n) = 3^-k, or None; at N = 10^6 the pass
         holds at most 12 bytes per radius above the radii themselves."""
         N = 10 ** 6
@@ -1144,7 +1151,7 @@ class TestCantorLevels:
         radii = PowerLogRadius(alpha).values(ns)
         tracemalloc.start()
         try:
-            ks = _cantor_levels(radii)
+            ks = _cantor_levels(uniform, radii)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1152,9 +1159,10 @@ class TestCantorLevels:
         assert ks.dtype == np.int16
         np.testing.assert_array_equal(ks, np.floor(alpha * np.log(ns)))
         for k in (0, 1, 5, 31):
-            np.testing.assert_array_equal(_cantor_levels(ConstantRadius(3.0 ** -k).values(ns)), k)
-        assert _cantor_levels(ConstantRadius(5.0 / 9.0).values(ns)) is None
-        assert _cantor_levels(PowerRadius(1.0, 0.5).values(ns)) is None
+            np.testing.assert_array_equal(
+                _cantor_levels(uniform, ConstantRadius(3.0 ** -k).values(ns)), k)
+        assert _cantor_levels(uniform, ConstantRadius(5.0 / 9.0).values(ns)) is None
+        assert _cantor_levels(uniform, PowerRadius(1.0, 0.5).values(ns)) is None
 
 
 def _record_with(counts_psi):
@@ -1285,6 +1293,18 @@ class TestPairwiseIndependence:
             pairwise_independence_check(cantor, uniform, (1,), 0, 5)
         with pytest.raises(ValueError):
             pairwise_independence_check(cantor, uniform, (1,), 6, 5)
+
+    @pytest.mark.parametrize("a, b, mc_samples, bad", [
+        (1.5, 5, None, "a"), (True, 5, None, "a"), (1, 5.5, None, "b"),
+        (2, 10, 2.5, "mc_samples"), (2, 10, True, "mc_samples")])
+    def test_counts_must_be_integers(self, cantor, uniform, a, b, mc_samples, bad):
+        event = (1,) if mc_samples is None else ((0.0,), 0.4)
+        with pytest.raises(ValueError, match=f"^{bad}: .* is not an integer"):
+            pairwise_independence_check(cantor, uniform, event, a, b, mc_samples=mc_samples)
+
+    def test_integral_float_counts_taken(self, cantor, weighted):
+        assert (pairwise_independence_check(cantor, weighted, (1, 2), 2.0, np.float64(4.0))
+                == pairwise_independence_check(cantor, weighted, (1, 2), 2, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -1575,6 +1595,23 @@ class TestNamedExamples:
         with pytest.raises(ValueError, match=f"example 7.1 override {key}: .* is not an integer"):
             run_named_example("7.1", overrides)
 
+    @pytest.mark.parametrize("name", ["7.1", "B.2"])
+    @pytest.mark.parametrize("seed", [7.9, True, -1, 2 ** 64])
+    def test_bad_seed_refused_before_running(self, monkeypatch, name, seed):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran the example before refusing the seed")
+
+        monkeypatch.setattr(experiments, "recurrence_pure_run", refuse)
+        monkeypatch.setattr(experiments, "gasket_tangency_doubling_bracket", refuse)
+        with pytest.raises(ValueError, match="^seed: "):
+            run_named_example(name, seed=seed)
+
+    def test_integral_float_seed_taken_as_int(self):
+        small = {"N": 100, "samples": 3, "mc_samples": 50}
+        rep = run_named_example("7.1", small, seed=7.0)
+        assert rep["seed"] == 7 and type(rep["seed"]) is int
+        assert rep["records"] == run_named_example("7.1", small, seed=7)["records"]
+
     def test_integral_float_override_taken_as_int(self):
         rep = run_named_example("7.1", {"N": 100.0, "samples": 3.0, "mc_samples": 50.0})
         assert (rep["N"], rep["samples"], rep["mc_step30"]["samples"]) == (100, 3, 50)
@@ -1652,6 +1689,17 @@ class TestMonteCarloConsistency:
             cylinder_event_crosscheck(cantor, weighted, [], 5, 100, 1)
         with pytest.raises(ValueError, match="n must be >= 0"):
             cylinder_event_crosscheck(cantor, weighted, [(1,)], -1, 100, 1)
+
+    @pytest.mark.parametrize("n, samples, bad", [
+        (1.5, 100, "n"), (True, 100, "n"), (5, 2.5, "samples"), (5, True, "samples")])
+    def test_cylinder_event_crosscheck_counts_must_be_integers(self, cantor, weighted,
+                                                               n, samples, bad):
+        with pytest.raises(ValueError, match=f"^{bad}: .* is not an integer"):
+            cylinder_event_crosscheck(cantor, weighted, [(1,)], n, samples, 1)
+
+    def test_cylinder_event_crosscheck_takes_integral_floats(self, cantor, weighted):
+        assert (cylinder_event_crosscheck(cantor, weighted, [(1,)], 5.0, 100.0, 1)
+                == cylinder_event_crosscheck(cantor, weighted, [(1,)], 5, 100, 1))
 
     def test_equalized_hit_probability_matches_quota_at_scale(self, cantor, weighted):
         # per-step hit frequency over 1e5 orbits must match the measure quota

@@ -903,6 +903,33 @@ def test_mixing_guards(density_backend):
     assert mixing_coeff_cylinders(density_backend, 5, 5) == 0.0
 
 
+@pytest.mark.parametrize("level, shown", [(-1, "-1"), (True, "True"), (2.5, "2.5"),
+                                          (np.float64(1.5), "1.5")])
+@pytest.mark.parametrize("name", ["bernoulli", "density", "spectral"])
+def test_level_table_refuses_a_bad_level(name, level, shown, cantor, density_backend,
+                                         spectral_quartet):
+    backend = {"bernoulli": BernoulliBackend(cantor, (0.3, 0.7)), "density": density_backend,
+               "spectral": spectral_quartet}[name]
+    with pytest.raises(ValueError, match="^level") as err:
+        backend.level_table(level)
+    assert shown in str(err.value)
+    np.testing.assert_array_equal(backend.level_table(2.0), backend.level_table(2))
+
+
+def test_mixing_refuses_a_fractional_depth(cantor):
+    # the joint masses read the level-2.5 table
+    with pytest.raises(ValueError, match="level: 2.5 is not an integer"):
+        mixing_coeff_cylinders(BernoulliBackend(cantor, (0.3, 0.7)), 2.5, 1)
+
+
+@pytest.mark.parametrize("depth, message", [(2.5, "depth: 2.5 is not an integer"),
+                                            (True, "depth: True is not an integer"),
+                                            (-1, "depth must be >= 1, got -1")])
+def test_eigen_solve_refuses_a_bad_depth(quartet, depth, message):
+    with pytest.raises(ValueError, match=message):
+        eigen_solve(quartet, ConformalPowerPotential(1.0), depth)
+
+
 @pytest.mark.parametrize("name", ["density_quartet", "spectral_quartet", "weighted_cantor"])
 def test_joint_masses_match_the_pair_identity(name, quartet, cantor, density_backend):
     pot = ConformalPowerPotential(1.0)

@@ -1,7 +1,7 @@
 """Every name a package module imports is read somewhere in that module,
 every private module-level name is read somewhere in the package, only
-``ifs`` reads the format of a map, and only ``measure`` names its radial
-table.
+``ifs`` reads the format of a map, and only ``measure`` names the
+radial-mass oracle's internals.
 
 A name counts as used when the module loads it (including inside string
 annotations) or lists it in ``__all__``.  A deliberate re-export that the
@@ -147,8 +147,10 @@ def test_only_ifs_reads_the_map_format(path):
     assert not reads, f"{path.name} reads the map format outside ifs: {'; '.join(reads)}"
 
 
-# The measure-equalized quota rule: its radial tables are private to measure.
-_QUOTA_RULE_NAMES = {"_radial_table"}
+# The radial-mass oracle's internals: measure alone decides what the oracle
+# serves, so no other module names them (ifs defines the Cantor test and
+# does not load it).
+_ORACLE_INTERNALS = {"_radial_table", "_radial_mass", "_closed_form", "_is_middle_third_cantor"}
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "measure.py"],
@@ -156,12 +158,12 @@ _QUOTA_RULE_NAMES = {"_radial_table"}
 def test_only_measure_names_the_radial_table(path):
     names = []
     for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.Name) and node.id in _QUOTA_RULE_NAMES:
+        if isinstance(node, ast.Name) and node.id in _ORACLE_INTERNALS:
             names.append((node.lineno, node.id))
-        elif isinstance(node, ast.Attribute) and node.attr in _QUOTA_RULE_NAMES:
+        elif isinstance(node, ast.Attribute) and node.attr in _ORACLE_INTERNALS:
             names.append((node.lineno, f".{node.attr}"))
         elif isinstance(node, ast.ImportFrom):
             names += [(node.lineno, f"import {a.name}") for a in node.names
-                      if a.name in _QUOTA_RULE_NAMES]
+                      if a.name in _ORACLE_INTERNALS]
     reads = [f"line {line}: {what}" for line, what in sorted(names)]
-    assert not reads, f"{path.name} names measure's radial table: {'; '.join(reads)}"
+    assert not reads, f"{path.name} names the oracle's internals: {'; '.join(reads)}"

@@ -720,6 +720,18 @@ class TestDerivedSeries:
         assert vals[2] == vals[3]
         assert np.isfinite(vals).all()
 
+    @pytest.mark.parametrize("N", [2.5, True, np.float64(3.5)])
+    def test_density_ratio_count_must_be_an_integer(self, quartet_density, N):
+        with pytest.raises(ValueError, match="^N: .* is not an integer"):
+            density_ratio_series(quartet_density, 0.0, PowerRadius(1.0, 0.5), 1.0, N)
+
+    def test_density_ratio_takes_an_integral_float(self, quartet_density):
+        got = density_ratio_series(quartet_density, 0.0, PowerRadius(1.0, 0.5), 1.0, 40.0)
+        want = density_ratio_series(quartet_density, 0.0, PowerRadius(1.0, 0.5), 1.0, 40)
+        assert got["n"].dtype == want["n"].dtype
+        for key in want:
+            np.testing.assert_array_equal(got[key], want[key])
+
     def test_doubling_ratio_density(self, quartet_density):
         # H(0.4)/H(0.2)
         ratio = doubling_ratio(quartet_density, 0.0, 0.2)
